@@ -18,6 +18,7 @@ only ever count real sizes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ def _floor_2log2(k: int) -> int:
 
 
 class _Row:
-    __slots__ = ("rid", "kind", "group", "slots", "filled")
+    __slots__ = ("rid", "kind", "group", "slots", "filled", "heap")
 
     def __init__(self, rid: int, m: int):
         self.rid = rid
@@ -41,6 +42,9 @@ class _Row:
         self.group: int | None = None
         self.slots: list[int | None] = [None] * m
         self.filled = 0
+        # (lifetime count, machine) of the empty slots, built on the first
+        # placement; counts only rise, so a stale entry is a lower bound
+        self.heap: list[tuple[int, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,9 @@ class ConstantCompetitiveScheduler(Scheduler):
         self._pure: dict[int, _Row] = {}
         self._mixed: dict[int, _Row] = {}
         self._small: list[_Row] = []
+        # (empty slots, rid, seq, row) for small rows; stale entries are skipped
+        self._small_heap: list[tuple[int, int, int, _Row]] = []
+        self._seq = 0
         self._free: list[_Row] = []
         self._removed: list[_Row] = []
         self._next_rid = 0
@@ -109,11 +116,18 @@ class ConstantCompetitiveScheduler(Scheduler):
             row.kind, row.group = "mixed", i
             self._mixed[i] = row
         for _ in range(small_target):
-            row = self._new_row()
-            row.kind = "small"
-            self._small.append(row)
+            self._make_small(self._new_row())
         for _ in range(self.active_k - 2 * (self.l + 1) - small_target):
             self._free.append(self._new_row())
+
+    def _make_small(self, row: _Row):
+        row.kind, row.group = "small", None
+        self._small.append(row)
+        self._push_small(row)
+
+    def _push_small(self, row: _Row):
+        self._seq += 1
+        heapq.heappush(self._small_heap, (self.m - row.filled, row.rid, self._seq, row))
 
     def _take_free(self) -> _Row:
         assert self._free, "free rows exhausted before terminal mode"
@@ -122,11 +136,21 @@ class ConstantCompetitiveScheduler(Scheduler):
         return best
 
     def _place_in_row(self, row: _Row, jid: int) -> int:
-        best = None
-        for mi in range(self.m):
-            if row.slots[mi] is None and (best is None or self.counts[mi] < self.counts[best]):
-                best = mi
-        assert best is not None, "placement into a full row"
+        # empty slot on the machine with the fewest lifetime jobs, tie to lowest index
+        heap = row.heap
+        if heap is None:
+            heap = row.heap = [
+                (self.counts[mi], mi) for mi in range(self.m) if row.slots[mi] is None
+            ]
+            heapq.heapify(heap)
+        counts = self.counts
+        assert heap, "placement into a full row"
+        count, best = heap[0]
+        while count != counts[best]:
+            heapq.heapreplace(heap, (counts[best], best))
+            count, best = heap[0]
+        heapq.heappop(heap)
+        assert row.slots[best] is None, "heap entry for a filled slot"
         row.slots[best] = jid
         row.filled += 1
         self.counts[best] += 1
@@ -160,9 +184,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         assert new_l == self.l - 1, "l may drop by at most 1 per removal event"
         if i == self.l:
             # Case 2: the removed pair was the last group; it disappears
-            frow = self._take_free()
-            frow.kind = "small"
-            self._small.append(frow)
+            self._make_small(self._take_free())
         else:
             # Case 3: the last group's pair turns small; reuse one row as the
             # new mixed row (the complete one when there is one), a free row
@@ -174,8 +196,7 @@ class ConstantCompetitiveScheduler(Scheduler):
             assert leftover.filled < self.m, "both rows of a live pair are full"
             new_mixed.kind, new_mixed.group = "mixed", i
             self._mixed[i] = new_mixed
-            leftover.kind, leftover.group = "small", None
-            self._small.append(leftover)
+            self._make_small(leftover)
             frow = self._take_free()
             frow.kind, frow.group = "pure", i
             self._pure[i] = frow
@@ -189,8 +210,7 @@ class ConstantCompetitiveScheduler(Scheduler):
             assert new_l == self.l - 1
             merged = [self._pure.pop(self.l), self._mixed.pop(self.l)]
             for row in merged:
-                row.kind, row.group = "small", None
-                self._small.append(row)
+                self._make_small(row)
             self.l = new_l
             # a merged row may already be full; full small rows never persist
             full = [r for r in merged if r.filled == self.m]
@@ -204,9 +224,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         target = -(self.active_k // -2) - 2 * (self.l + 1)
         assert len(self._small) <= target, "small rows exceed the invariant target"
         while len(self._small) < target:
-            frow = self._take_free()
-            frow.kind = "small"
-            self._small.append(frow)
+            self._make_small(self._take_free())
 
     # -- placements --------------------------------------------------------
 
@@ -259,10 +277,17 @@ class ConstantCompetitiveScheduler(Scheduler):
         return machine
 
     def _place_small(self, jid: int) -> int:
-        assert self._small, "no small row available"
-        row = min(self._small, key=lambda r: (self.m - r.filled, r.rid))
+        # small row with the fewest empty slots, tie to lowest rid
+        heap = self._small_heap
+        while True:
+            assert heap, "no small row available"
+            empty, _, _, row = heapq.heappop(heap)
+            if row.kind == "small" and self.m - row.filled == empty:
+                break
         machine = self._place_in_row(row, jid)
-        if row.filled == self.m:
+        if row.filled < self.m:
+            self._push_small(row)
+        else:
             self._small.remove(row)
             self._remove_row(row)
             if not self._check_terminal():

@@ -8,6 +8,7 @@ naming the arrival index.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -54,7 +55,11 @@ class Scheduler:
 
 
 class StreamRunner:
-    """Feeds a scheduler one job at a time and records the evidence trace."""
+    """Feeds a scheduler one job at a time and records the evidence trace.
+
+    Per arrival the runner touches only the machines the decision names, so
+    an arrival costs O(1) plus O(k) for each machine a migration touches.
+    """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int):
         self.scheduler = scheduler
@@ -63,14 +68,16 @@ class StreamRunner:
         self.trace = Trace(m, k)
         self._sizes: dict[int, float] = {}
         self._assignment: dict[int, int] = {}
-        self._loads = [0.0] * m
+        self._jobs: list[set[int]] = [set() for _ in range(m)]  # job ids per machine
+        self._loads = self.trace.loads = [0.0] * m
         self._counts = [0] * m
+        self._makespan = 0.0
 
     def push(self, size: float) -> ArrivalRecord:
         if len(self._sizes) >= self.m * self.k:
             raise InfeasibleError(f"stream longer than capacity m*k = {self.m * self.k}")
-        if size < 0:
-            raise ValueError(f"job size must be >= 0, got {size}")
+        if not math.isfinite(size) or size < 0:
+            raise ValueError(f"job size must be finite and >= 0, got {size}")
         jid = len(self._sizes) + 1
         decision = self.scheduler.on_arrival(size)
         machine = decision.machine
@@ -89,32 +96,40 @@ class StreamRunner:
             if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
                 raise ContractViolation(jid, f"move of job {mv.job} to invalid machine {mv.dst}")
             self._assignment[mv.job] = mv.dst
+            self._jobs[mv.src - 1].remove(mv.job)
+            self._jobs[mv.dst - 1].add(mv.job)
             self._counts[mv.src - 1] -= 1
             self._counts[mv.dst - 1] += 1
             moved_size += self._sizes[mv.job]
 
         self._sizes[jid] = size
         self._assignment[jid] = machine
+        self._jobs[machine - 1].add(jid)
         self._loads[machine - 1] += size
         self._counts[machine - 1] += 1
-        for mi, c in enumerate(self._counts, start=1):
+        # only touched machines can have gone over the cap
+        if moves:
+            touched = sorted({mv.src for mv in moves} | {mv.dst for mv in moves} | {machine})
+        else:
+            touched = (machine,)
+        for mi in touched:
+            c = self._counts[mi - 1]
             if c > self.k:
                 raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
 
-        # loads drift-free: recompute the touched machines from the assignment
         if moves:
-            touched = {mv.src for mv in moves} | {mv.dst for mv in moves} | {machine}
+            # loads drift-free: re-sum each touched machine in job-id order
             for mi in touched:
-                self._loads[mi - 1] = sum(
-                    self._sizes[j] for j, mm in self._assignment.items() if mm == mi
-                )
+                self._loads[mi - 1] = sum(self._sizes[j] for j in sorted(self._jobs[mi - 1]))
+            self._makespan = max(self._loads)
+        else:
+            self._makespan = max(self._makespan, self._loads[machine - 1])
         record = ArrivalRecord(
             job=jid,
             size=size,
             machine=machine,
             migration=MigrationRecord(trigger=jid, moves=tuple(moves), moved_size=moved_size),
-            loads=tuple(self._loads),
-            makespan=max(self._loads),
+            makespan=self._makespan,
         )
         self.trace.records.append(record)
         return record
@@ -220,24 +235,24 @@ class RoundRobinScheduler(Scheduler):
 
 
 class ListSchedulingCapped(Scheduler):
-    """Greedy: lowest-load machine among those with fewer than k jobs, tie to lowest index."""
+    """Greedy: lowest-load machine among those with fewer than k jobs, tie to lowest index.
+
+    A heap on (load, index, count) holds every machine below the cap exactly
+    once; a machine leaves it when it reaches k jobs.
+    """
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        self._loads = [0.0] * m
-        self._counts = [0] * m
+        self._heap = [(0.0, mi, 0) for mi in range(m)] if k > 0 else []  # sorted: a heap
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        best = None
-        for mi in range(self.m):
-            if self._counts[mi] >= self.k:
-                continue
-            if best is None or self._loads[mi] < self._loads[best]:
-                best = mi
-        if best is None:
+        if not self._heap:
             raise InfeasibleError("greedy-capped: all machines hold k jobs")
-        self._loads[best] += size
-        self._counts[best] += 1
+        load, best, count = self._heap[0]
+        if count + 1 < self.k:
+            heapq.heapreplace(self._heap, (load + size, best, count + 1))
+        else:
+            heapq.heappop(self._heap)
         return SchedulerDecision(best + 1)
 
 

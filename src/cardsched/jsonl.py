@@ -7,6 +7,7 @@ the class-constrained subcommands.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 
@@ -26,10 +27,16 @@ def load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
             size = obj["size"]
             if isinstance(size, bool) or not isinstance(size, (int, float)):
                 raise ValueError(f"{path}: line {lineno}: 'size' must be a number")
+            try:
+                size = float(size)
+            except OverflowError:
+                size = math.inf
+            if not math.isfinite(size):
+                raise ValueError(f"{path}: line {lineno}: 'size' must be finite, got {size}")
             cls = obj.get("class")
             if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
                 raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
-            entries.append((float(size), cls))
+            entries.append((size, cls))
     return entries
 
 

@@ -101,17 +101,22 @@ class ArrivalRecord:
     size: float
     machine: int
     migration: MigrationRecord
-    loads: tuple[float, ...]
     makespan: float
 
 
 @dataclass
 class Trace:
-    """Evidence stream of an online run: one record per arrival."""
+    """Evidence stream of an online run: one record per arrival.
+
+    `loads` holds the per-machine loads after the last record (machine i is
+    component i-1; the runner keeps it current); records carry only the
+    makespan after their arrival.
+    """
 
     m: int
     k: int
     records: list[ArrivalRecord] = field(default_factory=list)
+    loads: list[float] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -170,8 +175,9 @@ def check_feasible(schedule: Schedule, instance: Instance) -> list[str]:
     for j in instance.jobs:
         if j.id not in seen:
             violations.append(f"job {j.id}: unassigned")
+    ids = {j.id for j in instance.jobs}
     for jid in seen:
-        if all(j.id != jid for j in instance.jobs):
+        if jid not in ids:
             violations.append(f"job {jid}: not part of the instance")
     return violations
 

@@ -88,22 +88,6 @@ def brute_opt(instance: Instance) -> float:
     return best
 
 
-def _lpt_capped_assignment(sizes: list[float], m: int, k: int) -> list[int]:
-    """Greedy least-load assignment of pre-sorted sizes, honoring the cap."""
-    loads = [0.0] * m
-    counts = [0] * m
-    out = []
-    for s in sizes:
-        best = None
-        for mi in range(m):
-            if counts[mi] < k and (best is None or loads[mi] < loads[best]):
-                best = mi
-        out.append(best)
-        loads[best] += s
-        counts[best] += 1
-    return out
-
-
 def exact_opt(instance: Instance) -> OracleResult:
     """True optimal makespan via branch-and-bound over jobs sorted non-increasingly.
 
@@ -113,6 +97,8 @@ def exact_opt(instance: Instance) -> OracleResult:
     still forced to take.  Incumbent: the better of sorted round-robin and
     capped LPT.
     """
+    from .engine import ListSchedulingCapped  # engine imports this module
+
     if not instance.is_feasible():
         raise InfeasibleError(
             f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
@@ -129,7 +115,8 @@ def exact_opt(instance: Instance) -> OracleResult:
     n = len(sizes)
     best_assign = [srr.assignment[j.id] - 1 for j in order]
     best = incumbent
-    lpt = _lpt_capped_assignment(sizes, m, k)
+    greedy = ListSchedulingCapped(m, k)
+    lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
     lpt_make = max(
         sum(s for s, mi in zip(sizes, lpt) if mi == target) for target in range(m)
     )

@@ -1,0 +1,139 @@
+"""Test-only references: the plain O(m) / O(n) scans the fast paths replaced.
+
+Each reference keeps the straightforward code that the indexed version must
+match decision for decision and bit for bit: the stream runner that scans
+every machine per arrival, capped greedy as a linear scan, and the constant
+scheduler's row and slot choice by `min` over the candidates.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from cardsched.constant import ConstantCompetitiveScheduler
+from cardsched.engine import ContractViolation, Scheduler, SchedulerDecision
+from cardsched.model import InfeasibleError, Move
+
+
+@dataclass(frozen=True)
+class RefRecord:
+    job: int
+    machine: int
+    moves: tuple[Move, ...]
+    moved_size: float
+    loads: tuple[float, ...]
+    makespan: float
+
+
+class RefStreamRunner:
+    """Checks every machine's count and copies all loads on every arrival."""
+
+    def __init__(self, scheduler: Scheduler, m: int, k: int):
+        self.scheduler = scheduler
+        self.m = m
+        self.k = k
+        self.records: list[RefRecord] = []
+        self._sizes: dict[int, float] = {}
+        self._assignment: dict[int, int] = {}
+        self._loads = [0.0] * m
+        self._counts = [0] * m
+
+    def push(self, size: float) -> RefRecord:
+        if len(self._sizes) >= self.m * self.k:
+            raise InfeasibleError(f"stream longer than capacity m*k = {self.m * self.k}")
+        if size < 0:
+            raise ValueError(f"job size must be >= 0, got {size}")
+        jid = len(self._sizes) + 1
+        decision = self.scheduler.on_arrival(size)
+        machine = decision.machine
+        if not 1 <= machine <= self.m:
+            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
+
+        moves = decision.migrations.moves if decision.migrations is not None else ()
+        moved_size = 0.0
+        for mv in moves:
+            if mv.job == jid:
+                raise ContractViolation(jid, "trigger job listed in its own migrations")
+            if self._assignment.get(mv.job) != mv.src:
+                raise ContractViolation(
+                    jid, f"move of job {mv.job} from machine {mv.src} does not match schedule"
+                )
+            if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
+                raise ContractViolation(jid, f"move of job {mv.job} to invalid machine {mv.dst}")
+            self._assignment[mv.job] = mv.dst
+            self._counts[mv.src - 1] -= 1
+            self._counts[mv.dst - 1] += 1
+            moved_size += self._sizes[mv.job]
+
+        self._sizes[jid] = size
+        self._assignment[jid] = machine
+        self._loads[machine - 1] += size
+        self._counts[machine - 1] += 1
+        for mi, c in enumerate(self._counts, start=1):
+            if c > self.k:
+                raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
+
+        if moves:
+            touched = {mv.src for mv in moves} | {mv.dst for mv in moves} | {machine}
+            for mi in touched:
+                self._loads[mi - 1] = sum(
+                    self._sizes[j] for j, mm in self._assignment.items() if mm == mi
+                )
+        record = RefRecord(
+            job=jid,
+            machine=machine,
+            moves=tuple(moves),
+            moved_size=moved_size,
+            loads=tuple(self._loads),
+            makespan=max(self._loads),
+        )
+        self.records.append(record)
+        return record
+
+
+class RefListSchedulingCapped(Scheduler):
+    """Capped greedy by a linear scan over all machines."""
+
+    def __init__(self, m: int, k: int):
+        self.m, self.k = m, k
+        self._loads = [0.0] * m
+        self._counts = [0] * m
+
+    def on_arrival(self, size: float) -> SchedulerDecision:
+        best = None
+        for mi in range(self.m):
+            if self._counts[mi] >= self.k:
+                continue
+            if best is None or self._loads[mi] < self._loads[best]:
+                best = mi
+        if best is None:
+            raise InfeasibleError("greedy-capped: all machines hold k jobs")
+        self._loads[best] += size
+        self._counts[best] += 1
+        return SchedulerDecision(best + 1)
+
+
+class RefConstantScheduler(ConstantCompetitiveScheduler):
+    """The constant scheduler with its slot and small-row choices made by scans."""
+
+    def _place_in_row(self, row, jid: int) -> int:
+        best = None
+        for mi in range(self.m):
+            if row.slots[mi] is None and (best is None or self.counts[mi] < self.counts[best]):
+                best = mi
+        assert best is not None, "placement into a full row"
+        row.slots[best] = jid
+        row.filled += 1
+        self.counts[best] += 1
+        return best + 1
+
+    def _place_small(self, jid: int) -> int:
+        assert self._small, "no small row available"
+        row = min(self._small, key=lambda r: (self.m - r.filled, r.rid))
+        machine = self._place_in_row(row, jid)
+        if row.filled == self.m:
+            self._small.remove(row)
+            self._remove_row(row)
+            if not self._check_terminal():
+                self._repair_after_single_removal()
+        return machine

@@ -191,3 +191,23 @@ def test_phi_requires_m2_k2(capsys):
         capsys, ["run", "--algo", "phi", "--m", "3", "--k", "2", "--gen", "uniform", "--n", "3", "--seed", "0"]
     )
     assert code != 0 and "phi" in err
+
+
+@pytest.mark.parametrize(
+    "raw, algo",
+    [
+        ("NaN", "greedy-capped"),
+        ("Infinity", "round-robin"),
+        ("-Infinity", "constant"),
+        ("1" + "0" * 400, "ordinal"),
+    ],
+)
+def test_non_finite_size_exits_2_with_one_line(tmp_path, capsys, raw, algo):
+    path = tmp_path / "nonfinite.jsonl"
+    path.write_text('{"size": 1.0}\n{"size": ' + raw + "}\n")
+    argv = ["run", "--algo", algo, "--m", "2", "--k", "2", "--input", str(path)]
+    code, out, err = _run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "line 2" in err
+    assert "finite" in err

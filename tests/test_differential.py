@@ -1,0 +1,257 @@
+"""Differential tests: the indexed runner and schedulers against the plain scans.
+
+Every stream is replayed through the reference in tests/reference_scans.py
+and through the library; machines, moves, moved sizes, per-arrival makespans
+and final loads must agree bit for bit, and contract violations must name the
+same arrival and machine.
+"""
+
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cardsched.constant import ConstantCompetitiveScheduler, _floor_2log2
+from cardsched.engine import (
+    ContractViolation,
+    ListSchedulingCapped,
+    RoundRobinScheduler,
+    Scheduler,
+    SchedulerDecision,
+    StreamRunner,
+)
+from cardsched.model import MigrationRecord, Move, loads
+from cardsched.robust import RobustOrdinalScheduler
+from reference_scans import RefConstantScheduler, RefListSchedulingCapped, RefStreamRunner
+
+
+def _replay(scheduler, ref_scheduler, sizes, m, k):
+    """Push sizes through both runners; returns (new runner, ref runner, error pair)."""
+    runner = StreamRunner(scheduler, m, k)
+    ref = RefStreamRunner(ref_scheduler, m, k)
+    errors = [None, None]
+    for s in sizes:
+        for idx, r in enumerate((runner, ref)):
+            try:
+                r.push(s)
+            except ContractViolation as exc:
+                errors[idx] = (exc.arrival, str(exc))
+        if errors != [None, None]:
+            break
+    return runner, ref, errors
+
+
+def _assert_same(runner, ref):
+    records = runner.trace.records
+    assert len(records) == len(ref.records)
+    for got, want in zip(records, ref.records):
+        assert got.job == want.job
+        assert got.machine == want.machine
+        assert got.migration.moves == want.moves
+        assert repr(got.migration.moved_size) == repr(want.moved_size)
+        assert repr(got.makespan) == repr(want.makespan)
+    if ref.records:
+        assert [repr(x) for x in runner.trace.loads] == [repr(x) for x in ref.records[-1].loads]
+        trace = runner.trace
+        assert trace.loads == loads(trace.final_schedule(), trace.instance())
+
+
+def _stream(draw_sizes, m, k):
+    return draw_sizes[: m * k]
+
+
+sizes_st = st.lists(
+    st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=1e6), st.sampled_from([0.1, 0.2, 0.3])
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(sizes_st, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_greedy_capped_matches_scan(sizes, m, k):
+    sizes = _stream(sizes, m, k)
+    runner, ref, errors = _replay(
+        ListSchedulingCapped(m, k), RefListSchedulingCapped(m, k), sizes, m, k
+    )
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+
+
+def test_greedy_capped_exhausted_raises_like_scan():
+    for cls in (ListSchedulingCapped, RefListSchedulingCapped):
+        sched = cls(2, 1)
+        assert [sched.on_arrival(1.0).machine for _ in range(2)] == [1, 2]
+        with pytest.raises(Exception) as err:
+            sched.on_arrival(1.0)
+        assert str(err.value) == "greedy-capped: all machines hold k jobs"
+
+
+@given(sizes_st, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_round_robin_runner_matches_scan(sizes, m, k):
+    sizes = _stream(sizes, m, k)
+    runner, ref, errors = _replay(
+        RoundRobinScheduler(m, k), RoundRobinScheduler(m, k), sizes, m, k
+    )
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+
+
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=40),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.sampled_from([0.1, 0.5, 1.0]),
+)
+@settings(max_examples=120, deadline=None)
+def test_robust_ordinal_runner_matches_scan(sizes, m, k, eps):
+    sizes = _stream(sizes, m, k)
+    runner, ref, errors = _replay(
+        RobustOrdinalScheduler(m, k, eps), RobustOrdinalScheduler(m, k, eps), sizes, m, k
+    )
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+
+
+class _RandomMigrator(Scheduler):
+    """Seeded scheduler that moves up to three placed jobs per arrival.
+
+    With `cheat` it ignores the cap and may name stale sources, the trigger
+    job or bad destinations, so the runner's contract checks fire.
+    """
+
+    def __init__(self, m, k, seed, cheat=False):
+        self.m, self.k = m, k
+        self._rng = random.Random(seed)
+        self._cheat = cheat
+        self._where: dict[int, int] = {}
+        self._counts = [0] * (m + 2)
+
+    def _pick(self, exclude=None):
+        if self._cheat:
+            return self._rng.randint(1, self.m + 1)  # m + 1 is out of range
+        opts = [mi for mi in range(1, self.m + 1) if self._counts[mi] < self.k and mi != exclude]
+        return self._rng.choice(opts) if opts else None
+
+    def _put(self, job, machine):
+        if job in self._where:
+            self._counts[self._where[job]] -= 1
+        self._where[job] = machine
+        self._counts[machine] += 1
+
+    def on_arrival(self, size):
+        rng = self._rng
+        jid = len(self._where) + 1
+        moves = []
+        for _ in range(rng.randint(0, 3)):
+            if not self._where:
+                break
+            job = rng.choice(sorted(self._where))
+            src = self._where[job]
+            if self._cheat and rng.random() < 0.1:
+                job, src = rng.choice((job, jid)), rng.randint(1, self.m)
+            dst = self._pick(exclude=src)
+            if dst is None:
+                continue
+            moves.append(Move(job, src, dst))
+            if job != jid:
+                self._put(job, dst)
+        machine = self._pick()
+        self._put(jid, machine)
+        # a bare namespace, so bad moves reach the runner's checks, not MigrationRecord's
+        migrations = SimpleNamespace(moves=tuple(moves)) if moves else None
+        return SchedulerDecision(machine, migrations)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_migrating_runner_matches_scan(sizes, m, k, seed, cheat):
+    sizes = _stream(sizes, m, k)
+    runner, ref, errors = _replay(
+        _RandomMigrator(m, k, seed, cheat), _RandomMigrator(m, k, seed, cheat), sizes, m, k
+    )
+    assert errors[0] == errors[1]
+    if errors[0] is None:
+        _assert_same(runner, ref)
+
+
+def test_cap_violation_names_lowest_touched_machine():
+    class TwoOver(Scheduler):
+        m, k = 4, 1
+
+        def on_arrival(self, size):
+            # job 4 lands on machine 2 while job 1 moves onto machine 3: both over the cap
+            if size == 4.0:
+                return SchedulerDecision(2, MigrationRecord(4, (Move(1, 1, 3),)))
+            return SchedulerDecision(int(size))
+
+    for runner_cls in (StreamRunner, RefStreamRunner):
+        runner = runner_cls(TwoOver(), 4, 1)
+        for s in (1.0, 2.0, 3.0):
+            runner.push(s)
+        with pytest.raises(ContractViolation, match="arrival 4: machine 2 holds 2 jobs"):
+            runner.push(4.0)
+
+
+def _constant_sizes(rng: random.Random, n: int) -> list[float]:
+    """Loguniform, rising-maximum, or focused on one deep group (reaches case 2)."""
+    shape = rng.choice(("spread", "rising", "focused"))
+    if shape == "focused":
+        g = rng.randint(10, 13)
+        return [1.0] + [
+            2.0**-g * rng.uniform(1, 2) if rng.random() < 0.8 else 2 ** rng.uniform(-20, 0)
+            for _ in range(n - 1)
+        ]
+    spread = rng.choice((1, 4, 16, 40))
+    trend = 0.05 if shape == "rising" else 0.0
+    return [2 ** (rng.uniform(-spread, spread) + trend * i) for i in range(n)]
+
+
+def _replay_constant(m, k, sizes):
+    runner, ref, errors = _replay(
+        ConstantCompetitiveScheduler(m, k), RefConstantScheduler(m, k), sizes, m, k
+    )
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+    assert runner.scheduler.structure_snapshot() == ref.scheduler.structure_snapshot()
+    return runner.scheduler
+
+
+@given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_constant_placement_matches_scan(m, k, seed, fill):
+    rng = random.Random(seed)
+    sizes = _constant_sizes(rng, max(1, int(fill * m * k)))
+    _replay_constant(m, k, sizes)
+
+
+def test_constant_differential_reaches_every_repair_and_terminal_mode():
+    hits = set()
+
+    class Probe(ConstantCompetitiveScheduler):
+        def _repair_after_pair_removal(self, i):
+            new_l = _floor_2log2(self.active_k)
+            hits.add("case1" if new_l == self.l else "case2" if i == self.l else "case3")
+            return super()._repair_after_pair_removal(i)
+
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, k = rng.randint(1, 4), rng.randint(60, 70)
+        sizes = _constant_sizes(rng, m * k)
+        probe = Probe(m, k)
+        for s in sizes:
+            probe.on_arrival(s)
+        if probe.terminal:
+            hits.add("terminal")
+        _replay_constant(m, k, sizes)
+    assert hits == {"case1", "case2", "case3", "terminal"}

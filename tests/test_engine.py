@@ -34,12 +34,18 @@ def test_run_stream_round_robin():
 def test_run_stream_greedy_replay():
     trace = run_stream(list_scheduling_capped(2, 2), [2, 1, 1], 2, 2)
     assert [r.machine for r in trace.records] == [1, 2, 2]
-    assert trace.records[-1].loads == (2, 2)
+    assert trace.loads == [2, 2]
 
 
 def test_run_stream_guards_capacity_before_dispatch():
     with pytest.raises(InfeasibleError):
         run_stream(round_robin_scheduler(2, 1), [1, 1, 1], 2, 1)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, -1.0])
+def test_run_stream_rejects_non_finite_and_negative_sizes(size):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        run_stream(round_robin_scheduler(2, 2), [1.0, size], 2, 2)
 
 
 def test_run_stream_accepts_zero_sizes():
@@ -189,7 +195,6 @@ def test_migration_stats_quotient():
         size=2.0,
         machine=1,
         migration=MigrationRecord(1, (Move(2, 1, 2),), 3.0),
-        loads=(2.0, 0.0),
         makespan=2.0,
     )
     stats = migration_stats(trace)

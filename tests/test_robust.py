@@ -143,7 +143,7 @@ def test_trace_loads_replay_from_final_schedule():
         from cardsched.model import loads
 
         replayed = loads(trace.final_schedule(), trace.instance())
-        assert tuple(replayed) == trace.records[-1].loads
+        assert replayed == trace.loads
 
 
 def test_machines_follow_fixed_map_positions():
