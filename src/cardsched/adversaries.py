@@ -2,9 +2,9 @@
 
 Each driver plays a proof's adversary strategy against a live scheduler:
 it observes every placement, chooses the next size accordingly, and reports
-the achieved ratio against an analytic or constructive optimum.  The internal
-runner is deliberately lean (parallel arrays, O(1) per arrival) because the
-balanced driver emits millions of jobs.
+the achieved ratio against an analytic or constructive optimum.  Drives run on
+the library's StreamRunner, whose trace is parallel arrays (O(1) per
+arrival), because the balanced driver emits millions of jobs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ContractViolation, Scheduler
+from .engine import Scheduler, StreamRunner
 from .oracle import sorted_round_robin_makespan
 
 ROBUST_LB_X = (-3.0 + math.sqrt(837.0)) / 2.0  # makespan-ratio fixed point, ~12.965476
@@ -44,75 +44,25 @@ class AdversaryReport:
         return len(self.sizes)
 
 
-class _Drive:
-    """Minimal stream runner for adversaries: validates, meters, stays O(1)/arrival."""
-
-    def __init__(self, scheduler: Scheduler, m: int, k: int):
-        self.scheduler = scheduler
-        self.m, self.k = m, k
-        self.sizes = array("d")
-        self.chosen = array("q")
-        self.current = array("q")
-        self.loads = [0.0] * m
-        self.counts = [0] * m
-
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def makespan(self) -> float:
-        return max(self.loads)
-
-    def machine_of(self, jid: int) -> int:
-        return self.current[jid - 1]
-
-    def feed(self, size: float) -> int:
-        jid = self.n + 1
-        decision = self.scheduler.on_arrival(size)
-        machine = decision.machine
-        if not 1 <= machine <= self.m:
-            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
-        moves = decision.migrations.moves if decision.migrations is not None else ()
-        for mv in moves:
-            if mv.job == jid or not 1 <= mv.job < jid:
-                raise ContractViolation(jid, f"illegal migrated job id {mv.job}")
-            if self.current[mv.job - 1] != mv.src:
-                raise ContractViolation(jid, f"move of job {mv.job} does not match schedule")
-            if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
-                raise ContractViolation(jid, f"move of job {mv.job} to machine {mv.dst}")
-            self.current[mv.job - 1] = mv.dst
-            self.counts[mv.src - 1] -= 1
-            self.counts[mv.dst - 1] += 1
-        self.sizes.append(size)
-        self.chosen.append(machine)
-        self.current.append(machine)
-        self.counts[machine - 1] += 1
-        if self.counts[machine - 1] > self.k:
-            raise ContractViolation(jid, f"machine {machine} exceeds cap {self.k}")
-        if moves:
-            # rare path: rebuild loads exactly from the assignment
-            self.loads = [0.0] * self.m
-            for s, mm in zip(self.sizes, self.current):
-                self.loads[mm - 1] += s
-        else:
-            self.loads[machine - 1] += size
-        return machine
-
-    def report(self, family: str, opt: float, provenance: str, note=None) -> AdversaryReport:
-        alg = self.makespan
-        return AdversaryReport(
-            family=family,
-            m=self.m,
-            k=self.k,
-            sizes=self.sizes,
-            machines=self.chosen,
-            alg_makespan=alg,
-            opt_value=opt,
-            opt_provenance=provenance,
-            ratio=alg / opt if opt else math.inf,
-            note=note,
-        )
+def drive_report(
+    runner: StreamRunner, family: str, opt: float, provenance: str, note=None, alg=None
+) -> AdversaryReport:
+    """The report of a finished drive; `alg` overrides the trace's final makespan."""
+    trace = runner.trace
+    alg = trace.final_makespan() if alg is None else alg
+    return AdversaryReport(
+        family=family,
+        m=runner.m,
+        k=runner.k,
+        sizes=trace.sizes,
+        machines=trace.machines,
+        alg_makespan=alg,
+        opt_value=opt,
+        opt_provenance=provenance,
+        ratio=alg / opt if opt else math.inf,
+        note=note,
+        classes=runner.classes,
+    )
 
 
 def pure_lb_drive(scheduler: Scheduler, m: int, k: int, N: float) -> AdversaryReport:
@@ -122,17 +72,17 @@ def pure_lb_drive(scheduler: Scheduler, m: int, k: int, N: float) -> AdversaryRe
         raise ValueError(f"requires m >= k >= 2, got m={m}, k={k}")
     if N <= 0:
         raise ValueError("N must be positive")
-    drive = _Drive(scheduler, m, k)
+    drive = StreamRunner(scheduler, m, k)
     for _ in range(m * (k - 1)):
-        drive.feed(1.0)
+        drive.push(1.0)
     if all(c == k - 1 for c in drive.counts):
-        drive.feed(float(k))
+        drive.push(float(k))
         # offline: k units on each of m-1 machines, the big job alone
-        return drive.report("pure-lb", float(k), "analytic")
+        return drive_report(drive, "pure-lb", float(k), "analytic")
     for _ in range(m):
-        drive.feed(float(N))
+        drive.push(float(N))
     # offline: k-1 units plus one size-N job per machine
-    return drive.report("pure-lb", float(N) + k - 1, "analytic")
+    return drive_report(drive, "pure-lb", float(N) + k - 1, "analytic")
 
 
 def balanced_lb_drive(
@@ -142,7 +92,7 @@ def balanced_lb_drive(
     receives a job; the optimum is the sorted round-robin makespan."""
     if N < 2 or k < 2 or round_cap < 1:
         raise ValueError("requires N >= 2, k >= 2, round_cap >= 1")
-    drive = _Drive(scheduler, m, k)
+    drive = StreamRunner(scheduler, m, k)
     note = None
     capacity = m * k
     for _ in range(k):
@@ -158,14 +108,14 @@ def balanced_lb_drive(
             if math.isinf(size):
                 note = "unbounded-evidence: geometric size overflow"
                 break
-            machine = drive.feed(size)
+            machine = drive.push(size)
             ell += 1
             if machine == 1:
                 break
         if note is not None:
             break
-    opt = sorted_round_robin_makespan(drive.sizes, m)
-    return drive.report("balanced-lb", opt, "constructive", note)
+    opt = sorted_round_robin_makespan(drive.trace.sizes, m)
+    return drive_report(drive, "balanced-lb", opt, "constructive", note)
 
 
 def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
@@ -173,19 +123,19 @@ def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
     first two were co-located) or (phi-1)*M followed by 1 or phi*M."""
     if not 2 * M * M > _PHI * (M + M * M):
         raise ValueError(f"M={M} too small: need 2M^2 > phi*(M + M^2)")
-    drive = _Drive(scheduler, 2, 2)
-    drive.feed(float(M))
-    drive.feed(1.0)
+    drive = StreamRunner(scheduler, 2, 2)
+    drive.push(float(M))
+    drive.push(1.0)
     if drive.machine_of(1) == drive.machine_of(2):
-        drive.feed(float(M) * M)
-        drive.feed(float(M) * M)
-        return drive.report("phi-lb", M + M * M, "analytic")
-    drive.feed((_PHI - 1.0) * M)
+        drive.push(float(M) * M)
+        drive.push(float(M) * M)
+        return drive_report(drive, "phi-lb", M + M * M, "analytic")
+    drive.push((_PHI - 1.0) * M)
     if drive.machine_of(3) == drive.machine_of(1):
-        drive.feed(1.0)
-        return drive.report("phi-lb", M + 1.0, "analytic")
-    drive.feed(_PHI * M)
-    return drive.report("phi-lb", _PHI * M + 1.0, "analytic")
+        drive.push(1.0)
+        return drive_report(drive, "phi-lb", M + 1.0, "analytic")
+    drive.push(_PHI * M)
+    return drive_report(drive, "phi-lb", _PHI * M + 1.0, "analytic")
 
 
 def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
@@ -197,23 +147,23 @@ def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
     if k < 8 or k % 2:
         raise ValueError(f"requires even k >= 8, got {k}")
     X = ROBUST_LB_X
-    drive = _Drive(scheduler, m, k)
+    drive = StreamRunner(scheduler, m, k)
     for size in [6.0, 6.0, 6.0, 9.0, 9.0] + [X] * (m - 2):
-        drive.feed(size)
+        drive.push(size)
 
     per_machine: list[list[float]] = [[] for _ in range(m)]
     for jid in range(1, drive.n + 1):
-        per_machine[drive.machine_of(jid) - 1].append(drive.sizes[jid - 1])
+        per_machine[drive.machine_of(jid) - 1].append(drive.trace.sizes[jid - 1])
     arrangement = sorted(tuple(sorted(sz)) for sz in per_machine)
     canonical = sorted([(6.0, 6.0, 6.0), (9.0, 9.0)] + [(X,)] * (m - 2))
     if arrangement != canonical:
-        return drive.report("robust-lb", 18.0, "analytic", note="non-canonical after part 1")
+        return drive_report(drive, "robust-lb", 18.0, "analytic", "non-canonical after part 1")
 
     for _ in range((m - 3) * (k - 1)):
-        drive.feed(6.0 / (k - 1))
+        drive.push(6.0 / (k - 1))
     for _ in range(2 * (k - 2)):
-        drive.feed((X - 9.0) / (k - 2))
-    return drive.report("robust-lb", X + 6.0, "analytic", note="canonical after part 1")
+        drive.push((X - 9.0) / (k - 2))
+    return drive_report(drive, "robust-lb", X + 6.0, "analytic", "canonical after part 1")
 
 
 def check_report(report: AdversaryReport) -> None:

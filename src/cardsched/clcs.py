@@ -3,17 +3,17 @@
 Here a machine may host jobs from at most k *distinct classes* instead of at
 most k jobs.  The greedy scheduler pins each class to one machine; it is
 m-competitive and that is the best possible even with migration, which the
-two lower-bound drivers demonstrate on identical and uniform machines.
+two lower-bound drivers demonstrate on identical and uniform machines.  All
+of them run on a classed StreamRunner; speeds enter only clcs_makespan.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 
-from .adversaries import AdversaryReport
-from .engine import ContractViolation
+from .adversaries import AdversaryReport, drive_report
+from .engine import SchedulerDecision, StreamRunner
 from .model import InfeasibleError
 
 CLCS_BRUTE_MAX_JOBS = 8
@@ -62,16 +62,16 @@ def clcs_instance(jobs, m: int, k: int, speeds=None) -> ClcsInstance:
 class GreedyClcsScheduler:
     """First job of an unseen class binds it to the machine with fewest bound
     classes (among those below k), tie to the lowest index; every later job of
-    the class follows it."""
+    the class follows it.  One decision per class is cached and reused."""
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        self._machine_of_class: dict[int, int] = {}
+        self._decision_of_class: dict[int, SchedulerDecision] = {}
         self._bound = [0] * m
 
-    def on_arrival(self, size: float, cls: int) -> int:
-        machine = self._machine_of_class.get(cls)
-        if machine is None:
+    def on_arrival(self, size: float, cls: int) -> SchedulerDecision:
+        decision = self._decision_of_class.get(cls)
+        if decision is None:
             best = None
             for mi in range(self.m):
                 if self._bound[mi] >= self.k:
@@ -81,72 +81,21 @@ class GreedyClcsScheduler:
             if best is None:
                 raise InfeasibleError("all machines already host k classes")
             self._bound[best] += 1
-            machine = best + 1
-            self._machine_of_class[cls] = machine
-        return machine
+            decision = self._decision_of_class[cls] = SchedulerDecision(best + 1)
+        return decision
 
 
-def greedy_clcs(m: int, k: int) -> GreedyClcsScheduler:
-    return GreedyClcsScheduler(m, k)
+def clcs_makespan(loads, speeds) -> float:
+    """Largest completion time load / speed over the machines."""
+    return max(ld / sp for ld, sp in zip(loads, speeds))
 
 
-class _ClassedDrive:
-    """Stream runner for class-constrained schedulers on (possibly) uniform machines."""
-
-    def __init__(self, scheduler, m: int, k: int, speeds=None):
-        self.scheduler = scheduler
-        self.m, self.k = m, k
-        self.speeds = tuple(speeds) if speeds is not None else (1.0,) * m
-        self.sizes = array("d")
-        self.classes = array("q")
-        self.machines = array("q")
-        self.loads = [0.0] * m
-        self.class_sets: list[set[int]] = [set() for _ in range(m)]
-
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def makespan(self) -> float:
-        return max(ld / sp for ld, sp in zip(self.loads, self.speeds))
-
-    def feed(self, size: float, cls: int) -> int:
-        jid = self.n + 1
-        machine = self.scheduler.on_arrival(size, cls)
-        if not 1 <= machine <= self.m:
-            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
-        self.class_sets[machine - 1].add(cls)
-        if len(self.class_sets[machine - 1]) > self.k:
-            raise ContractViolation(jid, f"machine {machine} hosts more than {self.k} classes")
-        self.sizes.append(size)
-        self.classes.append(cls)
-        self.machines.append(machine)
-        self.loads[machine - 1] += size
-        return machine
-
-    def report(self, family: str, opt: float, provenance: str, note=None) -> AdversaryReport:
-        return AdversaryReport(
-            family=family,
-            m=self.m,
-            k=self.k,
-            sizes=self.sizes,
-            machines=self.machines,
-            alg_makespan=self.makespan,
-            opt_value=opt,
-            opt_provenance=provenance,
-            ratio=self.makespan / opt,
-            note=note,
-            classes=self.classes,
-        )
-
-
-def run_classed_stream(scheduler, jobs, m: int, k: int, speeds=None) -> _ClassedDrive:
-    """Feed (size, class) pairs in order; returns the finished drive."""
-    drive = _ClassedDrive(scheduler, m, k, speeds)
+def run_classed_stream(scheduler, jobs, m: int, k: int) -> StreamRunner:
+    """Feed (size, class) pairs in order under the class cap; returns the finished runner."""
+    runner = StreamRunner(scheduler, m, k, classed=True)
     for size, cls in jobs:
-        drive.feed(float(size), int(cls))
-    return drive
+        runner.push(float(size), int(cls))
+    return runner
 
 
 def clcs_exact(instance: ClcsInstance) -> float:
@@ -181,10 +130,8 @@ def identical_lb_report(scheduler, m: int, k: int) -> AdversaryReport:
     """m unit jobs of one common class; offline puts one on each machine."""
     if m < 2:
         raise ValueError(f"requires m >= 2, got {m}")
-    drive = _ClassedDrive(scheduler, m, k)
-    for _ in range(m):
-        drive.feed(1.0, 1)
-    return drive.report("clcs-identical-lb", 1.0, "analytic")
+    drive = run_classed_stream(scheduler, [(1.0, 1)] * m, m, k)
+    return drive_report(drive, "clcs-identical-lb", 1.0, "analytic")
 
 
 def uniform_lb_drive(
@@ -200,14 +147,10 @@ def uniform_lb_drive(
     if M < 0:
         raise ValueError("M must be >= 0")
     speeds = (1.0,) + (float(s),) * (m - 1)
-    drive = _ClassedDrive(scheduler, m, k, speeds)
-    for cls in range(1, m * k + 1):
-        drive.feed(1.0, cls)
+    drive = run_classed_stream(scheduler, [(1.0, cls) for cls in range(1, m * k + 1)], m, k)
 
     k_prime = min(k, m - 1)
-    on_machine_1 = sorted(
-        {drive.classes[j] for j in range(drive.n) if drive.machines[j] == 1}
-    )
+    on_machine_1 = sorted(drive.class_sets[0])
     targets = on_machine_1[:k_prime]
     note = None
     if len(targets) < k_prime:
@@ -220,5 +163,6 @@ def uniform_lb_drive(
     size = 1.0 / beta - eps
     for _ in range(rounds):
         for cls in targets:
-            drive.feed(size, cls)
-    return drive.report("clcs-uniform-lb", M / s + k / s, "analytic", note)
+            drive.push(size, cls)
+    alg = clcs_makespan(drive.loads, speeds)
+    return drive_report(drive, "clcs-uniform-lb", M / s + k / s, "analytic", note, alg)

@@ -21,43 +21,39 @@ from .adversaries import (
     pure_lb_drive,
     robust_lb_drive,
 )
-from .clcs import greedy_clcs, identical_lb_report, run_classed_stream, uniform_lb_drive
-from .constant import new_constant_scheduler
+from .clcs import (
+    GreedyClcsScheduler,
+    clcs_makespan,
+    identical_lb_report,
+    run_classed_stream,
+    uniform_lb_drive,
+)
+from .constant import ConstantCompetitiveScheduler
 from .engine import (
     ContractViolation,
+    ListSchedulingCapped,
+    PhiScheduler,
+    RoundRobinScheduler,
     competitive_metrics,
-    list_scheduling_capped,
     migration_stats,
-    phi_scheduler,
-    round_robin_scheduler,
     run_stream,
 )
 from .jsonl import load_jobs
 from .model import InfeasibleError, check_feasible, instance_from_sizes, makespan
 from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_opt, lower_bound
 from .ordinal import ordinal_map, ordinal_schedule
-from .robust import robust_scheduler
+from .robust import RobustOrdinalScheduler
 
 SCHEMA_VERSION = 1
 TRANSCRIPT_LIMIT = 10000
-ONLINE_ALGOS = ("round-robin", "greedy-capped", "phi", "constant", "robust-ordinal")
-ALGOS = ONLINE_ALGOS + ("ordinal",)
-
-
-def build_scheduler(key: str, m: int, k: int, epsilon: float):
-    if key == "round-robin":
-        return round_robin_scheduler(m, k)
-    if key == "greedy-capped":
-        return list_scheduling_capped(m, k)
-    if key == "phi":
-        if (m, k) != (2, 2):
-            raise ValueError("the phi scheduler is defined for m=2, k=2 only")
-        return phi_scheduler()
-    if key == "constant":
-        return new_constant_scheduler(m, k)
-    if key == "robust-ordinal":
-        return robust_scheduler(m, k, epsilon)
-    raise ValueError(f"unknown scheduler key {key!r}")
+# online scheduler key -> constructor(m, k, epsilon)
+SCHEDULERS = {
+    "round-robin": lambda m, k, eps: RoundRobinScheduler(m, k),
+    "greedy-capped": lambda m, k, eps: ListSchedulingCapped(m, k),
+    "phi": lambda m, k, eps: PhiScheduler(m, k),
+    "constant": lambda m, k, eps: ConstantCompetitiveScheduler(m, k),
+    "robust-ordinal": RobustOrdinalScheduler,
+}
 
 
 def generate_sizes(name: str, n: int, seed: int) -> list[float]:
@@ -90,6 +86,10 @@ def _pick_mode(mode: str, n: int) -> str:
     if mode == "auto":
         return "exact" if n <= EXACT_RECOMMENDED_MAX_JOBS else "lower_bound"
     return "exact" if mode == "exact" else "lower_bound"
+
+
+def _row_dicts(rows) -> list[dict]:
+    return [{"rid": r.rid, "kind": r.kind, "group": r.group, "slots": list(r.slots)} for r in rows]
 
 
 def cmd_run(args) -> dict:
@@ -139,7 +139,7 @@ def cmd_run(args) -> dict:
         if args.emit_map:
             report["ordinal_map"] = list(ordinal_map(m, k).sigma)
     else:
-        scheduler = build_scheduler(args.algo, m, k, args.epsilon)
+        scheduler = SCHEDULERS[args.algo](m, k, args.epsilon)
         trace = run_stream(scheduler, sizes, m, k)
         metrics = competitive_metrics(trace, instance, mode)
         stats = migration_stats(trace)
@@ -159,7 +159,7 @@ def cmd_run(args) -> dict:
             report["epsilon"] = args.epsilon
         if len(sizes) <= TRANSCRIPT_LIMIT:
             report["sizes"] = sizes
-            report["machines"] = [r.machine for r in trace.records]
+            report["machines"] = list(trace.machines)
         else:
             report["transcript_omitted"] = True
         if args.dump_structure and args.algo == "constant":
@@ -170,14 +170,8 @@ def cmd_run(args) -> dict:
                 "p_max": snap.p_max,
                 "fallback": snap.fallback,
                 "terminal": snap.terminal,
-                "rows": [
-                    {"rid": r.rid, "kind": r.kind, "group": r.group, "slots": list(r.slots)}
-                    for r in snap.rows
-                ],
-                "removed_rows": [
-                    {"rid": r.rid, "kind": r.kind, "group": r.group, "slots": list(r.slots)}
-                    for r in snap.removed_rows
-                ],
+                "rows": _row_dicts(snap.rows),
+                "removed_rows": _row_dicts(snap.removed_rows),
             }
     report["wall_time_s"] = time.perf_counter() - started
     return report
@@ -230,10 +224,10 @@ def cmd_adversary(args) -> dict:
     family = args.family
     started = time.perf_counter()
     if family == "phi-lb":
-        scheduler = build_scheduler(args.algo, 2, 2, args.epsilon)
+        scheduler = SCHEDULERS[args.algo](2, 2, args.epsilon)
         report = phi_lb_drive(scheduler, args.big_m)
     else:
-        scheduler = build_scheduler(args.algo, args.m, args.k, args.epsilon)
+        scheduler = SCHEDULERS[args.algo](args.m, args.k, args.epsilon)
         if family == "pure-lb":
             n_param = args.n_param if args.n_param is not None else float(args.k)
             report = pure_lb_drive(scheduler, args.m, args.k, n_param)
@@ -256,8 +250,8 @@ def cmd_clcs(args) -> dict:
         missing = [i + 1 for i, (_, cls) in enumerate(jobs) if cls is None]
         if missing:
             raise ValueError(f"{args.input}: line {missing[0]}: 'class' field required for clcs")
-        speeds = [float(x) for x in args.speeds.split(",")] if args.speeds else None
-        drive = run_classed_stream(greedy_clcs(args.m, args.k), jobs, args.m, args.k, speeds)
+        speeds = [float(x) for x in args.speeds.split(",")] if args.speeds else [1.0] * args.m
+        drive = run_classed_stream(GreedyClcsScheduler(args.m, args.k), jobs, args.m, args.k)
         return {
             "schema": SCHEMA_VERSION,
             "command": "clcs-run",
@@ -265,17 +259,17 @@ def cmd_clcs(args) -> dict:
             "m": args.m,
             "k": args.k,
             "n": drive.n,
-            "speeds": list(drive.speeds),
-            "makespan": drive.makespan,
+            "speeds": speeds,
+            "makespan": clcs_makespan(drive.loads, speeds),
             "loads": list(drive.loads),
-            "machines": list(drive.machines),
+            "machines": list(drive.trace.machines),
             "wall_time_s": time.perf_counter() - started,
         }
     if args.family == "identical-lb":
-        report = identical_lb_report(greedy_clcs(args.m, args.k), args.m, args.k)
+        report = identical_lb_report(GreedyClcsScheduler(args.m, args.k), args.m, args.k)
     elif args.family == "uniform-lb":
         report = uniform_lb_drive(
-            greedy_clcs(args.m, args.k),
+            GreedyClcsScheduler(args.m, args.k),
             args.m,
             args.k,
             args.speed,
@@ -302,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scheduler on an instance")
-    p_run.add_argument("--algo", required=True, choices=ALGOS)
+    p_run.add_argument("--algo", required=True, choices=(*SCHEDULERS, "ordinal"))
     p_run.add_argument("--m", type=int, required=True)
     p_run.add_argument("--k", type=int, required=True)
     _add_input_args(p_run)
@@ -322,7 +316,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_adv.add_argument(
         "--family", required=True, choices=("pure-lb", "balanced-lb", "robust-lb", "phi-lb")
     )
-    p_adv.add_argument("--algo", required=True, choices=ONLINE_ALGOS)
+    p_adv.add_argument("--algo", required=True, choices=tuple(SCHEDULERS))
     p_adv.add_argument("--m", type=int, default=2)
     p_adv.add_argument("--k", type=int, default=2)
     p_adv.add_argument("--n-param", type=float, default=None, help="N for pure/balanced families")

@@ -375,10 +375,6 @@ class ConstantCompetitiveScheduler(Scheduler):
         assert live == self.active_k
 
 
-def new_constant_scheduler(m: int, k: int) -> ConstantCompetitiveScheduler:
-    return ConstantCompetitiveScheduler(m, k)
-
-
 def certify_load_bound(trace: Trace) -> list[str]:
     """End-of-stream load-bound certificate on the rounded sizes.
 
@@ -386,18 +382,15 @@ def certify_load_bound(trace: Trace) -> list[str]:
     (2/m) * sum(rounded) + (50 - 1/(k-1)) * max(rounded); smaller caps run in
     fallback mode, where any feasible schedule is within k * max(rounded).
     """
-    if not trace.records:
+    if not trace.n:
         return []
     m, k0 = trace.m, trace.k
-    rounded = {}
-    for r in trace.records:
-        rounded[r.job] = round_down_pow2(r.size)[0]
-    total = sum(rounded.values())
-    p_max = max(rounded.values())
-    schedule = trace.final_schedule()
+    rounded = [round_down_pow2(size)[0] for size in trace.sizes]
+    total = sum(rounded)
+    p_max = max(rounded)
     rounded_loads = [0.0] * m
-    for jid, machine in schedule.assignment.items():
-        rounded_loads[machine - 1] += rounded[jid]
+    for jid, machine in trace.final_schedule().assignment.items():
+        rounded_loads[machine - 1] += rounded[jid - 1]
     violations = []
     if k0 <= FALLBACK_MAX_K:
         bound = k0 * p_max

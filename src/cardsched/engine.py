@@ -1,29 +1,25 @@
 """Online scheduling engine: scheduler contract, stream runner and metering.
 
-Schedulers are single-use state machines.  The runner owns the authoritative
-schedule: it applies each decision (migrations first, then the triggering
-job), re-derives loads and refuses infeasible states with a ContractViolation
-naming the arrival index.
+Schedulers are single-use state machines.  One runner serves online runs,
+the adversary drives and ClCS: it owns the authoritative schedule, applies
+each decision (the triggering job and its migrations), re-derives loads and
+refuses infeasible states with a ContractViolation naming the arrival index.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .model import (
-    ArrivalRecord,
-    InfeasibleError,
-    Instance,
-    MigrationRecord,
-    Trace,
-    instance_from_sizes,
-)
+from .model import InfeasibleError, Instance, MigrationRecord, Trace
 from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_opt, lower_bound
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_MAX_SIZE = sys.float_info.max
 
 
 class ContractViolation(Exception):
@@ -55,84 +51,129 @@ class Scheduler:
 
 
 class StreamRunner:
-    """Feeds a scheduler one job at a time and records the evidence trace.
+    """Feeds a scheduler one job at a time, checks each decision, records the trace.
 
-    Per arrival the runner touches only the machines the decision names, so
-    an arrival costs O(1) plus O(k) for each machine a migration touches.
+    One feasibility rule is checked on every machine an arrival touches: at
+    most k jobs per machine, or, for a `classed` runner (ClCS), at most k
+    distinct job classes per machine, with no limit on the stream length.
+    An arrival costs O(1), plus a re-sum of each machine a migration touches.
+    The job -> machine array and the per-machine job sets that migrations
+    need are built on the first arrival that moves jobs.
     """
 
-    def __init__(self, scheduler: Scheduler, m: int, k: int):
+    def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
         self.scheduler = scheduler
         self.m = m
         self.k = k
         self.trace = Trace(m, k)
-        self._sizes: dict[int, float] = {}
-        self._assignment: dict[int, int] = {}
-        self._jobs: list[set[int]] = [set() for _ in range(m)]  # job ids per machine
-        self._loads = self.trace.loads = [0.0] * m
-        self._counts = [0] * m
+        self.loads = self.trace.loads = [0.0] * m
+        self.counts = [0] * m
+        self._capacity = math.inf if classed else m * k
+        # ClCS only: the class of every job and the classes each machine hosts
+        self.classes = array("q") if classed else None
+        self.class_sets: list[set[int]] | None = [set() for _ in range(m)] if classed else None
+        self._where: array | None = None  # current machine per job, once a job moved
+        self._jobs: list[set[int]] = []  # job ids per machine, once a job moved
         self._makespan = 0.0
 
-    def push(self, size: float) -> ArrivalRecord:
-        if len(self._sizes) >= self.m * self.k:
+    @property
+    def n(self) -> int:
+        return len(self.trace.sizes)
+
+    def machine_of(self, jid: int) -> int:
+        where = self.trace.machines if self._where is None else self._where
+        return where[jid - 1]
+
+    def push(self, size: float, cls: int | None = None) -> int:
+        """Apply one arrival (with its class on a classed runner); returns its machine."""
+        trace = self.trace
+        jid = len(trace.sizes) + 1
+        if jid > self._capacity:
             raise InfeasibleError(f"stream longer than capacity m*k = {self.m * self.k}")
-        if not math.isfinite(size) or size < 0:
+        if not 0.0 <= size <= _MAX_SIZE:  # also rejects NaN
             raise ValueError(f"job size must be finite and >= 0, got {size}")
-        jid = len(self._sizes) + 1
-        decision = self.scheduler.on_arrival(size)
+        if cls is None:
+            decision = self.scheduler.on_arrival(size)
+        else:
+            decision = self.scheduler.on_arrival(size, cls)
         machine = decision.machine
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
+        trace.sizes.append(size)
+        trace.machines.append(machine)
+        self.counts[machine - 1] += 1
+        if cls is not None:
+            self.classes.append(cls)
+            self.class_sets[machine - 1].add(cls)
+        if decision.migrations is not None and decision.migrations.moves:
+            self._migrate(jid, machine, decision.migrations.moves)
+        else:
+            if self._where is not None:
+                self._where.append(machine)
+                self._jobs[machine - 1].add(jid)
+            used = self.counts[machine - 1] if cls is None else len(self.class_sets[machine - 1])
+            if used > self.k:
+                self._check(jid, (machine,))
+            load = self.loads[machine - 1] = self.loads[machine - 1] + size
+            if load > self._makespan:
+                self._makespan = load
+        trace.makespans.append(self._makespan)
+        return machine
 
-        moves = decision.migrations.moves if decision.migrations is not None else ()
+    def _check(self, jid: int, touched) -> None:
+        """Raise for the first machine in `touched` that breaks the runner's rule."""
+        for mi in touched:
+            if self.classes is not None:
+                if len(self.class_sets[mi - 1]) > self.k:
+                    raise ContractViolation(jid, f"machine {mi} hosts more than {self.k} classes")
+            elif self.counts[mi - 1] > self.k:
+                c = self.counts[mi - 1]
+                raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
+
+    def _migrate(self, jid: int, machine: int, moves) -> None:
+        """Apply the moves of arrival `jid` (already placed), check and re-sum touched machines."""
+        if self._where is None:
+            self._where = array("i", self.trace.machines)
+            self._jobs = [set() for _ in range(self.m)]
+            for j, mi in enumerate(self._where, start=1):
+                self._jobs[mi - 1].add(j)
+        else:
+            self._where.append(machine)
+            self._jobs[machine - 1].add(jid)
+        where, jobs, counts, sizes = self._where, self._jobs, self.counts, self.trace.sizes
         moved_size = 0.0
+        touched = {machine}
         for mv in moves:
             if mv.job == jid:
                 raise ContractViolation(jid, "trigger job listed in its own migrations")
-            if self._assignment.get(mv.job) != mv.src:
+            if not 1 <= mv.job < jid or where[mv.job - 1] != mv.src:
                 raise ContractViolation(
                     jid, f"move of job {mv.job} from machine {mv.src} does not match schedule"
                 )
             if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
                 raise ContractViolation(jid, f"move of job {mv.job} to invalid machine {mv.dst}")
-            self._assignment[mv.job] = mv.dst
-            self._jobs[mv.src - 1].remove(mv.job)
-            self._jobs[mv.dst - 1].add(mv.job)
-            self._counts[mv.src - 1] -= 1
-            self._counts[mv.dst - 1] += 1
-            moved_size += self._sizes[mv.job]
-
-        self._sizes[jid] = size
-        self._assignment[jid] = machine
-        self._jobs[machine - 1].add(jid)
-        self._loads[machine - 1] += size
-        self._counts[machine - 1] += 1
-        # only touched machines can have gone over the cap
-        if moves:
-            touched = sorted({mv.src for mv in moves} | {mv.dst for mv in moves} | {machine})
-        else:
-            touched = (machine,)
-        for mi in touched:
-            c = self._counts[mi - 1]
-            if c > self.k:
-                raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
-
-        if moves:
-            # loads drift-free: re-sum each touched machine in job-id order
+            where[mv.job - 1] = mv.dst
+            jobs[mv.src - 1].remove(mv.job)
+            jobs[mv.dst - 1].add(mv.job)
+            counts[mv.src - 1] -= 1
+            counts[mv.dst - 1] += 1
+            moved_size += sizes[mv.job - 1]
+            touched.add(mv.src)
+            touched.add(mv.dst)
+        touched = sorted(touched)  # ascending: the lowest violator is named
+        if self.classes is not None:  # a move may take a class's last job off a machine
             for mi in touched:
-                self._loads[mi - 1] = sum(self._sizes[j] for j in sorted(self._jobs[mi - 1]))
-            self._makespan = max(self._loads)
-        else:
-            self._makespan = max(self._makespan, self._loads[machine - 1])
-        record = ArrivalRecord(
-            job=jid,
-            size=size,
-            machine=machine,
-            migration=MigrationRecord(trigger=jid, moves=tuple(moves), moved_size=moved_size),
-            makespan=self._makespan,
-        )
-        self.trace.records.append(record)
-        return record
+                self.class_sets[mi - 1] = {self.classes[j - 1] for j in jobs[mi - 1]}
+        self._check(jid, touched)
+        for mi in touched:
+            # drift-free: re-add the machine's sizes in job-id order from 0.0,
+            # the same sums an unmoved machine accumulates
+            load = 0.0
+            for j in sorted(jobs[mi - 1]):
+                load += sizes[j - 1]
+            self.loads[mi - 1] = load
+        self._makespan = max(self.loads)
+        self.trace.migrations[jid] = MigrationRecord(jid, tuple(moves), moved_size)
 
 
 def run_stream(scheduler: Scheduler, sizes, m: int, k: int) -> Trace:
@@ -180,7 +221,7 @@ def competitive_metrics(trace: Trace, instance: Instance, mode: str = "exact") -
         for t in range(1, n + 1):
             prefix = Instance(instance.jobs[:t], instance.m, instance.k)
             denom = exact_opt(prefix).opt_makespan
-            prefix_max = max(prefix_max, _ratio(trace.records[t - 1].makespan, denom))
+            prefix_max = max(prefix_max, _ratio(trace.makespans[t - 1], denom))
         final_denom = exact_opt(instance).opt_makespan if n else 0.0
     else:
         prefix_max = 0.0
@@ -191,7 +232,7 @@ def competitive_metrics(trace: Trace, instance: Instance, mode: str = "exact") -
             running_total += instance.jobs[t - 1].size
             running_max = max(running_max, instance.jobs[t - 1].size)
             final_denom = max(running_max, running_total / instance.m)
-            prefix_max = max(prefix_max, _ratio(trace.records[t - 1].makespan, final_denom))
+            prefix_max = max(prefix_max, _ratio(trace.makespans[t - 1], final_denom))
         assert n == 0 or final_denom == lower_bound(instance)
     return CompetitiveMetrics(
         final_ratio=_ratio(trace.final_makespan(), final_denom),
@@ -211,11 +252,12 @@ def migration_stats(trace: Trace) -> MigrationStats:
     """Worst per-arrival migration factor (moved size / arriving size) and total moved size."""
     max_factor = 0.0
     total = 0.0
-    for r in trace.records:
-        moved = r.migration.moved_size
+    for jid, record in trace.migrations.items():
+        moved = record.moved_size
         total += moved
         if moved > 0:
-            max_factor = max(max_factor, math.inf if r.size == 0 else moved / r.size)
+            size = trace.sizes[jid - 1]
+            max_factor = max(max_factor, math.inf if size == 0 else moved / size)
     return MigrationStats(max_factor=max_factor, total_moved=total)
 
 
@@ -264,10 +306,10 @@ class PhiScheduler(Scheduler):
     the machine holding a single job.
     """
 
-    m = 2
-    k = 2
-
-    def __init__(self):
+    def __init__(self, m: int = 2, k: int = 2):
+        if (m, k) != (2, 2):
+            raise ValueError("the phi scheduler is defined for m=2, k=2 only")
+        self.m, self.k = m, k
         self._sizes: list[float] = []
         self._machines: list[int] = []
 
@@ -293,15 +335,3 @@ class PhiScheduler(Scheduler):
         self._sizes.append(size)
         self._machines.append(machine)
         return SchedulerDecision(machine)
-
-
-def round_robin_scheduler(m: int, k: int) -> RoundRobinScheduler:
-    return RoundRobinScheduler(m, k)
-
-
-def list_scheduling_capped(m: int, k: int) -> ListSchedulingCapped:
-    return ListSchedulingCapped(m, k)
-
-
-def phi_scheduler() -> PhiScheduler:
-    return PhiScheduler()

@@ -38,15 +38,3 @@ def load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
                 raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
             entries.append((size, cls))
     return entries
-
-
-def dump_jobs(path: str, jobs) -> None:
-    """jobs: iterable of sizes or of (size, class) pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for job in jobs:
-            if isinstance(job, tuple):
-                size, cls = job
-                obj = {"size": size} if cls is None else {"size": size, "class": cls}
-            else:
-                obj = {"size": job}
-            fh.write(json.dumps(obj) + "\n")

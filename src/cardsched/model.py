@@ -8,6 +8,7 @@ cardinality cap k: every machine may hold at most k jobs.  Machines are
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -49,12 +50,6 @@ class Instance:
 
     def total_size(self) -> float:
         return sum(j.size for j in self.jobs)
-
-    def job_by_id(self, jid: int) -> Job:
-        for j in self.jobs:
-            if j.id == jid:
-                return j
-        raise KeyError(jid)
 
 
 def instance_from_sizes(sizes, m: int, k: int) -> Instance:
@@ -106,38 +101,52 @@ class ArrivalRecord:
 
 @dataclass
 class Trace:
-    """Evidence stream of an online run: one record per arrival.
+    """Evidence stream of an online run, as parallel arrays over arrivals.
 
-    `loads` holds the per-machine loads after the last record (machine i is
-    component i-1; the runner keeps it current); records carry only the
-    makespan after their arrival.
+    Job j (1-based) has size `sizes[j-1]`, was placed on `machines[j-1]` and
+    left makespan `makespans[j-1]`; `migrations` holds the record of each
+    arrival that moved jobs, keyed by its job id.  `loads` holds the
+    per-machine loads after the last arrival (the runner keeps it current).
     """
 
     m: int
     k: int
-    records: list[ArrivalRecord] = field(default_factory=list)
+    sizes: array = field(default_factory=lambda: array("d"))
+    machines: array = field(default_factory=lambda: array("i"))  # indices fit in 32 bits
+    makespans: array = field(default_factory=lambda: array("d"))
+    migrations: dict[int, MigrationRecord] = field(default_factory=dict)
     loads: list[float] = field(default_factory=list)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.sizes)
 
-    def sizes(self) -> list[float]:
-        return [r.size for r in self.records]
+    def migration(self, jid: int) -> MigrationRecord:
+        """Moves made when job `jid` arrived (an empty record if none)."""
+        return self.migrations.get(jid) or MigrationRecord(jid)
+
+    @property
+    def records(self) -> tuple[ArrivalRecord, ...]:
+        """One ArrivalRecord per arrival, built on demand."""
+        return tuple(
+            ArrivalRecord(jid, size, machine, self.migration(jid), ms)
+            for jid, (size, machine, ms) in enumerate(
+                zip(self.sizes, self.machines, self.makespans), start=1
+            )
+        )
 
     def final_makespan(self) -> float:
-        return self.records[-1].makespan if self.records else 0.0
+        return self.makespans[-1] if self.makespans else 0.0
 
     def final_schedule(self) -> Schedule:
-        assignment: dict[int, int] = {}
-        for r in self.records:
-            for mv in r.migration.moves:
+        assignment = dict(enumerate(self.machines, start=1))
+        for record in self.migrations.values():
+            for mv in record.moves:
                 assignment[mv.job] = mv.dst
-            assignment[r.job] = r.machine
         return Schedule(assignment)
 
     def instance(self) -> Instance:
-        return instance_from_sizes(self.sizes(), self.m, self.k)
+        return instance_from_sizes(self.sizes, self.m, self.k)
 
 
 def loads(schedule: Schedule, instance: Instance) -> list[float]:

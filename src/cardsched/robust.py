@@ -99,7 +99,3 @@ class RobustOrdinalScheduler(Scheduler):
             moved_size=sum(self._sizes[mv.job] for mv in moves),
         )
         return SchedulerDecision(machine=after[jid], migrations=record)
-
-
-def robust_scheduler(m: int, k: int, eps: float) -> RobustOrdinalScheduler:
-    return RobustOrdinalScheduler(m, k, eps)

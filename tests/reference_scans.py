@@ -2,12 +2,14 @@
 
 Each reference keeps the straightforward code that the indexed version must
 match decision for decision and bit for bit: the stream runner that scans
-every machine per arrival, capped greedy as a linear scan, and the constant
-scheduler's row and slot choice by `min` over the candidates.
+every machine per arrival, the adversaries' and ClCS's former runners,
+capped greedy as a linear scan, and the constant scheduler's row and slot
+choice by `min` over the candidates.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from cardsched.constant import ConstantCompetitiveScheduler
@@ -76,9 +78,11 @@ class RefStreamRunner:
         if moves:
             touched = {mv.src for mv in moves} | {mv.dst for mv in moves} | {machine}
             for mi in touched:
-                self._loads[mi - 1] = sum(
-                    self._sizes[j] for j, mm in self._assignment.items() if mm == mi
-                )
+                load = 0.0  # a machine left empty reads 0.0, as if it was never used
+                for j, mm in self._assignment.items():
+                    if mm == mi:
+                        load += self._sizes[j]
+                self._loads[mi - 1] = load
         record = RefRecord(
             job=jid,
             machine=machine,
@@ -89,6 +93,99 @@ class RefStreamRunner:
         )
         self.records.append(record)
         return record
+
+
+class RefDrive:
+    """The adversaries' former runner: arrays, cap checked on the trigger's
+    machine only, all loads rebuilt in job order after a migration."""
+
+    def __init__(self, scheduler: Scheduler, m: int, k: int):
+        self.scheduler = scheduler
+        self.m, self.k = m, k
+        self.sizes = array("d")
+        self.chosen = array("q")
+        self.current = array("q")
+        self.loads = [0.0] * m
+        self.counts = [0] * m
+
+    @property
+    def n(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def makespan(self) -> float:
+        return max(self.loads)
+
+    def machine_of(self, jid: int) -> int:
+        return self.current[jid - 1]
+
+    def feed(self, size: float) -> int:
+        jid = self.n + 1
+        decision = self.scheduler.on_arrival(size)
+        machine = decision.machine
+        if not 1 <= machine <= self.m:
+            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
+        moves = decision.migrations.moves if decision.migrations is not None else ()
+        for mv in moves:
+            if mv.job == jid or not 1 <= mv.job < jid:
+                raise ContractViolation(jid, f"illegal migrated job id {mv.job}")
+            if self.current[mv.job - 1] != mv.src:
+                raise ContractViolation(jid, f"move of job {mv.job} does not match schedule")
+            if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
+                raise ContractViolation(jid, f"move of job {mv.job} to machine {mv.dst}")
+            self.current[mv.job - 1] = mv.dst
+            self.counts[mv.src - 1] -= 1
+            self.counts[mv.dst - 1] += 1
+        self.sizes.append(size)
+        self.chosen.append(machine)
+        self.current.append(machine)
+        self.counts[machine - 1] += 1
+        if self.counts[machine - 1] > self.k:
+            raise ContractViolation(jid, f"machine {machine} exceeds cap {self.k}")
+        if moves:
+            # rare path: rebuild loads exactly from the assignment
+            self.loads = [0.0] * self.m
+            for s, mm in zip(self.sizes, self.current):
+                self.loads[mm - 1] += s
+        else:
+            self.loads[machine - 1] += size
+        return machine
+
+
+class RefClassedDrive:
+    """ClCS's former runner: at most k distinct classes per machine, no moves."""
+
+    def __init__(self, scheduler, m: int, k: int, speeds=None):
+        self.scheduler = scheduler
+        self.m, self.k = m, k
+        self.speeds = tuple(speeds) if speeds is not None else (1.0,) * m
+        self.sizes = array("d")
+        self.classes = array("q")
+        self.machines = array("q")
+        self.loads = [0.0] * m
+        self.class_sets: list[set[int]] = [set() for _ in range(m)]
+
+    @property
+    def n(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def makespan(self) -> float:
+        return max(ld / sp for ld, sp in zip(self.loads, self.speeds))
+
+    def feed(self, size: float, cls: int) -> int:
+        jid = self.n + 1
+        machine = self.scheduler.on_arrival(size, cls).machine
+        if not 1 <= machine <= self.m:
+            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
+        self.class_sets[machine - 1].add(cls)
+        if len(self.class_sets[machine - 1]) > self.k:
+            raise ContractViolation(jid, f"machine {machine} hosts more than {self.k} classes")
+        self.sizes.append(size)
+        self.classes.append(cls)
+        self.machines.append(machine)
+        self.loads[machine - 1] += size
+        return machine
 
 
 class RefListSchedulingCapped(Scheduler):

@@ -12,16 +12,17 @@ from cardsched.adversaries import (
 )
 from cardsched.engine import (
     PHI,
+    ContractViolation,
+    ListSchedulingCapped,
+    PhiScheduler,
+    RoundRobinScheduler,
     Scheduler,
     SchedulerDecision,
-    list_scheduling_capped,
-    phi_scheduler,
-    round_robin_scheduler,
 )
-from cardsched.model import instance_from_sizes
-from cardsched.constant import new_constant_scheduler
+from cardsched.model import MigrationRecord, Move, instance_from_sizes
+from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.oracle import exact_opt, lower_bound
-from cardsched.robust import robust_scheduler
+from cardsched.robust import RobustOrdinalScheduler
 
 
 class _Stacker(Scheduler):
@@ -40,7 +41,7 @@ class _Stacker(Scheduler):
 
 
 def test_pure_lb_balanced_branch_exact_value():
-    report = pure_lb_drive(list_scheduling_capped(10, 10), 10, 10, 10)
+    report = pure_lb_drive(ListSchedulingCapped(10, 10), 10, 10, 10)
     assert report.ratio == 1.9
     assert report.opt_value == 10.0
     assert report.opt_provenance == "analytic"
@@ -58,17 +59,37 @@ def test_pure_lb_unbalanced_branch():
     check_report(report)
 
 
+class _MovesOntoFullMachine(Scheduler):
+    """m=3, k=2: jobs 1 and 2 on machine 1, job 3 on machine 2; job 4 goes to
+    machine 3 while moving job 3 onto the full machine 1; later jobs fill up."""
+
+    def __init__(self):
+        self.m, self.k = 3, 2
+        self._i = 0
+
+    def on_arrival(self, size):
+        self._i += 1
+        if self._i == 4:
+            return SchedulerDecision(3, MigrationRecord(4, (Move(3, 2, 1),)))
+        return SchedulerDecision((1, 1, 2, 3, 2, 3)[self._i - 1])
+
+
+def test_pure_lb_rejects_migration_onto_full_machine():
+    with pytest.raises(ContractViolation, match="arrival 4: machine 1 holds 3 jobs, cap is 2"):
+        pure_lb_drive(_MovesOntoFullMachine(), 3, 2, 10.0)
+
+
 def test_pure_lb_preconditions():
     with pytest.raises(ValueError):
-        pure_lb_drive(round_robin_scheduler(2, 3), 2, 3, 5)
+        pure_lb_drive(RoundRobinScheduler(2, 3), 2, 3, 5)
     with pytest.raises(ValueError):
-        pure_lb_drive(round_robin_scheduler(2, 1), 2, 1, 5)
+        pure_lb_drive(RoundRobinScheduler(2, 1), 2, 1, 5)
 
 
 def test_pure_lb_analytic_matches_oracle_small():
     # both branches on tiny cases stay within oracle reach
     m = k = 2
-    report = pure_lb_drive(round_robin_scheduler(m, k), m, k, 2)
+    report = pure_lb_drive(RoundRobinScheduler(m, k), m, k, 2)
     inst = instance_from_sizes([s for s in report.sizes], m, k)
     opt = exact_opt(inst).opt_makespan
     assert opt <= report.opt_value <= opt * 1.000001
@@ -80,7 +101,7 @@ def test_pure_lb_analytic_matches_oracle_small():
 
 def test_pure_lb_ratio_at_least_2_minus_1_over_k():
     for mk in (4, 6, 10):
-        for factory in (round_robin_scheduler, list_scheduling_capped, new_constant_scheduler):
+        for factory in (RoundRobinScheduler, ListSchedulingCapped, ConstantCompetitiveScheduler):
             report = pure_lb_drive(factory(mk, mk), mk, mk, mk)
             assert report.ratio >= 2 - 1 / mk - 1e-9, (factory.__name__, mk)
 
@@ -88,10 +109,10 @@ def test_pure_lb_ratio_at_least_2_minus_1_over_k():
 def test_pure_lb_smallest_case_hits_three_halves():
     # all four pure-online schedulers are defined at m=k=2
     factories = (
-        lambda: round_robin_scheduler(2, 2),
-        lambda: list_scheduling_capped(2, 2),
-        lambda: new_constant_scheduler(2, 2),
-        phi_scheduler,
+        lambda: RoundRobinScheduler(2, 2),
+        lambda: ListSchedulingCapped(2, 2),
+        lambda: ConstantCompetitiveScheduler(2, 2),
+        PhiScheduler,
     )
     for factory in factories:
         report = pure_lb_drive(factory(), 2, 2, 2)
@@ -99,7 +120,7 @@ def test_pure_lb_smallest_case_hits_three_halves():
 
 
 def test_balanced_lb_round_robin_small():
-    report = balanced_lb_drive(round_robin_scheduler(3, 50), 3, 50, 10, 100)
+    report = balanced_lb_drive(RoundRobinScheduler(3, 50), 3, 50, 10, 100)
     assert report.note is None
     assert report.opt_provenance == "constructive"
     # machine-1 load beats (N-1)/N of the total size for compliant runs
@@ -132,9 +153,9 @@ def test_balanced_lb_round_cap_abort():
 
 def test_balanced_lb_preconditions():
     with pytest.raises(ValueError):
-        balanced_lb_drive(round_robin_scheduler(2, 2), 2, 2, 1, 10)
+        balanced_lb_drive(RoundRobinScheduler(2, 2), 2, 2, 1, 10)
     with pytest.raises(ValueError):
-        balanced_lb_drive(round_robin_scheduler(2, 2), 2, 2, 10, 0)
+        balanced_lb_drive(RoundRobinScheduler(2, 2), 2, 2, 10, 0)
 
 
 def test_phi_lb_colocation_branch():
@@ -148,7 +169,7 @@ def test_phi_lb_colocation_branch():
 def test_phi_lb_branch_with_big_job():
     # round robin separates jobs 1,2 then puts job 3 with the size-M job
     M = 1000.0
-    report = phi_lb_drive(round_robin_scheduler(2, 2), M)
+    report = phi_lb_drive(RoundRobinScheduler(2, 2), M)
     assert report.opt_value == M + 1.0
     assert report.ratio == pytest.approx(PHI / (1 + 1 / M), rel=1e-9)
     assert report.ratio >= 1.616
@@ -157,7 +178,7 @@ def test_phi_lb_branch_with_big_job():
 def test_phi_lb_branch_with_small_job():
     # greedy puts job 3 on the lightly loaded machine (with the size-1 job)
     M = 1000.0
-    report = phi_lb_drive(list_scheduling_capped(2, 2), M)
+    report = phi_lb_drive(ListSchedulingCapped(2, 2), M)
     assert report.opt_value == PHI * M + 1.0
     assert report.ratio == pytest.approx(PHI**2 / (PHI + 1 / M), rel=1e-9)
     assert report.ratio >= 1.616
@@ -165,10 +186,10 @@ def test_phi_lb_branch_with_small_job():
 
 def test_phi_lb_against_builtin_pure_online():
     for factory in (
-        lambda: round_robin_scheduler(2, 2),
-        lambda: list_scheduling_capped(2, 2),
-        phi_scheduler,
-        lambda: new_constant_scheduler(2, 2),
+        lambda: RoundRobinScheduler(2, 2),
+        lambda: ListSchedulingCapped(2, 2),
+        PhiScheduler,
+        lambda: ConstantCompetitiveScheduler(2, 2),
     ):
         report = phi_lb_drive(factory(), 1e4)
         assert report.ratio >= PHI - 0.01
@@ -177,7 +198,7 @@ def test_phi_lb_against_builtin_pure_online():
 
 def test_phi_lb_analytic_optima_match_oracle():
     M = 50.0
-    for factory in (lambda: round_robin_scheduler(2, 2), lambda: list_scheduling_capped(2, 2), lambda: _Stacker(2, 2)):
+    for factory in (lambda: RoundRobinScheduler(2, 2), lambda: ListSchedulingCapped(2, 2), lambda: _Stacker(2, 2)):
         report = phi_lb_drive(factory(), M)
         inst = instance_from_sizes(list(report.sizes), 2, 2)
         opt = exact_opt(inst).opt_makespan
@@ -186,7 +207,7 @@ def test_phi_lb_analytic_optima_match_oracle():
 
 def test_phi_lb_m_precondition():
     with pytest.raises(ValueError):
-        phi_lb_drive(round_robin_scheduler(2, 2), 2.0)
+        phi_lb_drive(RoundRobinScheduler(2, 2), 2.0)
 
 
 def test_robust_lb_x_definition():
@@ -196,7 +217,7 @@ def test_robust_lb_x_definition():
 
 
 def test_robust_lb_non_canonical_branch():
-    report = robust_lb_drive(round_robin_scheduler(3, 8), 3, 8)
+    report = robust_lb_drive(RoundRobinScheduler(3, 8), 3, 8)
     assert report.note == "non-canonical after part 1"
     assert report.opt_value == 18.0
     assert report.alg_makespan >= ROBUST_LB_X + 6 - 1e-9
@@ -242,13 +263,13 @@ def test_robust_lb_canonical_branch_pigeonhole():
 
 
 def test_robust_lb_vs_robust_scheduler():
-    report = robust_lb_drive(robust_scheduler(3, 64, 1.0), 3, 64)
+    report = robust_lb_drive(RobustOrdinalScheduler(3, 64, 1.0), 3, 64)
     assert report.ratio >= 1.05
 
 
 def test_robust_lb_part1_analytic_opt_matches_oracle():
     # the non-canonical branch stops after m+3 = 6 jobs: within oracle reach
-    report = robust_lb_drive(round_robin_scheduler(3, 8), 3, 8)
+    report = robust_lb_drive(RoundRobinScheduler(3, 8), 3, 8)
     inst = instance_from_sizes(list(report.sizes), 3, 8)
     opt = exact_opt(inst).opt_makespan
     assert opt <= report.opt_value <= opt * 1.000001
@@ -256,19 +277,19 @@ def test_robust_lb_part1_analytic_opt_matches_oracle():
 
 def test_robust_lb_preconditions():
     with pytest.raises(ValueError):
-        robust_lb_drive(round_robin_scheduler(2, 8), 2, 8)
+        robust_lb_drive(RoundRobinScheduler(2, 8), 2, 8)
     with pytest.raises(ValueError):
-        robust_lb_drive(round_robin_scheduler(3, 7), 3, 7)
+        robust_lb_drive(RoundRobinScheduler(3, 7), 3, 7)
     with pytest.raises(ValueError):
-        robust_lb_drive(round_robin_scheduler(3, 6), 3, 6)
+        robust_lb_drive(RoundRobinScheduler(3, 6), 3, 6)
 
 
 def test_reports_opt_above_cheap_lower_bound():
     reports = [
-        pure_lb_drive(round_robin_scheduler(4, 4), 4, 4, 4),
-        balanced_lb_drive(round_robin_scheduler(2, 20), 2, 20, 10, 50),
-        phi_lb_drive(phi_scheduler(), 1e4),
-        robust_lb_drive(round_robin_scheduler(3, 8), 3, 8),
+        pure_lb_drive(RoundRobinScheduler(4, 4), 4, 4, 4),
+        balanced_lb_drive(RoundRobinScheduler(2, 20), 2, 20, 10, 50),
+        phi_lb_drive(PhiScheduler(), 1e4),
+        robust_lb_drive(RoundRobinScheduler(3, 8), 3, 8),
     ]
     for report in reports:
         inst_lb = lower_bound(instance_from_sizes(list(report.sizes), report.m, report.k))
@@ -279,7 +300,7 @@ def test_reports_opt_above_cheap_lower_bound():
 
 
 def test_transcript_replays_to_same_makespan():
-    report = pure_lb_drive(list_scheduling_capped(4, 4), 4, 4, 4)
+    report = pure_lb_drive(ListSchedulingCapped(4, 4), 4, 4, 4)
     loads = [0.0] * report.m
     for size, machine in report.transcript:
         loads[machine - 1] += size

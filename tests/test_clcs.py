@@ -4,41 +4,67 @@ import pytest
 
 from cardsched.clcs import (
     ClassedJob,
+    GreedyClcsScheduler,
     clcs_exact,
     clcs_instance,
-    greedy_clcs,
     identical_lb_report,
     run_classed_stream,
     uniform_lb_drive,
 )
-from cardsched.model import InfeasibleError
+from cardsched.engine import ContractViolation, SchedulerDecision, StreamRunner
+from cardsched.model import InfeasibleError, MigrationRecord, Move
 
 
 def test_greedy_binding_rule():
-    drive = run_classed_stream(greedy_clcs(2, 1), [(1.0, 1), (1.0, 2), (1.0, 1)], 2, 1)
-    assert list(drive.machines) == [1, 2, 1]
+    drive = run_classed_stream(GreedyClcsScheduler(2, 1), [(1.0, 1), (1.0, 2), (1.0, 1)], 2, 1)
+    assert list(drive.trace.machines) == [1, 2, 1]
 
 
 def test_greedy_single_class_stays_on_one_machine():
-    drive = run_classed_stream(greedy_clcs(4, 2), [(2.0, 9)] * 6, 4, 2)
-    assert set(drive.machines) == {1}
-    assert drive.makespan == 12.0
+    drive = run_classed_stream(GreedyClcsScheduler(4, 2), [(2.0, 9)] * 6, 4, 2)
+    assert set(drive.trace.machines) == {1}
+    assert max(drive.loads) == 12.0
 
 
 def test_greedy_feasible_when_classes_fit():
     m, k = 3, 2
     jobs = [(1.0, c) for c in range(1, m * k + 1)] * 2
-    drive = run_classed_stream(greedy_clcs(m, k), jobs, m, k)
+    drive = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
     for class_set in drive.class_sets:
         assert len(class_set) <= k
 
 
 def test_greedy_infeasible_when_classes_exceed_mk():
-    scheduler = greedy_clcs(2, 1)
+    scheduler = GreedyClcsScheduler(2, 1)
     scheduler.on_arrival(1.0, 1)
     scheduler.on_arrival(1.0, 2)
     with pytest.raises(InfeasibleError):
         scheduler.on_arrival(1.0, 3)
+
+
+class _Scripted:
+    """Replays fixed decisions; job 2 moves job 1 from machine 1 to machine 2."""
+
+    def __init__(self, machines):
+        self._machines = iter(machines)
+        self._i = 0
+
+    def on_arrival(self, size, cls):
+        self._i += 1
+        moves = MigrationRecord(2, (Move(1, 1, 2),)) if self._i == 2 else None
+        return SchedulerDecision(next(self._machines), moves)
+
+
+def test_classed_runner_recounts_classes_after_a_move():
+    # m=2, k=1: moving job 1 (class 1) off machine 1 frees it for class 2
+    runner = run_classed_stream(_Scripted([1, 2, 1]), [(1.0, 1), (1.0, 1), (1.0, 2)], 2, 1)
+    assert runner.class_sets == [{2}, {1}]
+    assert [runner.machine_of(j) for j in (1, 2, 3)] == [2, 2, 1]
+    # a move onto a machine that already hosts k other classes is refused
+    runner = StreamRunner(_Scripted([1, 2]), 2, 1, classed=True)
+    runner.push(1.0, 1)
+    with pytest.raises(ContractViolation, match="arrival 2: machine 2 hosts more than 1 classes"):
+        runner.push(1.0, 2)
 
 
 def test_clcs_exact_examples():
@@ -64,7 +90,7 @@ def test_classed_job_validation():
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_identical_lb_ratio_is_exactly_m(m):
-    report = identical_lb_report(greedy_clcs(m, 1), m, 1)
+    report = identical_lb_report(GreedyClcsScheduler(m, 1), m, 1)
     assert report.ratio == float(m)
     assert report.opt_value == 1.0
 
@@ -77,7 +103,7 @@ def test_identical_lb_spreading_scheduler_burns_slots():
 
         def on_arrival(self, size, cls):
             self._i += 1
-            return (self._i - 1) % self.m + 1
+            return SchedulerDecision((self._i - 1) % self.m + 1)
 
     report = identical_lb_report(Spreader(3), 3, 1)
     assert report.ratio <= 3.0
@@ -85,29 +111,29 @@ def test_identical_lb_spreading_scheduler_burns_slots():
 
 
 def test_uniform_lb_acceptance_parameters():
-    report = uniform_lb_drive(greedy_clcs(3, 2), 3, 2, 2.0, 1.0, 0.01, 200)
+    report = uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 0.01, 200)
     assert report.ratio >= 3.6
     assert report.opt_value == 200 / 2.0 + 2 / 2.0
     assert report.note is None
 
 
 def test_uniform_lb_m0_phase1_only():
-    report = uniform_lb_drive(greedy_clcs(3, 2), 3, 2, 2.0, 1.0, 0.01, 0)
+    report = uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 0.01, 0)
     assert report.n == 6
     assert report.ratio >= 1.0
 
 
 def test_uniform_lb_preconditions():
     with pytest.raises(ValueError):
-        uniform_lb_drive(greedy_clcs(3, 2), 3, 2, 1.0, 1.0, 0.01, 10)  # s must exceed 1
+        uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 1.0, 1.0, 0.01, 10)  # s must exceed 1
     with pytest.raises(ValueError):
-        uniform_lb_drive(greedy_clcs(3, 2), 3, 2, 2.0, 1.0, 1.0, 10)  # eps >= 1/beta
+        uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 1.0, 10)  # eps >= 1/beta
     with pytest.raises(ValueError):
-        uniform_lb_drive(greedy_clcs(3, 2), 3, 2, 2.0, 1.0, 0.01, -1)
+        uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 0.01, -1)
 
 
 def test_uniform_lb_speeds_divide_loads():
-    report = uniform_lb_drive(greedy_clcs(3, 2), 3, 2, 4.0, 1.0, 0.01, 8)
+    report = uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 4.0, 1.0, 0.01, 8)
     loads = [0.0, 0.0, 0.0]
     for size, machine in report.transcript:
         loads[machine - 1] += size
@@ -122,8 +148,8 @@ def test_greedy_within_m_times_optimum_random():
         k = rng.randint(1, 3)
         n = rng.randint(1, 8)
         jobs = [(rng.uniform(0.5, 9.0), rng.randint(1, m * k)) for _ in range(n)]
-        drive = run_classed_stream(greedy_clcs(m, k), jobs, m, k)
+        drive = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
         opt = clcs_exact(clcs_instance(jobs, m, k))
-        assert drive.makespan <= m * opt + 1e-9
+        assert max(drive.loads) <= m * opt + 1e-9
         for class_set in drive.class_sets:
             assert len(class_set) <= k

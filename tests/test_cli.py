@@ -2,9 +2,8 @@ import json
 
 import pytest
 
-from cardsched.cli import main
+from cardsched.cli import SCHEDULERS, main
 from cardsched.engine import run_stream
-from cardsched.cli import build_scheduler
 
 
 def _run_cli(capsys, argv):
@@ -73,9 +72,9 @@ def test_run_report_replays_bit_exactly(capsys):
     assert code == 0
     report = json.loads(out)
     sizes = report["sizes"]
-    trace = run_stream(build_scheduler("constant", 2, 50, 1.0), sizes, 2, 50)
+    trace = run_stream(SCHEDULERS["constant"](2, 50, 1.0), sizes, 2, 50)
     assert trace.final_makespan() == report["final_makespan"]
-    assert [r.machine for r in trace.records] == report["machines"]
+    assert list(trace.machines) == report["machines"]
 
 
 def test_oracle_subcommand(tmp_path, capsys):

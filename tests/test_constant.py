@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardsched.constant import certify_load_bound, new_constant_scheduler
+from cardsched.constant import ConstantCompetitiveScheduler, certify_load_bound
 from cardsched.engine import StreamRunner, run_stream
 from cardsched.model import InfeasibleError, check_feasible, round_down_pow2
 
 
 def _run_with_invariants(m, k, sizes):
-    scheduler = new_constant_scheduler(m, k)
+    scheduler = ConstantCompetitiveScheduler(m, k)
     runner = StreamRunner(scheduler, m, k)
     for s in sizes:
         runner.push(s)
@@ -19,7 +19,7 @@ def _run_with_invariants(m, k, sizes):
 
 
 def test_fallback_mode_below_50():
-    scheduler = new_constant_scheduler(3, 10)
+    scheduler = ConstantCompetitiveScheduler(3, 10)
     snap = scheduler.structure_snapshot()
     assert snap.fallback
     trace = run_stream(scheduler, [1.0] * 6, 3, 10)
@@ -28,7 +28,7 @@ def test_fallback_mode_below_50():
 
 
 def test_first_arrival_initializes_structure():
-    scheduler = new_constant_scheduler(2, 64)
+    scheduler = ConstantCompetitiveScheduler(2, 64)
     run_stream(scheduler, [5.0], 2, 64)
     snap = scheduler.structure_snapshot()
     assert not snap.fallback
@@ -56,7 +56,7 @@ def test_full_equal_stream_completes_feasibly():
 
 
 def test_new_max_enters_group_zero_without_relabeling():
-    scheduler = new_constant_scheduler(2, 64)
+    scheduler = ConstantCompetitiveScheduler(2, 64)
     runner = StreamRunner(scheduler, 2, 64)
     runner.push(4.0)
     before = scheduler.structure_snapshot()
@@ -72,7 +72,7 @@ def test_new_max_enters_group_zero_without_relabeling():
 
 def test_pair_removal_decrements_active_k_by_two():
     m, k = 1, 64
-    scheduler = new_constant_scheduler(m, k)
+    scheduler = ConstantCompetitiveScheduler(m, k)
     runner = StreamRunner(scheduler, m, k)
     # same rounded size -> group 0; the pair holds 2*m slots, so the 2m-th
     # arrival fills both rows and triggers a pair removal
@@ -86,7 +86,7 @@ def test_pair_removal_decrements_active_k_by_two():
 
 def test_small_row_removal_decrements_active_k_by_one():
     m, k = 1, 64
-    scheduler = new_constant_scheduler(m, k)
+    scheduler = ConstantCompetitiveScheduler(m, k)
     runner = StreamRunner(scheduler, m, k)
     runner.push(1024.0)  # group 0, sets p_max
     # tiny jobs land in small rows (i > l); each fills a 1-slot row at m=1
@@ -98,19 +98,19 @@ def test_small_row_removal_decrements_active_k_by_one():
 
 
 def test_arrival_cap_and_domain_errors():
-    scheduler = new_constant_scheduler(2, 2)
+    scheduler = ConstantCompetitiveScheduler(2, 2)
     run_stream(scheduler, [1.0] * 4, 2, 2)
     with pytest.raises(InfeasibleError):
         scheduler.on_arrival(1.0)
     with pytest.raises(ValueError):
-        new_constant_scheduler(2, 2).on_arrival(0.0)
+        ConstantCompetitiveScheduler(2, 2).on_arrival(0.0)
     with pytest.raises(ValueError):
-        new_constant_scheduler(2, 2).on_arrival(-1.0)
+        ConstantCompetitiveScheduler(2, 2).on_arrival(-1.0)
 
 
 def test_terminal_mode_freezes_and_finishes():
     m, k = 1, 50
-    scheduler = new_constant_scheduler(m, k)
+    scheduler = ConstantCompetitiveScheduler(m, k)
     runner = StreamRunner(scheduler, m, k)
     for _ in range(m * k):
         runner.push(8.0)
@@ -122,13 +122,13 @@ def test_terminal_mode_freezes_and_finishes():
 
 
 def test_certify_load_bound_single_job():
-    scheduler = new_constant_scheduler(2, 64)
+    scheduler = ConstantCompetitiveScheduler(2, 64)
     trace = run_stream(scheduler, [5.0], 2, 64)
     assert certify_load_bound(trace) == []
 
 
 def test_certify_load_bound_fallback_form():
-    scheduler = new_constant_scheduler(2, 4)
+    scheduler = ConstantCompetitiveScheduler(2, 4)
     trace = run_stream(scheduler, [3.0, 1.0, 2.0, 5.0], 2, 4)
     assert certify_load_bound(trace) == []
 
@@ -171,7 +171,7 @@ def test_structure_invariant_random_streams(k, m, rng):
 def test_active_k_only_decreases_and_l_tracks():
     rng = random.Random(5)
     m, k = 2, 64
-    scheduler = new_constant_scheduler(m, k)
+    scheduler = ConstantCompetitiveScheduler(m, k)
     runner = StreamRunner(scheduler, m, k)
     last_active = k
     last_l = None
@@ -191,7 +191,7 @@ def test_no_migrations_ever():
     rng = random.Random(9)
     m, k = 3, 64
     sizes = [2.0 ** rng.uniform(-8, 8) for _ in range(m * k)]
-    trace = run_stream(new_constant_scheduler(m, k), sizes, m, k)
+    trace = run_stream(ConstantCompetitiveScheduler(m, k), sizes, m, k)
     assert all(r.migration.moves == () for r in trace.records)
 
 
@@ -200,7 +200,7 @@ def test_full_merged_row_is_removed_immediately():
     # next small job fills a small row, drops l from 12 to 11, and the full
     # merged row must be retired on the spot (never a full small row)
     m, k = 1, 64
-    scheduler = new_constant_scheduler(m, k)
+    scheduler = ConstantCompetitiveScheduler(m, k)
     runner = StreamRunner(scheduler, m, k)
     runner.push(4096.0)  # 2**12 sets p_max
     runner.push(1.0)  # group 12
@@ -224,7 +224,7 @@ def test_full_merged_row_is_removed_immediately():
 
 
 def test_snapshot_is_a_deep_copy():
-    scheduler = new_constant_scheduler(2, 64)
+    scheduler = ConstantCompetitiveScheduler(2, 64)
     run_stream(scheduler, [5.0, 3.0], 2, 64)
     snap = scheduler.structure_snapshot()
     scheduler.on_arrival(2.0)
@@ -235,7 +235,7 @@ def test_snapshot_is_a_deep_copy():
 
 def test_rounded_loads_match_certificate_inputs():
     sizes = [5.0, 3.0, 0.7, 9.0]
-    scheduler = new_constant_scheduler(2, 64)
+    scheduler = ConstantCompetitiveScheduler(2, 64)
     trace = run_stream(scheduler, sizes, 2, 64)
     rounded = [round_down_pow2(s)[0] for s in sizes]
     assert rounded == [4.0, 2.0, 0.5, 8.0]

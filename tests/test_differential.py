@@ -3,7 +3,9 @@
 Every stream is replayed through the reference in tests/reference_scans.py
 and through the library; machines, moves, moved sizes, per-arrival makespans
 and final loads must agree bit for bit, and contract violations must name the
-same arrival and machine.
+same arrival and machine.  The adversaries' and ClCS's former runners are
+references too: the one StreamRunner must reproduce their machines, loads
+and makespans.
 """
 
 import random
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cardsched.clcs import GreedyClcsScheduler, clcs_makespan, run_classed_stream
 from cardsched.constant import ConstantCompetitiveScheduler, _floor_2log2
 from cardsched.engine import (
     ContractViolation,
@@ -23,7 +26,13 @@ from cardsched.engine import (
 )
 from cardsched.model import MigrationRecord, Move, loads
 from cardsched.robust import RobustOrdinalScheduler
-from reference_scans import RefConstantScheduler, RefListSchedulingCapped, RefStreamRunner
+from reference_scans import (
+    RefClassedDrive,
+    RefConstantScheduler,
+    RefDrive,
+    RefListSchedulingCapped,
+    RefStreamRunner,
+)
 
 
 def _replay(scheduler, ref_scheduler, sizes, m, k):
@@ -255,3 +264,70 @@ def test_constant_differential_reaches_every_repair_and_terminal_mode():
             hits.add("terminal")
         _replay_constant(m, k, sizes)
     assert hits == {"case1", "case2", "case3", "terminal"}
+
+
+def _replay_drive(make, sizes, m, k):
+    """Feed sizes to StreamRunner and to the adversaries' former runner."""
+    runner, ref = StreamRunner(make(), m, k), RefDrive(make(), m, k)
+    for s in sizes:
+        assert runner.push(s) == ref.feed(s)
+    assert list(runner.trace.machines) == list(ref.chosen)
+    assert [runner.machine_of(j) for j in range(1, ref.n + 1)] == list(ref.current)
+    assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
+    assert repr(runner.trace.final_makespan()) == repr(ref.makespan)
+    return runner
+
+
+@given(sizes_st, st.integers(1, 6), st.integers(1, 6), st.sampled_from(["rr", "greedy"]))
+@settings(max_examples=100, deadline=None)
+def test_baselines_match_former_drive(sizes, m, k, key):
+    cls = RoundRobinScheduler if key == "rr" else ListSchedulingCapped
+    _replay_drive(lambda: cls(m, k), _stream(sizes, m, k), m, k)
+
+
+@given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0))
+@settings(max_examples=20, deadline=None)
+def test_constant_matches_former_drive(m, k, seed, fill):
+    sizes = _constant_sizes(random.Random(seed), max(1, int(fill * m * k)))
+    _replay_drive(lambda: ConstantCompetitiveScheduler(m, k), sizes, m, k)
+
+
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=40),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.sampled_from([0.1, 0.5, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_robust_ordinal_matches_former_drive(sizes, m, k, eps):
+    _replay_drive(lambda: RobustOrdinalScheduler(m, k, eps), _stream(sizes, m, k), m, k)
+
+
+def test_robust_ordinal_drive_replay_takes_the_migration_path():
+    runner = _replay_drive(lambda: RobustOrdinalScheduler(3, 4, 1.0), [1.0, 2.0, 4.0, 8.0] * 3, 3, 4)
+    assert runner.trace.migrations
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1e6), st.integers(1, 4)),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=5, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_greedy_clcs_matches_former_classed_drive(jobs, m, k, speeds):
+    jobs = [(size, (cls - 1) % (m * k) + 1) for size, cls in jobs]  # never more than m*k classes
+    speeds = speeds[:m]
+    runner = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
+    ref = RefClassedDrive(GreedyClcsScheduler(m, k), m, k, speeds)
+    for size, cls in jobs:
+        ref.feed(size, cls)
+    assert list(runner.trace.machines) == list(ref.machines)
+    assert list(runner.classes) == list(ref.classes)
+    assert runner.class_sets == ref.class_sets
+    assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
+    assert repr(clcs_makespan(runner.loads, speeds)) == repr(ref.makespan)

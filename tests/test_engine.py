@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from cardsched.engine import (
     PHI,
     ContractViolation,
+    ListSchedulingCapped,
+    PhiScheduler,
+    RoundRobinScheduler,
     Scheduler,
     SchedulerDecision,
     competitive_metrics,
-    list_scheduling_capped,
     migration_stats,
-    phi_scheduler,
-    round_robin_scheduler,
     run_stream,
 )
 from cardsched.model import (
@@ -26,30 +26,30 @@ from cardsched.oracle import exact_opt
 
 
 def test_run_stream_round_robin():
-    trace = run_stream(round_robin_scheduler(3, 1), [1, 1, 1], 3, 1)
+    trace = run_stream(RoundRobinScheduler(3, 1), [1, 1, 1], 3, 1)
     assert [r.machine for r in trace.records] == [1, 2, 3]
     assert trace.final_makespan() == 1
 
 
 def test_run_stream_greedy_replay():
-    trace = run_stream(list_scheduling_capped(2, 2), [2, 1, 1], 2, 2)
+    trace = run_stream(ListSchedulingCapped(2, 2), [2, 1, 1], 2, 2)
     assert [r.machine for r in trace.records] == [1, 2, 2]
     assert trace.loads == [2, 2]
 
 
 def test_run_stream_guards_capacity_before_dispatch():
     with pytest.raises(InfeasibleError):
-        run_stream(round_robin_scheduler(2, 1), [1, 1, 1], 2, 1)
+        run_stream(RoundRobinScheduler(2, 1), [1, 1, 1], 2, 1)
 
 
 @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, -1.0])
 def test_run_stream_rejects_non_finite_and_negative_sizes(size):
     with pytest.raises(ValueError, match="finite and >= 0"):
-        run_stream(round_robin_scheduler(2, 2), [1.0, size], 2, 2)
+        run_stream(RoundRobinScheduler(2, 2), [1.0, size], 2, 2)
 
 
 def test_run_stream_accepts_zero_sizes():
-    trace = run_stream(round_robin_scheduler(2, 2), [0.0, 1.0], 2, 2)
+    trace = run_stream(RoundRobinScheduler(2, 2), [0.0, 1.0], 2, 2)
     assert trace.final_makespan() == 1.0
 
 
@@ -87,12 +87,12 @@ def test_run_stream_rejects_inconsistent_moves():
 
 
 def test_round_robin_examples():
-    sched = round_robin_scheduler(2, 2)
+    sched = RoundRobinScheduler(2, 2)
     assert [sched.on_arrival(1.0).machine for _ in range(4)] == [1, 2, 1, 2]
-    sched3 = round_robin_scheduler(3, 2)
+    sched3 = RoundRobinScheduler(3, 2)
     machines = [sched3.on_arrival(1.0).machine for _ in range(4)]
     assert machines[3] == 1
-    full = round_robin_scheduler(1, 2)
+    full = RoundRobinScheduler(1, 2)
     full.on_arrival(1.0)
     full.on_arrival(1.0)
     with pytest.raises(InfeasibleError):
@@ -100,13 +100,13 @@ def test_round_robin_examples():
 
 
 def test_list_scheduling_tie_breaks_to_lowest_index():
-    trace = run_stream(list_scheduling_capped(2, 1), [1, 1], 2, 1)
+    trace = run_stream(ListSchedulingCapped(2, 1), [1, 1], 2, 1)
     assert [r.machine for r in trace.records] == [1, 2]
 
 
 def test_list_scheduling_unit_fill_is_balanced():
     m = k = 5
-    trace = run_stream(list_scheduling_capped(m, k), [1.0] * (m * (k - 1)), m, k)
+    trace = run_stream(ListSchedulingCapped(m, k), [1.0] * (m * (k - 1)), m, k)
     counts = [0] * m
     for r in trace.records:
         counts[r.machine - 1] += 1
@@ -115,7 +115,7 @@ def test_list_scheduling_unit_fill_is_balanced():
 
 def test_list_scheduling_without_binding_cap_is_classical():
     sizes = [5, 3, 3, 1, 4, 2]
-    trace = run_stream(list_scheduling_capped(3, 6), sizes, 3, 6)
+    trace = run_stream(ListSchedulingCapped(3, 6), sizes, 3, 6)
     loads = [0.0] * 3
     for r in trace.records:
         assert loads[r.machine - 1] == min(loads)
@@ -124,31 +124,31 @@ def test_list_scheduling_without_binding_cap_is_classical():
 
 def test_phi_scheduler_rule_arithmetic():
     # 6 <= 10/phi ~ 6.18: job 3 joins job 1
-    trace = run_stream(phi_scheduler(), [10, 6, 6, 1], 2, 2)
+    trace = run_stream(PhiScheduler(), [10, 6, 6, 1], 2, 2)
     machines = [r.machine for r in trace.records]
     assert machines[2] == machines[0]
     # 7 > 6.18: job 3 joins job 2
-    trace = run_stream(phi_scheduler(), [10, 6, 7, 1], 2, 2)
+    trace = run_stream(PhiScheduler(), [10, 6, 7, 1], 2, 2)
     machines = [r.machine for r in trace.records]
     assert machines[2] == machines[1]
 
 
 def test_phi_scheduler_swaps_roles_when_second_job_larger():
-    trace = run_stream(phi_scheduler(), [6, 10, 6, 1], 2, 2)
+    trace = run_stream(PhiScheduler(), [6, 10, 6, 1], 2, 2)
     machines = [r.machine for r in trace.records]
     assert machines[2] == machines[1]  # joins the size-10 job
 
 
 def test_phi_scheduler_places_two_per_machine():
-    trace = run_stream(phi_scheduler(), [4, 3, 2, 1], 2, 2)
+    trace = run_stream(PhiScheduler(), [4, 3, 2, 1], 2, 2)
     machines = [r.machine for r in trace.records]
     assert sorted(machines) == [1, 1, 2, 2]
     with pytest.raises(InfeasibleError):
-        trace = run_stream(phi_scheduler(), [1] * 5, 2, 3)
+        trace = run_stream(PhiScheduler(), [1] * 5, 2, 3)
 
 
 def test_competitive_metrics_single_machine_is_optimal():
-    trace = run_stream(round_robin_scheduler(1, 5), [3, 1, 2], 1, 5)
+    trace = run_stream(RoundRobinScheduler(1, 5), [3, 1, 2], 1, 5)
     metrics = competitive_metrics(trace, trace.instance(), "exact")
     assert metrics.final_ratio == 1.0
     assert metrics.prefix_max_ratio == 1.0
@@ -158,14 +158,14 @@ def test_competitive_metrics_greedy_on_pure_lb_stream_m4():
     # the 2.1 adversary stream against greedy at m=k=4, small enough for exact mode
     m = k = 4
     sizes = [1.0] * (m * (k - 1)) + [float(k)]
-    trace = run_stream(list_scheduling_capped(m, k), sizes, m, k)
+    trace = run_stream(ListSchedulingCapped(m, k), sizes, m, k)
     metrics = competitive_metrics(trace, trace.instance(), "exact")
     assert metrics.final_ratio == pytest.approx(2 - 1 / k, abs=1e-12)
 
 
 def test_competitive_metrics_exact_guard():
     sizes = [1.0] * 21
-    trace = run_stream(round_robin_scheduler(21, 21), sizes, 21, 21)
+    trace = run_stream(RoundRobinScheduler(21, 21), sizes, 21, 21)
     with pytest.raises(ValueError):
         competitive_metrics(trace, trace.instance(), "exact")
 
@@ -173,7 +173,7 @@ def test_competitive_metrics_exact_guard():
 def test_competitive_metrics_lower_bound_dominates_exact():
     # lb <= opt, so the lb-ratio is always >= the exact ratio
     sizes = [5.0, 1.0, 4.0, 2.0]
-    trace = run_stream(list_scheduling_capped(2, 2), sizes, 2, 2)
+    trace = run_stream(ListSchedulingCapped(2, 2), sizes, 2, 2)
     inst = trace.instance()
     exact = competitive_metrics(trace, inst, "exact")
     lb = competitive_metrics(trace, inst, "lower_bound")
@@ -182,21 +182,24 @@ def test_competitive_metrics_lower_bound_dominates_exact():
 
 
 def test_migration_stats_pure_online_trace():
-    trace = run_stream(round_robin_scheduler(2, 2), [1, 2, 3], 2, 2)
+    trace = run_stream(RoundRobinScheduler(2, 2), [1, 2, 3], 2, 2)
     stats = migration_stats(trace)
     assert stats.max_factor == 0.0
     assert stats.total_moved == 0.0
 
 
 def test_migration_stats_quotient():
-    trace = run_stream(round_robin_scheduler(2, 2), [1.0], 2, 2)
-    trace.records[0] = trace.records[0].__class__(
-        job=1,
-        size=2.0,
-        machine=1,
-        migration=MigrationRecord(1, (Move(2, 1, 2),), 3.0),
-        makespan=2.0,
-    )
+    class MoveOnSecond(Scheduler):
+        m = k = 2
+
+        def on_arrival(self, size):
+            # job 2 (size 2) lands on machine 2 and moves job 1 (size 3) there too
+            if size == 2.0:
+                return SchedulerDecision(2, MigrationRecord(2, (Move(1, 1, 2),), 3.0))
+            return SchedulerDecision(1)
+
+    trace = run_stream(MoveOnSecond(), [3.0, 2.0], 2, 2)
+    assert trace.migration(2).moved_size == 3.0
     stats = migration_stats(trace)
     assert stats.max_factor == 1.5
     assert stats.total_moved == 3.0
@@ -212,7 +215,7 @@ def test_migration_stats_quotient():
 def test_baselines_feasible_after_every_arrival(sizes, m, k, key):
     if len(sizes) > m * k:
         return
-    factory = round_robin_scheduler if key == "round-robin" else list_scheduling_capped
+    factory = RoundRobinScheduler if key == "round-robin" else ListSchedulingCapped
     trace = run_stream(factory(m, k), sizes, m, k)
     for t in range(1, trace.n + 1):
         prefix = instance_from_sizes(sizes[:t], m, k)
@@ -228,6 +231,6 @@ def test_phi_value():
 
 def test_phi_bound_on_sample_grid():
     for sizes in [(6, 5, 4, 3), (6, 0, 6, 0), (1, 1, 1, 1), (5, 2, 3, 4)]:
-        trace = run_stream(phi_scheduler(), sizes, 2, 2)
+        trace = run_stream(PhiScheduler(), sizes, 2, 2)
         opt = exact_opt(trace.instance()).opt_makespan
         assert trace.final_makespan() <= PHI * opt + 1e-9

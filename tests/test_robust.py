@@ -6,17 +6,17 @@ from cardsched.engine import StreamRunner, migration_stats, run_stream
 from cardsched.model import InfeasibleError, check_feasible
 from cardsched.oracle import exact_opt
 from cardsched.ordinal import ordinal_map
-from cardsched.robust import robust_scheduler
+from cardsched.robust import RobustOrdinalScheduler
 
 
 def test_first_arrival_goes_to_position_one():
-    trace = run_stream(robust_scheduler(3, 2, 1.0), [7.0], 3, 2)
+    trace = run_stream(RobustOrdinalScheduler(3, 2, 1.0), [7.0], 3, 2)
     assert trace.records[0].machine == 1
     assert trace.records[0].migration.moves == ()
 
 
 def test_equal_size_appends_to_class_tail_without_cascade():
-    rs = robust_scheduler(2, 3, 1.0)
+    rs = RobustOrdinalScheduler(2, 3, 1.0)
     trace = run_stream(rs, [4.0, 4.0, 4.0], 2, 3)
     assert all(r.migration.moves == () for r in trace.records)
     positions = rs.class_list().positions()
@@ -25,13 +25,14 @@ def test_equal_size_appends_to_class_tail_without_cascade():
 
 def test_cascade_moves_heads_of_smaller_classes():
     # classes {3: [a], 1: [b, c]}, then a job in class 5: heads a and b cascade
-    rs = robust_scheduler(3, 3, 1.0)
+    rs = RobustOrdinalScheduler(3, 3, 1.0)
     runner = StreamRunner(rs, 3, 3)
     for s in (8.0, 2.0, 2.0):
         runner.push(s)
     before = rs.class_list().positions()
     assert before == {1: 1, 2: 2, 3: 3}
-    rec = runner.push(32.0)
+    runner.push(32.0)
+    rec = runner.trace.records[-1]
     after = rs.class_list().positions()
     assert after[4] == 1  # new largest job takes the head position
     assert after[1] == 2  # head of class 3 slid to its tail (single-job class)
@@ -42,13 +43,13 @@ def test_cascade_moves_heads_of_smaller_classes():
 
 
 def test_new_smallest_job_moves_nothing():
-    rs = robust_scheduler(2, 3, 1.0)
+    rs = RobustOrdinalScheduler(2, 3, 1.0)
     trace = run_stream(rs, [8.0, 4.0, 1.0], 2, 3)
     assert trace.records[2].migration.moves == ()
 
 
 def test_infeasible_after_capacity():
-    rs = robust_scheduler(2, 1, 1.0)
+    rs = RobustOrdinalScheduler(2, 1, 1.0)
     run_stream(rs, [1.0, 2.0], 2, 1)
     with pytest.raises(InfeasibleError):
         rs.on_arrival(3.0)
@@ -56,9 +57,9 @@ def test_infeasible_after_capacity():
 
 def test_rejects_bad_eps_and_sizes():
     with pytest.raises(ValueError):
-        robust_scheduler(2, 2, 0.0)
+        RobustOrdinalScheduler(2, 2, 0.0)
     with pytest.raises(ValueError):
-        robust_scheduler(2, 2, 1.0).on_arrival(0.0)
+        RobustOrdinalScheduler(2, 2, 1.0).on_arrival(0.0)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
@@ -69,7 +70,7 @@ def test_migration_factor_bound_per_arrival(eps):
         n = rng.randint(1, 16)
         k = max(-(-n // m), rng.randint(1, 5))
         sizes = [rng.uniform(0.05, 60.0) for _ in range(n)]
-        trace = run_stream(robust_scheduler(m, k, eps), sizes, m, k)
+        trace = run_stream(RobustOrdinalScheduler(m, k, eps), sizes, m, k)
         for rec in trace.records:
             assert rec.migration.moved_size <= (1 + eps) / eps * rec.size + 1e-9
         stats = migration_stats(trace)
@@ -83,13 +84,14 @@ def test_migrated_rounded_sizes_are_distinct_smaller_powers(eps):
         m, k = 3, 4
         n = rng.randint(2, 12)
         sizes = [2.0 ** rng.randint(-3, 5) for _ in range(n)]
-        rs = robust_scheduler(m, k, eps)
+        rs = RobustOrdinalScheduler(m, k, eps)
         runner = StreamRunner(rs, m, k)
         from cardsched.model import round_up_geometric
 
         placed = {}
         for i, s in enumerate(sizes, start=1):
-            rec = runner.push(s)
+            runner.push(s)
+            rec = runner.trace.records[-1]
             placed[i] = round_up_geometric(s, eps)
             exps = [placed[mv.job][1] for mv in rec.migration.moves]
             new_exp = placed[i][1]
@@ -106,11 +108,12 @@ def test_position_stability_every_arrival():
         k = rng.randint(2, 5)
         n = rng.randint(1, m * k)
         sizes = [rng.uniform(0.1, 30.0) for _ in range(n)]
-        rs = robust_scheduler(m, k, 0.5)
+        rs = RobustOrdinalScheduler(m, k, 0.5)
         runner = StreamRunner(rs, m, k)
         prev = {}
         for i, s in enumerate(sizes, start=1):
-            rec = runner.push(s)
+            runner.push(s)
+            rec = runner.trace.records[-1]
             positions = rs.class_list().positions()
             moved = {mv.job for mv in rec.migration.moves}
             shifted = {j for j in prev if positions[j] != prev[j]}
@@ -127,7 +130,7 @@ def test_end_to_end_rate_bound():
             n = rng.randint(1, 14)
             k = max(-(-n // m), 2)
             sizes = [float(rng.randint(1, 64)) for _ in range(n)]
-            trace = run_stream(robust_scheduler(m, k, eps), sizes, m, k)
+            trace = run_stream(RobustOrdinalScheduler(m, k, eps), sizes, m, k)
             assert check_feasible(trace.final_schedule(), trace.instance()) == []
             opt = exact_opt(trace.instance()).opt_makespan
             assert trace.final_makespan() <= (1 + eps) * (81 / 41) * opt + 1e-9
@@ -139,7 +142,7 @@ def test_trace_loads_replay_from_final_schedule():
         m, k = 3, 3
         n = rng.randint(1, m * k)
         sizes = [rng.uniform(0.2, 9.0) for _ in range(n)]
-        trace = run_stream(robust_scheduler(m, k, 0.5), sizes, m, k)
+        trace = run_stream(RobustOrdinalScheduler(m, k, 0.5), sizes, m, k)
         from cardsched.model import loads
 
         replayed = loads(trace.final_schedule(), trace.instance())
@@ -148,11 +151,11 @@ def test_trace_loads_replay_from_final_schedule():
 
 def test_machines_follow_fixed_map_positions():
     m, k, eps = 2, 3, 1.0
-    rs = robust_scheduler(m, k, eps)
+    rs = RobustOrdinalScheduler(m, k, eps)
     runner = StreamRunner(rs, m, k)
     sigma = ordinal_map(m, k).sigma
     for s in (8.0, 2.0, 16.0, 1.0):
         runner.push(s)
         positions = rs.class_list().positions()
-        for jid, machine in runner._assignment.items():
-            assert machine == sigma[positions[jid] - 1]
+        for jid in range(1, runner.n + 1):
+            assert runner.machine_of(jid) == sigma[positions[jid] - 1]
