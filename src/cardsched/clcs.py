@@ -10,6 +10,7 @@ of them run on a classed StreamRunner; speeds enter only clcs_makespan.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .adversaries import AdversaryReport, drive_report
@@ -87,6 +88,8 @@ class GreedyClcsScheduler:
 
 def clcs_makespan(loads, speeds) -> float:
     """Largest completion time load / speed over the machines."""
+    if len(speeds) != len(loads) or not all(0 < s < math.inf for s in speeds):
+        raise ValueError(f"speeds must be {len(loads)} finite values > 0, got {list(speeds)}")
     return max(ld / sp for ld, sp in zip(loads, speeds))
 
 
@@ -140,8 +143,8 @@ def uniform_lb_drive(
     """Machine 1 has speed 1, the rest speed s > 1.  Phase 1 hands out m*k unit
     jobs with distinct classes; phase 2 floods the classes stuck on machine 1
     with M*beta rounds of jobs of size 1/beta - eps, too small to migrate."""
-    if s <= 1:
-        raise ValueError(f"requires s > 1, got {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"requires finite s > 1, got {s}")
     if beta <= 0 or not 0 < eps < 1.0 / beta:
         raise ValueError("requires beta > 0 and 0 < eps < 1/beta")
     if M < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -66,7 +67,7 @@ def generate_sizes(name: str, n: int, seed: int) -> list[float]:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -76,10 +77,14 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _load_sizes(args) -> list[float]:
     if args.input:
-        return [size for size, _ in load_jobs(args.input)]
-    if not args.gen:
+        sizes = [size for size, _ in load_jobs(args.input)]
+    elif args.gen:
+        sizes = generate_sizes(args.gen, args.n, args.seed)
+    else:
         raise ValueError("either --input or --gen is required")
-    return generate_sizes(args.gen, args.n, args.seed)
+    if not math.isfinite(sum(sizes)):
+        raise ValueError("the job sizes sum past the largest float")
+    return sizes
 
 
 def _pick_mode(mode: str, n: int) -> str:
@@ -357,10 +362,10 @@ def main(argv=None) -> int:
             report = cmd_adversary(args)
         else:
             report = cmd_clcs(args)
+        _emit(report, args.out)
     except (InfeasibleError, ContractViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.out)
     return 0
 
 

@@ -62,6 +62,8 @@ class StreamRunner:
     """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
+        if m < 1 or k < 1:
+            raise ValueError("m and k must be >= 1")
         self.scheduler = scheduler
         self.m = m
         self.k = k

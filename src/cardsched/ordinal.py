@@ -26,9 +26,6 @@ class OrdinalMap:
     # None for the m=1 / k=1 / k=2 special-cased maps.
     phase_counts: tuple[tuple[int, ...], ...] | None
 
-    def machine_for(self, pos: int) -> int:
-        return self.sigma[pos - 1]
-
 
 def _borders(m: int, xi: int) -> tuple[int, ...]:
     return tuple(m // 2 ** (xi - i) + 1 for i in range(1, xi + 1))
@@ -106,9 +103,9 @@ def ordinal_schedule(instance: Instance) -> Schedule:
         raise InfeasibleError(
             f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
         )
-    omap = ordinal_map(instance.m, instance.k)
+    sigma = ordinal_map(instance.m, instance.k).sigma
     order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
-    return Schedule({j.id: omap.machine_for(pos) for pos, j in enumerate(order, start=1)})
+    return Schedule({j.id: sigma[pos] for pos, j in enumerate(order)})
 
 
 def iota(s: int, k: int) -> int:

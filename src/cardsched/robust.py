@@ -1,101 +1,68 @@
 """Bounded-migration wrapper around the ordinal map.
 
 Each arriving size is rounded up to a power of (1+eps) and appended as the
-tail of its size class in a non-increasing job list padded with zero-size
-dummies to m*k entries.  Resorting moves only the head of every smaller class
-to its own tail, so per arrival at most one job of each smaller class is
-repositioned; machines are read off the fixed ordinal map by list position.
+tail of its size class in a non-increasing list of at most m*k jobs; the
+machine of the job at list position p is sigma[p-1] of the fixed ordinal
+map.  The append shifts every smaller class one position back; rotating each
+smaller class's head to its tail cancels that shift for every other member,
+so per arrival only the head of each smaller class can change machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 
 from .engine import Scheduler, SchedulerDecision
 from .model import InfeasibleError, MigrationRecord, Move, round_up_geometric
 from .ordinal import ordinal_map
 
 
-@dataclass(frozen=True)
-class SizeClassList:
-    """Read-only view of the maintained order: exponent -> job ids, plus dummies."""
-
-    classes: dict[int, tuple[int, ...]]
-    zero_dummies: int
-    total_positions: int
-
-    def positions(self) -> dict[int, int]:
-        """Job id -> 1-based list position (descending class exponent, queue order)."""
-        pos = {}
-        p = 1
-        for e in sorted(self.classes, reverse=True):
-            for jid in self.classes[e]:
-                pos[jid] = p
-                p += 1
-        return pos
-
-
 class RobustOrdinalScheduler(Scheduler):
-    """Ordinal assignment with one-move-per-size-class resorting on arrival."""
+    """Ordinal assignment with one-move-per-size-class resorting on arrival.
+
+    An arrival costs one pass over the size classes, never over the jobs.
+    """
 
     def __init__(self, m: int, k: int, eps: float):
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         self.m, self.k = m, k
         self.eps = eps
-        self._map = ordinal_map(m, k)
-        self._classes: dict[int, list[int]] = {}
-        self._sizes: dict[int, float] = {}
-        self._dummies = m * k
+        self._sigma = ordinal_map(m, k).sigma
+        self._classes: dict[int, deque[int]] = {}  # exponent -> job ids, head first
+        self._sizes: list[float] = []
 
-    def class_list(self) -> SizeClassList:
-        return SizeClassList(
-            classes={e: tuple(q) for e, q in self._classes.items() if q},
-            zero_dummies=self._dummies,
-            total_positions=self.m * self.k,
-        )
-
-    def _machines(self) -> dict[int, int]:
-        sigma = self._map.sigma
-        out = {}
-        p = 0
-        for e in sorted(self._classes, reverse=True):
-            for jid in self._classes[e]:
-                out[jid] = sigma[p]
-                p += 1
-        return out
-
-    def resort_on_arrival(self, jid: int, exponent: int) -> list[int]:
-        """Insert job `jid` into class `exponent`; returns the repositioned job ids."""
-        if self._dummies == 0:
-            raise InfeasibleError("no dummy slot left: capacity m*k exhausted")
-        self._classes.setdefault(exponent, []).append(jid)
-        moved = []
-        for e in sorted(self._classes, reverse=True):
-            if e >= exponent:
-                continue
-            queue = self._classes[e]
-            if not queue:
-                continue
-            head = queue.pop(0)
-            queue.append(head)
-            moved.append(head)
-        self._dummies -= 1
-        return moved
+    def positions(self) -> dict[int, int]:
+        """Job id -> 1-based list position (descending class exponent, queue order)."""
+        order = (jid for e in sorted(self._classes, reverse=True) for jid in self._classes[e])
+        return {jid: p for p, jid in enumerate(order, start=1)}
 
     def on_arrival(self, size: float) -> SchedulerDecision:
         _, exponent = round_up_geometric(size, self.eps)
-        jid = len(self._sizes) + 1
-        before = self._machines()
-        moved = self.resort_on_arrival(jid, exponent)
-        after = self._machines()
-        self._sizes[jid] = size
-        moves = tuple(
-            Move(j, before[j], after[j]) for j in moved if before[j] != after[j]
-        )
+        if len(self._sizes) == len(self._sigma):
+            raise InfeasibleError("no dummy slot left: capacity m*k exhausted")
+        self._sizes.append(size)
+        jid = len(self._sizes)
+        self._classes.setdefault(exponent, deque())
+        sigma = self._sigma
+        moves = []
+        end = 0  # list positions taken by the classes visited so far, new job included
+        for e in sorted(self._classes, reverse=True):
+            queue = self._classes[e]
+            if e == exponent:
+                queue.append(jid)
+                machine = sigma[end + len(queue) - 1]
+            elif e < exponent:
+                # the head sat at position `end` (1-based) and becomes the tail
+                head = queue.popleft()
+                queue.append(head)
+                src, dst = sigma[end - 1], sigma[end + len(queue) - 1]
+                if src != dst:
+                    moves.append(Move(head, src, dst))
+            end += len(queue)
         record = MigrationRecord(
             trigger=jid,
-            moves=moves,
-            moved_size=sum(self._sizes[mv.job] for mv in moves),
+            moves=tuple(moves),
+            moved_size=sum(self._sizes[mv.job - 1] for mv in moves),
         )
-        return SchedulerDecision(machine=after[jid], migrations=record)
+        return SchedulerDecision(machine=machine, migrations=record)

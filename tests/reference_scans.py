@@ -3,8 +3,9 @@
 Each reference keeps the straightforward code that the indexed version must
 match decision for decision and bit for bit: the stream runner that scans
 every machine per arrival, the adversaries' and ClCS's former runners,
-capped greedy as a linear scan, and the constant scheduler's row and slot
-choice by `min` over the candidates.
+capped greedy as a linear scan, the constant scheduler's row and slot
+choice by `min` over the candidates, and the robust-ordinal scheduler that
+diffs a job -> machine map over all jobs before and after each resort.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.engine import ContractViolation, Scheduler, SchedulerDecision
-from cardsched.model import InfeasibleError, Move
+from cardsched.model import InfeasibleError, MigrationRecord, Move, round_up_geometric
+from cardsched.ordinal import ordinal_map
 
 
 @dataclass(frozen=True)
@@ -234,3 +236,72 @@ class RefConstantScheduler(ConstantCompetitiveScheduler):
             if not self._check_terminal():
                 self._repair_after_single_removal()
         return machine
+
+
+class RefRobustOrdinal(Scheduler):
+    """Robust-ordinal by rebuilding every job's machine before and after the resort."""
+
+    def __init__(self, m: int, k: int, eps: float):
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        self.m, self.k = m, k
+        self.eps = eps
+        self._map = ordinal_map(m, k)
+        self._classes: dict[int, list[int]] = {}
+        self._sizes: dict[int, float] = {}
+        self._dummies = m * k
+
+    def positions(self) -> dict[int, int]:
+        """Job id -> 1-based list position (descending class exponent, queue order)."""
+        pos = {}
+        p = 1
+        for e in sorted(self._classes, reverse=True):
+            for jid in self._classes[e]:
+                pos[jid] = p
+                p += 1
+        return pos
+
+    def _machines(self) -> dict[int, int]:
+        sigma = self._map.sigma
+        out = {}
+        p = 0
+        for e in sorted(self._classes, reverse=True):
+            for jid in self._classes[e]:
+                out[jid] = sigma[p]
+                p += 1
+        return out
+
+    def resort_on_arrival(self, jid: int, exponent: int) -> list[int]:
+        """Insert job `jid` into class `exponent`; returns the repositioned job ids."""
+        if self._dummies == 0:
+            raise InfeasibleError("no dummy slot left: capacity m*k exhausted")
+        self._classes.setdefault(exponent, []).append(jid)
+        moved = []
+        for e in sorted(self._classes, reverse=True):
+            if e >= exponent:
+                continue
+            queue = self._classes[e]
+            if not queue:
+                continue
+            head = queue.pop(0)
+            queue.append(head)
+            moved.append(head)
+        self._dummies -= 1
+        return moved
+
+    def on_arrival(self, size: float) -> SchedulerDecision:
+        _, exponent = round_up_geometric(size, self.eps)
+        jid = len(self._sizes) + 1
+        before = self._machines()
+        moved = self.resort_on_arrival(jid, exponent)
+        after = self._machines()
+        self._sizes[jid] = size
+        moves = tuple(
+            Move(j, before[j], after[j]) for j in moved if before[j] != after[j]
+        )
+        record = MigrationRecord(
+            trigger=jid,
+            moves=moves,
+            moved_size=sum(self._sizes[mv.job] for mv in moves),
+        )
+        return SchedulerDecision(machine=after[jid], migrations=record)

@@ -213,7 +213,7 @@ def test_criterion_7_robust_wrapper():
                     failures.append((eps, m, k, "migration factor", rec.migration.moved_size, rec.size))
                     ok = False
                     break
-                positions = scheduler.class_list().positions()
+                positions = scheduler.positions()
                 moved = {mv.job for mv in rec.migration.moves}
                 stable = {j for j in prev_positions if positions[j] == prev_positions[j]}
                 if not moved.isdisjoint(stable):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from cardsched.clcs import (
     GreedyClcsScheduler,
     clcs_exact,
     clcs_instance,
+    clcs_makespan,
     identical_lb_report,
     run_classed_stream,
     uniform_lb_drive,
@@ -127,6 +129,8 @@ def test_uniform_lb_preconditions():
     with pytest.raises(ValueError):
         uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 1.0, 1.0, 0.01, 10)  # s must exceed 1
     with pytest.raises(ValueError):
+        uniform_lb_drive(GreedyClcsScheduler(1, 2), 1, 2, math.inf, 1.0, 0.01, 10)  # opt would read 0
+    with pytest.raises(ValueError):
         uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 1.0, 10)  # eps >= 1/beta
     with pytest.raises(ValueError):
         uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 0.01, -1)
@@ -139,6 +143,15 @@ def test_uniform_lb_speeds_divide_loads():
         loads[machine - 1] += size
     speeds = (1.0, 4.0, 4.0)
     assert report.alg_makespan == max(ld / sp for ld, sp in zip(loads, speeds))
+
+
+@pytest.mark.parametrize(
+    "speeds", [(1.0, 2.0), (1.0, -2.0, 0.5), (1.0, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, math.nan, 1.0)]
+)
+def test_clcs_makespan_needs_one_finite_positive_speed_per_machine(speeds):
+    with pytest.raises(ValueError, match="speeds"):
+        clcs_makespan([1.0, 5.0, 4.0], speeds)
+    assert clcs_makespan([1.0, 5.0, 4.0], (1.0, 2.0, 0.5)) == 8.0
 
 
 def test_greedy_within_m_times_optimum_random():

@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cardsched.cli import SCHEDULERS, main
 from cardsched.engine import run_stream
@@ -210,3 +213,114 @@ def test_non_finite_size_exits_2_with_one_line(tmp_path, capsys, raw, algo):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "line 2" in err
     assert "finite" in err
+
+
+def _assert_one_line_exit_2(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "greedy-capped"],
+        ["run", "--algo", "round-robin"],
+        ["run", "--algo", "ordinal"],
+        ["oracle"],
+    ],
+)
+def test_overflowing_size_total_exits_2_with_one_line(tmp_path, capsys, argv):
+    path = _write_jsonl(tmp_path / "huge.jsonl", [{"size": 1e308}] * 3)
+    code, out, err = _run_cli(capsys, argv + ["--m", "1", "--k", "3", "--input", path])
+    _assert_one_line_exit_2(code, out, err)
+    assert "sum" in err
+
+
+def test_non_finite_report_value_exits_2_with_one_line(tmp_path, capsys):
+    # one class pins both jobs to machine 1, whose load overflows to inf
+    path = _write_jsonl(tmp_path / "huge.jsonl", [{"size": 1e308, "class": 1}] * 2)
+    code, out, err = _run_cli(capsys, ["clcs", "run", "--m", "2", "--k", "1", "--input", path])
+    _assert_one_line_exit_2(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clcs", "adversary", "--family", "uniform-lb", "--m", "0", "--k", "2"],
+        ["clcs", "adversary", "--family", "identical-lb", "--m", "3", "--k", "0"],
+        ["adversary", "--family", "balanced-lb", "--algo", "round-robin", "--m", "0", "--k", "3"],
+    ],
+)
+def test_machine_count_or_cap_below_one_exits_2_with_one_line(capsys, argv):
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("speeds", ["1,2", "1,-2,0.5", "1,0,1", "1,inf,1", "1,nan,1"])
+def test_clcs_run_rejects_bad_speeds(tmp_path, capsys, speeds):
+    rows = [{"size": 1.0, "class": 1}, {"size": 5.0, "class": 2}, {"size": 4.0, "class": 3}]
+    path = _write_jsonl(tmp_path / "classed.jsonl", rows)
+    argv = ["clcs", "run", "--m", "3", "--k", "1", "--input", path, "--speeds", speeds]
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert "speeds" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+_fuzz_size = st.sampled_from([0.0, 1e-300, 1.0, 2.5, 7.0, 3.0, 1e308, -1.0])
+_small = st.integers(0, 4)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A parseable command line and the JSONL rows of its --input (None: no input)."""
+    command = draw(st.sampled_from(["run", "oracle", "adversary", "clcs-run", "clcs-adversary"]))
+    m, k = draw(_small), draw(_small)
+    rows = [{"size": s} for s in draw(st.lists(_fuzz_size, max_size=min(m * k + 1, 8)))]
+    if command == "run":
+        algo = draw(st.sampled_from([*SCHEDULERS, "ordinal"]))
+        mode = draw(st.sampled_from(["auto", "exact", "lower-bound"]))
+        return ["run", "--algo", algo, "--m", str(m), "--k", str(k), "--mode", mode], rows
+    if command == "oracle":
+        return ["oracle", "--m", str(m), "--k", str(k)], rows
+    if command == "clcs-run":
+        for row in rows:
+            row["class"] = draw(st.integers(1, 3))
+        return ["clcs", "run", "--m", str(m), "--k", str(k)], rows
+    if command == "clcs-adversary":
+        family = draw(st.sampled_from(["identical-lb", "uniform-lb"]))
+        speed = draw(st.sampled_from(["0.5", "2", "inf"]))
+        big_m = draw(st.integers(-1, 5))
+        argv = ["clcs", "adversary", "--family", family, "--m", str(m), "--k", str(k)]
+        return argv + ["--speed", speed, "--big-m", str(big_m)], None
+    family = draw(st.sampled_from(["pure-lb", "balanced-lb", "robust-lb", "phi-lb"]))
+    if family == "robust-lb":
+        k = draw(st.integers(0, 8))
+    argv = ["adversary", "--family", family, "--algo", draw(st.sampled_from(list(SCHEDULERS)))]
+    argv += ["--m", str(m), "--k", str(k), "--round-cap", str(draw(st.integers(0, 3)))]
+    argv += ["--n-param", draw(st.sampled_from(["-1", "0", "1", "2", "3.5", "1e200"]))]
+    argv += ["--big-m", draw(st.sampled_from(["0", "3", "10", "1e200"]))]
+    return argv, None
+
+
+@given(_fuzz_argv())
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_ends_in_strict_json_or_one_line_exit_2(tmp_path_factory, case):
+    argv, rows = case
+    if rows is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "jobs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = argv + ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        _assert_one_line_exit_2(code, out.getvalue(), err.getvalue())

@@ -31,6 +31,7 @@ from reference_scans import (
     RefConstantScheduler,
     RefDrive,
     RefListSchedulingCapped,
+    RefRobustOrdinal,
     RefStreamRunner,
 )
 
@@ -120,10 +121,24 @@ def test_round_robin_runner_matches_scan(sizes, m, k):
 def test_robust_ordinal_runner_matches_scan(sizes, m, k, eps):
     sizes = _stream(sizes, m, k)
     runner, ref, errors = _replay(
-        RobustOrdinalScheduler(m, k, eps), RobustOrdinalScheduler(m, k, eps), sizes, m, k
+        RobustOrdinalScheduler(m, k, eps), RefRobustOrdinal(m, k, eps), sizes, m, k
     )
     assert errors == [None, None]
     _assert_same(runner, ref)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+def test_robust_ordinal_long_stream_matches_position_maps(eps):
+    # many size classes held at once, which the short hypothesis streams never reach
+    rng = random.Random(7)
+    sizes = [2.0 ** rng.uniform(-10.0, 10.0) for _ in range(2000)]
+    fast, ref = RobustOrdinalScheduler(100, 100, eps), RefRobustOrdinal(100, 100, eps)
+    for s in sizes:
+        got, want = fast.on_arrival(s), ref.on_arrival(s)
+        assert got.machine == want.machine
+        assert got.migrations.moves == want.migrations.moves
+        assert repr(got.migrations.moved_size) == repr(want.migrations.moved_size)
+    assert fast.positions() == ref.positions()
 
 
 class _RandomMigrator(Scheduler):

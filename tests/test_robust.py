@@ -19,7 +19,7 @@ def test_equal_size_appends_to_class_tail_without_cascade():
     rs = RobustOrdinalScheduler(2, 3, 1.0)
     trace = run_stream(rs, [4.0, 4.0, 4.0], 2, 3)
     assert all(r.migration.moves == () for r in trace.records)
-    positions = rs.class_list().positions()
+    positions = rs.positions()
     assert positions == {1: 1, 2: 2, 3: 3}
 
 
@@ -29,11 +29,11 @@ def test_cascade_moves_heads_of_smaller_classes():
     runner = StreamRunner(rs, 3, 3)
     for s in (8.0, 2.0, 2.0):
         runner.push(s)
-    before = rs.class_list().positions()
+    before = rs.positions()
     assert before == {1: 1, 2: 2, 3: 3}
     runner.push(32.0)
     rec = runner.trace.records[-1]
-    after = rs.class_list().positions()
+    after = rs.positions()
     assert after[4] == 1  # new largest job takes the head position
     assert after[1] == 2  # head of class 3 slid to its tail (single-job class)
     assert after[3] == 3 and after[2] == 4  # class-1 head rotated behind its tail
@@ -114,7 +114,7 @@ def test_position_stability_every_arrival():
         for i, s in enumerate(sizes, start=1):
             runner.push(s)
             rec = runner.trace.records[-1]
-            positions = rs.class_list().positions()
+            positions = rs.positions()
             moved = {mv.job for mv in rec.migration.moves}
             shifted = {j for j in prev if positions[j] != prev[j]}
             # machine changes only happen to jobs whose position shifted
@@ -156,6 +156,6 @@ def test_machines_follow_fixed_map_positions():
     sigma = ordinal_map(m, k).sigma
     for s in (8.0, 2.0, 16.0, 1.0):
         runner.push(s)
-        positions = rs.class_list().positions()
+        positions = rs.positions()
         for jid in range(1, runner.n + 1):
             assert runner.machine_of(jid) == sigma[positions[jid] - 1]
