@@ -220,11 +220,11 @@ def competitive_metrics(trace: Trace, instance: Instance, mode: str = "exact") -
                 f"exact mode guard: {n} jobs > {EXACT_RECOMMENDED_MAX_JOBS}; use lower_bound"
             )
         prefix_max = 0.0
+        final_denom = 0.0  # ends as the opt of prefix n, the whole instance
         for t in range(1, n + 1):
             prefix = Instance(instance.jobs[:t], instance.m, instance.k)
-            denom = exact_opt(prefix).opt_makespan
-            prefix_max = max(prefix_max, _ratio(trace.makespans[t - 1], denom))
-        final_denom = exact_opt(instance).opt_makespan if n else 0.0
+            final_denom = exact_opt(prefix).opt_makespan
+            prefix_max = max(prefix_max, _ratio(trace.makespans[t - 1], final_denom))
     else:
         prefix_max = 0.0
         running_total = 0.0

@@ -232,8 +232,8 @@ def round_up_geometric(size: float, eps: float) -> tuple[float, int]:
     """
     if not (size > 0) or not math.isfinite(size):
         raise ValueError(f"size must be positive and finite, got {size}")
-    if not (eps > 0) or not math.isfinite(eps):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not (eps > 0) or not math.isfinite(eps) or 1.0 + eps == 1.0:
+        raise ValueError(f"eps must be positive, finite and make 1 + eps > 1, got {eps}")
     base = 1.0 + eps
     e = math.ceil(math.log(size) / math.log(base) - 1e-12)
     while power(base, e) < size:

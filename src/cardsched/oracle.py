@@ -95,7 +95,8 @@ def exact_opt(instance: Instance) -> OracleResult:
     state; equal-size jobs take machines in non-decreasing index order; and a
     slot-forcing bound charges every machine the smallest remaining jobs it is
     still forced to take.  Incumbent: the better of sorted round-robin and
-    capped LPT.
+    capped LPT.  Early exit: the search stops at the first schedule whose
+    makespan equals `lower_bound`, at the root or at any leaf.
     """
     from .engine import ListSchedulingCapped  # engine imports this module
 
@@ -136,43 +137,47 @@ def exact_opt(instance: Instance) -> OracleResult:
     machine_count = [0] * m
     current = [0] * n
     nodes = 0
+    # every placed job fills one slot, so the spare slots never change
+    slack = m * k - n
 
-    def recurse(idx: int, cur_max: float):
+    def recurse(idx: int, cur_max: float) -> bool:
+        """Search below idx; True once a leaf reaches lb, which no later leaf can beat."""
         nonlocal best, best_assign, nodes
         nodes += 1
         if cur_max >= best:
-            return
+            return False
         if idx == n:
             best = cur_max
             best_assign = current[:]
-            return
-        remaining = n - idx
-        slack = sum(k - c for c in machine_count) - remaining
+            return best == lb
         if slack < m:  # some machine is forced to take more jobs
             for mi in range(m):
                 forced = k - machine_count[mi] - slack
                 if forced > 0 and machine_load[mi] + suffix_sum[n - forced] >= best:
-                    return
+                    return False
         size = sizes[idx]
         start = current[idx - 1] if idx and sizes[idx - 1] == size else 0
         seen = set()
         for mi in range(start, m):
-            if machine_count[mi] == k:
+            count = machine_count[mi]
+            if count == k:
                 continue
-            state = (machine_load[mi], machine_count[mi])
+            old_load = machine_load[mi]
+            new_load = old_load + size
+            if new_load >= best:  # best only falls, so this state stays pruned
+                continue
+            state = (old_load, count)
             if state in seen:
                 continue
             seen.add(state)
-            old_load = machine_load[mi]
-            new_load = old_load + size
-            if new_load >= best:
-                continue
             machine_load[mi] = new_load
-            machine_count[mi] += 1
+            machine_count[mi] = count + 1
             current[idx] = mi
-            recurse(idx + 1, cur_max if cur_max >= new_load else new_load)
+            if recurse(idx + 1, cur_max if cur_max >= new_load else new_load):
+                return True
             machine_load[mi] = old_load
-            machine_count[mi] -= 1
+            machine_count[mi] = count
+        return False
 
     recurse(0, 0.0)
     schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})

@@ -24,8 +24,8 @@ class RobustOrdinalScheduler(Scheduler):
     """
 
     def __init__(self, m: int, k: int, eps: float):
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if eps <= 0 or 1.0 + eps == 1.0:
+            raise ValueError(f"eps must be positive and make 1 + eps > 1, got {eps}")
         self.m, self.k = m, k
         self.eps = eps
         self._sigma = ordinal_map(m, k).sigma

@@ -4,8 +4,10 @@ Each reference keeps the straightforward code that the indexed version must
 match decision for decision and bit for bit: the stream runner that scans
 every machine per arrival, the adversaries' and ClCS's former runners,
 capped greedy as a linear scan, the constant scheduler's row and slot
-choice by `min` over the candidates, and the robust-ordinal scheduler that
-diffs a job -> machine map over all jobs before and after each resort.
+choice by `min` over the candidates, the robust-ordinal scheduler that
+diffs a job -> machine map over all jobs before and after each resort, and
+the exact oracle that re-sums the free slots at every node and searches on
+after a leaf has reached the lower bound.
 """
 
 from __future__ import annotations
@@ -14,8 +16,17 @@ from array import array
 from dataclasses import dataclass
 
 from cardsched.constant import ConstantCompetitiveScheduler
-from cardsched.engine import ContractViolation, Scheduler, SchedulerDecision
-from cardsched.model import InfeasibleError, MigrationRecord, Move, round_up_geometric
+from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler, SchedulerDecision
+from cardsched.model import (
+    InfeasibleError,
+    Instance,
+    MigrationRecord,
+    Move,
+    Schedule,
+    makespan,
+    round_up_geometric,
+)
+from cardsched.oracle import OracleResult, lower_bound, sorted_round_robin
 from cardsched.ordinal import ordinal_map
 
 
@@ -305,3 +316,88 @@ class RefRobustOrdinal(Scheduler):
             moved_size=sum(self._sizes[mv.job] for mv in moves),
         )
         return SchedulerDecision(machine=after[jid], migrations=record)
+
+
+def ref_exact_opt(instance: Instance) -> OracleResult:
+    """Branch-and-bound that re-sums the free slots at every node and searches on
+    after a leaf has reached the lower bound."""
+    if not instance.is_feasible():
+        raise InfeasibleError(
+            f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
+        )
+    m, k = instance.m, instance.k
+    srr = sorted_round_robin(instance)
+    incumbent = makespan(srr, instance)
+    lb = lower_bound(instance)
+    if incumbent == lb or not instance.jobs:
+        return OracleResult(incumbent, srr, 0)
+
+    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
+    sizes = [j.size for j in order]
+    n = len(sizes)
+    best_assign = [srr.assignment[j.id] - 1 for j in order]
+    best = incumbent
+    greedy = ListSchedulingCapped(m, k)
+    lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
+    lpt_make = max(
+        sum(s for s, mi in zip(sizes, lpt) if mi == target) for target in range(m)
+    )
+    if lpt_make < best:
+        best, best_assign = lpt_make, lpt
+    if best == lb:
+        schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
+        return OracleResult(best, schedule, 0)
+
+    # suffix_sum[j] = total size of jobs j..n-1; the t smallest remaining jobs
+    # always sit at the tail of the sorted order
+    suffix_sum = [0.0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_sum[j] = suffix_sum[j + 1] + sizes[j]
+
+    machine_load = [0.0] * m
+    machine_count = [0] * m
+    current = [0] * n
+    nodes = 0
+
+    def recurse(idx: int, cur_max: float):
+        nonlocal best, best_assign, nodes
+        nodes += 1
+        if cur_max >= best:
+            return
+        if idx == n:
+            best = cur_max
+            best_assign = current[:]
+            return
+        remaining = n - idx
+        slack = sum(k - c for c in machine_count) - remaining
+        if slack < m:  # some machine is forced to take more jobs
+            for mi in range(m):
+                forced = k - machine_count[mi] - slack
+                if forced > 0 and machine_load[mi] + suffix_sum[n - forced] >= best:
+                    return
+        size = sizes[idx]
+        start = current[idx - 1] if idx and sizes[idx - 1] == size else 0
+        seen = set()
+        for mi in range(start, m):
+            if machine_count[mi] == k:
+                continue
+            state = (machine_load[mi], machine_count[mi])
+            if state in seen:
+                continue
+            seen.add(state)
+            old_load = machine_load[mi]
+            new_load = old_load + size
+            if new_load >= best:
+                continue
+            machine_load[mi] = new_load
+            machine_count[mi] += 1
+            current[idx] = mi
+            recurse(idx + 1, cur_max if cur_max >= new_load else new_load)
+            machine_load[mi] = old_load
+            machine_count[mi] -= 1
+
+    recurse(0, 0.0)
+    schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
+    result = OracleResult(best, schedule, nodes)
+    assert makespan(schedule, instance) == result.opt_makespan
+    return result

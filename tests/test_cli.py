@@ -268,12 +268,26 @@ def test_clcs_run_rejects_bad_speeds(tmp_path, capsys, speeds):
     assert "speeds" in err
 
 
+@pytest.mark.parametrize("command", ["run", "adversary"])
+def test_epsilon_too_small_to_change_one_exits_2_with_one_line(capsys, command):
+    # 1 + 1e-20 == 1.0, so no power of (1 + eps) can round a size up
+    argv = ["--algo", "robust-ordinal", "--m", "2", "--k", "2", "--epsilon", "1e-20"]
+    if command == "run":
+        argv = ["run", *argv, "--gen", "uniform", "--n", "3"]
+    else:
+        argv = ["adversary", "--family", "pure-lb", *argv]
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert "1 + eps" in err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
 _fuzz_size = st.sampled_from([0.0, 1e-300, 1.0, 2.5, 7.0, 3.0, 1e308, -1.0])
 _small = st.integers(0, 4)
+_fuzz_epsilon = st.sampled_from(["1e-20", "1e-9", "0.5", "1", "2", "inf"])
 
 
 @st.composite
@@ -285,7 +299,8 @@ def _fuzz_argv(draw):
     if command == "run":
         algo = draw(st.sampled_from([*SCHEDULERS, "ordinal"]))
         mode = draw(st.sampled_from(["auto", "exact", "lower-bound"]))
-        return ["run", "--algo", algo, "--m", str(m), "--k", str(k), "--mode", mode], rows
+        argv = ["run", "--algo", algo, "--m", str(m), "--k", str(k), "--mode", mode]
+        return argv + ["--epsilon", draw(_fuzz_epsilon)], rows
     if command == "oracle":
         return ["oracle", "--m", str(m), "--k", str(k)], rows
     if command == "clcs-run":
@@ -305,7 +320,7 @@ def _fuzz_argv(draw):
     argv += ["--m", str(m), "--k", str(k), "--round-cap", str(draw(st.integers(0, 3)))]
     argv += ["--n-param", draw(st.sampled_from(["-1", "0", "1", "2", "3.5", "1e200"]))]
     argv += ["--big-m", draw(st.sampled_from(["0", "3", "10", "1e200"]))]
-    return argv, None
+    return argv + ["--epsilon", draw(_fuzz_epsilon)], None
 
 
 @given(_fuzz_argv())

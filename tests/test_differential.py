@@ -5,7 +5,9 @@ and through the library; machines, moves, moved sizes, per-arrival makespans
 and final loads must agree bit for bit, and contract violations must name the
 same arrival and machine.  The adversaries' and ClCS's former runners are
 references too: the one StreamRunner must reproduce their machines, loads
-and makespans.
+and makespans.  The exact oracle must return the former branch-and-bound's
+optimum and schedule, explore no more nodes, and explore the same nodes
+whenever its early exit at the lower bound cannot fire.
 """
 
 import random
@@ -24,7 +26,8 @@ from cardsched.engine import (
     SchedulerDecision,
     StreamRunner,
 )
-from cardsched.model import MigrationRecord, Move, loads
+from cardsched.model import MigrationRecord, Move, instance_from_sizes, loads
+from cardsched.oracle import exact_opt, lower_bound
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
     RefClassedDrive,
@@ -33,6 +36,7 @@ from reference_scans import (
     RefListSchedulingCapped,
     RefRobustOrdinal,
     RefStreamRunner,
+    ref_exact_opt,
 )
 
 
@@ -346,3 +350,43 @@ def test_greedy_clcs_matches_former_classed_drive(jobs, m, k, speeds):
     assert runner.class_sets == ref.class_sets
     assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
     assert repr(clcs_makespan(runner.loads, speeds)) == repr(ref.makespan)
+
+
+def _assert_oracle_matches_ref(sizes, m, k):
+    inst = instance_from_sizes(sizes, m, k)
+    got, want = exact_opt(inst), ref_exact_opt(inst)
+    assert repr(got.opt_makespan) == repr(want.opt_makespan)
+    assert got.schedule == want.schedule
+    assert got.nodes_explored <= want.nodes_explored
+    if got.opt_makespan != lower_bound(inst):
+        assert got.nodes_explored == want.nodes_explored
+    return got, want
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.one_of(
+        st.lists(st.integers(0, 60).map(float), max_size=14),
+        st.lists(st.integers(0, 240).map(lambda q: q / 4), max_size=14),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_opt_matches_former_search(m, k, sizes):
+    _assert_oracle_matches_ref(sizes[: m * k], m, k)
+
+
+def test_exact_opt_search_heavy_tree_unchanged():
+    # the first seed-3 n=20 benchmark instance: opt 263 sits above lb 262.5
+    sizes = [30, 75, 69, 16, 47, 77, 60, 80, 74, 8, 77, 1, 60, 33, 70, 29, 24, 91, 60, 69]
+    got, _ = _assert_oracle_matches_ref(sizes, 4, 5)
+    assert (got.opt_makespan, got.nodes_explored) == (263.0, 60551)
+    assert lower_bound(instance_from_sizes(sizes, 4, 5)) == 262.5
+
+
+def test_exact_opt_stops_at_first_leaf_on_lower_bound():
+    # opt 36 equals lb 36: the former search went on for 80 more nodes
+    sizes = [9, 19, 8, 5, 11, 15, 8, 17, 7, 9]
+    got, want = _assert_oracle_matches_ref(sizes, 3, 4)
+    assert got.opt_makespan == lower_bound(instance_from_sizes(sizes, 3, 4)) == 36.0
+    assert (got.nodes_explored, want.nodes_explored) == (34, 114)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cardsched import engine
 from cardsched.engine import (
     PHI,
     ContractViolation,
@@ -179,6 +180,31 @@ def test_competitive_metrics_lower_bound_dominates_exact():
     lb = competitive_metrics(trace, inst, "lower_bound")
     assert lb.final_ratio >= exact.final_ratio - 1e-12
     assert exact.final_ratio >= 1.0
+
+
+@pytest.mark.parametrize("sizes", [[], [5.0, 1.0, 4.0, 2.0, 3.0, 7.0, 6.0]])
+def test_competitive_metrics_exact_solves_each_prefix_once(monkeypatch, sizes):
+    m, k = 3, 3
+    trace = run_stream(RoundRobinScheduler(m, k), sizes, m, k)
+    inst = trace.instance()
+    prefixes = [instance_from_sizes(sizes[:t], m, k) for t in range(1, len(sizes) + 1)]
+    opts = [exact_opt(prefix).opt_makespan for prefix in prefixes]
+    solved = []
+
+    def counting_exact_opt(instance):
+        solved.append(instance.n)
+        return exact_opt(instance)
+
+    monkeypatch.setattr(engine, "exact_opt", counting_exact_opt)
+    metrics = competitive_metrics(trace, inst, "exact")
+    assert solved == list(range(1, len(sizes) + 1))
+    if not sizes:
+        assert (metrics.denominator, metrics.final_ratio) == (0.0, 1.0)
+        return
+    ratios = [trace.makespans[t] / opts[t] for t in range(len(sizes))]
+    assert metrics.denominator == opts[-1]
+    assert metrics.final_ratio == trace.final_makespan() / opts[-1]
+    assert metrics.prefix_max_ratio == max(ratios) > metrics.final_ratio
 
 
 def test_migration_stats_pure_online_trace():
