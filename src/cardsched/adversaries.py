@@ -104,7 +104,10 @@ def balanced_lb_drive(
             if ell >= round_cap:
                 note = f"unbounded-evidence: round exceeded cap of {round_cap} jobs"
                 break
-            size = float(N) ** ell
+            try:
+                size = float(N) ** ell  # inf if N is; a finite N raises on overflow
+            except OverflowError:
+                size = math.inf
             if math.isinf(size):
                 note = "unbounded-evidence: geometric size overflow"
                 break

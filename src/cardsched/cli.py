@@ -41,7 +41,7 @@ from .engine import (
 )
 from .jsonl import load_jobs
 from .model import InfeasibleError, check_feasible, instance_from_sizes, makespan
-from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_opt, lower_bound
+from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_guard, exact_opt, lower_bound
 from .ordinal import ordinal_map, ordinal_schedule
 from .robust import RobustOrdinalScheduler
 
@@ -104,6 +104,8 @@ def cmd_run(args) -> dict:
         raise InfeasibleError(f"infeasible: {len(sizes)} jobs exceed capacity m*k = {m * k}")
     instance = instance_from_sizes(sizes, m, k)
     mode = _pick_mode(args.mode, len(sizes))
+    if mode == "exact":
+        exact_guard(len(sizes))  # before the stream runs, not after
     started = time.perf_counter()
     report = {
         "schema": SCHEMA_VERSION,
@@ -123,11 +125,6 @@ def cmd_run(args) -> dict:
         if violations:
             raise ContractViolation(len(sizes), "; ".join(violations))
         final = makespan(schedule, instance)
-        if mode == "exact" and len(sizes) > EXACT_RECOMMENDED_MAX_JOBS:
-            raise ValueError(
-                f"exact mode guard: {len(sizes)} jobs > {EXACT_RECOMMENDED_MAX_JOBS}; "
-                "use --mode lower-bound"
-            )
         denom = (
             exact_opt(instance).opt_makespan if mode == "exact" else lower_bound(instance)
         )
@@ -184,6 +181,7 @@ def cmd_run(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     sizes = _load_sizes(args)
+    exact_guard(len(sizes))
     instance = instance_from_sizes(sizes, args.m, args.k)
     started = time.perf_counter()
     result = exact_opt(instance)

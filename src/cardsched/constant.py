@@ -9,7 +9,18 @@ only) and a mixed row (group plus small jobs), small jobs fill dedicated
 small rows, and the rest of the rows are free.  Full rows are retired
 together with one unit (small row) or two units (group pair) of active_k, and
 the row population is repaired from the free pool; once active_k falls below
-50 the structure freezes and the remaining slots are filled balanced.
+50 the structure freezes (terminal mode) and the remaining live slots are
+filled, fewest-jobs machine first.  Caps k <= 49 never build the structure:
+that fallback is round-robin.
+
+Within a row the slot goes to the machine with the fewest lifetime jobs, tie
+to the lowest index.  All rows share one (count, machine) order, kept as
+buckets of machines per count.  Per arrival, fallback is O(1); live mode
+walks that order up to the first machine empty in the row (the machines
+skipped are the cost; no log m bound in theory), moves it to the next count
+by bisection, and retires rows in O(k); terminal mode takes the first
+machine of the order, and a per-machine pointer over the frozen rows passes
+each row at most once.
 
 When the maximum grows, row labels stay fixed: the groups are re-read
 relative to the new maximum, which treats the old jobs as if enlarged; loads
@@ -20,7 +31,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, mul
 
 from .engine import Scheduler, SchedulerDecision
 from .model import InfeasibleError, Trace, round_down_pow2
@@ -34,17 +48,14 @@ def _floor_2log2(k: int) -> int:
 
 
 class _Row:
-    __slots__ = ("rid", "kind", "group", "slots", "filled", "heap")
+    __slots__ = ("rid", "kind", "group", "slots", "filled")
 
-    def __init__(self, rid: int, m: int):
+    def __init__(self, rid: int):
         self.rid = rid
         self.kind = "free"
         self.group: int | None = None
-        self.slots: list[int | None] = [None] * m
+        self.slots: list[int | None] | None = None  # allocated on the first placement
         self.filled = 0
-        # (lifetime count, machine) of the empty slots, built on the first
-        # placement; counts only rise, so a stale entry is a lower bound
-        self.heap: list[tuple[int, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,6 @@ class ConstantCompetitiveScheduler(Scheduler):
         self.k = k  # original cap, never changes
         self.fallback = k <= FALLBACK_MAX_K
         self.terminal = False
-        self.counts = [0] * m  # lifetime jobs per machine
         self.arrivals = 0
         self.active_k = k
         self.l: int | None = None
@@ -92,33 +102,39 @@ class ConstantCompetitiveScheduler(Scheduler):
         # (empty slots, rid, seq, row) for small rows; stale entries are skipped
         self._small_heap: list[tuple[int, int, int, _Row]] = []
         self._seq = 0
-        self._free: list[_Row] = []
+        self._free: list[_Row] = []  # stack, lowest rid on top
         self._removed: list[_Row] = []
-        self._next_rid = 0
+        # the (count, machine) order all rows share: buckets[c] holds the
+        # machines with c lifetime jobs in index order, the buckets below _low
+        # are empty, and a bucket is added when the first machine reaches it
+        self._buckets: list[list[int]] = []
+        self._low = 0
+        # terminal mode: the frozen live rows by rid, and per machine the first
+        # of them that may still be empty there
+        self._frozen: list[_Row] = []
+        self._next: list[int] = []
 
     # -- structure bookkeeping ------------------------------------------------
 
-    def _new_row(self) -> _Row:
-        row = _Row(self._next_rid, self.m)
-        self._next_rid += 1
-        return row
-
     def _init_structure(self, e: int):
+        # k rows by rid: the pairs, then the small rows, then floor(k/2) free rows
         self.e_pmax = e
-        self.l = _floor_2log2(self.active_k)
-        small_target = -(self.active_k // -2) - 2 * (self.l + 1)
+        self.l = _floor_2log2(self.k)
+        self._buckets = [list(range(self.m))]
+        rows = [_Row(rid) for rid in range(self.k)]
+        pairs = 2 * (self.l + 1)
+        small_target = -(self.k // -2) - pairs
         assert small_target >= 1, "structure requires ceil(k/2) > 2*(l+1)"
         for i in range(self.l + 1):
-            row = self._new_row()
-            row.kind, row.group = "pure", i
-            self._pure[i] = row
-            row = self._new_row()
-            row.kind, row.group = "mixed", i
-            self._mixed[i] = row
-        for _ in range(small_target):
-            self._make_small(self._new_row())
-        for _ in range(self.active_k - 2 * (self.l + 1) - small_target):
-            self._free.append(self._new_row())
+            self._label(rows[2 * i], "pure", i)
+            self._label(rows[2 * i + 1], "mixed", i)
+        for row in rows[pairs : pairs + small_target]:
+            self._make_small(row)
+        self._free = rows[pairs + small_target :][::-1]
+
+    def _label(self, row: _Row, kind: str, i: int):
+        row.kind, row.group = kind, i
+        (self._pure if kind == "pure" else self._mixed)[i] = row
 
     def _make_small(self, row: _Row):
         row.kind, row.group = "small", None
@@ -131,30 +147,35 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     def _take_free(self) -> _Row:
         assert self._free, "free rows exhausted before terminal mode"
-        best = min(self._free, key=lambda r: r.rid)
-        self._free.remove(best)
-        return best
+        return self._free.pop()
+
+    def _live_rows(self) -> list[_Row]:
+        return [*self._pure.values(), *self._mixed.values(), *self._small, *self._free]
+
+    def _fill(self, row: _Row, c: int, pos: int, jid: int) -> int:
+        # machine buckets[c][pos] takes the job in row; it moves to bucket c + 1
+        buckets = self._buckets
+        mi = buckets[c].pop(pos)
+        if c + 1 == len(buckets):
+            buckets.append([])
+        insort(buckets[c + 1], mi)
+        if not buckets[self._low]:
+            self._low += 1
+        if row.slots is None:
+            row.slots = [None] * self.m
+        row.slots[mi] = jid
+        row.filled += 1
+        return mi + 1
 
     def _place_in_row(self, row: _Row, jid: int) -> int:
-        # empty slot on the machine with the fewest lifetime jobs, tie to lowest index
-        heap = row.heap
-        if heap is None:
-            heap = row.heap = [
-                (self.counts[mi], mi) for mi in range(self.m) if row.slots[mi] is None
-            ]
-            heapq.heapify(heap)
-        counts = self.counts
-        assert heap, "placement into a full row"
-        count, best = heap[0]
-        while count != counts[best]:
-            heapq.heapreplace(heap, (counts[best], best))
-            count, best = heap[0]
-        heapq.heappop(heap)
-        assert row.slots[best] is None, "heap entry for a filled slot"
-        row.slots[best] = jid
-        row.filled += 1
-        self.counts[best] += 1
-        return best + 1
+        # empty slot on the machine with the fewest lifetime jobs, tie to lowest
+        # index: the first machine in (count, index) order empty in this row
+        buckets, slots = self._buckets, row.slots
+        for c in range(self._low, len(buckets)):
+            for pos, mi in enumerate(buckets[c]):
+                if slots is None or slots[mi] is None:
+                    return self._fill(row, c, pos, jid)
+        raise AssertionError("placement into a full row")
 
     def _remove_row(self, row: _Row):
         row.kind = "removed"
@@ -162,8 +183,10 @@ class ConstantCompetitiveScheduler(Scheduler):
         self.active_k -= 1
 
     def _check_terminal(self) -> bool:
-        if self.active_k <= FALLBACK_MAX_K:
+        if not self.terminal and self.active_k <= FALLBACK_MAX_K:
             self.terminal = True
+            self._frozen = sorted(self._live_rows(), key=lambda r: r.rid)
+            self._next = [0] * self.m
         return self.terminal
 
     # -- repairs ---------------------------------------------------------------
@@ -175,11 +198,8 @@ class ConstantCompetitiveScheduler(Scheduler):
             assert self._small, "no small row available for case-1 repair"
             srow = min(self._small, key=lambda r: r.rid)
             self._small.remove(srow)
-            srow.kind, srow.group = "mixed", i
-            self._mixed[i] = srow
-            frow = self._take_free()
-            frow.kind, frow.group = "pure", i
-            self._pure[i] = frow
+            self._label(srow, "mixed", i)
+            self._label(self._take_free(), "pure", i)
             return
         assert new_l == self.l - 1, "l may drop by at most 1 per removal event"
         if i == self.l:
@@ -194,12 +214,9 @@ class ConstantCompetitiveScheduler(Scheduler):
             new_mixed = max((old_mixed, old_pure), key=lambda r: r.filled)
             leftover = old_pure if new_mixed is old_mixed else old_mixed
             assert leftover.filled < self.m, "both rows of a live pair are full"
-            new_mixed.kind, new_mixed.group = "mixed", i
-            self._mixed[i] = new_mixed
+            self._label(new_mixed, "mixed", i)
             self._make_small(leftover)
-            frow = self._take_free()
-            frow.kind, frow.group = "pure", i
-            self._pure[i] = frow
+            self._label(self._take_free(), "pure", i)
         self.l = new_l
 
     def _repair_after_single_removal(self):
@@ -228,38 +245,18 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     # -- placements --------------------------------------------------------
 
-    def _place_balanced(self) -> int:
-        # fallback mode: any machine below the lifetime cap, fewest jobs first
-        best = None
-        for mi in range(self.m):
-            if self.counts[mi] >= self.k:
-                continue
-            if best is None or self.counts[mi] < self.counts[best]:
-                best = mi
-        assert best is not None
-        self.counts[best] += 1
-        return best + 1
-
     def _place_terminal(self, jid: int) -> int:
-        # frozen structure: fewest-jobs machine that still has an empty slot
-        # in a live row; slots guarantee the cap is never exceeded
-        live = (
-            list(self._pure.values())
-            + list(self._mixed.values())
-            + self._small
-            + self._free
-        )
-        best = None
-        for mi in range(self.m):
-            if any(r.slots[mi] is None for r in live):
-                if best is None or self.counts[mi] < self.counts[best]:
-                    best = mi
-        assert best is not None, "no live empty slot despite remaining capacity"
-        row = min((r for r in live if r.slots[best] is None), key=lambda r: r.rid)
-        row.slots[best] = jid
-        row.filled += 1
-        self.counts[best] += 1
-        return best + 1
+        # frozen structure: every removed row holds one job per machine, so a
+        # machine has an empty live slot exactly when its count is below k; the
+        # first machine in (count, index) order takes the job in its lowest-rid
+        # live row still empty there, and frozen rows only fill
+        assert self._low < self.k, "no live empty slot despite remaining capacity"
+        mi = self._buckets[self._low][0]
+        rows, i = self._frozen, self._next[mi]
+        while rows[i].slots is not None and rows[i].slots[mi] is not None:
+            i += 1
+        self._next[mi] = i + 1
+        return self._fill(rows[i], self._low, 0, jid)
 
     def _place_group(self, jid: int, i: int) -> int:
         pure, mixed = self._pure[i], self._mixed[i]
@@ -303,7 +300,7 @@ class ConstantCompetitiveScheduler(Scheduler):
             raise InfeasibleError("capacity m*k exhausted")
         self.arrivals += 1
         if self.fallback:
-            return SchedulerDecision(self._place_balanced())
+            return SchedulerDecision((self.arrivals - 1) % self.m + 1)
         _, e = round_down_pow2(size)
         if self.e_pmax is None:
             self._init_structure(e)
@@ -322,16 +319,13 @@ class ConstantCompetitiveScheduler(Scheduler):
     # -- introspection -------------------------------------------------------
 
     def structure_snapshot(self) -> RowStructure:
-        def snap(row: _Row) -> RowSnapshot:
-            return RowSnapshot(row.rid, row.kind, row.group, tuple(row.slots))
+        empty = (None,) * self.m
 
-        live = (
-            list(self._pure.values())
-            + list(self._mixed.values())
-            + self._small
-            + self._free
-        )
-        live.sort(key=lambda r: r.rid)
+        def snap(row: _Row) -> RowSnapshot:
+            slots = empty if row.slots is None else tuple(row.slots)
+            return RowSnapshot(row.rid, row.kind, row.group, slots)
+
+        live = sorted(self._live_rows(), key=lambda r: r.rid)
         return RowStructure(
             m=self.m,
             original_k=self.k,
@@ -345,14 +339,27 @@ class ConstantCompetitiveScheduler(Scheduler):
         )
 
     def check_invariants(self):
-        """Raise AssertionError when the live structural invariant is broken.
+        """Raise AssertionError when a structural invariant is broken.
 
-        Cheap enough to call after every arrival; only meaningful while the
-        structure is live (not fallback, not terminal, active_k >= 50).
+        O(m + k), cheap enough to call after every arrival.  Each machine sits
+        in one bucket, between the removed rows (each full: one job per
+        machine) and k; the buckets hold every arrival, and so do the removed
+        rows and the live rows' filled slots; terminal pointers have passed
+        filled slots; the row population is checked while live.  Fallback
+        keeps no state.
         """
-        for mi in range(self.m):
-            assert self.counts[mi] <= self.k, f"machine {mi + 1} over lifetime cap"
-        if self.fallback or self.terminal or self.e_pmax is None:
+        if self.fallback or self.e_pmax is None:
+            return
+        buckets, removed = self._buckets, len(self._removed)
+        assert sorted(chain.from_iterable(buckets)) == list(range(self.m))
+        assert all(b == sorted(b) for b in filter(None, buckets)) and len(buckets) <= self.k + 1
+        assert buckets[self._low] and not any(buckets[: self._low]) and self._low >= removed
+        jobs = sum(map(mul, range(len(buckets)), map(len, buckets)))
+        live_jobs = sum(map(attrgetter("filled"), self._live_rows()))
+        assert jobs == self.arrivals == self.m * removed + live_jobs
+        if self.terminal:
+            rows = self._frozen
+            assert all(i == 0 or rows[i - 1].slots[mi] for mi, i in enumerate(self._next))
             return
         assert self.active_k > FALLBACK_MAX_K
         assert self.l == _floor_2log2(self.active_k)

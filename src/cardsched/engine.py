@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import InfeasibleError, Instance, MigrationRecord, Trace
-from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_opt, lower_bound
+from .oracle import exact_guard, exact_opt, lower_bound
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _MAX_SIZE = sys.float_info.max
@@ -215,10 +215,7 @@ def competitive_metrics(trace: Trace, instance: Instance, mode: str = "exact") -
     if trace.n != n:
         raise ValueError("trace and instance have different lengths")
     if mode == "exact":
-        if n > EXACT_RECOMMENDED_MAX_JOBS:
-            raise ValueError(
-                f"exact mode guard: {n} jobs > {EXACT_RECOMMENDED_MAX_JOBS}; use lower_bound"
-            )
+        exact_guard(n)
         prefix_max = 0.0
         final_denom = 0.0  # ends as the opt of prefix n, the whole instance
         for t in range(1, n + 1):

@@ -195,17 +195,8 @@ def round_down_pow2(size: float) -> tuple[float, int]:
     """Largest power of two <= size, as (value, exponent); exponent may be negative."""
     if not (size > 0) or not math.isfinite(size):
         raise ValueError(f"size must be positive and finite, got {size}")
-    frac, exp = math.frexp(size)  # size = frac * 2**exp with frac in [0.5, 1)
-    e = exp - 1
-    rounded = math.ldexp(1.0, e)
-    # neighbor validation: guards against edge rounding at exact powers
-    if rounded > size:
-        e -= 1
-        rounded = math.ldexp(1.0, e)
-    elif math.ldexp(1.0, e + 1) <= size:
-        e += 1
-        rounded = math.ldexp(1.0, e)
-    return rounded, e
+    e = math.frexp(size)[1] - 1  # size = frac * 2**(e+1) with frac in [0.5, 1), exactly
+    return math.ldexp(1.0, e), e
 
 
 def power(base: float, exponent: int) -> float:

@@ -24,6 +24,13 @@ class OracleResult:
     nodes_explored: int
 
 
+def exact_guard(n: int) -> None:
+    """The one job-count limit on exact solves: the search is exponential in n."""
+    if n > EXACT_RECOMMENDED_MAX_JOBS:
+        limit = EXACT_RECOMMENDED_MAX_JOBS
+        raise ValueError(f"exact mode guard: {n} jobs > {limit}; use a lower bound instead")
+
+
 def lower_bound(instance: Instance) -> float:
     """max(largest job, average machine load); never exceeds the true optimum."""
     if not instance.jobs:

@@ -3,8 +3,9 @@
 Each reference keeps the straightforward code that the indexed version must
 match decision for decision and bit for bit: the stream runner that scans
 every machine per arrival, the adversaries' and ClCS's former runners,
-capped greedy as a linear scan, the constant scheduler's row and slot
-choice by `min` over the candidates, the robust-ordinal scheduler that
+capped greedy as a linear scan, a standalone constant scheduler that
+chooses every machine and row by a scan (slots allocated up front), the
+robust-ordinal scheduler that
 diffs a job -> machine map over all jobs before and after each resort, and
 the exact oracle that re-sums the free slots at every node and searches on
 after a leaf has reached the lower bound.
@@ -12,10 +13,11 @@ after a leaf has reached the lower bound.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
-from cardsched.constant import ConstantCompetitiveScheduler
+from cardsched.constant import FALLBACK_MAX_K, RowSnapshot, RowStructure
 from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler, SchedulerDecision
 from cardsched.model import (
     InfeasibleError,
@@ -24,6 +26,7 @@ from cardsched.model import (
     Move,
     Schedule,
     makespan,
+    round_down_pow2,
     round_up_geometric,
 )
 from cardsched.oracle import OracleResult, lower_bound, sorted_round_robin
@@ -223,19 +226,186 @@ class RefListSchedulingCapped(Scheduler):
         return SchedulerDecision(best + 1)
 
 
-class RefConstantScheduler(ConstantCompetitiveScheduler):
-    """The constant scheduler with its slot and small-row choices made by scans."""
+class _RefRow:
+    def __init__(self, rid: int, m: int):
+        self.rid = rid
+        self.kind = "free"
+        self.group: int | None = None
+        self.slots: list[int | None] = [None] * m
+        self.filled = 0
 
-    def _place_in_row(self, row, jid: int) -> int:
+
+class RefConstantScheduler(Scheduler):
+    """The constant scheduler with every machine and row chosen by a scan.
+
+    A standalone copy: all m*k slots up front, the slot by `min` over the
+    row's empty slots, the small row and the free row by `min`, the fallback
+    machine by the fewest lifetime jobs below k, and terminal mode by a scan
+    of every machine over every live row.
+    """
+
+    def __init__(self, m: int, k: int):
+        if m < 1 or k < 1:
+            raise ValueError("m and k must be >= 1")
+        self.m, self.k = m, k
+        self.fallback = k <= FALLBACK_MAX_K
+        self.terminal = False
+        self.counts = [0] * m
+        self.arrivals = 0
+        self.active_k = k
+        self.l: int | None = None
+        self.e_pmax: int | None = None
+        self._pure: dict[int, _RefRow] = {}
+        self._mixed: dict[int, _RefRow] = {}
+        self._small: list[_RefRow] = []
+        self._free: list[_RefRow] = []
+        self._removed: list[_RefRow] = []
+        self._next_rid = 0
+
+    @staticmethod
+    def _floor_2log2(k: int) -> int:
+        return int(math.floor(2 * math.log2(k) + 1e-12))
+
+    def _new_row(self) -> _RefRow:
+        row = _RefRow(self._next_rid, self.m)
+        self._next_rid += 1
+        return row
+
+    def _init_structure(self, e: int):
+        self.e_pmax = e
+        self.l = self._floor_2log2(self.active_k)
+        small_target = -(self.active_k // -2) - 2 * (self.l + 1)
+        assert small_target >= 1
+        for i in range(self.l + 1):
+            row = self._new_row()
+            row.kind, row.group = "pure", i
+            self._pure[i] = row
+            row = self._new_row()
+            row.kind, row.group = "mixed", i
+            self._mixed[i] = row
+        for _ in range(small_target):
+            self._make_small(self._new_row())
+        for _ in range(self.active_k - 2 * (self.l + 1) - small_target):
+            self._free.append(self._new_row())
+
+    def _make_small(self, row: _RefRow):
+        row.kind, row.group = "small", None
+        self._small.append(row)
+
+    def _take_free(self) -> _RefRow:
+        assert self._free, "free rows exhausted before terminal mode"
+        best = min(self._free, key=lambda r: r.rid)
+        self._free.remove(best)
+        return best
+
+    def _live(self) -> list[_RefRow]:
+        return list(self._pure.values()) + list(self._mixed.values()) + self._small + self._free
+
+    def _put(self, row: _RefRow, mi: int, jid: int) -> int:
+        assert row.slots[mi] is None
+        row.slots[mi] = jid
+        row.filled += 1
+        self.counts[mi] += 1
+        return mi + 1
+
+    def _place_in_row(self, row: _RefRow, jid: int) -> int:
         best = None
         for mi in range(self.m):
             if row.slots[mi] is None and (best is None or self.counts[mi] < self.counts[best]):
                 best = mi
         assert best is not None, "placement into a full row"
-        row.slots[best] = jid
-        row.filled += 1
+        return self._put(row, best, jid)
+
+    def _remove_row(self, row: _RefRow):
+        row.kind = "removed"
+        self._removed.append(row)
+        self.active_k -= 1
+
+    def _check_terminal(self) -> bool:
+        if self.active_k <= FALLBACK_MAX_K:
+            self.terminal = True
+        return self.terminal
+
+    def _repair_after_pair_removal(self, i: int):
+        new_l = self._floor_2log2(self.active_k)
+        if new_l == self.l:
+            srow = min(self._small, key=lambda r: r.rid)
+            self._small.remove(srow)
+            srow.kind, srow.group = "mixed", i
+            self._mixed[i] = srow
+            frow = self._take_free()
+            frow.kind, frow.group = "pure", i
+            self._pure[i] = frow
+            return
+        assert new_l == self.l - 1
+        if i == self.l:
+            self._make_small(self._take_free())
+        else:
+            old_pure = self._pure.pop(self.l)
+            old_mixed = self._mixed.pop(self.l)
+            new_mixed = max((old_mixed, old_pure), key=lambda r: r.filled)
+            leftover = old_pure if new_mixed is old_mixed else old_mixed
+            new_mixed.kind, new_mixed.group = "mixed", i
+            self._mixed[i] = new_mixed
+            self._make_small(leftover)
+            frow = self._take_free()
+            frow.kind, frow.group = "pure", i
+            self._pure[i] = frow
+        self.l = new_l
+
+    def _repair_after_single_removal(self):
+        while True:
+            new_l = self._floor_2log2(self.active_k)
+            if new_l == self.l:
+                break
+            merged = [self._pure.pop(self.l), self._mixed.pop(self.l)]
+            for row in merged:
+                self._make_small(row)
+            self.l = new_l
+            full = [r for r in merged if r.filled == self.m]
+            if not full:
+                break
+            for row in full:
+                self._small.remove(row)
+                self._remove_row(row)
+            if self._check_terminal():
+                return
+        target = -(self.active_k // -2) - 2 * (self.l + 1)
+        while len(self._small) < target:
+            self._make_small(self._take_free())
+
+    def _place_balanced(self) -> int:
+        best = None
+        for mi in range(self.m):
+            if self.counts[mi] < self.k and (best is None or self.counts[mi] < self.counts[best]):
+                best = mi
         self.counts[best] += 1
         return best + 1
+
+    def _place_terminal(self, jid: int) -> int:
+        live = self._live()
+        best = None
+        for mi in range(self.m):
+            if any(r.slots[mi] is None for r in live):
+                if best is None or self.counts[mi] < self.counts[best]:
+                    best = mi
+        assert best is not None
+        row = min((r for r in live if r.slots[best] is None), key=lambda r: r.rid)
+        return self._put(row, best, jid)
+
+    def _place_group(self, jid: int, i: int) -> int:
+        pure, mixed = self._pure[i], self._mixed[i]
+        candidates = [r for r in (mixed, pure) if r.filled < self.m]
+        row = max(candidates, key=lambda r: r.filled)
+        machine = self._place_in_row(row, jid)
+        if pure.filled == self.m and mixed.filled == self.m:
+            del self._pure[i]
+            del self._mixed[i]
+            self._remove_row(pure)
+            self._remove_row(mixed)
+            if not self._check_terminal():
+                self._repair_after_pair_removal(i)
+        return machine
 
     def _place_small(self, jid: int) -> int:
         assert self._small, "no small row available"
@@ -247,6 +417,43 @@ class RefConstantScheduler(ConstantCompetitiveScheduler):
             if not self._check_terminal():
                 self._repair_after_single_removal()
         return machine
+
+    def on_arrival(self, size: float) -> SchedulerDecision:
+        if size <= 0:
+            raise ValueError(f"job size must be positive, got {size}")
+        if self.arrivals >= self.m * self.k:
+            raise InfeasibleError("capacity m*k exhausted")
+        self.arrivals += 1
+        if self.fallback:
+            return SchedulerDecision(self._place_balanced())
+        _, e = round_down_pow2(size)
+        if self.e_pmax is None:
+            self._init_structure(e)
+        elif e > self.e_pmax:
+            self.e_pmax = e
+        jid = self.arrivals
+        if self.terminal:
+            return SchedulerDecision(self._place_terminal(jid))
+        i = self.e_pmax - e
+        if i <= self.l:
+            return SchedulerDecision(self._place_group(jid, i))
+        return SchedulerDecision(self._place_small(jid))
+
+    def structure_snapshot(self) -> RowStructure:
+        def snap(row: _RefRow) -> RowSnapshot:
+            return RowSnapshot(row.rid, row.kind, row.group, tuple(row.slots))
+
+        return RowStructure(
+            m=self.m,
+            original_k=self.k,
+            active_k=self.active_k,
+            p_max=None if self.e_pmax is None else math.ldexp(1.0, self.e_pmax),
+            l=self.l,
+            rows=tuple(snap(r) for r in sorted(self._live(), key=lambda r: r.rid)),
+            removed_rows=tuple(snap(r) for r in self._removed),
+            fallback=self.fallback,
+            terminal=self.terminal,
+        )
 
 
 class RefRobustOrdinal(Scheduler):

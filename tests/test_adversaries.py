@@ -131,6 +131,14 @@ def test_balanced_lb_round_robin_small():
     check_report(report)
 
 
+def test_balanced_lb_stops_at_size_overflow():
+    # 1e200 ** 2 is past the largest float; float ** raises rather than giving inf
+    report = balanced_lb_drive(RoundRobinScheduler(3, 2), 3, 2, 1e200, 3)
+    assert report.note == "unbounded-evidence: geometric size overflow"
+    assert [size for size, _ in report.transcript] == [1.0, 1.0, 1e200]
+    check_report(report)
+
+
 def test_balanced_lb_degenerate_stacker():
     # every job lands on machine 1: k rounds of a single unit job
     report = balanced_lb_drive(_Stacker(1, 5), 1, 5, 10, 100)

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -281,6 +282,34 @@ def test_epsilon_too_small_to_change_one_exits_2_with_one_line(capsys, command):
     assert "1 + eps" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--m", "4", "--k", "8"],
+        ["run", "--algo", "ordinal", "--m", "4", "--k", "8", "--mode", "exact"],
+        ["run", "--algo", "greedy-capped", "--m", "4", "--k", "8", "--mode", "exact"],
+    ],
+)
+def test_exact_solve_over_the_job_limit_exits_2_with_one_line(tmp_path, capsys, argv):
+    # 21 integer jobs: one over EXACT_RECOMMENDED_MAX_JOBS, for every exact solve
+    rng = random.Random(5)
+    path = _write_jsonl(tmp_path / "jobs.jsonl", [{"size": rng.randint(0, 100)} for _ in range(21)])
+    code, out, err = _run_cli(capsys, argv + ["--input", path])
+    _assert_one_line_exit_2(code, out, err)
+    assert "21 jobs > 20" in err
+
+
+def test_constant_takes_sizes_from_2_pow_1023_up(tmp_path, capsys):
+    # rounding 1e308 down to 2**1023 once probed 2**1024 and overflowed (a traceback)
+    path = _write_jsonl(tmp_path / "huge.jsonl", [{"size": 1e308}, {"size": 3.0}])
+    argv = ["run", "--algo", "constant", "--m", "2", "--k", "50", "--input", path]
+    code, out, _ = _run_cli(capsys, argv + ["--dump-structure"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["final_makespan"] == 1e308
+    assert report["structure"]["p_max"] == 2.0**1023
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -295,7 +324,9 @@ def _fuzz_argv(draw):
     """A parseable command line and the JSONL rows of its --input (None: no input)."""
     command = draw(st.sampled_from(["run", "oracle", "adversary", "clcs-run", "clcs-adversary"]))
     m, k = draw(_small), draw(_small)
-    rows = [{"size": s} for s in draw(st.lists(_fuzz_size, max_size=min(m * k + 1, 8)))]
+    # up to 21 jobs for the oracle: one past its exact-solve limit
+    limit = 21 if command == "oracle" else min(m * k + 1, 8)
+    rows = [{"size": s} for s in draw(st.lists(_fuzz_size, max_size=limit))]
     if command == "run":
         algo = draw(st.sampled_from([*SCHEDULERS, "ordinal"]))
         mode = draw(st.sampled_from(["auto", "exact", "lower-bound"]))

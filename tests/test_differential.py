@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched.clcs import GreedyClcsScheduler, clcs_makespan, run_classed_stream
+from cardsched.cli import generate_sizes
 from cardsched.constant import ConstantCompetitiveScheduler, _floor_2log2
 from cardsched.engine import (
     ContractViolation,
@@ -245,14 +246,41 @@ def _constant_sizes(rng: random.Random, n: int) -> list[float]:
     return [2 ** (rng.uniform(-spread, spread) + trend * i) for i in range(n)]
 
 
-def _replay_constant(m, k, sizes):
-    runner, ref, errors = _replay(
-        ConstantCompetitiveScheduler(m, k), RefConstantScheduler(m, k), sizes, m, k
-    )
-    assert errors == [None, None]
+def _replay_constant(m, k, sizes, check_invariants=False):
+    """Replay through both runners; optionally check the structure after every arrival.
+
+    The check runs check_invariants() and holds each machine's bucket in the
+    shared (count, machine) order to the reference's count of its jobs, and
+    the slots to the reference's.
+    """
+    if check_invariants:
+        scheduler = ConstantCompetitiveScheduler(m, k)
+        runner = StreamRunner(scheduler, m, k)
+        ref = RefStreamRunner(RefConstantScheduler(m, k), m, k)
+        for s in sizes:
+            runner.push(s)
+            ref.push(s)
+            scheduler.check_invariants()
+            bucket_of = {mi: c for c, b in enumerate(scheduler._buckets) for mi in b}
+            assert bucket_of == dict(enumerate(ref.scheduler.counts))
+            assert scheduler.structure_snapshot() == ref.scheduler.structure_snapshot()
+    else:
+        runner, ref, errors = _replay(
+            ConstantCompetitiveScheduler(m, k), RefConstantScheduler(m, k), sizes, m, k
+        )
+        assert errors == [None, None]
     _assert_same(runner, ref)
     assert runner.scheduler.structure_snapshot() == ref.scheduler.structure_snapshot()
     return runner.scheduler
+
+
+def _decide_constant(m, k, sizes):
+    """Scheduler decisions alone (no runner), for streams too long for the reference runner."""
+    scheduler, ref = ConstantCompetitiveScheduler(m, k), RefConstantScheduler(m, k)
+    for s in sizes:
+        assert scheduler.on_arrival(s) == ref.on_arrival(s)
+    assert scheduler.structure_snapshot() == ref.structure_snapshot()
+    return scheduler
 
 
 @given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0))
@@ -261,6 +289,48 @@ def test_constant_placement_matches_scan(m, k, seed, fill):
     rng = random.Random(seed)
     sizes = _constant_sizes(rng, max(1, int(fill * m * k)))
     _replay_constant(m, k, sizes)
+
+
+@given(st.integers(1, 30), st.integers(1, 49), st.integers(0, 2**32), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_constant_fallback_matches_scan(m, k, seed, fill):
+    sizes = _constant_sizes(random.Random(seed), max(1, int(fill * m * k)))
+    scheduler = _replay_constant(m, k, sizes)
+    assert scheduler.fallback
+
+
+@given(st.integers(5, 30), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.3, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_constant_wide_rows_match_scan(m, k, seed, fill):
+    sizes = _constant_sizes(random.Random(seed), max(1, int(fill * m * k)))
+    _replay_constant(m, k, sizes)
+
+
+def test_constant_invariants_hold_after_every_live_and_terminal_arrival():
+    modes = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        m, k = rng.randint(2, 8), rng.randint(55, 70)
+        fill = 1.0 if seed % 2 else 0.1
+        sizes = _constant_sizes(rng, int(fill * m * k))
+        scheduler = _replay_constant(m, k, sizes, check_invariants=True)
+        modes.add("terminal" if scheduler.terminal else "live")
+    assert modes == {"live", "terminal"}
+
+
+def test_constant_online_wide_stream_matches_scan():
+    # the online-wide benchmark's constant stream: m = k = 1000, 4000 loguniform jobs
+    sizes = generate_sizes("loguniform", 4000, 1)
+    scheduler = _decide_constant(1000, 1000, sizes)
+    assert not scheduler.terminal and scheduler.active_k == 1000
+
+
+def test_constant_interleaved_groups_match_scan():
+    # 20 groups (l = 19 at k = 1000) take turns, so 40 rows fill side by side
+    # and every group's pair retires near arrival 40 000 (case-1 repairs)
+    sizes = [2.0 ** -(i % 20) for i in range(40_500)]
+    scheduler = _decide_constant(1000, 1000, sizes)
+    assert scheduler.active_k == 1000 - 40
 
 
 def test_constant_differential_reaches_every_repair_and_terminal_mode():

@@ -83,7 +83,18 @@ def test_migration_record_rejects_trigger_in_moves():
 
 @pytest.mark.parametrize(
     "size,expected",
-    [(5, (4.0, 2)), (1, (1.0, 0)), (0.3, (0.25, -2)), (1024, (1024.0, 10)), (0.5, (0.5, -1))],
+    [
+        (5, (4.0, 2)),
+        (1, (1.0, 0)),
+        (0.3, (0.25, -2)),
+        (1024, (1024.0, 10)),
+        (0.5, (0.5, -1)),
+        # the smallest subnormal and normal, and sizes from 2**1023 up (no float 2**1024)
+        (5e-324, (5e-324, -1074)),
+        (2.2250738585072014e-308, (2.2250738585072014e-308, -1022)),
+        (1e308, (2.0**1023, 1023)),
+        (1.7976931348623157e308, (2.0**1023, 1023)),
+    ],
 )
 def test_round_down_pow2_examples(size, expected):
     assert round_down_pow2(size) == expected
