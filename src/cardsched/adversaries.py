@@ -14,11 +14,10 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import Scheduler, StreamRunner
-from .oracle import sorted_round_robin_makespan
+from .engine import PHI, Scheduler, StreamRunner
+from .oracle import lower_bound, sorted_round_robin_makespan
 
 ROBUST_LB_X = (-3.0 + math.sqrt(837.0)) / 2.0  # makespan-ratio fixed point, ~12.965476
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -124,7 +123,7 @@ def balanced_lb_drive(
 def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
     """The m=k=2 adversary: sizes M and 1, then either two M^2 jobs (if the
     first two were co-located) or (phi-1)*M followed by 1 or phi*M."""
-    if not 2 * M * M > _PHI * (M + M * M):
+    if not 2 * M * M > PHI * (M + M * M):
         raise ValueError(f"M={M} too small: need 2M^2 > phi*(M + M^2)")
     drive = StreamRunner(scheduler, 2, 2)
     drive.push(float(M))
@@ -133,12 +132,12 @@ def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
         drive.push(float(M) * M)
         drive.push(float(M) * M)
         return drive_report(drive, "phi-lb", M + M * M, "analytic")
-    drive.push((_PHI - 1.0) * M)
+    drive.push((PHI - 1.0) * M)
     if drive.machine_of(3) == drive.machine_of(1):
         drive.push(1.0)
         return drive_report(drive, "phi-lb", M + 1.0, "analytic")
-    drive.push(_PHI * M)
-    return drive_report(drive, "phi-lb", _PHI * M + 1.0, "analytic")
+    drive.push(PHI * M)
+    return drive_report(drive, "phi-lb", PHI * M + 1.0, "analytic")
 
 
 def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
@@ -172,8 +171,7 @@ def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
 def check_report(report: AdversaryReport) -> None:
     """Internal consistency of a report: ratio arithmetic and the cheap bound."""
     assert math.isclose(report.ratio, report.alg_makespan / report.opt_value, rel_tol=1e-12)
-    if report.n:
-        cheap = max(max(report.sizes), sum(report.sizes) / report.m)
-        assert report.opt_value >= cheap - 1e-9 * max(1.0, cheap), (
-            f"opt_value {report.opt_value} below cheap lower bound {cheap}"
-        )
+    cheap = lower_bound(report.sizes, report.m)
+    assert report.opt_value >= cheap - 1e-9 * max(1.0, cheap), (
+        f"opt_value {report.opt_value} below cheap lower bound {cheap}"
+    )

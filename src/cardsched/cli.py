@@ -102,7 +102,6 @@ def cmd_run(args) -> dict:
     m, k = args.m, args.k
     if len(sizes) > m * k:
         raise InfeasibleError(f"infeasible: {len(sizes)} jobs exceed capacity m*k = {m * k}")
-    instance = instance_from_sizes(sizes, m, k)
     mode = _pick_mode(args.mode, len(sizes))
     if mode == "exact":
         exact_guard(len(sizes))  # before the stream runs, not after
@@ -120,14 +119,13 @@ def cmd_run(args) -> dict:
         "denominator_mode": mode,
     }
     if args.algo == "ordinal":
+        instance = instance_from_sizes(sizes, m, k)
         schedule = ordinal_schedule(instance)
         violations = check_feasible(schedule, instance)
         if violations:
             raise ContractViolation(len(sizes), "; ".join(violations))
         final = makespan(schedule, instance)
-        denom = (
-            exact_opt(instance).opt_makespan if mode == "exact" else lower_bound(instance)
-        )
+        denom = exact_opt(instance).opt_makespan if mode == "exact" else lower_bound(sizes, m)
         report.update(
             {
                 "final_makespan": final,
@@ -143,7 +141,7 @@ def cmd_run(args) -> dict:
     else:
         scheduler = SCHEDULERS[args.algo](m, k, args.epsilon)
         trace = run_stream(scheduler, sizes, m, k)
-        metrics = competitive_metrics(trace, instance, mode)
+        metrics = competitive_metrics(trace, mode)
         stats = migration_stats(trace)
         report.update(
             {
@@ -194,7 +192,7 @@ def cmd_oracle(args) -> dict:
         "opt": result.opt_makespan,
         "schedule": {str(j): mach for j, mach in sorted(result.schedule.assignment.items())},
         "nodes_explored": result.nodes_explored,
-        "lower_bound": lower_bound(instance),
+        "lower_bound": lower_bound(sizes, args.m),
         "wall_time_s": time.perf_counter() - started,
     }
 

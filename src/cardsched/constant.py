@@ -29,7 +29,6 @@ only ever count real sizes.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -45,6 +44,10 @@ FALLBACK_MAX_K = 49
 def _floor_2log2(k: int) -> int:
     """floor(2*log2(k)) = floor(log2(k*k)), exactly."""
     return (k * k).bit_length() - 1
+
+
+def _small_order(row: _Row) -> tuple[int, int]:
+    return -row.filled, row.rid
 
 
 class _Row:
@@ -98,10 +101,8 @@ class ConstantCompetitiveScheduler(Scheduler):
         self.e_pmax: int | None = None
         self._pure: dict[int, _Row] = {}
         self._mixed: dict[int, _Row] = {}
+        # by (fewest empty slots, rid): only the head takes jobs, which keeps it first
         self._small: list[_Row] = []
-        # (empty slots, rid, seq, row) for small rows; stale entries are skipped
-        self._small_heap: list[tuple[int, int, int, _Row]] = []
-        self._seq = 0
         self._free: list[_Row] = []  # stack, lowest rid on top
         self._removed: list[_Row] = []
         # the (count, machine) order all rows share: buckets[c] holds the
@@ -138,12 +139,7 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     def _make_small(self, row: _Row):
         row.kind, row.group = "small", None
-        self._small.append(row)
-        self._push_small(row)
-
-    def _push_small(self, row: _Row):
-        self._seq += 1
-        heapq.heappush(self._small_heap, (self.m - row.filled, row.rid, self._seq, row))
+        insort(self._small, row, key=_small_order)
 
     def _take_free(self) -> _Row:
         assert self._free, "free rows exhausted before terminal mode"
@@ -275,17 +271,11 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     def _place_small(self, jid: int) -> int:
         # small row with the fewest empty slots, tie to lowest rid
-        heap = self._small_heap
-        while True:
-            assert heap, "no small row available"
-            empty, _, _, row = heapq.heappop(heap)
-            if row.kind == "small" and self.m - row.filled == empty:
-                break
+        assert self._small, "no small row available"
+        row = self._small[0]
         machine = self._place_in_row(row, jid)
-        if row.filled < self.m:
-            self._push_small(row)
-        else:
-            self._small.remove(row)
+        if row.filled == self.m:
+            del self._small[0]
             self._remove_row(row)
             if not self._check_terminal():
                 self._repair_after_single_removal()

@@ -1,9 +1,11 @@
 """Online scheduling engine: scheduler contract, stream runner and metering.
 
-Schedulers are single-use state machines.  One runner serves online runs,
-the adversary drives and ClCS: it owns the authoritative schedule, applies
-each decision (the triggering job and its migrations), re-derives loads and
-refuses infeasible states with a ContractViolation naming the arrival index.
+Schedulers are single-use state machines.  A decision is a machine for the
+arriving job plus the moves of earlier jobs.  One runner serves online runs,
+the adversary drives and ClCS: it owns the authoritative schedule, is the one
+place that checks and prices moves, re-derives loads and refuses infeasible
+states with a ContractViolation naming the arrival index.  Metering reads
+only the trace.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .model import InfeasibleError, Instance, MigrationRecord, Trace
+from .model import InfeasibleError, MigrationRecord, Move, Trace, instance_from_sizes
 from .oracle import exact_guard, exact_opt, lower_bound
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -32,7 +34,7 @@ class ContractViolation(Exception):
 
 class SchedulerDecision(NamedTuple):
     machine: int
-    migrations: Optional[MigrationRecord] = None
+    moves: tuple[Move, ...] = ()
 
 
 class Scheduler:
@@ -107,8 +109,8 @@ class StreamRunner:
         if cls is not None:
             self.classes.append(cls)
             self.class_sets[machine - 1].add(cls)
-        if decision.migrations is not None and decision.migrations.moves:
-            self._migrate(jid, machine, decision.migrations.moves)
+        if decision.moves:
+            self._migrate(jid, machine, decision.moves)
         else:
             if self._where is not None:
                 self._where.append(machine)
@@ -133,7 +135,7 @@ class StreamRunner:
                 raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
 
     def _migrate(self, jid: int, machine: int, moves) -> None:
-        """Apply the moves of arrival `jid` (already placed), check and re-sum touched machines."""
+        """Check, apply and price the moves of arrival `jid`; re-sum the machines they touch."""
         if self._where is None:
             self._where = array("i", self.trace.machines)
             self._jobs = [set() for _ in range(self.m)]
@@ -203,7 +205,7 @@ def _ratio(numer: float, denom: float) -> float:
     return numer / denom
 
 
-def competitive_metrics(trace: Trace, instance: Instance, mode: str = "exact") -> CompetitiveMetrics:
+def competitive_metrics(trace: Trace, mode: str = "exact") -> CompetitiveMetrics:
     """Final and prefix-max ratios of the trace against exact opt or the cheap lower bound.
 
     Adversaries stop mid-stream while the guarantees speak about the stopping
@@ -211,28 +213,23 @@ def competitive_metrics(trace: Trace, instance: Instance, mode: str = "exact") -
     """
     if mode not in ("exact", "lower_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = instance.n
-    if trace.n != n:
-        raise ValueError("trace and instance have different lengths")
+    sizes, makespans, m, n = trace.sizes, trace.makespans, trace.m, trace.n
+    prefix_max = 0.0
+    final_denom = 0.0  # ends as the denominator of prefix n, the whole stream
     if mode == "exact":
         exact_guard(n)
-        prefix_max = 0.0
-        final_denom = 0.0  # ends as the opt of prefix n, the whole instance
         for t in range(1, n + 1):
-            prefix = Instance(instance.jobs[:t], instance.m, instance.k)
-            final_denom = exact_opt(prefix).opt_makespan
-            prefix_max = max(prefix_max, _ratio(trace.makespans[t - 1], final_denom))
+            final_denom = exact_opt(instance_from_sizes(sizes[:t], m, trace.k)).opt_makespan
+            prefix_max = max(prefix_max, _ratio(makespans[t - 1], final_denom))
     else:
-        prefix_max = 0.0
         running_total = 0.0
         running_max = 0.0
-        final_denom = 0.0
-        for t in range(1, n + 1):
-            running_total += instance.jobs[t - 1].size
-            running_max = max(running_max, instance.jobs[t - 1].size)
-            final_denom = max(running_max, running_total / instance.m)
-            prefix_max = max(prefix_max, _ratio(trace.makespans[t - 1], final_denom))
-        assert n == 0 or final_denom == lower_bound(instance)
+        for t in range(n):
+            running_total += sizes[t]
+            running_max = max(running_max, sizes[t])
+            final_denom = max(running_max, running_total / m)
+            prefix_max = max(prefix_max, _ratio(makespans[t], final_denom))
+        assert final_denom == lower_bound(sizes, m)
     return CompetitiveMetrics(
         final_ratio=_ratio(trace.final_makespan(), final_denom),
         prefix_max_ratio=prefix_max,

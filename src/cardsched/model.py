@@ -48,9 +48,6 @@ class Instance:
     def is_feasible(self) -> bool:
         return self.n <= self.m * self.k
 
-    def total_size(self) -> float:
-        return sum(j.size for j in self.jobs)
-
 
 def instance_from_sizes(sizes, m: int, k: int) -> Instance:
     """Build an Instance with ids equal to arrival order (1-based)."""
@@ -76,18 +73,11 @@ class Move:
 
 @dataclass(frozen=True)
 class MigrationRecord:
-    """Jobs reassigned when `trigger` arrived; `moved_size` sums original sizes."""
+    """Jobs the runner moved when `trigger` arrived; `moved_size` sums their sizes."""
 
     trigger: int
     moves: tuple[Move, ...] = ()
     moved_size: float = 0.0
-
-    def __post_init__(self):
-        for mv in self.moves:
-            if mv.job == self.trigger:
-                raise ValueError("trigger job may not appear in its own moves")
-            if mv.src == mv.dst:
-                raise ValueError(f"move of job {mv.job}: src == dst")
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,12 @@ def exact_guard(n: int) -> None:
         raise ValueError(f"exact mode guard: {n} jobs > {limit}; use a lower bound instead")
 
 
-def lower_bound(instance: Instance) -> float:
-    """max(largest job, average machine load); never exceeds the true optimum."""
-    if not instance.jobs:
-        return 0.0
-    total = instance.total_size()
-    return max(max(j.size for j in instance.jobs), total / instance.m)
+def lower_bound(sizes, m: int) -> float:
+    """max(largest job, average load) <= opt; the total is a left fold in the given order."""
+    total = 0.0
+    for s in sizes:
+        total += s
+    return max(max(sizes), total / m) if len(sizes) else 0.0
 
 
 def sorted_round_robin_makespan(sizes, m: int) -> float:
@@ -114,7 +114,7 @@ def exact_opt(instance: Instance) -> OracleResult:
     m, k = instance.m, instance.k
     srr = sorted_round_robin(instance)
     incumbent = makespan(srr, instance)
-    lb = lower_bound(instance)
+    lb = lower_bound([j.size for j in instance.jobs], m)  # arrival order: the reported total
     if incumbent == lb or not instance.jobs:
         return OracleResult(incumbent, srr, 0)
 
@@ -125,9 +125,10 @@ def exact_opt(instance: Instance) -> OracleResult:
     best = incumbent
     greedy = ListSchedulingCapped(m, k)
     lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
-    lpt_make = max(
-        sum(s for s, mi in zip(sizes, lpt) if mi == target) for target in range(m)
-    )
+    lpt_loads = [0.0] * m
+    for s, mi in zip(sizes, lpt):
+        lpt_loads[mi] += s
+    lpt_make = max(lpt_loads)
     if lpt_make < best:
         best, best_assign = lpt_make, lpt
     if best == lb:

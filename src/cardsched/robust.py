@@ -5,7 +5,9 @@ tail of its size class in a non-increasing list of at most m*k jobs; the
 machine of the job at list position p is sigma[p-1] of the fixed ordinal
 map.  The append shifts every smaller class one position back; rotating each
 smaller class's head to its tail cancels that shift for every other member,
-so per arrival only the head of each smaller class can change machine.
+so per arrival only the head of each smaller class can change machine.  The
+decision lists those head moves; the stream runner checks them and prices
+them (the migration factor), so the scheduler keeps no sizes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 
 from .engine import Scheduler, SchedulerDecision
-from .model import InfeasibleError, MigrationRecord, Move, round_up_geometric
+from .model import InfeasibleError, Move, round_up_geometric
 from .ordinal import ordinal_map
 
 
@@ -30,7 +32,7 @@ class RobustOrdinalScheduler(Scheduler):
         self.eps = eps
         self._sigma = ordinal_map(m, k).sigma
         self._classes: dict[int, deque[int]] = {}  # exponent -> job ids, head first
-        self._sizes: list[float] = []
+        self._arrivals = 0
 
     def positions(self) -> dict[int, int]:
         """Job id -> 1-based list position (descending class exponent, queue order)."""
@@ -39,10 +41,10 @@ class RobustOrdinalScheduler(Scheduler):
 
     def on_arrival(self, size: float) -> SchedulerDecision:
         _, exponent = round_up_geometric(size, self.eps)
-        if len(self._sizes) == len(self._sigma):
+        if self._arrivals == len(self._sigma):
             raise InfeasibleError("no dummy slot left: capacity m*k exhausted")
-        self._sizes.append(size)
-        jid = len(self._sizes)
+        self._arrivals += 1
+        jid = self._arrivals
         self._classes.setdefault(exponent, deque())
         sigma = self._sigma
         moves = []
@@ -60,9 +62,4 @@ class RobustOrdinalScheduler(Scheduler):
                 if src != dst:
                     moves.append(Move(head, src, dst))
             end += len(queue)
-        record = MigrationRecord(
-            trigger=jid,
-            moves=tuple(moves),
-            moved_size=sum(self._sizes[mv.job - 1] for mv in moves),
-        )
-        return SchedulerDecision(machine=machine, migrations=record)
+        return SchedulerDecision(machine, tuple(moves))

@@ -22,7 +22,6 @@ from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler,
 from cardsched.model import (
     InfeasibleError,
     Instance,
-    MigrationRecord,
     Move,
     Schedule,
     makespan,
@@ -67,7 +66,7 @@ class RefStreamRunner:
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
 
-        moves = decision.migrations.moves if decision.migrations is not None else ()
+        moves = decision.moves
         moved_size = 0.0
         for mv in moves:
             if mv.job == jid:
@@ -141,7 +140,7 @@ class RefDrive:
         machine = decision.machine
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
-        moves = decision.migrations.moves if decision.migrations is not None else ()
+        moves = decision.moves
         for mv in moves:
             if mv.job == jid or not 1 <= mv.job < jid:
                 raise ContractViolation(jid, f"illegal migrated job id {mv.job}")
@@ -466,7 +465,6 @@ class RefRobustOrdinal(Scheduler):
         self.eps = eps
         self._map = ordinal_map(m, k)
         self._classes: dict[int, list[int]] = {}
-        self._sizes: dict[int, float] = {}
         self._dummies = m * k
 
     def positions(self) -> dict[int, int]:
@@ -509,20 +507,14 @@ class RefRobustOrdinal(Scheduler):
 
     def on_arrival(self, size: float) -> SchedulerDecision:
         _, exponent = round_up_geometric(size, self.eps)
-        jid = len(self._sizes) + 1
+        jid = self.m * self.k - self._dummies + 1
         before = self._machines()
         moved = self.resort_on_arrival(jid, exponent)
         after = self._machines()
-        self._sizes[jid] = size
         moves = tuple(
             Move(j, before[j], after[j]) for j in moved if before[j] != after[j]
         )
-        record = MigrationRecord(
-            trigger=jid,
-            moves=moves,
-            moved_size=sum(self._sizes[mv.job] for mv in moves),
-        )
-        return SchedulerDecision(machine=after[jid], migrations=record)
+        return SchedulerDecision(after[jid], moves)
 
 
 def ref_exact_opt(instance: Instance) -> OracleResult:
@@ -535,7 +527,7 @@ def ref_exact_opt(instance: Instance) -> OracleResult:
     m, k = instance.m, instance.k
     srr = sorted_round_robin(instance)
     incumbent = makespan(srr, instance)
-    lb = lower_bound(instance)
+    lb = lower_bound([j.size for j in instance.jobs], m)
     if incumbent == lb or not instance.jobs:
         return OracleResult(incumbent, srr, 0)
 
@@ -546,9 +538,10 @@ def ref_exact_opt(instance: Instance) -> OracleResult:
     best = incumbent
     greedy = ListSchedulingCapped(m, k)
     lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
-    lpt_make = max(
-        sum(s for s, mi in zip(sizes, lpt) if mi == target) for target in range(m)
-    )
+    lpt_loads = [0.0] * m
+    for s, mi in zip(sizes, lpt):
+        lpt_loads[mi] += s
+    lpt_make = max(lpt_loads)
     if lpt_make < best:
         best, best_assign = lpt_make, lpt
     if best == lb:

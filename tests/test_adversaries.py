@@ -19,7 +19,7 @@ from cardsched.engine import (
     Scheduler,
     SchedulerDecision,
 )
-from cardsched.model import MigrationRecord, Move, instance_from_sizes
+from cardsched.model import Move, instance_from_sizes
 from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.oracle import exact_opt, lower_bound
 from cardsched.robust import RobustOrdinalScheduler
@@ -70,7 +70,7 @@ class _MovesOntoFullMachine(Scheduler):
     def on_arrival(self, size):
         self._i += 1
         if self._i == 4:
-            return SchedulerDecision(3, MigrationRecord(4, (Move(3, 2, 1),)))
+            return SchedulerDecision(3, (Move(3, 2, 1),))
         return SchedulerDecision((1, 1, 2, 3, 2, 3)[self._i - 1])
 
 
@@ -300,7 +300,7 @@ def test_reports_opt_above_cheap_lower_bound():
         robust_lb_drive(RoundRobinScheduler(3, 8), 3, 8),
     ]
     for report in reports:
-        inst_lb = lower_bound(instance_from_sizes(list(report.sizes), report.m, report.k))
+        inst_lb = lower_bound(report.sizes, report.m)
         assert report.opt_value >= inst_lb - 1e-9
         assert report.ratio == pytest.approx(
             report.alg_makespan / report.opt_value, rel=1e-12

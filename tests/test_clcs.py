@@ -14,7 +14,7 @@ from cardsched.clcs import (
     uniform_lb_drive,
 )
 from cardsched.engine import ContractViolation, SchedulerDecision, StreamRunner
-from cardsched.model import InfeasibleError, MigrationRecord, Move
+from cardsched.model import InfeasibleError, Move
 
 
 def test_greedy_binding_rule():
@@ -53,7 +53,7 @@ class _Scripted:
 
     def on_arrival(self, size, cls):
         self._i += 1
-        moves = MigrationRecord(2, (Move(1, 1, 2),)) if self._i == 2 else None
+        moves = (Move(1, 1, 2),) if self._i == 2 else ()
         return SchedulerDecision(next(self._machines), moves)
 
 

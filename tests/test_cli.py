@@ -238,6 +238,27 @@ def test_overflowing_size_total_exits_2_with_one_line(tmp_path, capsys, argv):
     assert "sum" in err
 
 
+def test_lower_bound_denominator_is_a_left_fold(tmp_path, capsys):
+    # a compensated sum (Python 3.12's sum()) reads 1.0000000000000002e16 here
+    path = _write_jsonl(tmp_path / "fold.jsonl", [{"size": s} for s in (1e16, 1.0, 1.0)])
+    argv = ["run", "--algo", "round-robin", "--m", "1", "--k", "3", "--mode", "lower-bound"]
+    code, out, _ = _run_cli(capsys, argv + ["--input", path])
+    assert code == 0
+    assert '"denominator": 1e+16,' in out
+    assert json.loads(out)["final_ratio"] == 1.0
+
+
+@pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal"])
+def test_negative_size_exits_2_with_one_line(tmp_path, capsys, algo):
+    # online keys reach the runner's size check; ordinal builds an Instance first
+    path = _write_jsonl(tmp_path / "negative.jsonl", [{"size": 1.0}, {"size": -2.0}])
+    argv = ["run", "--algo", algo, "--m", "2", "--k", "2", "--input", path]
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert ">= 0, got -2.0" in err
+    assert ("finite" in err) == (algo != "ordinal")  # only the runner's message says finite
+
+
 def test_non_finite_report_value_exits_2_with_one_line(tmp_path, capsys):
     # one class pins both jobs to machine 1, whose load overflows to inf
     path = _write_jsonl(tmp_path / "huge.jsonl", [{"size": 1e308, "class": 1}] * 2)

@@ -11,7 +11,6 @@ whenever its early exit at the lower bound cannot fire.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,7 @@ from cardsched.engine import (
     SchedulerDecision,
     StreamRunner,
 )
-from cardsched.model import MigrationRecord, Move, instance_from_sizes, loads
+from cardsched.model import Move, instance_from_sizes, loads
 from cardsched.oracle import exact_opt, lower_bound
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
@@ -140,9 +139,7 @@ def test_robust_ordinal_long_stream_matches_position_maps(eps):
     fast, ref = RobustOrdinalScheduler(100, 100, eps), RefRobustOrdinal(100, 100, eps)
     for s in sizes:
         got, want = fast.on_arrival(s), ref.on_arrival(s)
-        assert got.machine == want.machine
-        assert got.migrations.moves == want.migrations.moves
-        assert repr(got.migrations.moved_size) == repr(want.migrations.moved_size)
+        assert got == want
     assert fast.positions() == ref.positions()
 
 
@@ -191,9 +188,7 @@ class _RandomMigrator(Scheduler):
                 self._put(job, dst)
         machine = self._pick()
         self._put(jid, machine)
-        # a bare namespace, so bad moves reach the runner's checks, not MigrationRecord's
-        migrations = SimpleNamespace(moves=tuple(moves)) if moves else None
-        return SchedulerDecision(machine, migrations)
+        return SchedulerDecision(machine, tuple(moves))
 
 
 @given(
@@ -221,7 +216,7 @@ def test_cap_violation_names_lowest_touched_machine():
         def on_arrival(self, size):
             # job 4 lands on machine 2 while job 1 moves onto machine 3: both over the cap
             if size == 4.0:
-                return SchedulerDecision(2, MigrationRecord(4, (Move(1, 1, 3),)))
+                return SchedulerDecision(2, (Move(1, 1, 3),))
             return SchedulerDecision(int(size))
 
     for runner_cls in (StreamRunner, RefStreamRunner):
@@ -428,7 +423,7 @@ def _assert_oracle_matches_ref(sizes, m, k):
     assert repr(got.opt_makespan) == repr(want.opt_makespan)
     assert got.schedule == want.schedule
     assert got.nodes_explored <= want.nodes_explored
-    if got.opt_makespan != lower_bound(inst):
+    if got.opt_makespan != lower_bound(sizes, m):
         assert got.nodes_explored == want.nodes_explored
     return got, want
 
@@ -451,12 +446,12 @@ def test_exact_opt_search_heavy_tree_unchanged():
     sizes = [30, 75, 69, 16, 47, 77, 60, 80, 74, 8, 77, 1, 60, 33, 70, 29, 24, 91, 60, 69]
     got, _ = _assert_oracle_matches_ref(sizes, 4, 5)
     assert (got.opt_makespan, got.nodes_explored) == (263.0, 60551)
-    assert lower_bound(instance_from_sizes(sizes, 4, 5)) == 262.5
+    assert lower_bound(sizes, 4) == 262.5
 
 
 def test_exact_opt_stops_at_first_leaf_on_lower_bound():
     # opt 36 equals lb 36: the former search went on for 80 more nodes
     sizes = [9, 19, 8, 5, 11, 15, 8, 17, 7, 9]
     got, want = _assert_oracle_matches_ref(sizes, 3, 4)
-    assert got.opt_makespan == lower_bound(instance_from_sizes(sizes, 3, 4)) == 36.0
+    assert got.opt_makespan == lower_bound(sizes, 3) == 36.0
     assert (got.nodes_explored, want.nodes_explored) == (34, 114)

@@ -16,14 +16,8 @@ from cardsched.engine import (
     migration_stats,
     run_stream,
 )
-from cardsched.model import (
-    InfeasibleError,
-    MigrationRecord,
-    Move,
-    check_feasible,
-    instance_from_sizes,
-)
-from cardsched.oracle import exact_opt
+from cardsched.model import InfeasibleError, Move, check_feasible, instance_from_sizes
+from cardsched.oracle import exact_opt, lower_bound
 
 
 def test_run_stream_round_robin():
@@ -70,21 +64,34 @@ def test_run_stream_detects_cap_violation():
     assert err.value.arrival == 2
 
 
-class _BogusMigrator(Scheduler):
-    def __init__(self):
+class _Scripted(Scheduler):
+    """Job 1 goes to machine 1; job 2 goes to machine 2 with the given moves."""
+
+    def __init__(self, moves):
         self.m = self.k = 2
+        self._moves = moves
         self._i = 0
 
     def on_arrival(self, size):
         self._i += 1
-        if self._i == 1:
-            return SchedulerDecision(1)
-        return SchedulerDecision(2, MigrationRecord(self._i, (Move(1, 2, 1),), 1.0))
+        return SchedulerDecision(1) if self._i == 1 else SchedulerDecision(2, self._moves)
 
 
 def test_run_stream_rejects_inconsistent_moves():
-    with pytest.raises(ContractViolation):
-        run_stream(_BogusMigrator(), [1.0, 1.0], 2, 2)
+    with pytest.raises(ContractViolation, match="arrival 2: move of job 1 from machine 2 does"):
+        run_stream(_Scripted((Move(1, 2, 1),)), [1.0, 1.0], 2, 2)
+
+
+def test_runner_refuses_trigger_in_its_own_moves():
+    with pytest.raises(ContractViolation, match="arrival 2: trigger job listed in its own migr"):
+        run_stream(_Scripted((Move(2, 2, 1),)), [1.0, 1.0], 2, 2)
+
+
+@pytest.mark.parametrize("dst", [1, 3])  # its own source, and outside [1, m]
+def test_runner_refuses_move_to_invalid_machine(dst):
+    message = f"arrival 2: move of job 1 to invalid machine {dst}"
+    with pytest.raises(ContractViolation, match=message):
+        run_stream(_Scripted((Move(1, 1, dst),)), [1.0, 1.0], 2, 2)
 
 
 def test_round_robin_examples():
@@ -150,7 +157,7 @@ def test_phi_scheduler_places_two_per_machine():
 
 def test_competitive_metrics_single_machine_is_optimal():
     trace = run_stream(RoundRobinScheduler(1, 5), [3, 1, 2], 1, 5)
-    metrics = competitive_metrics(trace, trace.instance(), "exact")
+    metrics = competitive_metrics(trace, "exact")
     assert metrics.final_ratio == 1.0
     assert metrics.prefix_max_ratio == 1.0
 
@@ -160,7 +167,7 @@ def test_competitive_metrics_greedy_on_pure_lb_stream_m4():
     m = k = 4
     sizes = [1.0] * (m * (k - 1)) + [float(k)]
     trace = run_stream(ListSchedulingCapped(m, k), sizes, m, k)
-    metrics = competitive_metrics(trace, trace.instance(), "exact")
+    metrics = competitive_metrics(trace, "exact")
     assert metrics.final_ratio == pytest.approx(2 - 1 / k, abs=1e-12)
 
 
@@ -168,16 +175,15 @@ def test_competitive_metrics_exact_guard():
     sizes = [1.0] * 21
     trace = run_stream(RoundRobinScheduler(21, 21), sizes, 21, 21)
     with pytest.raises(ValueError):
-        competitive_metrics(trace, trace.instance(), "exact")
+        competitive_metrics(trace, "exact")
 
 
 def test_competitive_metrics_lower_bound_dominates_exact():
     # lb <= opt, so the lb-ratio is always >= the exact ratio
     sizes = [5.0, 1.0, 4.0, 2.0]
     trace = run_stream(ListSchedulingCapped(2, 2), sizes, 2, 2)
-    inst = trace.instance()
-    exact = competitive_metrics(trace, inst, "exact")
-    lb = competitive_metrics(trace, inst, "lower_bound")
+    exact = competitive_metrics(trace, "exact")
+    lb = competitive_metrics(trace, "lower_bound")
     assert lb.final_ratio >= exact.final_ratio - 1e-12
     assert exact.final_ratio >= 1.0
 
@@ -186,7 +192,6 @@ def test_competitive_metrics_lower_bound_dominates_exact():
 def test_competitive_metrics_exact_solves_each_prefix_once(monkeypatch, sizes):
     m, k = 3, 3
     trace = run_stream(RoundRobinScheduler(m, k), sizes, m, k)
-    inst = trace.instance()
     prefixes = [instance_from_sizes(sizes[:t], m, k) for t in range(1, len(sizes) + 1)]
     opts = [exact_opt(prefix).opt_makespan for prefix in prefixes]
     solved = []
@@ -196,7 +201,7 @@ def test_competitive_metrics_exact_solves_each_prefix_once(monkeypatch, sizes):
         return exact_opt(instance)
 
     monkeypatch.setattr(engine, "exact_opt", counting_exact_opt)
-    metrics = competitive_metrics(trace, inst, "exact")
+    metrics = competitive_metrics(trace, "exact")
     assert solved == list(range(1, len(sizes) + 1))
     if not sizes:
         assert (metrics.denominator, metrics.final_ratio) == (0.0, 1.0)
@@ -205,6 +210,24 @@ def test_competitive_metrics_exact_solves_each_prefix_once(monkeypatch, sizes):
     assert metrics.denominator == opts[-1]
     assert metrics.final_ratio == trace.final_makespan() / opts[-1]
     assert metrics.prefix_max_ratio == max(ratios) > metrics.final_ratio
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=30),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([RoundRobinScheduler, ListSchedulingCapped]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lower_bound_metering_matches_prefix_bounds(sizes, m, factory):
+    k = max(1, -(len(sizes) // -m))
+    trace = run_stream(factory(m, k), sizes, m, k)
+    metrics = competitive_metrics(trace, "lower_bound")
+    assert metrics.denominator == lower_bound(trace.sizes, m)
+    ratios = [0.0]  # the prefix max of an empty stream
+    for t in range(1, len(sizes) + 1):
+        numer, denom = trace.makespans[t - 1], lower_bound(sizes[:t], m)
+        ratios.append(numer / denom if denom else 1.0 if numer == 0 else math.inf)
+    assert metrics.prefix_max_ratio == max(ratios)
 
 
 def test_migration_stats_pure_online_trace():
@@ -221,7 +244,7 @@ def test_migration_stats_quotient():
         def on_arrival(self, size):
             # job 2 (size 2) lands on machine 2 and moves job 1 (size 3) there too
             if size == 2.0:
-                return SchedulerDecision(2, MigrationRecord(2, (Move(1, 1, 2),), 3.0))
+                return SchedulerDecision(2, (Move(1, 1, 2),))
             return SchedulerDecision(1)
 
     trace = run_stream(MoveOnSecond(), [3.0, 2.0], 2, 2)
