@@ -32,11 +32,15 @@ def exact_guard(n: int) -> None:
 
 
 def lower_bound(sizes, m: int) -> float:
-    """max(largest job, average load) <= opt; the total is a left fold in the given order."""
+    """max(average load, largest job) <= opt; the total is a left fold in the given order.
+
+    The fold starts at 0.0, so on a tie the average wins and a -0.0 size never
+    makes the bound -0.0.
+    """
     total = 0.0
     for s in sizes:
         total += s
-    return max(max(sizes), total / m) if len(sizes) else 0.0
+    return max(total / m, max(sizes)) if len(sizes) else 0.0
 
 
 def sorted_round_robin_makespan(sizes, m: int) -> float:
@@ -101,8 +105,14 @@ def exact_opt(instance: Instance) -> OracleResult:
     Pruning: never branch twice into machines with an identical (load, count)
     state; equal-size jobs take machines in non-decreasing index order; and a
     slot-forcing bound charges every machine the smallest remaining jobs it is
-    still forced to take.  Incumbent: the better of sorted round-robin and
-    capped LPT.  Early exit: the search stops at the first schedule whose
+    still forced to take.  That bound is carried down the tree, not rescanned:
+    a machine holding c jobs is charged `forced[c]`, fixed per solve, so a
+    placement changes only its own machine's bound and each node tests the
+    running max `cur_lb` in O(1).  In exact arithmetic a machine's bound only
+    grows; where rounding lowers the bound of the machine that held the max,
+    the max is recomputed over all machines, so the search prunes exactly as
+    a scan at every node would.  Incumbent: the better of sorted round-robin
+    and capped LPT.  Early exit: the search stops at the first schedule whose
     makespan equals `lower_bound`, at the root or at any leaf.
     """
     from .engine import ListSchedulingCapped  # engine imports this module
@@ -141,14 +151,21 @@ def exact_opt(instance: Instance) -> OracleResult:
     for j in range(n - 1, -1, -1):
         suffix_sum[j] = suffix_sum[j + 1] + sizes[j]
 
+    # every placed job fills one slot, so the spare slots never change; a
+    # machine holding c jobs must still take max(k - c - slack, 0) more jobs,
+    # which weigh at least as much as that many jobs at the sorted tail
+    slack = m * k - n
+    if slack < m:
+        forced = [suffix_sum[n - max(k - c - slack, 0)] for c in range(k + 1)]
+    else:  # no machine is forced to take more jobs
+        forced = [0.0] * (k + 1)
+
     machine_load = [0.0] * m
     machine_count = [0] * m
     current = [0] * n
     nodes = 0
-    # every placed job fills one slot, so the spare slots never change
-    slack = m * k - n
 
-    def recurse(idx: int, cur_max: float) -> bool:
+    def recurse(idx: int, cur_max: float, cur_lb: float) -> bool:
         """Search below idx; True once a leaf reaches lb, which no later leaf can beat."""
         nonlocal best, best_assign, nodes
         nodes += 1
@@ -158,11 +175,8 @@ def exact_opt(instance: Instance) -> OracleResult:
             best = cur_max
             best_assign = current[:]
             return best == lb
-        if slack < m:  # some machine is forced to take more jobs
-            for mi in range(m):
-                forced = k - machine_count[mi] - slack
-                if forced > 0 and machine_load[mi] + suffix_sum[n - forced] >= best:
-                    return False
+        if cur_lb >= best:  # some machine's load plus its forced jobs reaches best
+            return False
         size = sizes[idx]
         start = current[idx - 1] if idx and sizes[idx - 1] == size else 0
         seen = set()
@@ -181,13 +195,19 @@ def exact_opt(instance: Instance) -> OracleResult:
             machine_load[mi] = new_load
             machine_count[mi] = count + 1
             current[idx] = mi
-            if recurse(idx + 1, cur_max if cur_max >= new_load else new_load):
+            child_lb = new_load + forced[count + 1]
+            if child_lb < cur_lb:
+                if old_load + forced[count] < cur_lb:
+                    child_lb = cur_lb  # another machine holds the max
+                else:  # rounding lowered the machine that held the max
+                    child_lb = max([ld + forced[c] for ld, c in zip(machine_load, machine_count)])
+            if recurse(idx + 1, cur_max if cur_max >= new_load else new_load, child_lb):
                 return True
             machine_load[mi] = old_load
             machine_count[mi] = count
         return False
 
-    recurse(0, 0.0)
+    recurse(0, 0.0, forced[0])
     schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
     result = OracleResult(best, schedule, nodes)
     assert makespan(schedule, instance) == result.opt_makespan

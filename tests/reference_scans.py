@@ -7,8 +7,9 @@ capped greedy as a linear scan, a standalone constant scheduler that
 chooses every machine and row by a scan (slots allocated up front), the
 robust-ordinal scheduler that
 diffs a job -> machine map over all jobs before and after each resort, and
-the exact oracle that re-sums the free slots at every node and searches on
-after a leaf has reached the lower bound.
+the exact oracle that re-sums the free slots and rescans every machine's
+slot-forcing bound at every node, searching on after a leaf has reached the
+lower bound unless told to stop there.
 """
 
 from __future__ import annotations
@@ -517,9 +518,10 @@ class RefRobustOrdinal(Scheduler):
         return SchedulerDecision(after[jid], moves)
 
 
-def ref_exact_opt(instance: Instance) -> OracleResult:
-    """Branch-and-bound that re-sums the free slots at every node and searches on
-    after a leaf has reached the lower bound."""
+def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:
+    """Branch-and-bound that re-sums the free slots and rescans every machine's
+    bound at every node; it searches on after a leaf has reached the lower
+    bound, or with `stop_at_lb` stops at the first such leaf."""
     if not instance.is_feasible():
         raise InfeasibleError(
             f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
@@ -559,22 +561,23 @@ def ref_exact_opt(instance: Instance) -> OracleResult:
     current = [0] * n
     nodes = 0
 
-    def recurse(idx: int, cur_max: float):
+    def recurse(idx: int, cur_max: float) -> bool:
+        """True once the search is to stop."""
         nonlocal best, best_assign, nodes
         nodes += 1
         if cur_max >= best:
-            return
+            return False
         if idx == n:
             best = cur_max
             best_assign = current[:]
-            return
+            return stop_at_lb and best == lb
         remaining = n - idx
         slack = sum(k - c for c in machine_count) - remaining
         if slack < m:  # some machine is forced to take more jobs
             for mi in range(m):
                 forced = k - machine_count[mi] - slack
                 if forced > 0 and machine_load[mi] + suffix_sum[n - forced] >= best:
-                    return
+                    return False
         size = sizes[idx]
         start = current[idx - 1] if idx and sizes[idx - 1] == size else 0
         seen = set()
@@ -592,9 +595,11 @@ def ref_exact_opt(instance: Instance) -> OracleResult:
             machine_load[mi] = new_load
             machine_count[mi] += 1
             current[idx] = mi
-            recurse(idx + 1, cur_max if cur_max >= new_load else new_load)
+            if recurse(idx + 1, cur_max if cur_max >= new_load else new_load):
+                return True
             machine_load[mi] = old_load
             machine_count[mi] -= 1
+        return False
 
     recurse(0, 0.0)
     schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})

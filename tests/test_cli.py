@@ -248,6 +248,26 @@ def test_lower_bound_denominator_is_a_left_fold(tmp_path, capsys):
     assert json.loads(out)["final_ratio"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle"]]
+    + [
+        ["run", "--algo", algo, "--mode", mode]
+        for algo in ("ordinal", "round-robin", "greedy-capped")
+        for mode in ("lower-bound", "exact")
+    ],
+)
+def test_signed_zero_sizes_never_report_negative_zero(tmp_path, capsys, argv):
+    # the lower bound's max() once returned the -0.0 size on a tie with the total;
+    # only the echoed input transcript ("sizes") keeps the sign, for replay
+    path = _write_jsonl(tmp_path / "zeros.jsonl", [{"size": -0.0}, {"size": 0.0}])
+    code, out, _ = _run_cli(capsys, argv + ["--m", "2", "--k", "2", "--input", path])
+    assert code == 0
+    report = json.loads(out)
+    report.pop("sizes", None)
+    assert "-0.0" not in json.dumps(report)
+
+
 @pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal"])
 def test_negative_size_exits_2_with_one_line(tmp_path, capsys, algo):
     # online keys reach the runner's size check; ordinal builds an Instance first

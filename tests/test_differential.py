@@ -7,7 +7,8 @@ same arrival and machine.  The adversaries' and ClCS's former runners are
 references too: the one StreamRunner must reproduce their machines, loads
 and makespans.  The exact oracle must return the former branch-and-bound's
 optimum and schedule, explore no more nodes, and explore the same nodes
-whenever its early exit at the lower bound cannot fire.
+whenever its early exit at the lower bound cannot fire; with the reference
+stopping at the lower bound too, the two searches must agree node for node.
 """
 
 import random
@@ -455,3 +456,42 @@ def test_exact_opt_stops_at_first_leaf_on_lower_bound():
     got, want = _assert_oracle_matches_ref(sizes, 3, 4)
     assert got.opt_makespan == lower_bound(sizes, 3) == 36.0
     assert (got.nodes_explored, want.nodes_explored) == (34, 114)
+
+
+_U = 2.0**-53  # half an ulp of 1.0: adding it to 1.0 rounds back to 1.0
+
+
+def _assert_oracle_is_former_search(sizes, m, k):
+    """The carried bound prunes exactly where a rescan of every machine would."""
+    inst = instance_from_sizes(sizes, m, k)
+    got, want = exact_opt(inst), ref_exact_opt(inst, stop_at_lb=True)
+    assert repr(got.opt_makespan) == repr(want.opt_makespan)
+    assert got.schedule == want.schedule
+    assert got.nodes_explored == want.nodes_explored
+    return got
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.one_of(
+        st.lists(st.integers(0, 60).map(float), max_size=14),
+        st.lists(st.integers(0, 240).map(lambda q: q / 4), max_size=14),
+        st.lists(st.floats(0, 100), max_size=14),
+        st.lists(
+            st.sampled_from([1.0, 0.5, 0.5 + 2 * _U, 0.125, _U, 2 * _U, 3 * _U]), max_size=14
+        ),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_opt_prunes_node_for_node_as_a_rescan(m, k, sizes):
+    _assert_oracle_is_former_search(sizes[: m * k], m, k)
+
+
+def test_exact_opt_rescans_when_rounding_lowers_the_max():
+    # 1.0 + _U rounds to 1.0: here a placement lowers the bound of the machine
+    # that held the max, and a max carried without a rescan stops one node early
+    sizes = [1.0, 0.5, 0.5, 0.5 + 2 * _U, 0.5 + 2 * _U, 2 * _U] + [3 * _U] * 4
+    got = _assert_oracle_is_former_search(sizes, 2, 5)
+    assert got.nodes_explored == 22
+    assert got.opt_makespan == 1.5 + 10 * _U

@@ -48,6 +48,9 @@ def test_brute_opt_guard_and_infeasible():
 
 def test_lower_bound_examples():
     assert lower_bound([3.0, 1.0], 2) == 3
+    # on a tie the fold's 0.0 wins over a -0.0 size
+    assert repr(lower_bound([-0.0, 0.0], 2)) == "0.0"
+    assert repr(lower_bound([-0.0], 1)) == "0.0"
     assert lower_bound([1.0, 1.0, 1.0, 1.0], 4) == 1
     assert lower_bound([1.0, 1.0, 1.0, 1.0], 2) == 2
     assert lower_bound([], 2) == 0
@@ -137,6 +140,15 @@ def test_exact_opt_scaling_invariant(sizes, scale):
     base = exact_opt(instance_from_sizes(sizes, m, k)).opt_makespan
     scaled = exact_opt(instance_from_sizes([s * scale for s in sizes], m, k)).opt_makespan
     assert scaled == scale * base
+
+
+def test_exact_opt_worst_recipe_instance():
+    # instance 3 of the seed-3 n = 20 recipe, the slowest solve in the oracle benchmark
+    sizes = [27, 33, 86, 55, 99, 80, 38, 53, 64, 49, 73, 44, 68, 74, 52, 74, 29, 43, 87, 3]
+    inst = instance_from_sizes(sizes, 4, 5)
+    result = exact_opt(inst)
+    assert (result.opt_makespan, result.nodes_explored) == (283.0, 1_404_962)
+    assert check_feasible(result.schedule, inst) == []
 
 
 def test_exact_opt_counts_nodes():
