@@ -4,7 +4,12 @@ Each driver plays a proof's adversary strategy against a live scheduler:
 it observes every placement, chooses the next size accordingly, and reports
 the achieved ratio against an analytic or constructive optimum.  Drives run on
 the library's StreamRunner, whose trace is parallel arrays (O(1) per
-arrival), because the balanced driver emits millions of jobs.
+arrival), because the balanced driver emits millions of jobs.  Each phase is
+one `StreamRunner.feed` call: a fixed phase feeds `itertools.repeat`, and an
+adaptive one is a generator that reads the last placement from the trace
+between its yields.  That works because feed draws the next size only after
+the previous arrival (moves included) is applied.  No drive builds a list
+with one entry per job.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Optional
 
 from .engine import PHI, Scheduler, StreamRunner
@@ -72,14 +78,12 @@ def pure_lb_drive(scheduler: Scheduler, m: int, k: int, N: float) -> AdversaryRe
     if N <= 0:
         raise ValueError("N must be positive")
     drive = StreamRunner(scheduler, m, k)
-    for _ in range(m * (k - 1)):
-        drive.push(1.0)
+    drive.feed(repeat(1.0, m * (k - 1)))
     if all(c == k - 1 for c in drive.counts):
         drive.push(float(k))
         # offline: k units on each of m-1 machines, the big job alone
         return drive_report(drive, "pure-lb", float(k), "analytic")
-    for _ in range(m):
-        drive.push(float(N))
+    drive.feed(repeat(float(N), m))
     # offline: k-1 units plus one size-N job per machine
     return drive_report(drive, "pure-lb", float(N) + k - 1, "analytic")
 
@@ -88,34 +92,41 @@ def balanced_lb_drive(
     scheduler: Scheduler, m: int, k: int, N: float, round_cap: int
 ) -> AdversaryReport:
     """k rounds of geometric sizes 1, N, N^2, ..., each ending when machine 1
-    receives a job; the optimum is the sorted round-robin makespan."""
+    receives a job; the optimum is the sorted round-robin makespan.
+
+    The sizes come from a generator that the runner drains, reading each
+    placement from `trace.machines[-1]`; it sets `note` when it stops early
+    (capacity exhausted, a round over `round_cap` jobs, or a size overflow).
+    """
     if N < 2 or k < 2 or round_cap < 1:
         raise ValueError("requires N >= 2, k >= 2, round_cap >= 1")
     drive = StreamRunner(scheduler, m, k)
     note = None
-    capacity = m * k
-    for _ in range(k):
-        ell = 0
-        while True:
-            if drive.n >= capacity:
-                note = "unbounded-evidence: scheduler capacity exhausted before k rounds"
-                break
-            if ell >= round_cap:
-                note = f"unbounded-evidence: round exceeded cap of {round_cap} jobs"
-                break
-            try:
-                size = float(N) ** ell  # inf if N is; a finite N raises on overflow
-            except OverflowError:
-                size = math.inf
-            if math.isinf(size):
-                note = "unbounded-evidence: geometric size overflow"
-                break
-            machine = drive.push(size)
-            ell += 1
-            if machine == 1:
-                break
-        if note is not None:
-            break
+
+    def sizes():
+        # the runner draws the next size only after placing the last one
+        nonlocal note
+        machines, capacity, base, isinf = drive.trace.machines, m * k, float(N), math.isinf
+        for _ in range(k):
+            for ell in count():
+                if len(machines) >= capacity:
+                    note = "unbounded-evidence: scheduler capacity exhausted before k rounds"
+                    return
+                if ell >= round_cap:
+                    note = f"unbounded-evidence: round exceeded cap of {round_cap} jobs"
+                    return
+                try:
+                    size = base**ell  # inf if N is; a finite N raises on overflow
+                except OverflowError:
+                    size = math.inf
+                if isinf(size):
+                    note = "unbounded-evidence: geometric size overflow"
+                    return
+                yield size
+                if machines[-1] == 1:
+                    break
+
+    drive.feed(sizes())
     opt = sorted_round_robin_makespan(drive.trace.sizes, m)
     return drive_report(drive, "balanced-lb", opt, "constructive", note)
 
@@ -150,8 +161,7 @@ def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
         raise ValueError(f"requires even k >= 8, got {k}")
     X = ROBUST_LB_X
     drive = StreamRunner(scheduler, m, k)
-    for size in [6.0, 6.0, 6.0, 9.0, 9.0] + [X] * (m - 2):
-        drive.push(size)
+    drive.feed([6.0, 6.0, 6.0, 9.0, 9.0] + [X] * (m - 2))
 
     per_machine: list[list[float]] = [[] for _ in range(m)]
     for jid in range(1, drive.n + 1):
@@ -161,10 +171,8 @@ def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
     if arrangement != canonical:
         return drive_report(drive, "robust-lb", 18.0, "analytic", "non-canonical after part 1")
 
-    for _ in range((m - 3) * (k - 1)):
-        drive.push(6.0 / (k - 1))
-    for _ in range(2 * (k - 2)):
-        drive.push((X - 9.0) / (k - 2))
+    drive.feed(repeat(6.0 / (k - 1), (m - 3) * (k - 1)))
+    drive.feed(repeat((X - 9.0) / (k - 2), 2 * (k - 2)))
     return drive_report(drive, "robust-lb", X + 6.0, "analytic", "canonical after part 1")
 
 

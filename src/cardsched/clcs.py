@@ -94,10 +94,14 @@ def clcs_makespan(loads, speeds) -> float:
 
 
 def run_classed_stream(scheduler, jobs, m: int, k: int) -> StreamRunner:
-    """Feed (size, class) pairs in order under the class cap; returns the finished runner."""
+    """Feed (size, class) pairs in order under the class cap; returns the finished runner.
+
+    The runner refuses a class outside [1, 2**63 - 1] before the scheduler
+    sees it (a ValueError), as it does for the drives.
+    """
     runner = StreamRunner(scheduler, m, k, classed=True)
-    for size, cls in jobs:
-        runner.push(float(size), int(cls))
+    jobs = list(jobs)
+    runner.feed((float(size) for size, _ in jobs), (int(cls) for _, cls in jobs))
     return runner
 
 
@@ -164,8 +168,7 @@ def uniform_lb_drive(
 
     rounds = round(M * beta)
     size = 1.0 / beta - eps
-    for _ in range(rounds):
-        for cls in targets:
-            drive.push(size, cls)
+    classes = itertools.chain.from_iterable(itertools.repeat(targets, rounds))
+    drive.feed(itertools.repeat(size, rounds * len(targets)), classes)
     alg = clcs_makespan(drive.loads, speeds)
     return drive_report(drive, "clcs-uniform-lb", M / s + k / s, "analytic", note, alg)

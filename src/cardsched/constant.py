@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, mul
 
-from .engine import Scheduler, SchedulerDecision
+from .engine import Scheduler, SchedulerDecision, placements
 from .model import InfeasibleError, Trace, round_down_pow2
 
 FALLBACK_MAX_K = 49
@@ -114,6 +114,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         # of them that may still be empty there
         self._frozen: list[_Row] = []
         self._next: list[int] = []
+        self._decisions = placements(m)
 
     # -- structure bookkeeping ------------------------------------------------
 
@@ -290,7 +291,7 @@ class ConstantCompetitiveScheduler(Scheduler):
             raise InfeasibleError("capacity m*k exhausted")
         self.arrivals += 1
         if self.fallback:
-            return SchedulerDecision((self.arrivals - 1) % self.m + 1)
+            return self._decisions[(self.arrivals - 1) % self.m]
         _, e = round_down_pow2(size)
         if self.e_pmax is None:
             self._init_structure(e)
@@ -298,13 +299,13 @@ class ConstantCompetitiveScheduler(Scheduler):
             self.e_pmax = e
         jid = self.arrivals
         if self.terminal:
-            return SchedulerDecision(self._place_terminal(jid))
+            return self._decisions[self._place_terminal(jid) - 1]
         i = self.e_pmax - e
         if i <= self.l:
             machine = self._place_group(jid, i)
         else:
             machine = self._place_small(jid)
-        return SchedulerDecision(machine)
+        return self._decisions[machine - 1]
 
     # -- introspection -------------------------------------------------------
 

@@ -136,6 +136,8 @@ def test_balanced_lb_stops_at_size_overflow():
     report = balanced_lb_drive(RoundRobinScheduler(3, 2), 3, 2, 1e200, 3)
     assert report.note == "unbounded-evidence: geometric size overflow"
     assert [size for size, _ in report.transcript] == [1.0, 1.0, 1e200]
+    assert report.n == 3
+    assert report.alg_makespan == 1e200
     check_report(report)
 
 
@@ -156,7 +158,34 @@ def test_balanced_lb_round_cap_abort():
             return SchedulerDecision(2)
 
     report = balanced_lb_drive(NeverMachineOne(), 2, 10**6, 10, 20)
-    assert report.note is not None and "unbounded-evidence" in report.note
+    assert report.note == "unbounded-evidence: round exceeded cap of 20 jobs"
+    assert report.n == 20
+    assert report.alg_makespan == 1.111111111111111e19  # 1 + 10 + ... + 10**19, folded
+
+
+class _MovesOntoMachineOne(Scheduler):
+    """m = k = 2: places every job on machine 2; jobs 2 and 4 move the job
+    before them onto machine 1, so no round ever ends and capacity runs out."""
+
+    def __init__(self):
+        self.m, self.k = 2, 2
+        self._i = 0
+
+    def on_arrival(self, size):
+        self._i += 1
+        moves = (Move(self._i - 1, 2, 1),) if self._i in (2, 4) else ()
+        return SchedulerDecision(2, moves)
+
+
+def test_balanced_lb_capacity_exhausted_exit():
+    # sizes 1, 2, 4, 8: machine 1 ends with jobs 1 and 3 (load 5), machine 2 with 2 and 4
+    report = balanced_lb_drive(_MovesOntoMachineOne(), 2, 2, 2, 10)
+    assert report.note == "unbounded-evidence: scheduler capacity exhausted before k rounds"
+    assert report.n == 4
+    assert list(report.sizes) == [1.0, 2.0, 4.0, 8.0]
+    assert report.alg_makespan == 10.0
+    assert report.opt_value == 10.0  # sorted round robin: 8 + 2 and 4 + 1
+    check_report(report)
 
 
 def test_balanced_lb_preconditions():

@@ -69,6 +69,18 @@ def test_classed_runner_recounts_classes_after_a_move():
         runner.push(1.0, 2)
 
 
+@pytest.mark.parametrize("cls", [0, -1, 2**63])
+def test_classed_runner_refuses_a_class_before_the_scheduler_sees_it(cls):
+    scheduler = GreedyClcsScheduler(2, 1)
+    runner = StreamRunner(scheduler, 2, 1, classed=True)
+    with pytest.raises(ValueError, match=r"job class must be in \[1, 2\*\*63 - 1\], got"):
+        runner.feed([1.0, 2.0], [1, cls])
+    assert runner.n == 1 and list(runner.classes) == [1] and runner.class_sets == [{1}, set()]
+    assert scheduler._bound == [1, 0]
+    runner.push(3.0, 2)
+    assert list(runner.trace.machines) == [1, 2]
+
+
 def test_clcs_exact_examples():
     # one class may appear on many machines: k restricts distinct classes
     assert clcs_exact(clcs_instance([(1.0, 1)] * 3, 3, 1)) == 1.0

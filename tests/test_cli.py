@@ -140,6 +140,56 @@ def test_clcs_run(tmp_path, capsys):
     assert report["makespan"] == 2.5
 
 
+@pytest.mark.parametrize("cls", [99999999999999999999999, 2**63, 0, -1])
+def test_clcs_run_rejects_class_outside_1_to_2_pow_63_minus_1(tmp_path, capsys, cls):
+    # a class of 2**63 or more overflowed the runner's class array (a traceback)
+    rows = [{"size": 1.0, "class": 1}, {"size": 1.0, "class": cls}]
+    path = _write_jsonl(tmp_path / "classed.jsonl", rows)
+    code, out, err = _run_cli(capsys, ["clcs", "run", "--m", "2", "--k", "1", "--input", path])
+    _assert_one_line_exit_2(code, out, err)
+    assert f"job class must be in [1, 2**63 - 1], got {cls}" in err
+
+
+def test_clcs_run_takes_class_2_pow_63_minus_1(tmp_path, capsys):
+    path = _write_jsonl(tmp_path / "classed.jsonl", [{"size": 1.0, "class": 2**63 - 1}])
+    code, out, _ = _run_cli(capsys, ["clcs", "run", "--m", "2", "--k", "1", "--input", path])
+    assert code == 0
+    assert json.loads(out)["machines"] == [1]
+
+
+# `adversary --family balanced-lb --algo robust-ordinal --m 3 --k 8 --epsilon 0.5`
+# as the per-arrival push loop reported it: 12 of the 21 arrivals move jobs,
+# and the drive reads each round's end from the trace after the moves
+_BALANCED_ROBUST_REPORT = {
+    "alg_makespan": 10112.0,
+    "algorithm": "robust-ordinal",
+    "command": "adversary",
+    "family": "balanced-lb",
+    "k": 8,
+    "m": 3,
+    "n": 21,
+    "note": None,
+    "opt_provenance": "constructive",
+    "opt_value": 10222.0,
+    "ratio": 0.98923889649775,
+    "schema": 1,
+    "transcript": [
+        [1.0, 1], [1.0, 2], [10.0, 1], [1.0, 1], [1.0, 2], [10.0, 2], [100.0, 1],
+        [1.0, 3], [10.0, 1], [1.0, 3], [10.0, 2], [100.0, 2], [1000.0, 1], [1.0, 2],
+        [10.0, 3], [100.0, 1], [1.0, 3], [10.0, 3], [100.0, 2], [1000.0, 2], [10000.0, 1],
+    ],
+}
+
+
+def test_balanced_lb_vs_robust_ordinal_report_is_pinned(capsys):
+    argv = ["adversary", "--family", "balanced-lb", "--algo", "robust-ordinal"]
+    code, out, _ = _run_cli(capsys, argv + ["--m", "3", "--k", "8", "--epsilon", "0.5"])
+    assert code == 0
+    report = json.loads(out)
+    del report["wall_time_s"]
+    assert report == _BALANCED_ROBUST_REPORT
+
+
 def test_clcs_run_requires_class(tmp_path, capsys):
     path = _write_jsonl(tmp_path / "sizes.jsonl", [{"size": 1.0}])
     code, _, err = _run_cli(capsys, ["clcs", "run", "--m", "2", "--k", "1", "--input", path])
@@ -377,7 +427,7 @@ def _fuzz_argv(draw):
         return ["oracle", "--m", str(m), "--k", str(k)], rows
     if command == "clcs-run":
         for row in rows:
-            row["class"] = draw(st.integers(1, 3))
+            row["class"] = draw(st.sampled_from([-1, 0, 1, 2, 3, 2**63]))
         return ["clcs", "run", "--m", str(m), "--k", str(k)], rows
     if command == "clcs-adversary":
         family = draw(st.sampled_from(["identical-lb", "uniform-lb"]))

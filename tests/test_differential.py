@@ -11,6 +11,7 @@ whenever its early exit at the lower bound cannot fire; with the reference
 stopping at the lower bound too, the two searches must agree node for node.
 """
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from cardsched.constant import ConstantCompetitiveScheduler, _floor_2log2
 from cardsched.engine import (
     ContractViolation,
     ListSchedulingCapped,
+    PhiScheduler,
     RoundRobinScheduler,
     Scheduler,
     SchedulerDecision,
@@ -416,6 +418,165 @@ def test_greedy_clcs_matches_former_classed_drive(jobs, m, k, speeds):
     assert runner.class_sets == ref.class_sets
     assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
     assert repr(clcs_makespan(runner.loads, speeds)) == repr(ref.makespan)
+
+
+class _Classless:
+    """Runs an unclassed scheduler on a classed runner, ignoring the classes."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def on_arrival(self, size, cls):
+        return self._inner.on_arrival(size)
+
+
+def _parity_scheduler(key, m, k, seed):
+    if key == "round-robin":
+        return RoundRobinScheduler(m, k)
+    if key == "greedy-capped":
+        return ListSchedulingCapped(m, k)
+    if key == "constant":
+        return ConstantCompetitiveScheduler(m, k)
+    if key == "robust-ordinal":
+        return RobustOrdinalScheduler(m, k, 0.5)
+    if key == "phi":
+        return PhiScheduler()
+    if key == "greedy-clcs":
+        return GreedyClcsScheduler(m, k)
+    migrator = _RandomMigrator(m, k, seed, cheat=key.endswith("cheat"))
+    return _Classless(migrator) if key.startswith("classed") else migrator
+
+
+def _runner_state(runner) -> tuple:
+    trace = runner.trace
+    migrations = sorted((j, r.moves, repr(r.moved_size)) for j, r in trace.migrations.items())
+    classes = None if runner.classes is None else list(runner.classes)
+    class_sets = None if runner.class_sets is None else [sorted(c) for c in runner.class_sets]
+    return (
+        list(trace.sizes),
+        list(trace.machines),
+        [repr(x) for x in trace.makespans],
+        migrations,
+        [repr(x) for x in runner.loads],
+        list(runner.counts),
+        classes,
+        class_sets,
+    )
+
+
+def _apply(runner, jobs, batch: bool) -> list:
+    """Apply (size, class) jobs with one feed call per stretch (batch) or one push
+    per job; a refused job is skipped and the rest applied.  Returns each
+    refusal's job index, exception type and message, and the runner's state
+    right after it, then the final state."""
+    classed = runner.classes is not None
+    outcomes = []
+    i = 0
+    while i < len(jobs):
+        if batch:
+            last = [i - 1]
+
+            def sizes(start=i):
+                for j in range(start, len(jobs)):
+                    last[0] = j
+                    yield jobs[j][0]
+
+            classes = (cls for _, cls in jobs[i:]) if classed else None
+            try:
+                runner.feed(sizes(), classes)
+                break
+            except Exception as exc:  # noqa: BLE001 - compared by type and message
+                outcomes.append((last[0], type(exc), str(exc), _runner_state(runner)))
+                i = last[0] + 1
+        else:
+            size, cls = jobs[i]
+            try:
+                runner.push(size, cls if classed else None)
+            except Exception as exc:  # noqa: BLE001
+                outcomes.append((i, type(exc), str(exc), _runner_state(runner)))
+            i += 1
+    return outcomes + [_runner_state(runner)]
+
+
+@st.composite
+def _parity_jobs(draw):
+    """Up to 40 (size, class) jobs, a few of them refused: bad sizes and classes."""
+    sizes = draw(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=40))
+    classes = draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))
+    jobs = list(zip(sizes, classes))
+    bad_size = st.sampled_from([-1.0, math.inf, -math.inf, math.nan])
+    bad_class = st.sampled_from([-1, 0, 2**63])
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(jobs)))
+        job = draw(st.one_of(st.tuples(bad_size, st.just(1)), st.tuples(st.just(1.0), bad_class)))
+        jobs.insert(at, job)
+    return jobs
+
+
+@given(
+    st.sampled_from(
+        [
+            "round-robin",
+            "greedy-capped",
+            "constant",
+            "robust-ordinal",
+            "phi",
+            "migrator",
+            "migrator-cheat",
+            "greedy-clcs",
+            "classed-migrator",
+            "classed-migrator-cheat",
+        ]
+    ),
+    _parity_jobs(),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_feed_matches_one_push_per_job(key, jobs, m, k, seed, wide_constant):
+    """One feed call and one push per job leave the same trace, loads, counts and
+    class sets, and refuse the same arrivals with the same error and state."""
+    if key == "phi":
+        m = k = 2
+    elif key == "constant" and wide_constant:
+        k += 49  # the live row structure rather than the round-robin fallback
+    classed = key.startswith("classed") or key == "greedy-clcs"
+    runners = [
+        StreamRunner(_parity_scheduler(key, m, k, seed), m, k, classed=classed) for _ in range(2)
+    ]
+    fed, pushed = (_apply(runner, jobs, batch) for runner, batch in zip(runners, (True, False)))
+    assert fed == pushed
+
+
+def test_feed_parity_reaches_every_refusal():
+    """The refusals the parity test draws, each on a fixed stream."""
+    cases = [
+        ("round-robin", [(1.0, 1)] * 5, 2, 2, "stream longer than capacity"),
+        ("round-robin", [(1.0, 1), (math.nan, 1), (2.0, 1)], 2, 2, "finite and >= 0, got nan"),
+        ("round-robin", [(1.0, 1), (-1.0, 1)], 2, 2, "finite and >= 0, got -1.0"),
+        ("round-robin", [(1.0, 1), (math.inf, 1)], 2, 2, "finite and >= 0, got inf"),
+        ("migrator-cheat", [(1.0, 1)] * 12, 2, 2, "outside [1, 2]"),
+        ("migrator-cheat", [(1.0, 1)] * 12, 2, 2, "cap is 2"),
+        ("migrator-cheat", [(1.0, 1)] * 40, 3, 3, "does not match schedule"),
+        ("greedy-clcs", [(1.0, 1), (1.0, 2**63)], 2, 1, "class must be in"),
+        ("classed-migrator-cheat", [(1.0, c) for c in (1, 2, 3, 4) * 5], 2, 1, "than 1 classes"),
+    ]
+    for key, jobs, m, k, message in cases:
+        classed = key.startswith("classed") or key == "greedy-clcs"
+        found = False
+        for seed in range(40):
+            runners = [
+                StreamRunner(_parity_scheduler(key, m, k, seed), m, k, classed=classed)
+                for _ in range(2)
+            ]
+            fed, pushed = (_apply(r, jobs, batch) for r, batch in zip(runners, (True, False)))
+            assert fed == pushed
+            found = any(message in o[2] for o in fed[:-1])
+            if found:
+                break
+        assert found, (key, message)
 
 
 def _assert_oracle_matches_ref(sizes, m, k):

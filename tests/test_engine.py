@@ -12,6 +12,7 @@ from cardsched.engine import (
     RoundRobinScheduler,
     Scheduler,
     SchedulerDecision,
+    StreamRunner,
     competitive_metrics,
     migration_stats,
     run_stream,
@@ -46,6 +47,43 @@ def test_run_stream_rejects_non_finite_and_negative_sizes(size):
 def test_run_stream_accepts_zero_sizes():
     trace = run_stream(RoundRobinScheduler(2, 2), [0.0, 1.0], 2, 2)
     assert trace.final_makespan() == 1.0
+
+
+def test_feed_draws_each_size_after_the_last_arrival_is_applied():
+    runner = StreamRunner(RoundRobinScheduler(2, 3), 2, 3)
+    seen = []
+
+    def sizes():
+        for i in range(6):
+            # the trace already holds every earlier arrival, makespan included
+            seen.append((runner.n, len(runner.trace.makespans), list(runner.counts)))
+            yield float(i)
+
+    runner.feed(sizes())
+    assert seen == [(i, i, [(i + 1) // 2, i // 2]) for i in range(6)]
+    assert list(runner.trace.machines) == [1, 2, 1, 2, 1, 2]
+
+
+def test_feed_takes_classes_only_on_a_classed_runner():
+    with pytest.raises(ValueError, match="classed runner"):
+        StreamRunner(RoundRobinScheduler(2, 2), 2, 2).feed([1.0], [1])
+    with pytest.raises(ValueError, match="classed runner"):
+        StreamRunner(RoundRobinScheduler(2, 2), 2, 2, classed=True).feed([1.0])
+
+
+def test_runner_keeps_its_makespan_after_a_refused_size():
+    runner = StreamRunner(RoundRobinScheduler(2, 3), 2, 3)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        runner.feed([5.0, math.nan, 2.0])
+    runner.feed([0.5])  # lands on machine 2, below the makespan of 5.0
+    assert list(runner.trace.makespans) == [5.0, 5.0]
+
+
+def test_never_migrating_schedulers_reuse_their_decisions():
+    for scheduler in (RoundRobinScheduler(3, 4), ListSchedulingCapped(3, 4)):
+        decisions = [scheduler.on_arrival(1.0) for _ in range(6)]
+        assert [d.machine for d in decisions] == [1, 2, 3, 1, 2, 3]
+        assert decisions[0] is decisions[3] and not decisions[0].moves
 
 
 class _CheatingScheduler(Scheduler):
