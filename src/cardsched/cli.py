@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import time
+from itertools import chain
 
 from .adversaries import (
     AdversaryReport,
@@ -66,8 +67,57 @@ def generate_sizes(name: str, n: int, seed: int) -> list[float]:
     raise ValueError(f"unknown generator {name!r}")
 
 
+# the C encoder: json.dumps uses it only without indent, below Python 3.13
+_c_encode = json.JSONEncoder(allow_nan=False).encode
+_encode_key = json.encoder.encode_basestring_ascii  # a TypeError for keys that are not str
+_NUMBER_TYPES = {int, float}
+_LIST_TYPES = {list, tuple}
+
+
+def _encode(value, indent: str = "\n") -> str:
+    """What json.dumps(value, indent=2, sort_keys=True, allow_nan=False) returns.
+
+    `indent` is a newline plus the indentation of the line `value` starts
+    on.  A non-empty list of plain ints and floats is one C encoder call,
+    split on its ", " separators, and so is a list of such lists (a
+    transcript's rows); dicts and other lists recurse, and scalars go
+    through the same C encoder.  A value json.dumps refuses raises here too,
+    but not always with its message (a non-finite float's lacks the `: inf`
+    suffix, a key that is not a str gives a TypeError), so callers fall back
+    to json.dumps.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = (_encode_key(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds <= _NUMBER_TYPES:
+            items = _c_encode(value)[1:-1].split(", ")
+        elif (
+            kinds <= _LIST_TYPES
+            and all(value)
+            and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
+        ):
+            row = ("," + inner + "  ").join
+            rows = _c_encode(value)[2:-2].split("], [")
+            items = ("[" + inner + "  " + row(text.split(", ")) + inner + "]" for text in rows)
+        else:
+            items = (_encode(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _c_encode(value)
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = _encode(report)
+    except (ValueError, TypeError):  # json.dumps words the refusal, or writes a non-str key
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -16,6 +16,8 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import add, truediv
 from typing import NamedTuple
 
 from .model import InfeasibleError, MigrationRecord, Move, Trace, instance_from_sizes
@@ -202,23 +204,23 @@ class StreamRunner:
         where, jobs, counts, sizes = self._where, self._jobs, self.counts, self.trace.sizes
         moved_size = 0.0
         touched = {machine}
-        for mv in moves:
-            if mv.job == jid:
+        for job, src, dst in moves:
+            if job == jid:
                 raise ContractViolation(jid, "trigger job listed in its own migrations")
-            if not 1 <= mv.job < jid or where[mv.job - 1] != mv.src:
+            if not 1 <= job < jid or where[job - 1] != src:
                 raise ContractViolation(
-                    jid, f"move of job {mv.job} from machine {mv.src} does not match schedule"
+                    jid, f"move of job {job} from machine {src} does not match schedule"
                 )
-            if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
-                raise ContractViolation(jid, f"move of job {mv.job} to invalid machine {mv.dst}")
-            where[mv.job - 1] = mv.dst
-            jobs[mv.src - 1].remove(mv.job)
-            jobs[mv.dst - 1].add(mv.job)
-            counts[mv.src - 1] -= 1
-            counts[mv.dst - 1] += 1
-            moved_size += sizes[mv.job - 1]
-            touched.add(mv.src)
-            touched.add(mv.dst)
+            if not 1 <= dst <= self.m or dst == src:
+                raise ContractViolation(jid, f"move of job {job} to invalid machine {dst}")
+            where[job - 1] = dst
+            jobs[src - 1].remove(job)
+            jobs[dst - 1].add(job)
+            counts[src - 1] -= 1
+            counts[dst - 1] += 1
+            moved_size += sizes[job - 1]
+            touched.add(src)
+            touched.add(dst)
         touched = sorted(touched)  # ascending: the lowest violator is named
         if self.classes is not None:  # a move may take a class's last job off a machine
             for mi in touched:
@@ -276,13 +278,20 @@ def competitive_metrics(trace: Trace, mode: str = "exact") -> CompetitiveMetrics
             final_denom = exact_opt(instance_from_sizes(sizes[:t], m, trace.k)).opt_makespan
             prefix_max = max(prefix_max, _ratio(makespans[t - 1], final_denom))
     else:
-        running_total = 0.0
-        running_max = 0.0
-        for t in range(n):
-            running_total += sizes[t]
-            running_max = max(running_max, sizes[t])
-            final_denom = max(running_max, running_total / m)
-            prefix_max = max(prefix_max, _ratio(makespans[t], final_denom))
+        # prefix t's bound is max(running max, running total / m), both left
+        # folds from 0.0 in arrival order (so a -0.0 size counts as 0.0)
+        totals = islice(accumulate(sizes, add, initial=0.0), 1, None)
+        maxima = islice(accumulate(sizes, max, initial=0.0), 1, None)
+        bounds = list(map(max, maxima, map(truediv, totals, repeat(m))))
+        # the bound is 0 only while every size so far is; _ratio prices those prefixes
+        lead = next((t for t, bound in enumerate(bounds) if bound), n)
+        ratios = chain(
+            map(_ratio, makespans[:lead], bounds[:lead]),
+            map(truediv, islice(makespans, lead, None), islice(bounds, lead, None)),
+        )
+        prefix_max = max(chain((prefix_max,), ratios))  # the left fold of max from 0.0
+        if bounds:
+            final_denom = bounds[-1]
         assert final_denom == lower_bound(sizes, m)
     return CompetitiveMetrics(
         final_ratio=_ratio(trace.final_makespan(), final_denom),

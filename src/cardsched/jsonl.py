@@ -10,31 +10,49 @@ import json
 import math
 from typing import Optional
 
+# the decoder json.loads uses, minus its per-call wrapper: a stripped line that
+# it decodes to the end is exactly what json.loads accepts (a BOM never decodes)
+_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(path: str, lineno: int, line: str):
+    """json.loads(line), its decoding failure raised as a one-line ValueError naming the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
+
 
 def load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
     entries: list[tuple[float, Optional[int]]] = []
+    append, decode, isfinite = entries.append, _decode, math.isfinite
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                obj, end = decode(line)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(line):  # json.loads gives the failure its message, or the object
+                obj = _loads(path, lineno, line)
             if not isinstance(obj, dict) or "size" not in obj:
                 raise ValueError(f"{path}: line {lineno}: expected an object with a 'size' field")
             size = obj["size"]
-            if isinstance(size, bool) or not isinstance(size, (int, float)):
-                raise ValueError(f"{path}: line {lineno}: 'size' must be a number")
-            try:
-                size = float(size)
-            except OverflowError:
-                size = math.inf
-            if not math.isfinite(size):
+            if type(size) is not float:
+                if isinstance(size, bool) or not isinstance(size, (int, float)):
+                    raise ValueError(f"{path}: line {lineno}: 'size' must be a number")
+                try:
+                    size = float(size)
+                except OverflowError:
+                    size = math.inf
+            if not isfinite(size):
                 raise ValueError(f"{path}: line {lineno}: 'size' must be finite, got {size}")
             cls = obj.get("class")
             if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
                 raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
-            entries.append((size, cls))
+            append((size, cls))
     return entries

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class InfeasibleError(Exception):
@@ -64,8 +65,7 @@ class Schedule:
         return self.assignment[jid]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     job: int
     src: int
     dst: int

@@ -12,7 +12,9 @@ them (the migration factor), so the scheduler keeps no sizes.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
+from operator import neg
 
 from .engine import Scheduler, SchedulerDecision
 from .model import InfeasibleError, Move, round_up_geometric
@@ -32,11 +34,12 @@ class RobustOrdinalScheduler(Scheduler):
         self.eps = eps
         self._sigma = ordinal_map(m, k).sigma
         self._classes: dict[int, deque[int]] = {}  # exponent -> job ids, head first
+        self._order: list[int] = []  # the exponents of _classes, descending
         self._arrivals = 0
 
     def positions(self) -> dict[int, int]:
         """Job id -> 1-based list position (descending class exponent, queue order)."""
-        order = (jid for e in sorted(self._classes, reverse=True) for jid in self._classes[e])
+        order = (jid for e in self._order for jid in self._classes[e])
         return {jid: p for p, jid in enumerate(order, start=1)}
 
     def on_arrival(self, size: float) -> SchedulerDecision:
@@ -45,12 +48,15 @@ class RobustOrdinalScheduler(Scheduler):
             raise InfeasibleError("no dummy slot left: capacity m*k exhausted")
         self._arrivals += 1
         jid = self._arrivals
-        self._classes.setdefault(exponent, deque())
+        classes = self._classes
+        if exponent not in classes:
+            classes[exponent] = deque()
+            insort(self._order, exponent, key=neg)
         sigma = self._sigma
         moves = []
         end = 0  # list positions taken by the classes visited so far, new job included
-        for e in sorted(self._classes, reverse=True):
-            queue = self._classes[e]
+        for e in self._order:
+            queue = classes[e]
             if e == exponent:
                 queue.append(jid)
                 machine = sigma[end + len(queue) - 1]

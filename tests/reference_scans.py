@@ -9,11 +9,14 @@ robust-ordinal scheduler that
 diffs a job -> machine map over all jobs before and after each resort, and
 the exact oracle that re-sums the free slots and rescans every machine's
 slot-forcing bound at every node, searching on after a leaf has reached the
-lower bound unless told to stop there.
+lower bound unless told to stop there.  For the input, metering and report
+layers: the per-line `json.loads` loader, the lower-bound metering loop and
+`json.dumps` with the report settings.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -606,3 +609,58 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:
     result = OracleResult(best, schedule, nodes)
     assert makespan(schedule, instance) == result.opt_makespan
     return result
+
+
+def ref_load_jobs(path: str) -> list[tuple[float, int | None]]:
+    """The loader with one json.loads call per line."""
+    entries: list[tuple[float, int | None]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict) or "size" not in obj:
+                raise ValueError(f"{path}: line {lineno}: expected an object with a 'size' field")
+            size = obj["size"]
+            if isinstance(size, bool) or not isinstance(size, (int, float)):
+                raise ValueError(f"{path}: line {lineno}: 'size' must be a number")
+            try:
+                size = float(size)
+            except OverflowError:
+                size = math.inf
+            if not math.isfinite(size):
+                raise ValueError(f"{path}: line {lineno}: 'size' must be finite, got {size}")
+            cls = obj.get("class")
+            if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
+                raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
+            entries.append((size, cls))
+    return entries
+
+
+def _ref_ratio(numer: float, denom: float) -> float:
+    if denom == 0:
+        return 1.0 if numer == 0 else math.inf
+    return numer / denom
+
+
+def ref_lower_bound_metrics(sizes, makespans, m: int) -> tuple[float, float]:
+    """(prefix-max ratio, final denominator) of lower-bound metering, one prefix per step."""
+    prefix_max = 0.0
+    final_denom = 0.0
+    running_total = 0.0
+    running_max = 0.0
+    for t in range(len(sizes)):
+        running_total += sizes[t]
+        running_max = max(running_max, sizes[t])
+        final_denom = max(running_max, running_total / m)
+        prefix_max = max(prefix_max, _ref_ratio(makespans[t], final_denom))
+    return prefix_max, final_denom
+
+
+def ref_report_text(report) -> str:
+    """A report as the CLI printed it before it had its own encoder."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

@@ -1,0 +1,271 @@
+"""Differential tests for the load, metering and report layers.
+
+Each fast path is checked against the code it replaced (tests/reference_scans.py):
+`load_jobs` against the per-line `json.loads` loader, lower-bound metering
+against its one-prefix-per-step loop, and the CLI's report encoder against
+`json.dumps(..., indent=2, sort_keys=True, allow_nan=False)`.
+"""
+
+import json
+import math
+from array import array
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cardsched import cli
+from cardsched.engine import competitive_metrics, run_stream
+from cardsched.jsonl import load_jobs
+from cardsched.model import Trace
+from reference_scans import ref_load_jobs, ref_lower_bound_metrics, ref_report_text
+
+_chars = st.characters(blacklist_categories=("Cs",))  # every str that UTF-8 can write
+
+# -- load ---------------------------------------------------------------------
+
+_size_values = st.one_of(
+    st.floats(),  # NaN and the infinities serialise as NaN/Infinity, which json reads back
+    st.just(-0.0),
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),  # past the largest float
+    st.booleans(),
+    st.none(),
+    st.text(_chars, max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_class_values = st.one_of(
+    st.integers(-(2**70), 2**70), st.booleans(), st.floats(), st.text(max_size=2)
+)
+
+
+@st.composite
+def _object_line(draw):
+    obj = {}
+    if draw(st.booleans()) or draw(st.booleans()):
+        obj["size"] = draw(_size_values)
+    if draw(st.booleans()):
+        obj["class"] = draw(_class_values)
+    if draw(st.booleans()):
+        obj[draw(st.text(_chars, max_size=3))] = draw(st.integers())
+    text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    return text if draw(st.booleans()) else text.replace(" ", "")
+
+
+_line = st.one_of(
+    _object_line(),
+    st.sampled_from(["", "   ", "\t", "\x0c", " ", "\xa0"]),  # blank once stripped
+    _object_line().map(lambda line: "\ufeff" + line),  # a byte-order mark
+    st.tuples(_object_line(), st.sampled_from([" x", "}", ",", " 1", "]"])).map("".join),
+    st.tuples(_object_line(), st.sampled_from(["", " "]), _object_line()).map("".join),
+    st.sampled_from(
+        [
+            "1",
+            "[1]",
+            '"size"',
+            "null",
+            "true",
+            "{",
+            "{'size': 1}",
+            '{"size": 1,}',
+            '{"size": 01}',
+            '{"size": NaN}',
+            '{"size": -Infinity}',
+            '{"size": 1e400}',
+            '{"size": ' + "9" * 5000 + "}",  # over int's default digit limit
+            '{"size": 1} // note',
+            "[" * 200 + "]" * 200,
+        ]
+    ),
+    st.text(_chars, max_size=12),
+)
+
+
+def _outcome(loader, path):
+    try:
+        return [(repr(size), cls) for size, cls in loader(path)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(_line, min_size=1, max_size=6), st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=400, deadline=None)
+def test_load_jobs_matches_json_loads_per_line(tmp_path_factory, lines, newline):
+    path = tmp_path_factory.mktemp("load") / "jobs.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+    assert _outcome(load_jobs, str(path)) == _outcome(ref_load_jobs, str(path))
+
+
+def test_load_jobs_names_a_line_nested_too_deeply(tmp_path):
+    """The per-line loader let the decoder's RecursionError out as a traceback."""
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"size": 1.5, "class": 2}\n\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(ValueError) as err:
+        load_jobs(str(path))
+    assert str(err.value) == f"{path}: line 3: invalid JSON (nested too deeply)"
+
+
+# -- metering -----------------------------------------------------------------
+
+_zero = st.sampled_from([0.0, -0.0])
+_meter_size = st.one_of(
+    _zero,
+    st.floats(0.0, 1e6),
+    st.floats(0.0, 1e-300),
+    st.sampled_from([0.1, 0.2, 0.3, 2.0**-1074, 1e300]),
+)
+
+
+def _assert_metering_matches(trace):
+    got = competitive_metrics(trace, "lower_bound")
+    prefix_max, denom = ref_lower_bound_metrics(trace.sizes, trace.makespans, trace.m)
+    final = trace.final_makespan()
+    want_final = (1.0 if final == 0 else math.inf) if denom == 0 else final / denom
+    assert repr(got.prefix_max_ratio) == repr(prefix_max)
+    assert repr(got.denominator) == repr(denom)
+    assert repr(got.final_ratio) == repr(want_final)
+
+
+@given(
+    st.lists(_zero, max_size=4),
+    st.lists(_meter_size, max_size=40),
+    st.integers(1, 6),
+    st.sampled_from(["round-robin", "greedy-capped"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_lower_bound_metering_matches_loop(zeros, tail, m, algo):
+    sizes = zeros + tail  # a leading zero-size prefix has bound 0
+    k = max(1, -(-len(sizes) // m))
+    trace = run_stream(cli.SCHEDULERS[algo](m, k, 1.0), sizes, m, k)
+    _assert_metering_matches(trace)
+
+
+_makespan = st.one_of(_zero, st.floats(0.0, 1e6))
+
+
+@given(
+    st.lists(st.tuples(_meter_size, _makespan), max_size=30),
+    st.lists(st.tuples(_zero, _makespan), max_size=4),
+    st.integers(1, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_lower_bound_metering_matches_loop_on_any_makespans(pairs, zero_pairs, m):
+    """Makespans drawn apart from the sizes reach _ratio's 0/0 and x/0 cases,
+    and a -0.0 ratio, which the fold from 0.0 never reports."""
+    pairs = zero_pairs + pairs
+    trace = Trace(m, len(pairs) or 1)
+    trace.sizes = array("d", (size for size, _ in pairs))
+    trace.makespans = array("d", (ms for _, ms in pairs))
+    _assert_metering_matches(trace)
+
+
+# -- emit ---------------------------------------------------------------------
+
+_number = st.one_of(
+    st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0)
+)
+_scalar = st.one_of(st.none(), st.booleans(), _number, st.text(_chars, max_size=6))
+_values = st.recursive(
+    _scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(_chars, max_size=5), inner, max_size=5),
+        st.lists(_number, min_size=1, max_size=5),  # the C encoder's number lists
+        st.lists(st.lists(_number, max_size=3), min_size=1, max_size=4),  # rows, some empty
+        st.lists(st.tuples(_number, _number), min_size=1, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_values)
+@settings(max_examples=500, deadline=None)
+def test_encode_matches_json_dumps(value):
+    assert cli._encode(value) == ref_report_text(value)
+
+
+def _emit_outcome(emit, report, tmp_path):
+    out = tmp_path / "report.json"
+    try:
+        emit(report, str(out))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return out.read_text(encoding="utf-8")
+
+
+def _ref_emit(report, out):
+    text = ref_report_text(report)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"a": [1.0, math.inf]},
+        {"a": [[1.0, 2], [math.nan, 3]]},
+        {"a": {"b": -math.inf}},
+        {"a": [True, math.inf]},
+        {1: "one", 2: [2.0]},  # json.dumps writes int keys as strings
+        {"a": {(1, 2): 3}},
+        {"a": [object()]},
+        {"a": [1, 10**5000]},  # over int's default digit limit
+    ],
+)
+def test_emit_refuses_or_writes_like_json_dumps(tmp_path, report):
+    assert _emit_outcome(cli._emit, report, tmp_path) == _emit_outcome(_ref_emit, report, tmp_path)
+
+
+def _report(argv):
+    """The report dict the CLI would emit for argv."""
+    args = cli.make_parser().parse_args(argv)
+    if args.command == "run":
+        return cli.cmd_run(args)
+    if args.command == "oracle":
+        return cli.cmd_oracle(args)
+    if args.command == "adversary":
+        return cli.cmd_adversary(args)
+    return cli.cmd_clcs(args)
+
+
+def _run(algo, m, k, n, *extra):
+    argv = ["run", "--algo", algo, "--m", str(m), "--k", str(k), "--gen", "loguniform"]
+    return argv + ["--n", str(n), "--seed", "3", *extra]
+
+
+def _adversary(family, algo, m, k):
+    return ["adversary", "--family", family, "--algo", algo, "--m", str(m), "--k", str(k)]
+
+
+_REPORT_KINDS = {
+    "run-round-robin": _run("round-robin", 7, 40, 200),
+    "run-greedy-capped-exact": _run("greedy-capped", 3, 4, 9, "--mode", "exact"),
+    "run-phi": _run("phi", 2, 2, 4),
+    "run-constant-structure": _run("constant", 4, 60, 150, "--dump-structure"),
+    "run-robust-ordinal": _run("robust-ordinal", 5, 5, 25, "--epsilon", "0.5"),
+    "run-ordinal-map": _run("ordinal", 4, 6, 20, "--emit-map", "--mode", "lower-bound"),
+    "run-transcript-omitted": _run("round-robin", 101, 100, 10_001),
+    "oracle": ["oracle", "--m", "3", "--k", "3", "--gen", "uniform", "--n", "8"],
+    "adversary-pure-lb": _adversary("pure-lb", "greedy-capped", 4, 3),
+    "adversary-balanced-lb": _adversary("balanced-lb", "constant", 3, 60),
+    "adversary-robust-lb": _adversary("robust-lb", "robust-ordinal", 4, 8),
+    "adversary-phi-lb": _adversary("phi-lb", "phi", 2, 2),
+    "clcs-identical-lb": ["clcs", "adversary", "--family", "identical-lb", "--m", "4", "--k", "2"],
+    "clcs-uniform-lb": ["clcs", "adversary", "--family", "uniform-lb", "--m", "5", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_REPORT_KINDS.values()), ids=list(_REPORT_KINDS))
+def test_encode_matches_json_dumps_on_every_report_kind(argv):
+    report = _report(argv)
+    assert cli._encode(report) == ref_report_text(report)
+
+
+def test_encode_matches_json_dumps_on_a_clcs_run_report(tmp_path):
+    path = tmp_path / "classed.jsonl"
+    rows = [{"size": 2.0**-e, "class": e % 3 + 1} for e in range(12)]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    argv = ["clcs", "run", "--m", "3", "--k", "2", "--input", str(path), "--speeds", "1,2,0.5"]
+    report = _report(argv)
+    assert cli._encode(report) == ref_report_text(report)
