@@ -1,126 +1,1 @@
 """Cardinality-constrained makespan scheduling lab."""
-
-from .adversaries import (
-    ROBUST_LB_X,
-    AdversaryReport,
-    balanced_lb_drive,
-    phi_lb_drive,
-    pure_lb_drive,
-    robust_lb_drive,
-)
-from .clcs import (
-    ClassedJob,
-    ClcsInstance,
-    GreedyClcsScheduler,
-    clcs_exact,
-    clcs_instance,
-    clcs_makespan,
-    identical_lb_report,
-    run_classed_stream,
-    uniform_lb_drive,
-)
-from .constant import (
-    ConstantCompetitiveScheduler,
-    RowStructure,
-    certify_load_bound,
-)
-from .engine import (
-    PHI,
-    CompetitiveMetrics,
-    ContractViolation,
-    ListSchedulingCapped,
-    MigrationStats,
-    PhiScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SchedulerDecision,
-    StreamRunner,
-    competitive_metrics,
-    migration_stats,
-    run_stream,
-)
-from .model import (
-    ArrivalRecord,
-    InfeasibleError,
-    Instance,
-    Job,
-    MigrationRecord,
-    Move,
-    Schedule,
-    Trace,
-    check_feasible,
-    instance_from_sizes,
-    loads,
-    makespan,
-    round_down_pow2,
-    round_up_geometric,
-)
-from .oracle import (
-    OracleResult,
-    brute_opt,
-    exact_opt,
-    lower_bound,
-    sorted_round_robin,
-    sorted_round_robin_makespan,
-)
-from .ordinal import OrdinalMap, iota, ordinal_map, ordinal_schedule
-from .robust import RobustOrdinalScheduler
-
-__all__ = [
-    "PHI",
-    "ROBUST_LB_X",
-    "AdversaryReport",
-    "ArrivalRecord",
-    "ClassedJob",
-    "ClcsInstance",
-    "CompetitiveMetrics",
-    "ConstantCompetitiveScheduler",
-    "ContractViolation",
-    "GreedyClcsScheduler",
-    "InfeasibleError",
-    "Instance",
-    "Job",
-    "ListSchedulingCapped",
-    "MigrationRecord",
-    "MigrationStats",
-    "Move",
-    "OracleResult",
-    "OrdinalMap",
-    "PhiScheduler",
-    "RobustOrdinalScheduler",
-    "RoundRobinScheduler",
-    "RowStructure",
-    "Schedule",
-    "Scheduler",
-    "SchedulerDecision",
-    "StreamRunner",
-    "Trace",
-    "balanced_lb_drive",
-    "brute_opt",
-    "certify_load_bound",
-    "check_feasible",
-    "clcs_exact",
-    "clcs_instance",
-    "clcs_makespan",
-    "competitive_metrics",
-    "exact_opt",
-    "identical_lb_report",
-    "instance_from_sizes",
-    "iota",
-    "loads",
-    "lower_bound",
-    "makespan",
-    "migration_stats",
-    "ordinal_map",
-    "ordinal_schedule",
-    "phi_lb_drive",
-    "pure_lb_drive",
-    "robust_lb_drive",
-    "round_down_pow2",
-    "round_up_geometric",
-    "run_classed_stream",
-    "run_stream",
-    "sorted_round_robin",
-    "sorted_round_robin_makespan",
-    "uniform_lb_drive",
-]

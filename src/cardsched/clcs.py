@@ -11,53 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .adversaries import AdversaryReport, drive_report
 from .engine import SchedulerDecision, StreamRunner
 from .model import InfeasibleError
-
-CLCS_BRUTE_MAX_JOBS = 8
-
-
-@dataclass(frozen=True)
-class ClassedJob:
-    id: int
-    size: float
-    cls: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"job {self.id}: size must be >= 0")
-        if self.cls < 1:
-            raise ValueError(f"job {self.id}: class must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClcsInstance:
-    jobs: tuple[ClassedJob, ...]
-    m: int
-    k: int
-    speeds: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.m < 1 or self.k < 1:
-            raise ValueError("m and k must be >= 1")
-        if len(self.speeds) != self.m:
-            raise ValueError("speeds must have one entry per machine")
-        if any(s <= 0 for s in self.speeds):
-            raise ValueError("speeds must be positive")
-
-
-def clcs_instance(jobs, m: int, k: int, speeds=None) -> ClcsInstance:
-    """jobs: iterable of (size, class); identical machines unless speeds given."""
-    speeds = tuple(float(s) for s in speeds) if speeds is not None else (1.0,) * m
-    return ClcsInstance(
-        tuple(ClassedJob(i + 1, float(sz), int(c)) for i, (sz, c) in enumerate(jobs)),
-        m,
-        k,
-        speeds,
-    )
 
 
 class GreedyClcsScheduler:
@@ -105,34 +62,6 @@ def run_classed_stream(scheduler, jobs, m: int, k: int) -> StreamRunner:
     return runner
 
 
-def clcs_exact(instance: ClcsInstance) -> float:
-    """True optimum by enumerating all assignments (n <= 8)."""
-    n, m, k = len(instance.jobs), instance.m, instance.k
-    if n > CLCS_BRUTE_MAX_JOBS:
-        raise ValueError(f"clcs_exact guard: {n} jobs > {CLCS_BRUTE_MAX_JOBS}")
-    if n == 0:
-        return 0.0
-    best = None
-    for assign in itertools.product(range(m), repeat=n):
-        loads = [0.0] * m
-        class_sets: list[set[int]] = [set() for _ in range(m)]
-        ok = True
-        for job, mi in zip(instance.jobs, assign):
-            loads[mi] += job.size
-            class_sets[mi].add(job.cls)
-            if len(class_sets[mi]) > k:
-                ok = False
-                break
-        if not ok:
-            continue
-        cost = max(ld / sp for ld, sp in zip(loads, instance.speeds))
-        if best is None or cost < best:
-            best = cost
-    if best is None:
-        raise InfeasibleError("no class-feasible assignment exists")
-    return best
-
-
 def identical_lb_report(scheduler, m: int, k: int) -> AdversaryReport:
     """m unit jobs of one common class; offline puts one on each machine."""
     if m < 2:
@@ -146,13 +75,20 @@ def uniform_lb_drive(
 ) -> AdversaryReport:
     """Machine 1 has speed 1, the rest speed s > 1.  Phase 1 hands out m*k unit
     jobs with distinct classes; phase 2 floods the classes stuck on machine 1
-    with M*beta rounds of jobs of size 1/beta - eps, too small to migrate."""
+    with M*beta rounds of jobs of size 1/beta - eps, too small to migrate.
+
+    `opt_value` >= opt: the lower of the scheduler's own schedule and the larger of
+    the analytic M/s + k/s (alone it can fall below opt >= k) and the schedule that
+    puts each flooded class with k-1 unit classes on a fast machine of its own.
+    """
     if not 1 < s < math.inf:
         raise ValueError(f"requires finite s > 1, got {s}")
     if beta <= 0 or not 0 < eps < 1.0 / beta:
         raise ValueError("requires beta > 0 and 0 < eps < 1/beta")
     if M < 0:
         raise ValueError("M must be >= 0")
+    if m == 1:  # no fast machine to flood; the runner refuses m < 1 itself
+        raise ValueError(f"requires m >= 2, got {m}")
     speeds = (1.0,) + (float(s),) * (m - 1)
     drive = run_classed_stream(scheduler, [(1.0, cls) for cls in range(1, m * k + 1)], m, k)
 
@@ -171,4 +107,10 @@ def uniform_lb_drive(
     classes = itertools.chain.from_iterable(itertools.repeat(targets, rounds))
     drive.feed(itertools.repeat(size, rounds * len(targets)), classes)
     alg = clcs_makespan(drive.loads, speeds)
-    return drive_report(drive, "clcs-uniform-lb", M / s + k / s, "analytic", note, alg)
+    analytic, constructive = M / s + k / s, max(float(k), (k + rounds * size) / s)
+    opt, provenance = analytic, "analytic"
+    if constructive > analytic:
+        opt, provenance = constructive, "constructive"
+    if alg < opt:
+        opt, provenance = alg, "alg-schedule"
+    return drive_report(drive, "clcs-uniform-lb", opt, provenance, note, alg)

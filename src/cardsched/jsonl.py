@@ -26,6 +26,22 @@ def _loads(path: str, lineno: int, line: str):
 
 
 def load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
+    try:
+        return _load_jobs(path)
+    except UnicodeDecodeError:
+        # name the first bad line, counting lines as the text-mode loop does (\n, \r, \r\n)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                reason = f"byte {exc.start + 1}: {exc.reason}"
+                raise ValueError(f"{path}: line {lineno}: not valid UTF-8 ({reason})") from None
+        raise
+
+
+def _load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
     entries: list[tuple[float, Optional[int]]] = []
     append, decode, isfinite = entries.append, _decode, math.isfinite
     with open(path, "r", encoding="utf-8") as fh:

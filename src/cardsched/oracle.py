@@ -1,19 +1,16 @@
 """Exact and heuristic offline solvers.
 
 These provide the denominators for every competitive-ratio measurement in the
-repo: a branch-and-bound exact solver, an independent full-enumeration oracle
-for cross-checks, a cheap lower bound and the sorted round-robin heuristic.
+repo: a branch-and-bound exact solver, a cheap lower bound and the sorted
+round-robin heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import InfeasibleError, Instance, Schedule, makespan
 
-BRUTE_MAX_JOBS = 10
 EXACT_RECOMMENDED_MAX_JOBS = 20
 
 
@@ -59,44 +56,6 @@ def sorted_round_robin(instance: Instance) -> Schedule:
         )
     order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
     return Schedule({j.id: 1 + i % instance.m for i, j in enumerate(order)})
-
-
-@lru_cache(maxsize=None)
-def _feasible_assignments(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    # all of m**n assignment vectors, filtered to those obeying the cap
-    out = []
-    for assign in itertools.product(range(m), repeat=n):
-        counts = [0] * m
-        ok = True
-        for mi in assign:
-            counts[mi] += 1
-            if counts[mi] > k:
-                ok = False
-                break
-        if ok:
-            out.append(assign)
-    return tuple(out)
-
-
-def brute_opt(instance: Instance) -> float:
-    """Minimum makespan by full enumeration; independent of the branch-and-bound path."""
-    n, m, k = instance.n, instance.m, instance.k
-    if n > BRUTE_MAX_JOBS:
-        raise ValueError(f"brute_opt guard: {n} jobs > {BRUTE_MAX_JOBS}")
-    if not instance.is_feasible():
-        raise InfeasibleError(f"{n} jobs exceed capacity m*k = {m * k}")
-    if n == 0:
-        return 0.0
-    sizes = [j.size for j in instance.jobs]
-    best = None
-    for assign in _feasible_assignments(n, m, k):
-        ld = [0.0] * m
-        for s, mi in zip(sizes, assign):
-            ld[mi] += s
-        cost = max(ld)
-        if best is None or cost < best:
-            best = cost
-    return best
 
 
 def exact_opt(instance: Instance) -> OracleResult:

@@ -12,14 +12,21 @@ slot-forcing bound at every node, searching on after a leaf has reached the
 lower bound unless told to stop there.  For the input, metering and report
 layers: the per-line `json.loads` loader, the lower-bound metering loop and
 `json.dumps` with the report settings.
+
+It also holds the two brute-force oracles that the exact solvers are checked
+against: `brute_opt`, the cardinality-constrained optimum by enumerating every
+capped assignment (n <= 10), and `clcs_exact`, the class-constrained optimum
+by enumerating every assignment (n <= 8).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cardsched.constant import FALLBACK_MAX_K, RowSnapshot, RowStructure
 from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler, SchedulerDecision
@@ -34,6 +41,9 @@ from cardsched.model import (
 )
 from cardsched.oracle import OracleResult, lower_bound, sorted_round_robin
 from cardsched.ordinal import ordinal_map
+
+BRUTE_MAX_JOBS = 10
+CLCS_BRUTE_MAX_JOBS = 8
 
 
 @dataclass(frozen=True)
@@ -609,6 +619,75 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:
     result = OracleResult(best, schedule, nodes)
     assert makespan(schedule, instance) == result.opt_makespan
     return result
+
+
+@lru_cache(maxsize=None)
+def _feasible_assignments(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    # all of m**n assignment vectors, filtered to those obeying the cap
+    out = []
+    for assign in itertools.product(range(m), repeat=n):
+        counts = [0] * m
+        ok = True
+        for mi in assign:
+            counts[mi] += 1
+            if counts[mi] > k:
+                ok = False
+                break
+        if ok:
+            out.append(assign)
+    return tuple(out)
+
+
+def brute_opt(instance: Instance) -> float:
+    """Minimum makespan by full enumeration; independent of the branch-and-bound path."""
+    n, m, k = instance.n, instance.m, instance.k
+    if n > BRUTE_MAX_JOBS:
+        raise ValueError(f"brute_opt guard: {n} jobs > {BRUTE_MAX_JOBS}")
+    if not instance.is_feasible():
+        raise InfeasibleError(f"{n} jobs exceed capacity m*k = {m * k}")
+    if n == 0:
+        return 0.0
+    sizes = [j.size for j in instance.jobs]
+    best = None
+    for assign in _feasible_assignments(n, m, k):
+        ld = [0.0] * m
+        for s, mi in zip(sizes, assign):
+            ld[mi] += s
+        cost = max(ld)
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
+def clcs_exact(jobs, m: int, k: int, speeds=None) -> float:
+    """ClCS optimum over (size, class) pairs by enumerating all assignments (n <= 8);
+    identical machines unless speeds are given."""
+    jobs = [(float(size), int(cls)) for size, cls in jobs]
+    speeds = (1.0,) * m if speeds is None else tuple(float(sp) for sp in speeds)
+    n = len(jobs)
+    if n > CLCS_BRUTE_MAX_JOBS:
+        raise ValueError(f"clcs_exact guard: {n} jobs > {CLCS_BRUTE_MAX_JOBS}")
+    if n == 0:
+        return 0.0
+    best = None
+    for assign in itertools.product(range(m), repeat=n):
+        loads = [0.0] * m
+        class_sets: list[set[int]] = [set() for _ in range(m)]
+        ok = True
+        for (size, cls), mi in zip(jobs, assign):
+            loads[mi] += size
+            class_sets[mi].add(cls)
+            if len(class_sets[mi]) > k:
+                ok = False
+                break
+        if not ok:
+            continue
+        cost = max(ld / sp for ld, sp in zip(loads, speeds))
+        if best is None or cost < best:
+            best = cost
+    if best is None:
+        raise InfeasibleError("no class-feasible assignment exists")
+    return best
 
 
 def ref_load_jobs(path: str) -> list[tuple[float, int | None]]:

@@ -18,8 +18,6 @@ from cardsched.adversaries import (
 )
 from cardsched.clcs import (
     GreedyClcsScheduler,
-    clcs_exact,
-    clcs_instance,
     identical_lb_report,
     run_classed_stream,
     uniform_lb_drive,
@@ -34,10 +32,11 @@ from cardsched.engine import (
     run_stream,
 )
 from cardsched.model import check_feasible, instance_from_sizes
-from cardsched.oracle import brute_opt, exact_opt
+from cardsched.oracle import exact_opt
 from cardsched.ordinal import iota, ordinal_map, ordinal_schedule
 from cardsched.robust import RobustOrdinalScheduler
 from cardsched.model import makespan as schedule_makespan
+from reference_scans import brute_opt, clcs_exact
 
 RATE_81_41 = 81.0 / 41.0
 
@@ -278,7 +277,7 @@ def test_criterion_10_clcs():
         n = rng.randint(1, 8)
         jobs = [(rng.uniform(0.5, 9.0), rng.randint(1, m * k)) for _ in range(n)]
         drive = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
-        opt = clcs_exact(clcs_instance(jobs, m, k))
+        opt = clcs_exact(jobs, m, k)
         if max(drive.loads) > m * opt + 1e-9:
             failures.append(("greedy vs m*opt", m, k, jobs))
     report = uniform_lb_drive(GreedyClcsScheduler(3, 2), 3, 2, 2.0, 1.0, 0.01, 200)

@@ -4,10 +4,7 @@ import random
 import pytest
 
 from cardsched.clcs import (
-    ClassedJob,
     GreedyClcsScheduler,
-    clcs_exact,
-    clcs_instance,
     clcs_makespan,
     identical_lb_report,
     run_classed_stream,
@@ -15,6 +12,7 @@ from cardsched.clcs import (
 )
 from cardsched.engine import ContractViolation, SchedulerDecision, StreamRunner
 from cardsched.model import InfeasibleError, Move
+from reference_scans import clcs_exact
 
 
 def test_greedy_binding_rule():
@@ -83,23 +81,16 @@ def test_classed_runner_refuses_a_class_before_the_scheduler_sees_it(cls):
 
 def test_clcs_exact_examples():
     # one class may appear on many machines: k restricts distinct classes
-    assert clcs_exact(clcs_instance([(1.0, 1)] * 3, 3, 1)) == 1.0
-    assert clcs_exact(clcs_instance([(1.0, 1), (2.0, 2)], 1, 2)) == 3.0
-    assert clcs_exact(clcs_instance([(2.0, 1)], 2, 1, speeds=[1, 2])) == 1.0
+    assert clcs_exact([(1.0, 1)] * 3, 3, 1) == 1.0
+    assert clcs_exact([(1.0, 1), (2.0, 2)], 1, 2) == 3.0
+    assert clcs_exact([(2.0, 1)], 2, 1, speeds=[1, 2]) == 1.0
 
 
 def test_clcs_exact_guard_and_infeasible():
     with pytest.raises(ValueError):
-        clcs_exact(clcs_instance([(1.0, 1)] * 9, 3, 3))
+        clcs_exact([(1.0, 1)] * 9, 3, 3)
     with pytest.raises(InfeasibleError):
-        clcs_exact(clcs_instance([(1.0, c) for c in (1, 2, 3)], 1, 2))
-
-
-def test_classed_job_validation():
-    with pytest.raises(ValueError):
-        ClassedJob(1, -1.0, 1)
-    with pytest.raises(ValueError):
-        ClassedJob(1, 1.0, 0)
+        clcs_exact([(1.0, c) for c in (1, 2, 3)], 1, 2)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -174,7 +165,7 @@ def test_greedy_within_m_times_optimum_random():
         n = rng.randint(1, 8)
         jobs = [(rng.uniform(0.5, 9.0), rng.randint(1, m * k)) for _ in range(n)]
         drive = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
-        opt = clcs_exact(clcs_instance(jobs, m, k))
+        opt = clcs_exact(jobs, m, k)
         assert max(drive.loads) <= m * opt + 1e-9
         for class_set in drive.class_sets:
             assert len(class_set) <= k

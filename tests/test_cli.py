@@ -68,6 +68,16 @@ def test_deeply_nested_jsonl_line_exits_2_with_one_line(tmp_path, capsys):
     assert err == f"error: {path}: line 2: invalid JSON (nested too deeply)\n"
 
 
+@pytest.mark.parametrize("argv", [["run", "--algo", "round-robin"], ["clcs", "run"]])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, argv):
+    # a lone \r ends a line in the text-mode loop, so the bad byte sits on line 3
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"size": 1, "class": 1}\r{"size": 2, "class": 1}\n{"size": 3, "note": "\xff"}\n')
+    code, out, err = _run_cli(capsys, argv + ["--m", "2", "--k", "2", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 3: not valid UTF-8 (byte 22: invalid start byte)\n"
+
+
 def test_run_determinism_modulo_wall_time(capsys):
     argv = ["run", "--algo", "greedy-capped", "--m", "2", "--k", "6", "--gen", "loguniform", "--n", "10", "--seed", "3"]
     code1, out1, _ = _run_cli(capsys, argv)
@@ -219,6 +229,56 @@ def test_clcs_adversaries(capsys):
     assert json.loads(out)["ratio"] >= 3.6
 
 
+def _main(argv):
+    """main(argv) with its output captured, for hypothesis tests, which take no capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clcs_uniform_lb(argv):
+    return _main(["clcs", "adversary", "--family", "uniform-lb"] + argv)
+
+
+def test_uniform_lb_opt_is_at_least_k_and_one_machine_exits_2():
+    # every machine hosts k of the m*k unit classes, so opt >= k = 1, not M/s + k/s = 0.25
+    code, out, _ = _clcs_uniform_lb(["--m", "2", "--k", "1", "--speed", "8", "--big-m", "1"])
+    report = json.loads(out)
+    assert code == 0
+    assert (report["opt_value"], report["opt_provenance"]) == (1.0, "constructive")
+    assert report["ratio"] == 1.99
+    # M = 0: greedy's phase-1 schedule is optimal
+    code, out, _ = _clcs_uniform_lb(["--m", "3", "--k", "2", "--big-m", "0"])
+    report = json.loads(out)
+    assert (report["opt_value"], report["opt_provenance"], report["ratio"]) == (2.0, "constructive", 1.0)
+    code, out, err = _clcs_uniform_lb(["--m", "1", "--k", "2", "--big-m", "3"])
+    _assert_one_line_exit_2(code, out, err)
+    assert "requires m >= 2, got 1" in err
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 5),
+    st.sampled_from(["0", "1", "3", "29", "200"]),
+    st.sampled_from(["1.01", "1.5", "2", "8"]),
+    st.sampled_from(["1", "0.3", "2.5"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_uniform_lb_ratio_is_at_least_1_and_opt_at_least_the_cheap_bound(m, k, big_m, speed, beta):
+    argv = ["--m", str(m), "--k", str(k), "--big-m", big_m, "--speed", speed, "--beta", beta]
+    code, out, err = _clcs_uniform_lb(argv)
+    if code != 0:
+        _assert_one_line_exit_2(code, out, err)
+        return
+    report = json.loads(out)
+    sizes = [size for size, _ in report["transcript"]]
+    speeds = [1.0] + [float(speed)] * (m - 1)
+    cheap = max(max(sizes) / max(speeds), sum(sizes) / sum(speeds))
+    assert report["ratio"] >= 1.0
+    assert report["opt_value"] >= cheap
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = _run_cli(
@@ -329,11 +389,14 @@ def test_signed_zero_sizes_never_report_negative_zero(tmp_path, capsys, argv):
     assert "-0.0" not in json.dumps(report)
 
 
-@pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal"])
+@pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal", "greedy-clcs"])
 def test_negative_size_exits_2_with_one_line(tmp_path, capsys, algo):
-    # online keys reach the runner's size check; ordinal builds an Instance first
-    path = _write_jsonl(tmp_path / "negative.jsonl", [{"size": 1.0}, {"size": -2.0}])
-    argv = ["run", "--algo", algo, "--m", "2", "--k", "2", "--input", path]
+    # online keys and the classed runner reach the runner's size check; ordinal
+    # builds an Instance first
+    rows = [{"size": 1.0, "class": 1}, {"size": -2.0, "class": 2}]
+    path = _write_jsonl(tmp_path / "negative.jsonl", rows)
+    argv = ["clcs", "run"] if algo == "greedy-clcs" else ["run", "--algo", algo]
+    argv += ["--m", "2", "--k", "2", "--input", path]
     code, out, err = _run_cli(capsys, argv)
     _assert_one_line_exit_2(code, out, err)
     assert ">= 0, got -2.0" in err
@@ -456,19 +519,36 @@ def _fuzz_argv(draw):
     return argv + ["--epsilon", draw(_fuzz_epsilon)], None
 
 
-@given(_fuzz_argv())
+# lines that are not valid UTF-8: a lone byte, one inside a string, a truncated
+# sequence, an encoded surrogate, and a byte after a lone \r line break
+_fuzz_bad_line = st.sampled_from(
+    [b"\xff", b'{"size": 1.0, "x": "\xfe"}', b'{"size": 2.0}\xc3', b"\xed\xa0\x80", b'{"size": 3.0}\r\x80']
+)
+
+
+@st.composite
+def _fuzz_case(draw):
+    """_fuzz_argv's case, its input rows encoded as lines, one in four with a line of invalid UTF-8."""
+    argv, rows = draw(_fuzz_argv())
+    if rows is None:
+        return argv, None
+    lines = [json.dumps(r).encode() for r in rows]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_fuzz_bad_line))
+    return argv, lines
+
+
+@given(_fuzz_case())
 @settings(max_examples=200, deadline=None)
 def test_cli_fuzz_ends_in_strict_json_or_one_line_exit_2(tmp_path_factory, case):
-    argv, rows = case
-    if rows is not None:
+    argv, lines = case
+    if lines is not None:
         path = tmp_path_factory.mktemp("fuzz") / "jobs.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
         argv = argv + ["--input", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _main(argv)
     if code == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
     else:
-        _assert_one_line_exit_2(code, out.getvalue(), err.getvalue())
+        _assert_one_line_exit_2(code, out, err)
