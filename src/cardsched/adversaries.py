@@ -141,6 +141,8 @@ def balanced_lb_drive(
 def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
     """The m=k=2 adversary: sizes M and 1, then either two M^2 jobs (if the
     first two were co-located) or (phi-1)*M followed by 1 or phi*M."""
+    if not math.isfinite(M * M):  # an overflow makes both sides of the next test inf
+        raise ValueError(f"M={M}: M*M = {M * M} is not finite")
     if not 2 * M * M > PHI * (M + M * M):
         raise ValueError(f"M={M} too small: need 2M^2 > phi*(M + M^2)")
     drive = StreamRunner(scheduler, 2, 2)

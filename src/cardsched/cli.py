@@ -150,6 +150,7 @@ def _row_dicts(rows) -> list[dict]:
 def cmd_run(args) -> dict:
     sizes = _load_sizes(args)
     m, k = args.m, args.k
+    # the runner and Instance refuse this too, but only after the exact guard below
     if len(sizes) > m * k:
         raise InfeasibleError(f"infeasible: {len(sizes)} jobs exceed capacity m*k = {m * k}")
     mode = _pick_mode(args.mode, len(sizes))

@@ -3,15 +3,16 @@
 Sizes are rounded down to powers of two and jobs are grouped by how many
 doublings they sit below the current maximum: group i holds rounded size
 p_max / 2**i for i in 0..l with l = floor(2*log2(active_k)); everything
-smaller is "small".  Machine capacity is organized into rows of one slot per
-machine.  While the structure is live, each group owns a pure row (group jobs
-only) and a mixed row (group plus small jobs), small jobs fill dedicated
-small rows, and the rest of the rows are free.  Full rows are retired
-together with one unit (small row) or two units (group pair) of active_k, and
-the row population is repaired from the free pool; once active_k falls below
-50 the structure freezes (terminal mode) and the remaining live slots are
-filled, fewest-jobs machine first.  Caps k <= 49 never build the structure:
-that fallback is round-robin.
+smaller, a zero included, is "small".  Machine capacity is organized into
+rows of one slot per machine.  While the structure is live, each group owns
+a pure row (group jobs only) and a mixed row (group plus small jobs), small
+jobs fill dedicated small rows, and the rest of the rows are free.  Full
+rows are retired together with one unit (small row) or two units (group
+pair) of active_k, and the row population is repaired from the free pool;
+once active_k falls below 50 the structure freezes (terminal mode) and the
+remaining live slots are filled, fewest-jobs machine first.  Caps k <= 49
+never build the structure: that fallback is round-robin.  Otherwise the
+first arrival builds it, and the first positive size sets p_max.
 
 Within a row the slot goes to the machine with the fewest lifetime jobs, tie
 to the lowest index.  All rows share one (count, machine) order, kept as
@@ -36,7 +37,7 @@ from itertools import chain
 from operator import attrgetter, mul
 
 from .engine import Scheduler, SchedulerDecision, placements
-from .model import InfeasibleError, Trace, round_down_pow2
+from .model import Trace, round_down_pow2
 
 FALLBACK_MAX_K = 49
 
@@ -89,15 +90,13 @@ class RowStructure:
 
 class ConstantCompetitiveScheduler(Scheduler):
     def __init__(self, m: int, k: int):
-        if m < 1 or k < 1:
-            raise ValueError("m and k must be >= 1")
         self.m = m
         self.k = k  # original cap, never changes
         self.fallback = k <= FALLBACK_MAX_K
         self.terminal = False
         self.arrivals = 0
         self.active_k = k
-        self.l: int | None = None
+        self.l: int | None = None  # None until the structure is built
         self.e_pmax: int | None = None
         self._pure: dict[int, _Row] = {}
         self._mixed: dict[int, _Row] = {}
@@ -118,9 +117,8 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     # -- structure bookkeeping ------------------------------------------------
 
-    def _init_structure(self, e: int):
+    def _init_structure(self):
         # k rows by rid: the pairs, then the small rows, then floor(k/2) free rows
-        self.e_pmax = e
         self.l = _floor_2log2(self.k)
         self._buckets = [list(range(self.m))]
         rows = [_Row(rid) for rid in range(self.k)]
@@ -285,24 +283,20 @@ class ConstantCompetitiveScheduler(Scheduler):
     # -- contract ------------------------------------------------------------
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        if size <= 0:
-            raise ValueError(f"job size must be positive, got {size}")
-        if self.arrivals >= self.m * self.k:
-            raise InfeasibleError("capacity m*k exhausted")
         self.arrivals += 1
         if self.fallback:
             return self._decisions[(self.arrivals - 1) % self.m]
-        _, e = round_down_pow2(size)
-        if self.e_pmax is None:
-            self._init_structure(e)
-        elif e > self.e_pmax:
-            self.e_pmax = e
+        if self.l is None:
+            self._init_structure()
+        if size:  # a zero is a small job and sets no p_max
+            e = round_down_pow2(size)[1]
+            if self.e_pmax is None or e > self.e_pmax:
+                self.e_pmax = e
         jid = self.arrivals
         if self.terminal:
             return self._decisions[self._place_terminal(jid) - 1]
-        i = self.e_pmax - e
-        if i <= self.l:
-            machine = self._place_group(jid, i)
+        if size and self.e_pmax - e <= self.l:
+            machine = self._place_group(jid, self.e_pmax - e)
         else:
             machine = self._place_small(jid)
         return self._decisions[machine - 1]
@@ -339,7 +333,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         filled slots; the row population is checked while live.  Fallback
         keeps no state.
         """
-        if self.fallback or self.e_pmax is None:
+        if self.fallback or self.l is None:
             return
         buckets, removed = self._buckets, len(self._removed)
         assert sorted(chain.from_iterable(buckets)) == list(range(self.m))
@@ -379,11 +373,12 @@ def certify_load_bound(trace: Trace) -> list[str]:
     For original caps >= 50 each machine's rounded load must be at most
     (2/m) * sum(rounded) + (50 - 1/(k-1)) * max(rounded); smaller caps run in
     fallback mode, where any feasible schedule is within k * max(rounded).
+    A zero rounds to 0.
     """
     if not trace.n:
         return []
     m, k0 = trace.m, trace.k
-    rounded = [round_down_pow2(size)[0] for size in trace.sizes]
+    rounded = [round_down_pow2(size)[0] if size else 0.0 for size in trace.sizes]
     total = sum(rounded)
     p_max = max(rounded)
     rounded_loads = [0.0] * m

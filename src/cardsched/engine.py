@@ -55,7 +55,9 @@ class Scheduler:
 
     Placements are irrevocable for the triggering job; only schedulers with a
     migration budget may move previously placed jobs, and they declare those
-    moves in the returned decision.
+    moves in the returned decision.  A scheduler sees only the arrivals its
+    runner admits (at most m*k jobs, each size finite and >= 0), so it keeps
+    no copy of that check.
     """
 
     m: int
@@ -68,17 +70,18 @@ class Scheduler:
 class StreamRunner:
     """Feeds a scheduler its jobs in order, checks each decision, records the trace.
 
-    `feed` is the one arrival loop; `push` is its one-job case.  Run whole
-    streams through `feed`: its hot state lives in locals, so an arrival
-    costs a scheduler call plus a fixed handful of checks and array appends
-    (0.77 us per arrival on pure-lb vs round-robin, CPython 3.11 on a shared
-    2-vCPU host; `BENCH_9.json`).  One feasibility rule is checked on every
-    machine an arrival touches: at most k jobs per machine, or, for a
-    `classed` runner (ClCS), at most k distinct job classes per machine,
-    with no limit on the stream length.  An arrival costs O(1), plus a
-    re-sum of each machine a migration touches.  The job -> machine array
-    and the per-machine job sets that migrations need are built on the first
-    arrival that moves jobs.
+    The runner is the one online owner of the job contract: at most m*k
+    jobs, each size finite and >= 0 (a `classed` runner, for ClCS, has no
+    job limit).  `feed` is the one arrival loop; `push` is its one-job case.
+    Run whole streams through `feed`: its hot state lives in locals, so an
+    arrival costs a scheduler call plus a fixed handful of checks and array
+    appends (0.77 us per arrival on pure-lb vs round-robin, CPython 3.11 on
+    a shared 2-vCPU host; `BENCH_9.json`).  One feasibility rule is checked
+    on every machine an arrival touches: at most k jobs per machine, or, for
+    a classed runner, at most k distinct job classes per machine.  An
+    arrival costs O(1), plus a re-sum of each machine a migration touches.
+    The job -> machine array and the per-machine job sets that migrations
+    need are built on the first arrival that moves jobs.
     """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
@@ -238,10 +241,7 @@ class StreamRunner:
 
 
 def run_stream(scheduler: Scheduler, sizes, m: int, k: int) -> Trace:
-    """Run the whole stream; fails before dispatch if it cannot fit at all."""
-    sizes = list(sizes)
-    if len(sizes) > m * k:
-        raise InfeasibleError(f"{len(sizes)} jobs exceed capacity m*k = {m * k}")
+    """Feed the whole stream to a new runner; returns its trace."""
     runner = StreamRunner(scheduler, m, k)
     runner.feed(sizes)
     return runner.trace
@@ -330,8 +330,6 @@ class RoundRobinScheduler(Scheduler):
 
     def on_arrival(self, size: float) -> SchedulerDecision:
         i = self._i
-        if i >= self.m * self.k:
-            raise InfeasibleError("round-robin: capacity m*k exhausted")
         self._i = i + 1
         return self._decisions[i % self.m]
 
@@ -349,7 +347,7 @@ class ListSchedulingCapped(Scheduler):
         self._decisions = placements(m)
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        if not self._heap:
+        if not self._heap:  # its own state: a direct caller can run it past m*k
             raise InfeasibleError("greedy-capped: all machines hold k jobs")
         load, best, count = self._heap[0]
         if count + 1 < self.k:

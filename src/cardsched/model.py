@@ -19,18 +19,20 @@ class InfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class Job:
-    """A job: `id` is the 1-based arrival index, `size` is nonnegative."""
+    """A job: `id` is the 1-based arrival index, `size` is finite and >= 0."""
 
     id: int
     size: float
 
     def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"job {self.id}: size must be >= 0, got {self.size}")
+        if not 0.0 <= self.size < math.inf:  # also rejects NaN
+            raise ValueError(f"job {self.id}: size must be finite and >= 0, got {self.size}")
 
 
 @dataclass(frozen=True)
 class Instance:
+    """The offline owner of the job contract: at most m*k jobs, each a valid `Job`."""
+
     jobs: tuple[Job, ...]
     m: int
     k: int
@@ -38,6 +40,8 @@ class Instance:
     def __post_init__(self):
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be >= 1")
+        if self.n > self.m * self.k:
+            raise InfeasibleError(f"{self.n} jobs exceed capacity m*k = {self.m * self.k}")
         ids = [j.id for j in self.jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("job ids must be unique")
@@ -45,9 +49,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.jobs)
-
-    def is_feasible(self) -> bool:
-        return self.n <= self.m * self.k
 
 
 def instance_from_sizes(sizes, m: int, k: int) -> Instance:

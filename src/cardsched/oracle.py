@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import InfeasibleError, Instance, Schedule, makespan
+from .model import Instance, Schedule, makespan
 
 EXACT_RECOMMENDED_MAX_JOBS = 20
 
@@ -50,10 +50,6 @@ def sorted_round_robin_makespan(sizes, m: int) -> float:
 
 def sorted_round_robin(instance: Instance) -> Schedule:
     """Sort jobs non-increasingly, send the i-th to machine 1+(i-1) mod m."""
-    if not instance.is_feasible():
-        raise InfeasibleError(
-            f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
-        )
     order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
     return Schedule({j.id: 1 + i % instance.m for i, j in enumerate(order)})
 
@@ -72,14 +68,11 @@ def exact_opt(instance: Instance) -> OracleResult:
     the max is recomputed over all machines, so the search prunes exactly as
     a scan at every node would.  Incumbent: the better of sorted round-robin
     and capped LPT.  Early exit: the search stops at the first schedule whose
-    makespan equals `lower_bound`, at the root or at any leaf.
+    makespan equals `lower_bound`, at the root or at any leaf.  `Instance`
+    admits at most m*k jobs, so capped LPT always finds a machine below k.
     """
     from .engine import ListSchedulingCapped  # engine imports this module
 
-    if not instance.is_feasible():
-        raise InfeasibleError(
-            f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
-        )
     m, k = instance.m, instance.k
     srr = sorted_round_robin(instance)
     incumbent = makespan(srr, instance)

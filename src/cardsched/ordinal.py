@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import InfeasibleError, Instance, Schedule
+from .model import Instance, Schedule
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,6 @@ def ordinal_schedule(instance: Instance) -> Schedule:
     Short instances are padded with zero-size virtual jobs; those are dropped
     from the returned schedule.
     """
-    if not instance.is_feasible():
-        raise InfeasibleError(
-            f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
-        )
     sigma = ordinal_map(instance.m, instance.k).sigma
     order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
     return Schedule({j.id: sigma[pos] for pos, j in enumerate(order)})

@@ -1,23 +1,25 @@
 """Bounded-migration wrapper around the ordinal map.
 
 Each arriving size is rounded up to a power of (1+eps) and appended as the
-tail of its size class in a non-increasing list of at most m*k jobs; the
-machine of the job at list position p is sigma[p-1] of the fixed ordinal
-map.  The append shifts every smaller class one position back; rotating each
-smaller class's head to its tail cancels that shift for every other member,
-so per arrival only the head of each smaller class can change machine.  The
-decision lists those head moves; the stream runner checks them and prices
-them (the migration factor), so the scheduler keeps no sizes.
+tail of its size class in a non-increasing list of at most m*k jobs; zeros
+form a class below all others.  The machine of the job at list position p
+is sigma[p-1] of the fixed ordinal map.  The append shifts every smaller
+class one position back; rotating each smaller class's head to its tail
+cancels that shift for every other member, so per arrival only the head of
+each smaller class can change machine.  The decision lists those head
+moves; the stream runner checks them and prices them (the migration
+factor), so the scheduler keeps no sizes.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from collections import deque
 from operator import neg
 
 from .engine import Scheduler, SchedulerDecision
-from .model import InfeasibleError, Move, round_up_geometric
+from .model import Move, round_up_geometric
 from .ordinal import ordinal_map
 
 
@@ -28,13 +30,13 @@ class RobustOrdinalScheduler(Scheduler):
     """
 
     def __init__(self, m: int, k: int, eps: float):
-        if eps <= 0 or 1.0 + eps == 1.0:
-            raise ValueError(f"eps must be positive and make 1 + eps > 1, got {eps}")
+        round_up_geometric(1.0, eps)  # its eps rule, applied before any arrival
         self.m, self.k = m, k
         self.eps = eps
         self._sigma = ordinal_map(m, k).sigma
-        self._classes: dict[int, deque[int]] = {}  # exponent -> job ids, head first
-        self._order: list[int] = []  # the exponents of _classes, descending
+        # exponent (-inf for zeros) -> job ids, head first
+        self._classes: dict[float, deque[int]] = {}
+        self._order: list[float] = []  # the exponents of _classes, descending
         self._arrivals = 0
 
     def positions(self) -> dict[int, int]:
@@ -43,9 +45,8 @@ class RobustOrdinalScheduler(Scheduler):
         return {jid: p for p, jid in enumerate(order, start=1)}
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        _, exponent = round_up_geometric(size, self.eps)
-        if self._arrivals == len(self._sigma):
-            raise InfeasibleError("no dummy slot left: capacity m*k exhausted")
+        # a zero joins the bottom class, below every exponent, and moves nothing
+        exponent = round_up_geometric(size, self.eps)[1] if size else -math.inf
         self._arrivals += 1
         jid = self._arrivals
         classes = self._classes

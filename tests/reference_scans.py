@@ -535,7 +535,7 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:
     """Branch-and-bound that re-sums the free slots and rescans every machine's
     bound at every node; it searches on after a leaf has reached the lower
     bound, or with `stop_at_lb` stops at the first such leaf."""
-    if not instance.is_feasible():
+    if instance.n > instance.m * instance.k:
         raise InfeasibleError(
             f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
         )
@@ -643,7 +643,7 @@ def brute_opt(instance: Instance) -> float:
     n, m, k = instance.n, instance.m, instance.k
     if n > BRUTE_MAX_JOBS:
         raise ValueError(f"brute_opt guard: {n} jobs > {BRUTE_MAX_JOBS}")
-    if not instance.is_feasible():
+    if n > m * k:
         raise InfeasibleError(f"{n} jobs exceed capacity m*k = {m * k}")
     if n == 0:
         return 0.0

@@ -243,8 +243,12 @@ def test_phi_lb_analytic_optima_match_oracle():
 
 
 def test_phi_lb_m_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too small"):
         phi_lb_drive(RoundRobinScheduler(2, 2), 2.0)
+    # M*M overflows to inf on both sides of the size test: M is too large, not too small
+    for M in (1e200, -1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="M\\*M = (inf|nan) is not finite"):
+            phi_lb_drive(RoundRobinScheduler(2, 2), M)
 
 
 def test_robust_lb_x_definition():

@@ -389,18 +389,31 @@ def test_signed_zero_sizes_never_report_negative_zero(tmp_path, capsys, argv):
     assert "-0.0" not in json.dumps(report)
 
 
+@pytest.mark.parametrize(
+    "algo, k", [(algo, 2) for algo in SCHEDULERS] + [("constant", 60), ("ordinal", 2)]
+)
+def test_every_run_key_accepts_size_zero(tmp_path, capsys, algo, k):
+    # one job contract: zeros are valid sizes for every scheduler (constant at
+    # k = 2 is fallback, at k = 60 its structure is live)
+    path = _write_jsonl(tmp_path / "zeros.jsonl", [{"size": 0.0}, {"size": 2.0}, {"size": 0}])
+    argv = ["run", "--algo", algo, "--m", "2", "--k", str(k), "--input", path]
+    code, out, err = _run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["n"] == 3 and report["final_makespan"] == 2.0
+
+
 @pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal", "greedy-clcs"])
 def test_negative_size_exits_2_with_one_line(tmp_path, capsys, algo):
     # online keys and the classed runner reach the runner's size check; ordinal
-    # builds an Instance first
+    # builds an Instance first, whose Job states the same rule
     rows = [{"size": 1.0, "class": 1}, {"size": -2.0, "class": 2}]
     path = _write_jsonl(tmp_path / "negative.jsonl", rows)
     argv = ["clcs", "run"] if algo == "greedy-clcs" else ["run", "--algo", algo]
     argv += ["--m", "2", "--k", "2", "--input", path]
     code, out, err = _run_cli(capsys, argv)
     _assert_one_line_exit_2(code, out, err)
-    assert ">= 0, got -2.0" in err
-    assert ("finite" in err) == (algo != "ordinal")  # only the runner's message says finite
+    assert "finite and >= 0, got -2.0" in err
 
 
 def test_non_finite_report_value_exits_2_with_one_line(tmp_path, capsys):
@@ -436,15 +449,18 @@ def test_clcs_run_rejects_bad_speeds(tmp_path, capsys, speeds):
 
 @pytest.mark.parametrize("command", ["run", "adversary"])
 def test_epsilon_too_small_to_change_one_exits_2_with_one_line(capsys, command):
-    # 1 + 1e-20 == 1.0, so no power of (1 + eps) can round a size up
-    argv = ["--algo", "robust-ordinal", "--m", "2", "--k", "2", "--epsilon", "1e-20"]
-    if command == "run":
-        argv = ["run", *argv, "--gen", "uniform", "--n", "3"]
-    else:
-        argv = ["adversary", "--family", "pure-lb", *argv]
-    code, out, err = _run_cli(capsys, argv)
-    _assert_one_line_exit_2(code, out, err)
-    assert "1 + eps" in err
+    # 1 + 1e-20 == 1.0, so no power of (1 + eps) can round a size up; inf and
+    # nan are refused too, at construction, so even a stream with no sizes
+    # (--n 0) or only zeros never rounds one and never reports the bad eps
+    for eps, n in (("1e-20", "3"), ("inf", "3"), ("nan", "3"), ("inf", "0"), ("nan", "0")):
+        argv = ["--algo", "robust-ordinal", "--m", "2", "--k", "2", "--epsilon", eps]
+        if command == "run":
+            argv = ["run", *argv, "--gen", "uniform", "--n", n]
+        else:
+            argv = ["adversary", "--family", "pure-lb", *argv]
+        code, out, err = _run_cli(capsys, argv)
+        _assert_one_line_exit_2(code, out, err)
+        assert "1 + eps" in err
 
 
 @pytest.mark.parametrize(

@@ -98,14 +98,14 @@ def test_small_row_removal_decrements_active_k_by_one():
 
 
 def test_arrival_cap_and_domain_errors():
-    scheduler = ConstantCompetitiveScheduler(2, 2)
-    run_stream(scheduler, [1.0] * 4, 2, 2)
+    # the runner owns the job contract: it refuses arrival m*k + 1 and a negative size
+    runner = StreamRunner(ConstantCompetitiveScheduler(2, 2), 2, 2)
+    runner.feed([1.0] * 4)
     with pytest.raises(InfeasibleError):
-        scheduler.on_arrival(1.0)
-    with pytest.raises(ValueError):
-        ConstantCompetitiveScheduler(2, 2).on_arrival(0.0)
-    with pytest.raises(ValueError):
-        ConstantCompetitiveScheduler(2, 2).on_arrival(-1.0)
+        runner.push(1.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        StreamRunner(ConstantCompetitiveScheduler(2, 2), 2, 2).push(-1.0)
+    assert run_stream(ConstantCompetitiveScheduler(2, 2), [0.0], 2, 2).final_makespan() == 0.0
 
 
 def test_terminal_mode_freezes_and_finishes():
@@ -166,6 +166,35 @@ def test_structure_invariant_random_streams(k, m, rng):
     total = sum(sizes)
     p_max = max(sizes)
     assert trace.final_makespan() <= 120 * max(p_max, total / m) + 1e-9
+
+
+@given(
+    st.integers(min_value=50, max_value=80),
+    st.integers(min_value=1, max_value=3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_zero_sizes_keep_invariants_in_live_and_terminal_mode(k, m, rng):
+    # about 30% zeros; a full stream of m*k jobs starts live and ends terminal
+    sizes = [0.0 if rng.random() < 0.3 else 2.0 ** rng.uniform(-10, 10) for _ in range(m * k)]
+    scheduler, trace = _run_with_invariants(m, k, sizes)
+    assert scheduler.terminal
+    assert check_feasible(trace.final_schedule(), trace.instance()) == []
+    assert certify_load_bound(trace) == []
+
+
+def test_leading_zero_builds_the_structure_and_sets_no_p_max():
+    scheduler = ConstantCompetitiveScheduler(2, 64)
+    runner = StreamRunner(scheduler, 2, 64)
+    runner.push(0.0)
+    scheduler.check_invariants()
+    snap = scheduler.structure_snapshot()
+    assert snap.p_max is None and snap.l == 12
+    assert [r.kind for r in snap.rows if any(s is not None for s in r.slots)] == ["small"]
+    runner.push(5.0)
+    scheduler.check_invariants()
+    assert scheduler.structure_snapshot().p_max == 4.0
+    assert certify_load_bound(runner.trace) == []
 
 
 def test_active_k_only_decreases_and_l_tracks():

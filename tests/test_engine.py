@@ -34,8 +34,11 @@ def test_run_stream_greedy_replay():
 
 
 def test_run_stream_guards_capacity_before_dispatch():
-    with pytest.raises(InfeasibleError):
-        run_stream(RoundRobinScheduler(2, 1), [1, 1, 1], 2, 1)
+    # the runner refuses arrival m*k + 1 before the scheduler sees it
+    scheduler = RoundRobinScheduler(2, 1)
+    with pytest.raises(InfeasibleError, match="capacity m\\*k = 2"):
+        run_stream(scheduler, [1, 1, 1], 2, 1)
+    assert scheduler._i == 2
 
 
 @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, -1.0])
@@ -138,11 +141,11 @@ def test_round_robin_examples():
     sched3 = RoundRobinScheduler(3, 2)
     machines = [sched3.on_arrival(1.0).machine for _ in range(4)]
     assert machines[3] == 1
-    full = RoundRobinScheduler(1, 2)
-    full.on_arrival(1.0)
-    full.on_arrival(1.0)
+    # the runner, not the scheduler, refuses the arrival past m*k
+    full = StreamRunner(RoundRobinScheduler(1, 2), 1, 2)
+    full.feed([1.0, 1.0])
     with pytest.raises(InfeasibleError):
-        full.on_arrival(1.0)
+        full.push(1.0)
 
 
 def test_list_scheduling_tie_breaks_to_lowest_index():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cardsched.model import (
+    InfeasibleError,
     Instance,
     Job,
     Schedule,
@@ -68,8 +69,14 @@ def test_job_rejects_negative_size():
 
 
 def test_instance_feasibility_predicate():
-    assert instance_from_sizes([1, 1], 2, 1).is_feasible()
-    assert not instance_from_sizes([1, 1, 1], 2, 1).is_feasible()
+    # Instance owns the offline job contract: at most m*k jobs, each finite and >= 0
+    assert instance_from_sizes([1, 1], 2, 1).n == 2
+    with pytest.raises(InfeasibleError, match="3 jobs exceed capacity m\\*k = 2"):
+        instance_from_sizes([1, 1, 1], 2, 1)
+    assert instance_from_sizes([0.0, 1.0], 2, 1).jobs[0].size == 0.0
+    for size in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="job 2: size must be finite and >= 0"):
+            instance_from_sizes([1.0, size], 2, 1)
 
 
 @pytest.mark.parametrize(

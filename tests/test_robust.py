@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cardsched.engine import StreamRunner, migration_stats, run_stream
 from cardsched.model import InfeasibleError, check_feasible
@@ -49,17 +51,34 @@ def test_new_smallest_job_moves_nothing():
 
 
 def test_infeasible_after_capacity():
-    rs = RobustOrdinalScheduler(2, 1, 1.0)
-    run_stream(rs, [1.0, 2.0], 2, 1)
+    # the runner, not the scheduler, refuses the arrival past m*k
+    runner = StreamRunner(RobustOrdinalScheduler(2, 1, 1.0), 2, 1)
+    runner.feed([1.0, 2.0])
     with pytest.raises(InfeasibleError):
-        rs.on_arrival(3.0)
+        runner.push(3.0)
 
 
 def test_rejects_bad_eps_and_sizes():
-    with pytest.raises(ValueError):
-        RobustOrdinalScheduler(2, 2, 0.0)
-    with pytest.raises(ValueError):
-        RobustOrdinalScheduler(2, 2, 1.0).on_arrival(0.0)
+    # eps is checked at construction, before any size arrives
+    for eps in (0.0, -1.0, 1e-20, math.inf, math.nan):
+        with pytest.raises(ValueError, match="1 \\+ eps"):
+            RobustOrdinalScheduler(2, 2, eps)
+    # a zero is accepted: it joins the bottom class and moves nothing
+    decision = RobustOrdinalScheduler(2, 2, 1.0).on_arrival(0.0)
+    assert decision.machine == 1 and decision.moves == ()
+
+
+@given(st.sampled_from([1.0, 0.5, 0.25]), st.integers(1, 4), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_zero_sizes_move_nothing_and_keep_the_factor_bound(eps, m, rng):
+    # about 30% zeros: a zero arrival lists no moves, and moving a zero costs nothing
+    k = rng.randint(1, 6)
+    n = rng.randint(1, m * k)
+    sizes = [0.0 if rng.random() < 0.3 else rng.uniform(0.05, 60.0) for _ in range(n)]
+    trace = run_stream(RobustOrdinalScheduler(m, k, eps), sizes, m, k)
+    assert all(rec.migration.moves == () for rec in trace.records if rec.size == 0)
+    assert migration_stats(trace).max_factor <= (1 + eps) / eps + 1e-9
+    assert check_feasible(trace.final_schedule(), trace.instance()) == []
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
