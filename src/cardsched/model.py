@@ -136,9 +136,6 @@ class Trace:
                 assignment[mv.job] = mv.dst
         return Schedule(assignment)
 
-    def instance(self) -> Instance:
-        return instance_from_sizes(self.sizes, self.m, self.k)
-
 
 def loads(schedule: Schedule, instance: Instance) -> list[float]:
     """Per-machine total size under `schedule`; machine i is component i-1."""

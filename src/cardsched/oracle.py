@@ -70,6 +70,11 @@ def exact_opt(instance: Instance) -> OracleResult:
     and capped LPT.  Early exit: the search stops at the first schedule whose
     makespan equals `lower_bound`, at the root or at any leaf.  `Instance`
     admits at most m*k jobs, so capped LPT always finds a machine below k.
+
+    Nodes: `nodes_explored` counts the root and each child that passes the
+    machine filters (a free slot, a load below the incumbent, a new state).
+    The parent counts such a child and runs its entry tests (running max,
+    leaf, `cur_lb`) in place, so only a child that passes them costs a call.
     """
     from .engine import ListSchedulingCapped  # engine imports this module
 
@@ -115,51 +120,71 @@ def exact_opt(instance: Instance) -> OracleResult:
     machine_load = [0.0] * m
     machine_count = [0] * m
     current = [0] * n
-    nodes = 0
+    # an equal-size job takes machines from its predecessor's index on; the
+    # tie test and the machine ranges are built once per solve, since a
+    # range() call at every node is a measurable share of the search
+    tie = [i > 0 and sizes[i - 1] == sizes[i] for i in range(n)]
+    spans = [range(start, m) for start in range(m)]
+    nodes = 1  # the root
 
     def recurse(idx: int, cur_max: float, cur_lb: float) -> bool:
-        """Search below idx; True once a leaf reaches lb, which no later leaf can beat."""
+        """Count and test each child of a node that passed its entry tests.
+
+        True once a leaf reaches lb, which no later leaf can beat.
+        """
         nonlocal best, best_assign, nodes
-        nodes += 1
-        if cur_max >= best:
-            return False
-        if idx == n:
-            best = cur_max
-            best_assign = current[:]
-            return best == lb
-        if cur_lb >= best:  # some machine's load plus its forced jobs reaches best
-            return False
         size = sizes[idx]
-        start = current[idx - 1] if idx and sizes[idx - 1] == size else 0
-        seen = set()
-        for mi in range(start, m):
-            count = machine_count[mi]
-            if count == k:
-                continue
+        leaf = idx + 1 == n
+        first_count = -1  # the first child's state; a set only from the second on
+        seen = None
+        for mi in spans[current[idx - 1] if tie[idx] else 0]:
             old_load = machine_load[mi]
             new_load = old_load + size
             if new_load >= best:  # best only falls, so this state stays pruned
                 continue
-            state = (old_load, count)
-            if state in seen:
+            count = machine_count[mi]
+            if count == k:
                 continue
-            seen.add(state)
+            if first_count < 0:
+                first_count, first_load = count, old_load
+            elif seen is None:
+                if count == first_count and old_load == first_load:
+                    continue
+                seen = {(first_load, first_count), (old_load, count)}
+            else:
+                state = (old_load, count)
+                if state in seen:
+                    continue
+                seen.add(state)
+            nodes += 1
+            if cur_max >= best:  # the child's max is cur_max, as new_load < best
+                continue
+            current[idx] = mi
+            if leaf:
+                best = cur_max if cur_max >= new_load else new_load
+                best_assign = current[:]
+                if best == lb:
+                    return True
+                continue
             machine_load[mi] = new_load
             machine_count[mi] = count + 1
-            current[idx] = mi
             child_lb = new_load + forced[count + 1]
             if child_lb < cur_lb:
                 if old_load + forced[count] < cur_lb:
                     child_lb = cur_lb  # another machine holds the max
                 else:  # rounding lowered the machine that held the max
                     child_lb = max([ld + forced[c] for ld, c in zip(machine_load, machine_count)])
-            if recurse(idx + 1, cur_max if cur_max >= new_load else new_load, child_lb):
+            # the child's last entry test: no machine's load plus forced jobs reaches best
+            if child_lb < best and recurse(
+                idx + 1, cur_max if cur_max >= new_load else new_load, child_lb
+            ):
                 return True
             machine_load[mi] = old_load
             machine_count[mi] = count
         return False
 
-    recurse(0, 0.0, forced[0])
+    if 0.0 < best and forced[0] < best:  # the root's entry tests; n > 0, so it is no leaf
+        recurse(0, 0.0, forced[0])
     schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
     result = OracleResult(best, schedule, nodes)
     assert makespan(schedule, instance) == result.opt_makespan

@@ -284,8 +284,7 @@ class RefConstantScheduler(Scheduler):
         self._next_rid += 1
         return row
 
-    def _init_structure(self, e: int):
-        self.e_pmax = e
+    def _init_structure(self):
         self.l = self._floor_2log2(self.active_k)
         small_target = -(self.active_k // -2) - 2 * (self.l + 1)
         assert small_target >= 1
@@ -432,24 +431,23 @@ class RefConstantScheduler(Scheduler):
         return machine
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        if size <= 0:
-            raise ValueError(f"job size must be positive, got {size}")
         if self.arrivals >= self.m * self.k:
             raise InfeasibleError("capacity m*k exhausted")
         self.arrivals += 1
         if self.fallback:
             return SchedulerDecision(self._place_balanced())
-        _, e = round_down_pow2(size)
-        if self.e_pmax is None:
-            self._init_structure(e)
-        elif e > self.e_pmax:
-            self.e_pmax = e
+        if self.l is None:
+            self._init_structure()
         jid = self.arrivals
+        e = None
+        if size > 0:  # a zero is a small job and sets no p_max
+            _, e = round_down_pow2(size)
+            if self.e_pmax is None or e > self.e_pmax:
+                self.e_pmax = e
         if self.terminal:
             return SchedulerDecision(self._place_terminal(jid))
-        i = self.e_pmax - e
-        if i <= self.l:
-            return SchedulerDecision(self._place_group(jid, i))
+        if e is not None and self.e_pmax - e <= self.l:
+            return SchedulerDecision(self._place_group(jid, self.e_pmax - e))
         return SchedulerDecision(self._place_small(jid))
 
     def structure_snapshot(self) -> RowStructure:
@@ -478,7 +476,7 @@ class RefRobustOrdinal(Scheduler):
         self.m, self.k = m, k
         self.eps = eps
         self._map = ordinal_map(m, k)
-        self._classes: dict[int, list[int]] = {}
+        self._classes: dict[float, list[int]] = {}  # exponent (-inf for zeros) -> job ids
         self._dummies = m * k
 
     def positions(self) -> dict[int, int]:
@@ -520,7 +518,8 @@ class RefRobustOrdinal(Scheduler):
         return moved
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        _, exponent = round_up_geometric(size, self.eps)
+        # a zero sits in a class below every exponent
+        exponent = round_up_geometric(size, self.eps)[1] if size else -math.inf
         jid = self.m * self.k - self._dummies + 1
         before = self._machines()
         moved = self.resort_on_arrival(jid, exponent)

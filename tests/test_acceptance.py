@@ -223,7 +223,7 @@ def test_criterion_7_robust_wrapper():
             if not ok:
                 continue
             trace = runner.trace
-            opt = exact_opt(trace.instance()).opt_makespan
+            opt = exact_opt(instance_from_sizes(trace.sizes, trace.m, trace.k)).opt_makespan
             if trace.final_makespan() > (1 + eps) * RATE_81_41 * opt + 1e-9:
                 failures.append((eps, m, k, sizes, trace.final_makespan(), opt))
     _verdict(7, "robust wrapper migration and rate", failures, time.perf_counter() - started, 60.0)
@@ -234,7 +234,7 @@ def test_criterion_8_phi_case():
     failures = []
     for sizes in itertools.product(range(7), repeat=4):
         trace = run_stream(PhiScheduler(), [float(s) for s in sizes], 2, 2)
-        opt = exact_opt(trace.instance()).opt_makespan
+        opt = exact_opt(instance_from_sizes(trace.sizes, trace.m, trace.k)).opt_makespan
         if trace.final_makespan() > PHI * opt + 1e-9:
             failures.append((sizes, trace.final_makespan(), opt))
     for name, factory in (

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from cardsched.constant import ConstantCompetitiveScheduler, certify_load_bound
 from cardsched.engine import StreamRunner, run_stream
-from cardsched.model import InfeasibleError, check_feasible, round_down_pow2
+from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, round_down_pow2
+
+
+def _violations(trace):
+    instance = instance_from_sizes(trace.sizes, trace.m, trace.k)
+    return check_feasible(trace.final_schedule(), instance)
 
 
 def _run_with_invariants(m, k, sizes):
@@ -48,7 +53,7 @@ def test_first_arrival_initializes_structure():
 def test_full_equal_stream_completes_feasibly():
     m, k = 2, 64
     scheduler, trace = _run_with_invariants(m, k, [3.0] * (m * k))
-    assert check_feasible(trace.final_schedule(), trace.instance()) == []
+    assert _violations(trace) == []
     counts = [0, 0]
     for machine in trace.final_schedule().assignment.values():
         counts[machine - 1] += 1
@@ -118,7 +123,7 @@ def test_terminal_mode_freezes_and_finishes():
     snap = scheduler.structure_snapshot()
     assert snap.terminal
     assert snap.active_k <= 49
-    assert check_feasible(runner.trace.final_schedule(), runner.trace.instance()) == []
+    assert _violations(runner.trace) == []
 
 
 def test_certify_load_bound_single_job():
@@ -161,7 +166,7 @@ def test_structure_invariant_random_streams(k, m, rng):
     n = rng.randrange(1, m * k + 1)
     sizes = [2.0 ** rng.uniform(-10, 10) for _ in range(n)]
     scheduler, trace = _run_with_invariants(m, k, sizes)
-    assert check_feasible(trace.final_schedule(), trace.instance()) == []
+    assert _violations(trace) == []
     assert certify_load_bound(trace) == []
     total = sum(sizes)
     p_max = max(sizes)
@@ -179,7 +184,7 @@ def test_zero_sizes_keep_invariants_in_live_and_terminal_mode(k, m, rng):
     sizes = [0.0 if rng.random() < 0.3 else 2.0 ** rng.uniform(-10, 10) for _ in range(m * k)]
     scheduler, trace = _run_with_invariants(m, k, sizes)
     assert scheduler.terminal
-    assert check_feasible(trace.final_schedule(), trace.instance()) == []
+    assert _violations(trace) == []
     assert certify_load_bound(trace) == []
 
 
@@ -248,7 +253,7 @@ def test_full_merged_row_is_removed_immediately():
     while runner.trace.n < m * k:
         runner.push(2.0 ** rng.randint(-13, 12))
         scheduler.check_invariants()
-    assert check_feasible(runner.trace.final_schedule(), runner.trace.instance()) == []
+    assert _violations(runner.trace) == []
     assert certify_load_bound(runner.trace) == []
 
 

@@ -71,7 +71,8 @@ def _assert_same(runner, ref):
     if ref.records:
         assert [repr(x) for x in runner.trace.loads] == [repr(x) for x in ref.records[-1].loads]
         trace = runner.trace
-        assert trace.loads == loads(trace.final_schedule(), trace.instance())
+        instance = instance_from_sizes(trace.sizes, trace.m, trace.k)
+        assert trace.loads == loads(trace.final_schedule(), instance)
 
 
 def _stream(draw_sizes, m, k):
@@ -118,13 +119,20 @@ def test_round_robin_runner_matches_scan(sizes, m, k):
     _assert_same(runner, ref)
 
 
+_robust_size = st.floats(min_value=1e-3, max_value=1e3)
+
+
 @given(
-    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=40),
+    st.one_of(
+        st.lists(_robust_size, min_size=1, max_size=40),
+        # zero-heavy: a zero joins a class below every exponent
+        st.lists(st.one_of(st.just(0.0), _robust_size), min_size=1, max_size=40),
+    ),
     st.integers(1, 5),
     st.integers(1, 8),
     st.sampled_from([0.1, 0.5, 1.0]),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_robust_ordinal_runner_matches_scan(sizes, m, k, eps):
     sizes = _stream(sizes, m, k)
     runner, ref, errors = _replay(
@@ -244,6 +252,14 @@ def _constant_sizes(rng: random.Random, n: int) -> list[float]:
     return [2 ** (rng.uniform(-spread, spread) + trend * i) for i in range(n)]
 
 
+def _with_zeros(rng: random.Random, sizes: list[float], share: float) -> list[float]:
+    """Each size replaced by a zero, a small job that sets no p_max, with chance `share`."""
+    return [0.0 if rng.random() < share else s for s in sizes]
+
+
+_zeros = st.sampled_from([0.0, 0.0, 0.3, 1.0])  # no zeros in half the draws
+
+
 def _replay_constant(m, k, sizes, check_invariants=False):
     """Replay through both runners; optionally check the structure after every arrival.
 
@@ -281,27 +297,29 @@ def _decide_constant(m, k, sizes):
     return scheduler
 
 
-@given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0))
+@given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0), _zeros)
 @settings(max_examples=40, deadline=None)
-def test_constant_placement_matches_scan(m, k, seed, fill):
+def test_constant_placement_matches_scan(m, k, seed, fill, zeros):
     rng = random.Random(seed)
     sizes = _constant_sizes(rng, max(1, int(fill * m * k)))
-    _replay_constant(m, k, sizes)
+    _replay_constant(m, k, _with_zeros(rng, sizes, zeros))
 
 
-@given(st.integers(1, 30), st.integers(1, 49), st.integers(0, 2**32), st.floats(0.05, 1.0))
+@given(st.integers(1, 30), st.integers(1, 49), st.integers(0, 2**32), st.floats(0.05, 1.0), _zeros)
 @settings(max_examples=40, deadline=None)
-def test_constant_fallback_matches_scan(m, k, seed, fill):
-    sizes = _constant_sizes(random.Random(seed), max(1, int(fill * m * k)))
-    scheduler = _replay_constant(m, k, sizes)
+def test_constant_fallback_matches_scan(m, k, seed, fill, zeros):
+    rng = random.Random(seed)
+    sizes = _constant_sizes(rng, max(1, int(fill * m * k)))
+    scheduler = _replay_constant(m, k, _with_zeros(rng, sizes, zeros))
     assert scheduler.fallback
 
 
-@given(st.integers(5, 30), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.3, 1.0))
+@given(st.integers(5, 30), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.3, 1.0), _zeros)
 @settings(max_examples=30, deadline=None)
-def test_constant_wide_rows_match_scan(m, k, seed, fill):
-    sizes = _constant_sizes(random.Random(seed), max(1, int(fill * m * k)))
-    _replay_constant(m, k, sizes)
+def test_constant_wide_rows_match_scan(m, k, seed, fill, zeros):
+    rng = random.Random(seed)
+    sizes = _constant_sizes(rng, max(1, int(fill * m * k)))
+    _replay_constant(m, k, _with_zeros(rng, sizes, zeros))
 
 
 def test_constant_invariants_hold_after_every_live_and_terminal_arrival():
@@ -311,9 +329,10 @@ def test_constant_invariants_hold_after_every_live_and_terminal_arrival():
         m, k = rng.randint(2, 8), rng.randint(55, 70)
         fill = 1.0 if seed % 2 else 0.1
         sizes = _constant_sizes(rng, int(fill * m * k))
-        scheduler = _replay_constant(m, k, sizes, check_invariants=True)
-        modes.add("terminal" if scheduler.terminal else "live")
-    assert modes == {"live", "terminal"}
+        for stream in (sizes, _with_zeros(rng, sizes, 0.5)):
+            scheduler = _replay_constant(m, k, stream, check_invariants=True)
+            modes.add(("terminal" if scheduler.terminal else "live", 0.0 in stream))
+    assert modes == {(mode, zeros) for mode in ("live", "terminal") for zeros in (False, True)}
 
 
 def test_constant_online_wide_stream_matches_scan():

@@ -322,5 +322,5 @@ def test_phi_value():
 def test_phi_bound_on_sample_grid():
     for sizes in [(6, 5, 4, 3), (6, 0, 6, 0), (1, 1, 1, 1), (5, 2, 3, 4)]:
         trace = run_stream(PhiScheduler(), sizes, 2, 2)
-        opt = exact_opt(trace.instance()).opt_makespan
+        opt = exact_opt(instance_from_sizes(trace.sizes, trace.m, trace.k)).opt_makespan
         assert trace.final_makespan() <= PHI * opt + 1e-9

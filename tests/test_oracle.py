@@ -151,6 +151,31 @@ def test_exact_opt_worst_recipe_instance():
     assert check_feasible(result.schedule, inst) == []
 
 
+# instances 1-3 of the seed-3 n = 20 recipe, the oracle benchmark's hard set at m = 4, k = 5;
+# instance 1 is pinned against the former search in test_differential.py
+HARD_RECIPE = [
+    [30, 75, 69, 16, 47, 77, 60, 80, 74, 8, 77, 1, 60, 33, 70, 29, 24, 91, 60, 69],
+    [70, 60, 50, 81, 19, 29, 81, 19, 66, 49, 94, 1, 85, 99, 8, 20, 97, 75, 5, 38],
+    [99, 3, 34, 60, 76, 92, 49, 91, 100, 54, 50, 93, 73, 56, 17, 46, 12, 4, 17, 63],
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, opt, nodes", [(HARD_RECIPE[1], 262.0, 67_638), (HARD_RECIPE[2], 273.0, 153_525)]
+)
+def test_exact_opt_hard_recipe_nodes(sizes, opt, nodes):
+    # a search that skips or double-counts a node moves these totals
+    result = exact_opt(instance_from_sizes(sizes, 4, 5))
+    assert (result.opt_makespan, result.nodes_explored) == (opt, nodes)
+
+
+@pytest.mark.parametrize("sizes, nodes", [(HARD_RECIPE[0], 135_481), (HARD_RECIPE[1], 98_097)])
+def test_exact_opt_prefix_nodes(sizes, nodes):
+    # exact metering solves every prefix of the benchmark's two exact-mode streams
+    prefixes = [instance_from_sizes(sizes[:t], 4, 5) for t in range(1, len(sizes) + 1)]
+    assert sum(exact_opt(inst).nodes_explored for inst in prefixes) == nodes
+
+
 def test_exact_opt_counts_nodes():
     inst = instance_from_sizes([7, 6, 5, 4, 3, 2, 1], 3, 3)
     result = exact_opt(inst)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched.engine import StreamRunner, migration_stats, run_stream
-from cardsched.model import InfeasibleError, check_feasible
+from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes
 from cardsched.oracle import exact_opt
 from cardsched.ordinal import ordinal_map
 from cardsched.robust import RobustOrdinalScheduler
@@ -78,7 +78,8 @@ def test_zero_sizes_move_nothing_and_keep_the_factor_bound(eps, m, rng):
     trace = run_stream(RobustOrdinalScheduler(m, k, eps), sizes, m, k)
     assert all(rec.migration.moves == () for rec in trace.records if rec.size == 0)
     assert migration_stats(trace).max_factor <= (1 + eps) / eps + 1e-9
-    assert check_feasible(trace.final_schedule(), trace.instance()) == []
+    instance = instance_from_sizes(trace.sizes, trace.m, trace.k)
+    assert check_feasible(trace.final_schedule(), instance) == []
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
@@ -150,8 +151,9 @@ def test_end_to_end_rate_bound():
             k = max(-(-n // m), 2)
             sizes = [float(rng.randint(1, 64)) for _ in range(n)]
             trace = run_stream(RobustOrdinalScheduler(m, k, eps), sizes, m, k)
-            assert check_feasible(trace.final_schedule(), trace.instance()) == []
-            opt = exact_opt(trace.instance()).opt_makespan
+            instance = instance_from_sizes(sizes, m, k)
+            assert check_feasible(trace.final_schedule(), instance) == []
+            opt = exact_opt(instance).opt_makespan
             assert trace.final_makespan() <= (1 + eps) * (81 / 41) * opt + 1e-9
 
 
@@ -164,7 +166,7 @@ def test_trace_loads_replay_from_final_schedule():
         trace = run_stream(RobustOrdinalScheduler(m, k, 0.5), sizes, m, k)
         from cardsched.model import loads
 
-        replayed = loads(trace.final_schedule(), trace.instance())
+        replayed = loads(trace.final_schedule(), instance_from_sizes(sizes, m, k))
         assert replayed == trace.loads
 
 
