@@ -126,6 +126,8 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _load_sizes(args) -> list[float]:
+    if args.input and args.gen:
+        raise ValueError("--input and --gen both name the jobs; pass one")
     if args.input:
         sizes = [size for size, _ in load_jobs(args.input)]
     elif args.gen:

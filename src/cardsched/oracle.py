@@ -2,7 +2,7 @@
 
 These provide the denominators for every competitive-ratio measurement in the
 repo: a branch-and-bound exact solver, a cheap lower bound and the sorted
-round-robin heuristic.
+round-robin makespan.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ def sorted_round_robin_makespan(sizes, m: int) -> float:
     return max(ld)
 
 
-def sorted_round_robin(instance: Instance) -> Schedule:
-    """Sort jobs non-increasingly, send the i-th to machine 1+(i-1) mod m."""
-    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
-    return Schedule({j.id: 1 + i % instance.m for i, j in enumerate(order)})
-
-
 def exact_opt(instance: Instance) -> OracleResult:
     """True optimal makespan via branch-and-bound over jobs sorted non-increasingly.
 
@@ -79,17 +73,16 @@ def exact_opt(instance: Instance) -> OracleResult:
     from .engine import ListSchedulingCapped  # engine imports this module
 
     m, k = instance.m, instance.k
-    srr = sorted_round_robin(instance)
-    incumbent = makespan(srr, instance)
-    lb = lower_bound([j.size for j in instance.jobs], m)  # arrival order: the reported total
-    if incumbent == lb or not instance.jobs:
-        return OracleResult(incumbent, srr, 0)
-
     order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
     sizes = [j.size for j in order]
     n = len(sizes)
-    best_assign = [srr.assignment[j.id] - 1 for j in order]
-    best = incumbent
+    best_assign = [i % m for i in range(n)]
+    best = sorted_round_robin_makespan(sizes, m)
+    lb = lower_bound([j.size for j in instance.jobs], m)  # arrival order: the reported total
+    if best == lb:  # also every empty instance: both are 0.0
+        schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
+        return OracleResult(best, schedule, 0)
+
     greedy = ListSchedulingCapped(m, k)
     lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
     lpt_loads = [0.0] * m

@@ -7,9 +7,10 @@ capped greedy as a linear scan, a standalone constant scheduler that
 chooses every machine and row by a scan (slots allocated up front), the
 robust-ordinal scheduler that
 diffs a job -> machine map over all jobs before and after each resort, and
-the exact oracle that re-sums the free slots and rescans every machine's
-slot-forcing bound at every node, searching on after a leaf has reached the
-lower bound unless told to stop there.  For the input, metering and report
+the exact oracle (with the sorted round-robin schedule it starts from) that
+re-sums the free slots and rescans every machine's slot-forcing bound at
+every node, searching on after a leaf has reached the lower bound unless
+told to stop there.  For the input, metering and report
 layers: the per-line `json.loads` loader, the lower-bound metering loop and
 `json.dumps` with the report settings.
 
@@ -39,7 +40,7 @@ from cardsched.model import (
     round_down_pow2,
     round_up_geometric,
 )
-from cardsched.oracle import OracleResult, lower_bound, sorted_round_robin
+from cardsched.oracle import OracleResult, lower_bound
 from cardsched.ordinal import ordinal_map
 
 BRUTE_MAX_JOBS = 10
@@ -528,6 +529,12 @@ class RefRobustOrdinal(Scheduler):
             Move(j, before[j], after[j]) for j in moved if before[j] != after[j]
         )
         return SchedulerDecision(after[jid], moves)
+
+
+def sorted_round_robin(instance: Instance) -> Schedule:
+    """Sort jobs non-increasingly, send the i-th to machine 1+(i-1) mod m."""
+    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
+    return Schedule({j.id: 1 + i % instance.m for i, j in enumerate(order)})
 
 
 def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:

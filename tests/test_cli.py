@@ -464,6 +464,18 @@ def test_epsilon_too_small_to_change_one_exits_2_with_one_line(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv", [["run", "--algo", "round-robin", "--m", "2", "--k", "2"], ["oracle", "--m", "2", "--k", "2"]]
+)
+def test_input_and_gen_together_exit_2_with_one_line(tmp_path, capsys, argv):
+    # a report would name a generator and a seed that produced none of its sizes
+    path = _write_jsonl(tmp_path / "two.jsonl", [{"size": 1.0}, {"size": 2.0}])
+    gen = ["--gen", "uniform", "--n", "3", "--seed", "9"]
+    code, out, err = _run_cli(capsys, argv + ["--input", path] + gen)
+    _assert_one_line_exit_2(code, out, err)
+    assert "--input and --gen" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["oracle", "--m", "4", "--k", "8"],

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, makespan
-from cardsched.oracle import (
-    exact_opt,
-    lower_bound,
-    sorted_round_robin,
-    sorted_round_robin_makespan,
-)
-from reference_scans import brute_opt
+from cardsched.oracle import exact_opt, lower_bound, sorted_round_robin_makespan
+from reference_scans import brute_opt, sorted_round_robin
 
 
 def test_exact_opt_examples():
@@ -110,6 +105,26 @@ def test_exact_equals_brute_and_bounds(sizes, m, k):
     srr = makespan(sorted_round_robin(inst), inst)
     assert exact <= srr + 1e-12
     assert srr <= sum(sizes) / m + max(s for s in sizes) + 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the slot-forcing bound and the early exit assume real arithmetic, "
+    "so exact_opt is one ulp high on these float sizes; remove this marker when it lands",
+)
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        # (a) the slot-forcing bound rounds above every completion: 2 + 2**-50 vs 2.0
+        [0.125, 0.5 + 2**-52, 2**-53, 1.0, 0.5 + 2**-52, 2**-52, 1.0, 0.5 + 2**-52],
+        # (b) the root exit trusts an arrival-order lower_bound: one ulp above the optimum
+        [0.125, 0.5 + 2**-52, 2**-53, 0.5, 3 * 2**-53, 3 * 2**-53, 2**-52, 0.125],
+    ],
+)
+def test_exact_opt_is_exact_in_the_last_ulp(sizes):
+    # brute force over exact_opt's sorted order, so both fold each load in the same order
+    sorted_fold = brute_opt(instance_from_sizes(sorted(sizes, reverse=True), 2, 4))
+    assert exact_opt(instance_from_sizes(sizes, 2, 4)).opt_makespan == sorted_fold
 
 
 @given(
