@@ -42,7 +42,7 @@ from .engine import (
 )
 from .jsonl import load_jobs
 from .model import InfeasibleError, check_feasible, instance_from_sizes, makespan
-from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_guard, exact_opt, lower_bound
+from .oracle import EXACT_RECOMMENDED_MAX_JOBS, exact_guard, exact_opt, lower_bound, opt_makespan
 from .ordinal import ordinal_map, ordinal_schedule
 from .robust import RobustOrdinalScheduler
 
@@ -131,6 +131,10 @@ def _load_sizes(args) -> list[float]:
     if args.input:
         sizes = [size for size, _ in load_jobs(args.input)]
     elif args.gen:
+        if args.n is None:
+            raise ValueError("--gen needs --n, the stream length")
+        if args.n < 0:
+            raise ValueError(f"--n must be >= 0, got {args.n}")
         sizes = generate_sizes(args.gen, args.n, args.seed)
     else:
         raise ValueError("either --input or --gen is required")
@@ -178,7 +182,7 @@ def cmd_run(args) -> dict:
         if violations:
             raise ContractViolation(len(sizes), "; ".join(violations))
         final = makespan(schedule, instance)
-        denom = exact_opt(instance).opt_makespan if mode == "exact" else lower_bound(sizes, m)
+        denom = opt_makespan(instance) if mode == "exact" else lower_bound(sizes, m)
         report.update(
             {
                 "final_makespan": final,
@@ -341,7 +345,7 @@ def cmd_clcs(args) -> dict:
 def _add_input_args(p: argparse.ArgumentParser):
     p.add_argument("--input", help="JSONL instance file")
     p.add_argument("--gen", choices=("uniform", "loguniform"), help="size generator")
-    p.add_argument("--n", type=int, default=0, help="generated stream length")
+    p.add_argument("--n", type=int, help="generated stream length (with --gen)")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
 
 

@@ -7,6 +7,7 @@ round-robin makespan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Instance, Schedule, makespan
@@ -49,7 +50,45 @@ def sorted_round_robin_makespan(sizes, m: int) -> float:
 
 
 def exact_opt(instance: Instance) -> OracleResult:
-    """True optimal makespan via branch-and-bound over jobs sorted non-increasingly.
+    """True optimal makespan, its schedule and the search's node count.
+
+    The search exits on `lower_bound` of the sizes in arrival order; the
+    `oracle` report's `nodes_explored` counts that search.
+    """
+    return branch_and_bound(instance, lower_bound([j.size for j in instance.jobs], instance.m))
+
+
+def exit_target(instance: Instance) -> float:
+    """A value opt cannot fall below: ceil(lower_bound) on the integer grid, else lower_bound.
+
+    When every size is an integer and their total is below 2**53, every sum
+    the search forms is exact, so opt is an integer at or above the bound.
+    The total is summed in integers; it is below 2**53 exactly when the float
+    fold is.  Off the grid the target is `exact_opt`'s own.
+    """
+    sizes = [j.size for j in instance.jobs]
+    lb = lower_bound(sizes, instance.m)
+    if all(int(s) == s for s in sizes) and sum(map(int, sizes)) < 2**53:
+        return float(math.ceil(lb))
+    return lb
+
+
+def opt_makespan(instance: Instance) -> float:
+    """The optimal makespan alone, from the search that exits on `exit_target`.
+
+    It equals `exact_opt(instance).opt_makespan` bit for bit, from fewer
+    nodes on integer sizes; metering, which reads no node count, calls it.
+    """
+    return branch_and_bound(instance, exit_target(instance)).opt_makespan
+
+
+def branch_and_bound(instance: Instance, target: float) -> OracleResult:
+    """Optimal makespan via branch-and-bound over jobs sorted non-increasingly.
+
+    `target` is a value opt cannot fall below, so a schedule on it is
+    optimal: the early exit stops at the first one, at the root or at any
+    leaf.  A lower target changes only the node count: the search order is
+    the same, and only a strictly better leaf replaces the incumbent.
 
     Pruning: never branch twice into machines with an identical (load, count)
     state; equal-size jobs take machines in non-decreasing index order; and a
@@ -61,9 +100,8 @@ def exact_opt(instance: Instance) -> OracleResult:
     grows; where rounding lowers the bound of the machine that held the max,
     the max is recomputed over all machines, so the search prunes exactly as
     a scan at every node would.  Incumbent: the better of sorted round-robin
-    and capped LPT.  Early exit: the search stops at the first schedule whose
-    makespan equals `lower_bound`, at the root or at any leaf.  `Instance`
-    admits at most m*k jobs, so capped LPT always finds a machine below k.
+    and capped LPT.  `Instance` admits at most m*k jobs, so capped LPT always
+    finds a machine below k.
 
     Nodes: `nodes_explored` counts the root and each child that passes the
     machine filters (a free slot, a load below the incumbent, a new state).
@@ -78,8 +116,7 @@ def exact_opt(instance: Instance) -> OracleResult:
     n = len(sizes)
     best_assign = [i % m for i in range(n)]
     best = sorted_round_robin_makespan(sizes, m)
-    lb = lower_bound([j.size for j in instance.jobs], m)  # arrival order: the reported total
-    if best == lb:  # also every empty instance: both are 0.0
+    if best == target:  # also every empty instance: both are 0.0
         schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
         return OracleResult(best, schedule, 0)
 
@@ -91,7 +128,7 @@ def exact_opt(instance: Instance) -> OracleResult:
     lpt_make = max(lpt_loads)
     if lpt_make < best:
         best, best_assign = lpt_make, lpt
-    if best == lb:
+    if best == target:
         schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
         return OracleResult(best, schedule, 0)
 
@@ -123,7 +160,7 @@ def exact_opt(instance: Instance) -> OracleResult:
     def recurse(idx: int, cur_max: float, cur_lb: float) -> bool:
         """Count and test each child of a node that passed its entry tests.
 
-        True once a leaf reaches lb, which no later leaf can beat.
+        True once a leaf reaches the target, which no later leaf can beat.
         """
         nonlocal best, best_assign, nodes
         size = sizes[idx]
@@ -156,7 +193,7 @@ def exact_opt(instance: Instance) -> OracleResult:
             if leaf:
                 best = cur_max if cur_max >= new_load else new_load
                 best_assign = current[:]
-                if best == lb:
+                if best == target:
                     return True
                 continue
             machine_load[mi] = new_load

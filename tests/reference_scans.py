@@ -537,10 +537,11 @@ def sorted_round_robin(instance: Instance) -> Schedule:
     return Schedule({j.id: 1 + i % instance.m for i, j in enumerate(order)})
 
 
-def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:
+def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> OracleResult:
     """Branch-and-bound that re-sums the free slots and rescans every machine's
     bound at every node; it searches on after a leaf has reached the lower
-    bound, or with `stop_at_lb` stops at the first such leaf."""
+    bound, or with `stop_at_lb` stops at the first such leaf.  `target`, if
+    given, stands in for the lower bound in both exits."""
     if instance.n > instance.m * instance.k:
         raise InfeasibleError(
             f"{instance.n} jobs exceed capacity m*k = {instance.m * instance.k}"
@@ -548,7 +549,7 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False) -> OracleResult:
     m, k = instance.m, instance.k
     srr = sorted_round_robin(instance)
     incumbent = makespan(srr, instance)
-    lb = lower_bound([j.size for j in instance.jobs], m)
+    lb = lower_bound([j.size for j in instance.jobs], m) if target is None else target
     if incumbent == lb or not instance.jobs:
         return OracleResult(incumbent, srr, 0)
 

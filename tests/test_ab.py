@@ -17,4 +17,4 @@ def test_ab_harness_runs_a_case_on_two_trees():
     (line,) = done.stdout.splitlines()
     row = json.loads(line)
     assert row["identical"] is True
-    assert row["before"]["nodes"] == row["after"]["nodes"] == 233_578
+    assert row["before"]["denominators"] == row["after"]["denominators"] == [263.0, 262.0]

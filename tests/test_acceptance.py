@@ -32,7 +32,7 @@ from cardsched.engine import (
     run_stream,
 )
 from cardsched.model import check_feasible, instance_from_sizes
-from cardsched.oracle import exact_opt
+from cardsched.oracle import exact_opt, opt_makespan
 from cardsched.ordinal import iota, ordinal_map, ordinal_schedule
 from cardsched.robust import RobustOrdinalScheduler
 from cardsched.model import makespan as schedule_makespan
@@ -155,7 +155,7 @@ def test_criterion_5_ordinal_rate():
             if check_feasible(schedule, inst):
                 failures.append((m, k, sizes, "infeasible"))
                 continue
-            opt = exact_opt(inst).opt_makespan
+            opt = opt_makespan(inst)
             alg = schedule_makespan(schedule, inst)
             if alg > RATE_81_41 * opt + 1e-9:
                 failures.append((m, k, sizes, alg, opt))
@@ -166,7 +166,7 @@ def test_criterion_5_ordinal_rate():
             sizes = [float(rng.randint(0, 100)) for _ in range(n)]
             inst = instance_from_sizes(sizes, m, 2)
             alg = schedule_makespan(ordinal_schedule(inst), inst)
-            opt = exact_opt(inst).opt_makespan
+            opt = opt_makespan(inst)
             if alg != opt:
                 failures.append((m, 2, sizes, alg, opt))
     _verdict(5, "ordinal rate 81/41 and k=2 optimality", failures, time.perf_counter() - started, 180.0)

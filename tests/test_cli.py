@@ -476,6 +476,26 @@ def test_input_and_gen_together_exit_2_with_one_line(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv", [["run", "--algo", "round-robin", "--m", "2", "--k", "2"], ["oracle", "--m", "2", "--k", "2"]]
+)
+@pytest.mark.parametrize(
+    "length, message", [(["--n", "-5"], "--n must be >= 0, got -5"), ([], "--gen needs --n")]
+)
+def test_gen_without_a_length_exits_2_with_one_line(capsys, argv, length, message):
+    # a report would read "n": 0 next to a generator and a seed that produced no sizes
+    code, out, err = _run_cli(capsys, argv + ["--gen", "uniform", "--seed", "1", *length])
+    _assert_one_line_exit_2(code, out, err)
+    assert message in err
+
+
+def test_gen_with_n_0_is_the_empty_stream(capsys):
+    argv = ["run", "--algo", "round-robin", "--m", "2", "--k", "2", "--gen", "uniform", "--n", "0"]
+    code, out, _ = _run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["n"] == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["oracle", "--m", "4", "--k", "8"],

@@ -9,6 +9,8 @@ and makespans.  The exact oracle must return the former branch-and-bound's
 optimum and schedule, explore no more nodes, and explore the same nodes
 whenever its early exit at the lower bound cannot fire; with the reference
 stopping at the lower bound too, the two searches must agree node for node.
+The value-only oracle that metering calls, which exits on the integer grid,
+must return exact_opt's optimum bit for bit.
 """
 
 import math
@@ -30,7 +32,7 @@ from cardsched.engine import (
     StreamRunner,
 )
 from cardsched.model import Move, instance_from_sizes, loads
-from cardsched.oracle import exact_opt, lower_bound
+from cardsched.oracle import branch_and_bound, exact_opt, exit_target, lower_bound, opt_makespan
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
     RefClassedDrive,
@@ -675,3 +677,67 @@ def test_exact_opt_rescans_when_rounding_lowers_the_max():
     got = _assert_oracle_is_former_search(sizes, 2, 5)
     assert got.nodes_explored == 22
     assert got.opt_makespan == 1.5 + 10 * _U
+
+
+def _assert_grid_search_is_exact_opt(sizes, m, k):
+    """The grid exit moves neither opt nor the schedule, and prunes as the reference does."""
+    inst = instance_from_sizes(sizes, m, k)
+    want, target = exact_opt(inst), exit_target(inst)
+    assert repr(opt_makespan(inst)) == repr(want.opt_makespan)
+    got = branch_and_bound(inst, target)
+    assert got.schedule == want.schedule
+    assert got.nodes_explored <= want.nodes_explored
+    ref = ref_exact_opt(inst, stop_at_lb=True, target=target)
+    assert (repr(ref.opt_makespan), ref.schedule) == (repr(got.opt_makespan), got.schedule)
+    assert ref.nodes_explored == got.nodes_explored
+    return target
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.one_of(
+        st.lists(st.integers(0, 60).map(float), max_size=14),
+        st.lists(st.integers(0, 240).map(lambda q: q / 4), max_size=14),
+        st.lists(st.floats(0, 100), max_size=14),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_opt_makespan_is_exact_opt(m, k, sizes):
+    _assert_grid_search_is_exact_opt(sizes[: m * k], m, k)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        # the two instances on which exact_opt is one ulp high: off the grid,
+        # the value function searches exactly as exact_opt does
+        [0.125, 0.5 + 2**-52, 2**-53, 1.0, 0.5 + 2**-52, 2**-52, 1.0, 0.5 + 2**-52],
+        [0.125, 0.5 + 2**-52, 2**-53, 0.5, 3 * 2**-53, 3 * 2**-53, 2**-52, 0.125],
+    ],
+)
+def test_opt_makespan_off_the_grid_is_exact_opt_in_the_last_ulp(sizes):
+    inst = instance_from_sizes(sizes, 2, 4)
+    assert exit_target(inst) == lower_bound(sizes, 2)
+    _assert_grid_search_is_exact_opt(sizes, 2, 4)
+
+
+_B = 2**51
+
+
+@pytest.mark.parametrize(
+    "sizes, m, k, on_grid",
+    [
+        ([_B + 1, _B, _B, _B - 2], 2, 2, True),  # total 2**53 - 1, lb 2**52 - 0.5
+        ([_B - 1] * 3 + [_B - 3], 3, 2, True),  # total 2**53 - 6, lb fractional
+        ([_B + 1, _B, _B, _B - 1], 2, 2, False),  # total 2**53
+        ([_B + 1, _B + 1, _B, _B - 1], 2, 2, False),  # total 2**53 + 1 folds to 2**53
+        ([_B + 1] * 5, 3, 2, False),  # total 2**53 + 2**51 + 5, lb fractional
+        ([2**53 + 2, 2**53, 2, 2, 4], 3, 2, False),  # near 2**54
+    ],
+)
+def test_grid_exit_only_below_a_total_of_2_pow_53(sizes, m, k, on_grid):
+    lb = lower_bound([float(s) for s in sizes], m)
+    target = _assert_grid_search_is_exact_opt(sizes, m, k)
+    assert target == (math.ceil(lb) if on_grid else lb)
+    assert (target != lb) == (on_grid and lb != math.ceil(lb))

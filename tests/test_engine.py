@@ -18,7 +18,7 @@ from cardsched.engine import (
     run_stream,
 )
 from cardsched.model import InfeasibleError, Move, check_feasible, instance_from_sizes
-from cardsched.oracle import exact_opt, lower_bound
+from cardsched.oracle import exact_opt, lower_bound, opt_makespan
 
 
 def test_run_stream_round_robin():
@@ -237,11 +237,11 @@ def test_competitive_metrics_exact_solves_each_prefix_once(monkeypatch, sizes):
     opts = [exact_opt(prefix).opt_makespan for prefix in prefixes]
     solved = []
 
-    def counting_exact_opt(instance):
+    def counting_opt_makespan(instance):
         solved.append(instance.n)
-        return exact_opt(instance)
+        return opt_makespan(instance)
 
-    monkeypatch.setattr(engine, "exact_opt", counting_exact_opt)
+    monkeypatch.setattr(engine, "opt_makespan", counting_opt_makespan)
     metrics = competitive_metrics(trace, "exact")
     assert solved == list(range(1, len(sizes) + 1))
     if not sizes:

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, makespan
-from cardsched.oracle import exact_opt, lower_bound, sorted_round_robin_makespan
+from cardsched.oracle import (
+    branch_and_bound,
+    exact_opt,
+    exit_target,
+    lower_bound,
+    sorted_round_robin_makespan,
+)
 from reference_scans import brute_opt, sorted_round_robin
 
 
@@ -189,6 +195,15 @@ def test_exact_opt_prefix_nodes(sizes, nodes):
     # exact metering solves every prefix of the benchmark's two exact-mode streams
     prefixes = [instance_from_sizes(sizes[:t], 4, 5) for t in range(1, len(sizes) + 1)]
     assert sum(exact_opt(inst).nodes_explored for inst in prefixes) == nodes
+
+
+@pytest.mark.parametrize("sizes, nodes", [(HARD_RECIPE[0], 5_625), (HARD_RECIPE[1], 8_623)])
+def test_grid_search_prefix_nodes(sizes, nodes):
+    # metering's value function on the same prefixes: the grid exit, the same optima
+    prefixes = [instance_from_sizes(sizes[:t], 4, 5) for t in range(1, len(sizes) + 1)]
+    results = [branch_and_bound(inst, exit_target(inst)) for inst in prefixes]
+    assert sum(r.nodes_explored for r in results) == nodes
+    assert [r.opt_makespan for r in results] == [exact_opt(inst).opt_makespan for inst in prefixes]
 
 
 def test_exact_opt_counts_nodes():

@@ -19,9 +19,11 @@ perfbench/workloads.py:
 - `io-*`: online-wide's `run --algo *` op, each layer timed as the CLI
   calls it (load, lower-bound metering, emit, the whole op; median of 15
   calls); output: the report's sha256 with `wall_time_s` set to 0.
-- `oracle-exact`, `exact-metering`, `worst`: one pass of `exact_opt` on the
-  oracle-exact workload's instances, on every prefix of its exact-mode
-  streams, and on the seed-3 recipe's 1.40 M-node instance.
+- `oracle-exact`, `worst`: one pass of `exact_opt` on the oracle-exact
+  workload's instances, and on the seed-3 recipe's 1.40 M-node instance.
+- `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
+  traces of oracle-exact's two exact-mode streams, what `run --mode exact`
+  meters; outputs: the denominators and a digest of the prefix-max ratios.
 - `balanced-rr`, `pure-rr`, `balanced-constant`, `uniform-clcs` (the
   adversary-drive workload's drives) and `run-stream-rr`: the drive, a
   fresh scheduler alone on its stream, and `runner_s`, their difference.
@@ -129,8 +131,22 @@ def oracle_exact() -> dict:
 
 
 def exact_metering() -> dict:
+    from cardsched.engine import ListSchedulingCapped, competitive_metrics, run_stream
+
     streams = hard_oracle_set(FULL["hard_count"], FULL["hard_n"])[: FULL["exact_streams"]]
-    return oracle_case([(s[:t], HARD_M, HARD_K) for s in streams for t in range(1, len(s) + 1)])
+    traces = [
+        run_stream(ListSchedulingCapped(HARD_M, HARD_K), [float(s) for s in sizes], HARD_M, HARD_K)
+        for sizes in streams
+    ]
+    t0 = time.perf_counter()
+    metrics = [competitive_metrics(trace, "exact") for trace in traces]
+    metering_s = time.perf_counter() - t0
+    ratios = repr([repr(mt.prefix_max_ratio) for mt in metrics]).encode()
+    return {
+        "metering_s": metering_s,
+        "denominators": [mt.denominator for mt in metrics],
+        "prefix_max_sha256": hashlib.sha256(ratios).hexdigest(),
+    }
 
 
 def worst() -> dict:
