@@ -190,7 +190,7 @@ def cmd_run(args) -> dict:
                 "final_ratio": final / denom if denom else 1.0,
                 "prefix_max_ratio": None,
                 "migration": {"total_moved": 0.0, "max_factor": 0.0},
-                "assignment": {str(j): mach for j, mach in sorted(schedule.assignment.items())},
+                "assignment": {str(j): mach for j, mach in sorted(schedule.items())},
             }
         )
         if args.emit_map:
@@ -247,7 +247,7 @@ def cmd_oracle(args) -> dict:
         "k": args.k,
         "n": len(sizes),
         "opt": result.opt_makespan,
-        "schedule": {str(j): mach for j, mach in sorted(result.schedule.assignment.items())},
+        "schedule": {str(j): mach for j, mach in sorted(result.schedule.items())},
         "nodes_explored": result.nodes_explored,
         "lower_bound": lower_bound(sizes, args.m),
         "wall_time_s": time.perf_counter() - started,

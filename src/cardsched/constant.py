@@ -382,7 +382,7 @@ def certify_load_bound(trace: Trace) -> list[str]:
     total = sum(rounded)
     p_max = max(rounded)
     rounded_loads = [0.0] * m
-    for jid, machine in trace.final_schedule().assignment.items():
+    for jid, machine in trace.final_schedule().items():
         rounded_loads[machine - 1] += rounded[jid - 1]
     violations = []
     if k0 <= FALLBACK_MAX_K:

@@ -371,28 +371,21 @@ class PhiScheduler(Scheduler):
         if (m, k) != (2, 2):
             raise ValueError("the phi scheduler is defined for m=2, k=2 only")
         self.m, self.k = m, k
-        self._sizes: list[float] = []
-        self._machines: list[int] = []
+        self._j = 0
+        self._p = [0.0, 0.0]  # p1 and p2, on machines 1 and 2
+        self._third = 0  # job 3's machine
 
     def on_arrival(self, size: float) -> SchedulerDecision:
-        j = len(self._sizes) + 1
+        j = self._j + 1
         if j > 4:
             raise InfeasibleError("phi scheduler accepts at most 4 jobs")
-        if j == 1:
-            machine = 1
-        elif j == 2:
-            machine = 2
+        self._j = j
+        if j <= 2:
+            self._p[j - 1] = size
+            machine = j
         elif j == 3:
-            if self._sizes[0] >= self._sizes[1]:
-                big, small = self._machines[0], self._machines[1]
-                p_big = self._sizes[0]
-            else:
-                big, small = self._machines[1], self._machines[0]
-                p_big = self._sizes[1]
-            machine = big if size <= p_big / PHI else small
-        else:
-            counts = [self._machines.count(1), self._machines.count(2)]
-            machine = 1 if counts[0] == 1 else 2
-        self._sizes.append(size)
-        self._machines.append(machine)
+            big = 1 if self._p[0] >= self._p[1] else 2
+            machine = self._third = big if size <= self._p[big - 1] / PHI else 3 - big
+        else:  # the machine holding a single job
+            machine = 3 - self._third
         return SchedulerDecision(machine)

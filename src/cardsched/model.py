@@ -1,8 +1,9 @@
 """Core domain types for cardinality-constrained makespan scheduling.
 
-A problem instance is a list of jobs, a machine count m and a per-machine
-cardinality cap k: every machine may hold at most k jobs.  Machines are
-1-based everywhere.
+A problem instance is a list of job sizes, a machine count m and a
+per-machine cardinality cap k: every machine may hold at most k jobs.  Job j
+is the j-th size of the list, and a schedule is a dict of job id -> machine.
+Jobs and machines are 1-based everywhere.
 """
 
 from __future__ import annotations
@@ -18,52 +19,30 @@ class InfeasibleError(Exception):
 
 
 @dataclass(frozen=True)
-class Job:
-    """A job: `id` is the 1-based arrival index, `size` is finite and >= 0."""
-
-    id: int
-    size: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.size < math.inf:  # also rejects NaN
-            raise ValueError(f"job {self.id}: size must be finite and >= 0, got {self.size}")
-
-
-@dataclass(frozen=True)
 class Instance:
-    """The offline owner of the job contract: at most m*k jobs, each a valid `Job`."""
+    """The offline owner of the job contract; job j (1-based) has size `sizes[j-1]`."""
 
-    jobs: tuple[Job, ...]
+    sizes: tuple[float, ...]
     m: int
     k: int
 
     def __post_init__(self):
+        for jid, size in enumerate(self.sizes, start=1):
+            if not 0.0 <= size < math.inf:  # also rejects NaN
+                raise ValueError(f"job {jid}: size must be finite and >= 0, got {size}")
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be >= 1")
         if self.n > self.m * self.k:
             raise InfeasibleError(f"{self.n} jobs exceed capacity m*k = {self.m * self.k}")
-        ids = [j.id for j in self.jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("job ids must be unique")
 
     @property
     def n(self) -> int:
-        return len(self.jobs)
+        return len(self.sizes)
 
 
 def instance_from_sizes(sizes, m: int, k: int) -> Instance:
-    """Build an Instance with ids equal to arrival order (1-based)."""
-    return Instance(tuple(Job(i + 1, float(s)) for i, s in enumerate(sizes)), m, k)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Job id -> machine index in [1, m]."""
-
-    assignment: dict[int, int]
-
-    def machine_of(self, jid: int) -> int:
-        return self.assignment[jid]
+    """Build an Instance whose job ids are the arrival order (1-based)."""
+    return Instance(tuple(map(float, sizes)), m, k)
 
 
 class Move(NamedTuple):
@@ -129,50 +108,55 @@ class Trace:
     def final_makespan(self) -> float:
         return self.makespans[-1] if self.makespans else 0.0
 
-    def final_schedule(self) -> Schedule:
-        assignment = dict(enumerate(self.machines, start=1))
+    def final_schedule(self) -> dict[int, int]:
+        """Job id -> machine after the last arrival, keyed in arrival order."""
+        schedule = dict(enumerate(self.machines, start=1))
         for record in self.migrations.values():
             for mv in record.moves:
-                assignment[mv.job] = mv.dst
-        return Schedule(assignment)
+                schedule[mv.job] = mv.dst
+        return schedule
 
 
-def loads(schedule: Schedule, instance: Instance) -> list[float]:
-    """Per-machine total size under `schedule`; machine i is component i-1."""
-    sizes = {j.id: j.size for j in instance.jobs}
-    out = [0.0] * instance.m
-    for jid, machine in schedule.assignment.items():
-        if jid not in sizes:
+def loads(schedule: dict[int, int], instance: Instance) -> list[float]:
+    """Per-machine total size under `schedule`; machine i is component i-1.
+
+    A load folds its sizes from 0.0 in the order the dict iterates, so the
+    same assignment keyed in another order may differ in the last bit.
+    """
+    sizes, ids, m = instance.sizes, range(1, instance.n + 1), instance.m
+    out = [0.0] * m
+    for jid, machine in schedule.items():
+        if jid not in ids:  # an id below 1 must not index from the end
             raise KeyError(f"schedule references unknown job id {jid}")
-        if not 1 <= machine <= instance.m:
-            raise ValueError(f"job {jid} assigned to machine {machine} outside [1, {instance.m}]")
-        out[machine - 1] += sizes[jid]
+        if not 1 <= machine <= m:
+            raise ValueError(f"job {jid} assigned to machine {machine} outside [1, {m}]")
+        out[machine - 1] += sizes[jid - 1]
     return out
 
 
-def makespan(schedule: Schedule, instance: Instance) -> float:
+def makespan(schedule: dict[int, int], instance: Instance) -> float:
     ld = loads(schedule, instance)
     return max(ld) if ld else 0.0
 
 
-def check_feasible(schedule: Schedule, instance: Instance) -> list[str]:
+def check_feasible(schedule: dict[int, int], instance: Instance) -> list[str]:
     """All cap/assignment violations; an empty list means the schedule is ok."""
     violations = []
-    counts = [0] * instance.m
+    ids, m = range(1, instance.n + 1), instance.m
+    counts = [0] * m
     seen = set()
-    for jid, machine in schedule.assignment.items():
-        if not 1 <= machine <= instance.m:
-            violations.append(f"job {jid}: machine {machine} outside [1, {instance.m}]")
+    for jid, machine in schedule.items():
+        if not 1 <= machine <= m:
+            violations.append(f"job {jid}: machine {machine} outside [1, {m}]")
             continue
         counts[machine - 1] += 1
         seen.add(jid)
     for mi, c in enumerate(counts, start=1):
         if c > instance.k:
             violations.append(f"machine {mi}: {c} jobs exceeds cap {instance.k}")
-    for j in instance.jobs:
-        if j.id not in seen:
-            violations.append(f"job {j.id}: unassigned")
-    ids = {j.id for j in instance.jobs}
+    for jid in ids:
+        if jid not in seen:
+            violations.append(f"job {jid}: unassigned")
     for jid in seen:
         if jid not in ids:
             violations.append(f"job {jid}: not part of the instance")

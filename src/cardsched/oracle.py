@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Instance, Schedule, makespan
+from .model import Instance, makespan
 
 EXACT_RECOMMENDED_MAX_JOBS = 20
 
@@ -18,7 +18,7 @@ EXACT_RECOMMENDED_MAX_JOBS = 20
 @dataclass(frozen=True)
 class OracleResult:
     opt_makespan: float
-    schedule: Schedule
+    schedule: dict[int, int]  # job id -> machine, keyed in the search's job order
     nodes_explored: int
 
 
@@ -55,7 +55,7 @@ def exact_opt(instance: Instance) -> OracleResult:
     The search exits on `lower_bound` of the sizes in arrival order; the
     `oracle` report's `nodes_explored` counts that search.
     """
-    return branch_and_bound(instance, lower_bound([j.size for j in instance.jobs], instance.m))
+    return branch_and_bound(instance, lower_bound(instance.sizes, instance.m))
 
 
 def exit_target(instance: Instance) -> float:
@@ -66,7 +66,7 @@ def exit_target(instance: Instance) -> float:
     The total is summed in integers; it is below 2**53 exactly when the float
     fold is.  Off the grid the target is `exact_opt`'s own.
     """
-    sizes = [j.size for j in instance.jobs]
+    sizes = instance.sizes
     lb = lower_bound(sizes, instance.m)
     if all(int(s) == s for s in sizes) and sum(map(int, sizes)) < 2**53:
         return float(math.ceil(lb))
@@ -103,22 +103,32 @@ def branch_and_bound(instance: Instance, target: float) -> OracleResult:
     and capped LPT.  `Instance` admits at most m*k jobs, so capped LPT always
     finds a machine below k.
 
+    The schedule is keyed in search order (non-increasing size, ties by id),
+    so `makespan` re-adds each machine's sizes as the search added them.
+
     Nodes: `nodes_explored` counts the root and each child that passes the
     machine filters (a free slot, a load below the incumbent, a new state).
     The parent counts such a child and runs its entry tests (running max,
     leaf, `cur_lb`) in place, so only a child that passes them costs a call.
     """
+    sizes, m, k = instance.sizes, instance.m, instance.k
+    # a stable reverse sort: non-increasing sizes, ties by ascending id
+    order = sorted(range(instance.n), key=sizes.__getitem__, reverse=True)
+    best, best_assign, nodes = _search([sizes[j] for j in order], m, k, target)
+    schedule = {j + 1: mi + 1 for j, mi in zip(order, best_assign)}
+    assert makespan(schedule, instance) == best
+    return OracleResult(best, schedule, nodes)
+
+
+def _search(sizes: list[float], m: int, k: int, target: float) -> tuple[float, list[int], int]:
+    """`branch_and_bound` on sorted sizes: (opt, the 0-based machine of each size, nodes)."""
     from .engine import ListSchedulingCapped  # engine imports this module
 
-    m, k = instance.m, instance.k
-    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
-    sizes = [j.size for j in order]
     n = len(sizes)
     best_assign = [i % m for i in range(n)]
     best = sorted_round_robin_makespan(sizes, m)
     if best == target:  # also every empty instance: both are 0.0
-        schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
-        return OracleResult(best, schedule, 0)
+        return best, best_assign, 0
 
     greedy = ListSchedulingCapped(m, k)
     lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
@@ -129,8 +139,7 @@ def branch_and_bound(instance: Instance, target: float) -> OracleResult:
     if lpt_make < best:
         best, best_assign = lpt_make, lpt
     if best == target:
-        schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
-        return OracleResult(best, schedule, 0)
+        return best, best_assign, 0
 
     # suffix_sum[j] = total size of jobs j..n-1; the t smallest remaining jobs
     # always sit at the tail of the sorted order
@@ -140,12 +149,13 @@ def branch_and_bound(instance: Instance, target: float) -> OracleResult:
 
     # every placed job fills one slot, so the spare slots never change; a
     # machine holding c jobs must still take max(k - c - slack, 0) more jobs,
-    # which weigh at least as much as that many jobs at the sorted tail
+    # which weigh at least as much as that many jobs at the sorted tail; a
+    # machine never holds more than n jobs, so counts past n need no entry
     slack = m * k - n
     if slack < m:
-        forced = [suffix_sum[n - max(k - c - slack, 0)] for c in range(k + 1)]
+        forced = [suffix_sum[n - max(k - c - slack, 0)] for c in range(min(k, n) + 1)]
     else:  # no machine is forced to take more jobs
-        forced = [0.0] * (k + 1)
+        forced = [0.0] * (min(k, n) + 1)
 
     machine_load = [0.0] * m
     machine_count = [0] * m
@@ -215,7 +225,4 @@ def branch_and_bound(instance: Instance, target: float) -> OracleResult:
 
     if 0.0 < best and forced[0] < best:  # the root's entry tests; n > 0, so it is no leaf
         recurse(0, 0.0, forced[0])
-    schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
-    result = OracleResult(best, schedule, nodes)
-    assert makespan(schedule, instance) == result.opt_makespan
-    return result
+    return best, best_assign, nodes

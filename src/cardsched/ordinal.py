@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Instance, Schedule
+from .model import Instance
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,15 @@ def ordinal_map(m: int, k: int) -> OrdinalMap:
     return OrdinalMap(m, k, tuple(sigma), xi, mu, tuple(tuple(p) for p in phase_counts))
 
 
-def ordinal_schedule(instance: Instance) -> Schedule:
-    """Apply the (m, k) ordinal map to the jobs sorted non-increasingly.
+def ordinal_schedule(instance: Instance) -> dict[int, int]:
+    """Apply the (m, k) ordinal map to the jobs sorted non-increasingly, ties by id.
 
     Short instances are padded with zero-size virtual jobs; those are dropped
-    from the returned schedule.
+    from the returned schedule (job id -> machine, keyed in sorted order).
     """
     sigma = ordinal_map(instance.m, instance.k).sigma
-    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
-    return Schedule({j.id: sigma[pos] for pos, j in enumerate(order)})
+    order = sorted(range(instance.n), key=instance.sizes.__getitem__, reverse=True)  # stable
+    return {j + 1: machine for j, machine in zip(order, sigma)}
 
 
 def iota(s: int, k: int) -> int:

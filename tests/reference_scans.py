@@ -35,7 +35,6 @@ from cardsched.model import (
     InfeasibleError,
     Instance,
     Move,
-    Schedule,
     makespan,
     round_down_pow2,
     round_up_geometric,
@@ -531,10 +530,14 @@ class RefRobustOrdinal(Scheduler):
         return SchedulerDecision(after[jid], moves)
 
 
-def sorted_round_robin(instance: Instance) -> Schedule:
+def _by_size(instance: Instance) -> list[int]:
+    """Job ids by non-increasing size, ties by ascending id."""
+    return sorted(range(1, instance.n + 1), key=lambda j: (-instance.sizes[j - 1], j))
+
+
+def sorted_round_robin(instance: Instance) -> dict[int, int]:
     """Sort jobs non-increasingly, send the i-th to machine 1+(i-1) mod m."""
-    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
-    return Schedule({j.id: 1 + i % instance.m for i, j in enumerate(order)})
+    return {j: 1 + i % instance.m for i, j in enumerate(_by_size(instance))}
 
 
 def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> OracleResult:
@@ -549,14 +552,14 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> 
     m, k = instance.m, instance.k
     srr = sorted_round_robin(instance)
     incumbent = makespan(srr, instance)
-    lb = lower_bound([j.size for j in instance.jobs], m) if target is None else target
-    if incumbent == lb or not instance.jobs:
+    lb = lower_bound(instance.sizes, m) if target is None else target
+    if incumbent == lb or not instance.sizes:
         return OracleResult(incumbent, srr, 0)
 
-    order = sorted(instance.jobs, key=lambda j: (-j.size, j.id))
-    sizes = [j.size for j in order]
+    order = _by_size(instance)
+    sizes = [instance.sizes[j - 1] for j in order]
     n = len(sizes)
-    best_assign = [srr.assignment[j.id] - 1 for j in order]
+    best_assign = [srr[j] - 1 for j in order]
     best = incumbent
     greedy = ListSchedulingCapped(m, k)
     lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
@@ -567,7 +570,7 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> 
     if lpt_make < best:
         best, best_assign = lpt_make, lpt
     if best == lb:
-        schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
+        schedule = {j: best_assign[i] + 1 for i, j in enumerate(order)}
         return OracleResult(best, schedule, 0)
 
     # suffix_sum[j] = total size of jobs j..n-1; the t smallest remaining jobs
@@ -622,7 +625,7 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> 
         return False
 
     recurse(0, 0.0)
-    schedule = Schedule({j.id: best_assign[i] + 1 for i, j in enumerate(order)})
+    schedule = {j: best_assign[i] + 1 for i, j in enumerate(order)}
     result = OracleResult(best, schedule, nodes)
     assert makespan(schedule, instance) == result.opt_makespan
     return result
@@ -654,7 +657,7 @@ def brute_opt(instance: Instance) -> float:
         raise InfeasibleError(f"{n} jobs exceed capacity m*k = {m * k}")
     if n == 0:
         return 0.0
-    sizes = [j.size for j in instance.jobs]
+    sizes = instance.sizes
     best = None
     for assign in _feasible_assignments(n, m, k):
         ld = [0.0] * m

@@ -406,7 +406,7 @@ def test_every_run_key_accepts_size_zero(tmp_path, capsys, algo, k):
 @pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal", "greedy-clcs"])
 def test_negative_size_exits_2_with_one_line(tmp_path, capsys, algo):
     # online keys and the classed runner reach the runner's size check; ordinal
-    # builds an Instance first, whose Job states the same rule
+    # builds an Instance first, which states the same rule
     rows = [{"size": 1.0, "class": 1}, {"size": -2.0, "class": 2}]
     path = _write_jsonl(tmp_path / "negative.jsonl", rows)
     argv = ["clcs", "run"] if algo == "greedy-clcs" else ["run", "--algo", algo]

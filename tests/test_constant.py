@@ -55,7 +55,7 @@ def test_full_equal_stream_completes_feasibly():
     scheduler, trace = _run_with_invariants(m, k, [3.0] * (m * k))
     assert _violations(trace) == []
     counts = [0, 0]
-    for machine in trace.final_schedule().assignment.values():
+    for machine in trace.final_schedule().values():
         counts[machine - 1] += 1
     assert counts == [k, k]
 

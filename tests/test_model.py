@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from cardsched.model import (
     InfeasibleError,
     Instance,
-    Job,
-    Schedule,
     check_feasible,
     instance_from_sizes,
     loads,
@@ -15,57 +13,84 @@ from cardsched.model import (
     round_down_pow2,
     round_up_geometric,
 )
+from cardsched.oracle import exact_opt
+from cardsched.ordinal import ordinal_schedule
 
 
 def test_loads_direct_sum():
     inst = instance_from_sizes([3, 2], 2, 2)
-    assert loads(Schedule({1: 1, 2: 2}), inst) == [3, 2]
+    assert loads({1: 1, 2: 2}, inst) == [3, 2]
 
 
 def test_loads_empty_instance():
     inst = instance_from_sizes([], 3, 1)
-    assert loads(Schedule({}), inst) == [0, 0, 0]
+    assert loads({}, inst) == [0, 0, 0]
 
 
 def test_loads_four_jobs():
     inst = instance_from_sizes([3, 2, 1, 1], 2, 2)
-    assert loads(Schedule({1: 1, 2: 2, 3: 2, 4: 1}), inst) == [4, 3]
+    assert loads({1: 1, 2: 2, 3: 2, 4: 1}, inst) == [4, 3]
 
 
 def test_loads_unknown_job_id():
     inst = instance_from_sizes([3], 2, 2)
     with pytest.raises(KeyError):
-        loads(Schedule({1: 1, 7: 2}), inst)
+        loads({1: 1, 7: 2}, inst)
+    for jid in (0, -1):  # an id below 1 never indexes from the end of the sizes
+        with pytest.raises(KeyError, match=f"unknown job id {jid}"):
+            loads({jid: 1}, inst)
+        assert check_feasible({1: 1, jid: 2}, inst) == [f"job {jid}: not part of the instance"]
+
+
+def test_loads_fold_in_dict_order():
+    # a load is the left fold of its sizes in the order the schedule dict
+    # iterates: solvers key their schedules in placement order (largest
+    # first), which re-adds the sizes as the solver added them
+    inst = instance_from_sizes([0.1, 0.2, 0.3], 1, 3)
+    for schedule in (exact_opt(inst).schedule, ordinal_schedule(inst)):
+        assert list(schedule) == [3, 2, 1]
+        assert makespan(schedule, inst) == exact_opt(inst).opt_makespan == 0.6
+        by_id = dict(sorted(schedule.items()))
+        assert makespan(by_id, inst) == 0.6000000000000001
 
 
 def test_makespan_examples():
     inst = instance_from_sizes([3, 2, 1, 1], 2, 2)
-    assert makespan(Schedule({1: 1, 2: 2, 3: 2, 4: 1}), inst) == 4
-    assert makespan(Schedule({}), instance_from_sizes([], 2, 2)) == 0
+    assert makespan({1: 1, 2: 2, 3: 2, 4: 1}, inst) == 4
+    assert makespan({}, instance_from_sizes([], 2, 2)) == 0
     single = instance_from_sizes([1, 2, 3], 1, 3)
-    assert makespan(Schedule({1: 1, 2: 1, 3: 1}), single) == 6
+    assert makespan({1: 1, 2: 1, 3: 1}, single) == 6
 
 
 def test_check_feasible_cap_violation():
     inst = instance_from_sizes([1, 1, 1], 2, 2)
-    violations = check_feasible(Schedule({1: 1, 2: 1, 3: 1}), inst)
+    violations = check_feasible({1: 1, 2: 1, 3: 1}, inst)
     assert any("machine 1" in v and "3" in v for v in violations)
 
 
 def test_check_feasible_ok():
     inst = instance_from_sizes([1, 1, 1], 2, 2)
-    assert check_feasible(Schedule({1: 1, 2: 1, 3: 2}), inst) == []
+    assert check_feasible({1: 1, 2: 1, 3: 2}, inst) == []
 
 
 def test_check_feasible_unassigned():
     inst = instance_from_sizes([1, 1], 2, 2)
-    violations = check_feasible(Schedule({1: 1}), inst)
+    violations = check_feasible({1: 1}, inst)
     assert violations == ["job 2: unassigned"]
 
 
 def test_job_rejects_negative_size():
-    with pytest.raises(ValueError):
-        Job(1, -0.5)
+    with pytest.raises(ValueError, match="job 1: size must be finite and >= 0, got -0.5"):
+        Instance((-0.5,), 1, 1)
+
+
+def test_instance_refuses_the_size_first():
+    # the size error comes before the m/k error and the capacity error
+    for m, k in ((2, 1), (0, 1)):
+        with pytest.raises(ValueError, match="job 1: size must be finite and >= 0, got nan"):
+            instance_from_sizes([math.nan, 1, 1], m, k)
+    with pytest.raises(ValueError, match="m and k must be >= 1"):
+        instance_from_sizes([1, 1, 1], 1, 0)
 
 
 def test_instance_feasibility_predicate():
@@ -73,7 +98,7 @@ def test_instance_feasibility_predicate():
     assert instance_from_sizes([1, 1], 2, 1).n == 2
     with pytest.raises(InfeasibleError, match="3 jobs exceed capacity m\\*k = 2"):
         instance_from_sizes([1, 1, 1], 2, 1)
-    assert instance_from_sizes([0.0, 1.0], 2, 1).jobs[0].size == 0.0
+    assert instance_from_sizes([0.0, 1.0], 2, 1).sizes == (0.0, 1.0)
     for size in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(ValueError, match="job 2: size must be finite and >= 0"):
             instance_from_sizes([1.0, size], 2, 1)
@@ -142,8 +167,7 @@ def test_round_up_geometric_bracketing(x, eps):
 def test_loads_sum_and_makespan_consistency(sizes):
     m = 3
     inst = instance_from_sizes(sizes, m, max(1, len(sizes)))
-    assignment = {j.id: 1 + (j.id % m) for j in inst.jobs}
-    schedule = Schedule(assignment)
+    schedule = {j: 1 + (j % m) for j in range(1, inst.n + 1)}
     ld = loads(schedule, inst)
     assert makespan(schedule, inst) == (max(ld) if ld else 0.0)
     assert sum(ld) == pytest.approx(sum(sizes), rel=1e-12, abs=1e-12)
@@ -152,11 +176,11 @@ def test_loads_sum_and_makespan_consistency(sizes):
 def test_zero_size_jobs_are_legal_in_instances():
     inst = instance_from_sizes([0.0, 0.0, 1.0], 2, 2)
     assert inst.n == 3
-    assert check_feasible(Schedule({1: 1, 2: 2, 3: 1}), inst) == []
+    assert check_feasible({1: 1, 2: 2, 3: 1}, inst) == []
 
 
 def test_instance_rejects_bad_shape():
     with pytest.raises(ValueError):
         Instance((), 0, 1)
     with pytest.raises(ValueError):
-        Instance((Job(1, 1.0), Job(1, 2.0)), 2, 2)
+        Instance((1.0,), 1, 0)

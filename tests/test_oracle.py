@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,10 +63,10 @@ def test_lower_bound_examples():
 def test_sorted_round_robin_examples():
     inst = instance_from_sizes([4, 3, 2, 1], 2, 2)
     schedule = sorted_round_robin(inst)
-    assert schedule.assignment == {1: 1, 2: 2, 3: 1, 4: 2}
+    assert schedule == {1: 1, 2: 2, 3: 1, 4: 2}
     assert makespan(schedule, inst) == 6
     single = instance_from_sizes([5], 3, 1)
-    assert sorted_round_robin(single).assignment == {1: 1}
+    assert sorted_round_robin(single) == {1: 1}
     with pytest.raises(InfeasibleError):
         sorted_round_robin(instance_from_sizes([1, 1, 1], 1, 2))
 
@@ -74,7 +75,7 @@ def test_sorted_round_robin_full_instance_has_k_per_machine():
     inst = instance_from_sizes(range(1, 13), 3, 4)
     schedule = sorted_round_robin(inst)
     counts = [0, 0, 0]
-    for machine in schedule.assignment.values():
+    for machine in schedule.values():
         counts[machine - 1] += 1
     assert counts == [4, 4, 4]
 
@@ -211,3 +212,19 @@ def test_exact_opt_counts_nodes():
     result = exact_opt(inst)
     assert result.nodes_explored >= 0
     assert result.opt_makespan == brute_opt(inst)
+
+
+def test_exact_opt_memory_does_not_grow_with_k():
+    # a machine never holds more than n jobs, so a cap far above n costs the
+    # search nothing: the same opt and nodes as at k = n, in well under 1 MB
+    sizes = [38, 41, 26, 70, 87, 81, 27, 24, 89, 26, 50, 39]
+    at_n = exact_opt(instance_from_sizes(sizes, 3, len(sizes)))
+    assert at_n.nodes_explored > 0  # the search runs past the root
+    tracemalloc.start()
+    try:
+        huge = exact_opt(instance_from_sizes(sizes, 3, 10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (huge.opt_makespan, huge.nodes_explored) == (at_n.opt_makespan, at_n.nodes_explored)

@@ -62,19 +62,19 @@ def test_wide_range_of_shapes_never_overflows():
 def test_ordinal_schedule_example():
     inst = instance_from_sizes([4, 3, 2, 1], 2, 2)
     schedule = ordinal_schedule(inst)
-    assert schedule.assignment == {1: 1, 2: 2, 3: 2, 4: 1}
+    assert schedule == {1: 1, 2: 2, 3: 2, 4: 1}
     assert makespan(schedule, inst) == 5
 
 
 def test_ordinal_schedule_single_machine():
     inst = instance_from_sizes([5, 1, 2], 1, 3)
-    assert set(ordinal_schedule(inst).assignment.values()) == {1}
+    assert set(ordinal_schedule(inst).values()) == {1}
 
 
 def test_ordinal_schedule_pads_with_virtual_zeros():
     inst = instance_from_sizes([1], 2, 2)
     schedule = ordinal_schedule(inst)
-    assert schedule.assignment == {1: 1}
+    assert schedule == {1: 1}
 
 
 def test_ordinal_schedule_infeasible():
@@ -137,10 +137,9 @@ def test_ordinality_permuting_equal_sizes(sizes, rng):
 
     def machine_multisets(instance):
         schedule = ordinal_schedule(instance)
-        sizes_by_id = {j.id: j.size for j in instance.jobs}
         per_machine = [[] for _ in range(instance.m)]
-        for jid, machine in schedule.assignment.items():
-            per_machine[machine - 1].append(sizes_by_id[jid])
+        for jid, machine in schedule.items():
+            per_machine[machine - 1].append(instance.sizes[jid - 1])
         return sorted(tuple(sorted(x)) for x in per_machine)
 
     assert machine_multisets(inst) == machine_multisets(other)
@@ -148,8 +147,8 @@ def test_ordinality_permuting_equal_sizes(sizes, rng):
 
 def test_ordinality_scaling_invariance():
     sizes = [9, 7, 5, 3, 2, 1]
-    a = ordinal_schedule(instance_from_sizes(sizes, 2, 3)).assignment
-    b = ordinal_schedule(instance_from_sizes([4 * s for s in sizes], 2, 3)).assignment
+    a = ordinal_schedule(instance_from_sizes(sizes, 2, 3))
+    b = ordinal_schedule(instance_from_sizes([4 * s for s in sizes], 2, 3))
     assert a == b
 
 
@@ -184,4 +183,4 @@ def test_k2_is_exactly_optimal(sizes, m):
 
 def test_sort_ties_break_by_arrival_id():
     inst = instance_from_sizes([5, 5, 5, 5], 2, 2)
-    assert ordinal_schedule(inst).assignment == {1: 1, 2: 2, 3: 2, 4: 1}
+    assert ordinal_schedule(inst) == {1: 1, 2: 2, 3: 2, 4: 1}

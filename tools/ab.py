@@ -16,8 +16,9 @@ A side whose outputs differ between its own runs fails the case.  Cases
 that mirror a perfbench workload take its parameters from
 perfbench/workloads.py:
 
-- `io-*`: online-wide's `run --algo *` op, each layer timed as the CLI
-  calls it (load, lower-bound metering, emit, the whole op; median of 15
+- `io-*`: online-wide's `run --algo *` op, and `io-ordinal`, ordinal-robust's
+  `run --algo ordinal` op, each layer timed as the CLI calls it (load,
+  lower-bound metering of an online run, emit, the whole op; median of 15
   calls); output: the report's sha256 with `wall_time_s` set to 0.
 - `oracle-exact`, `worst`: one pass of `exact_opt` on the oracle-exact
   workload's instances, and on the seed-3 recipe's 1.40 M-node instance.
@@ -50,7 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import (  # noqa: E402
-    HARD_K, HARD_M, SIZES, hard_oracle_set, loguniform, small_oracle_set
+    HARD_K, HARD_M, SIZES, hard_oracle_set, loguniform, plan, small_oracle_set
 )
 
 FULL = SIZES["full"]
@@ -74,8 +75,12 @@ def io_case(algo: str) -> dict:
     from cardsched.engine import competitive_metrics, run_stream
     from cardsched.jsonl import load_jobs
 
-    m = FULL["online_m"]
-    sizes = loguniform(random.Random(1), FULL["online_n"])
+    if algo == "ordinal":  # the last op of ordinal-robust
+        expect = plan("ordinal-robust", 1, "full", Path("unused")).ops[-1].expect
+        m, sizes = expect["m"], expect["sizes"]
+    else:
+        m = FULL["online_m"]
+        sizes = loguniform(random.Random(1), FULL["online_n"])
     path, report_path = "stream.jsonl", "report.json"
     argv = ["run", "--algo", algo, "--m", str(m), "--k", str(m), "--input", path]
     cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
@@ -86,13 +91,12 @@ def io_case(algo: str) -> dict:
         args = cli.make_parser().parse_args(argv)
         report = cli.cmd_run(args)
         report["wall_time_s"] = 0.0
-        trace = run_stream(cli.SCHEDULERS[algo](m, m, args.epsilon), sizes, m, m)
-        metering = partial(competitive_metrics, trace, "lower_bound")
-        out = {
-            "load_s": _median_time(lambda: load_jobs(path), IO_REPEATS),
-            "metrics_s": _median_time(metering, IO_REPEATS),
-            "emit_s": _median_time(lambda: cli._emit(report, report_path), IO_REPEATS),
-        }
+        out = {"load_s": _median_time(lambda: load_jobs(path), IO_REPEATS)}
+        if algo != "ordinal":  # the offline key has no trace to meter
+            trace = run_stream(cli.SCHEDULERS[algo](m, m, args.epsilon), sizes, m, m)
+            metering = partial(competitive_metrics, trace, "lower_bound")
+            out["metrics_s"] = _median_time(metering, IO_REPEATS)
+        out["emit_s"] = _median_time(lambda: cli._emit(report, report_path), IO_REPEATS)
         with open(report_path, "rb") as fh:
             out["report_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         op = argv + ["--out", report_path]
@@ -113,7 +117,8 @@ def oracle_case(instances: list[tuple[list[int], int, int]]) -> dict:
     exact_s = time.perf_counter() - t0
     digest = hashlib.sha256()
     for r in results:
-        digest.update(repr((repr(r.opt_makespan), sorted(r.schedule.assignment.items()))).encode())
+        schedule = getattr(r.schedule, "assignment", r.schedule)  # a wrapped dict in older trees
+        digest.update(repr((repr(r.opt_makespan), sorted(schedule.items()))).encode())
     nodes = [r.nodes_explored for r in results]
     return {
         "exact_s": exact_s,
@@ -261,7 +266,9 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
 
 
 CASES = {
-    **{f"io-{a}": partial(io_case, a) for a in ("round-robin", "greedy-capped", "constant")},
+    **{f"io-{a}": partial(io_case, a) for a in (
+        "round-robin", "greedy-capped", "constant", "ordinal"
+    )},
     "oracle-exact": oracle_exact,
     "exact-metering": exact_metering,
     "worst": worst,
