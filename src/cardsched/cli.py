@@ -9,6 +9,7 @@ entries are omitted from the JSON (the length is always present).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -349,6 +350,7 @@ def _add_input_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="generator seed")
 
 
+@functools.cache  # built on the first main() call, not at import; parse_args leaves it as it is
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cardsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

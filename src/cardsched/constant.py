@@ -128,8 +128,10 @@ class ConstantCompetitiveScheduler(Scheduler):
         for i in range(self.l + 1):
             self._label(rows[2 * i], "pure", i)
             self._label(rows[2 * i + 1], "mixed", i)
-        for row in rows[pairs : pairs + small_target]:
-            self._make_small(row)
+        # every new row has filled == 0, so ascending rid is already _small_order
+        self._small = rows[pairs : pairs + small_target]
+        for row in self._small:
+            row.kind = "small"
         self._free = rows[pairs + small_target :][::-1]
 
     def _label(self, row: _Row, kind: str, i: int):

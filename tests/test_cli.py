@@ -6,7 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardsched.cli import SCHEDULERS, main
+from cardsched import cli
+from cardsched.cli import SCHEDULERS, main, make_parser
 from cardsched.engine import run_stream
 
 
@@ -600,3 +601,42 @@ def test_cli_fuzz_ends_in_strict_json_or_one_line_exit_2(tmp_path_factory, case)
         json.loads(out, parse_constant=_reject_constant)
     else:
         _assert_one_line_exit_2(code, out, err)
+
+
+def _masked(out: str) -> dict:
+    report = json.loads(out)
+    report["wall_time_s"] = 0.0
+    return report
+
+
+def test_a_reused_parser_leaks_no_flag_or_default(capsys, monkeypatch):
+    argv = ["run", "--algo", "constant", "--m", "2", "--k", "60", "--gen", "uniform", "--n", "3"]
+    code, out, _ = _run_cli(capsys, argv + ["--seed", "5", "--dump-structure"])
+    first = json.loads(out)
+    assert code == 0 and first["seed"] == 5 and "structure" in first
+    code, reused, _ = _run_cli(capsys, argv)
+    second = json.loads(reused)
+    assert code == 0 and second["seed"] == 0 and "structure" not in second
+    monkeypatch.setattr(cli, "make_parser", make_parser.__wrapped__)  # a new parser per call
+    code, fresh, _ = _run_cli(capsys, argv)
+    assert code == 0 and _masked(reused) == _masked(fresh)
+
+
+def test_a_usage_error_leaves_the_parser_reusable(capsys):
+    argv = ["oracle", "--m", "2", "--k", "3", "--gen", "uniform", "--n", "5", "--seed", "4"]
+    code, first, _ = _run_cli(capsys, argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--k", "3", "--gen", "uniform", "--n", "5"])  # no --m
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+    code, again, _ = _run_cli(capsys, argv)
+    assert code == 0 and _masked(again) == _masked(first)
+
+
+def test_make_parser_builds_once_until_its_cache_is_cleared():
+    parser = make_parser()
+    assert make_parser() is parser
+    make_parser.cache_clear()
+    assert make_parser() is not parser
+

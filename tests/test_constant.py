@@ -1,10 +1,11 @@
 import math
 import random
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardsched.constant import ConstantCompetitiveScheduler, certify_load_bound
+from cardsched.constant import ConstantCompetitiveScheduler, _small_order, certify_load_bound
 from cardsched.engine import StreamRunner, run_stream
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, round_down_pow2
 
@@ -48,6 +49,22 @@ def test_first_arrival_initializes_structure():
     occupied = [r for r in snap.rows if any(s is not None for s in r.slots)]
     assert len(occupied) == 1
     assert occupied[0].group == 0
+
+
+@pytest.mark.parametrize("k", [50, 51, 64, 99, 1000])
+def test_init_small_rows_equal_the_insort_build(k):
+    scheduler = ConstantCompetitiveScheduler(3, k)
+    scheduler._init_structure()
+    small = scheduler._small
+    assert small == sorted(small, key=_small_order)
+    built = []
+    for row in sorted(small, key=lambda r: r.rid):
+        insort(built, row, key=_small_order)
+    assert small == built
+    pairs = 2 * (scheduler.l + 1)
+    assert [r.rid for r in small] == list(range(pairs, pairs + len(small)))
+    assert all(r.kind == "small" and r.group is None for r in small)
+    scheduler.check_invariants()
 
 
 def test_full_equal_stream_completes_feasibly():

@@ -37,3 +37,16 @@ def test_cli_help_runs_as_a_module():
     done = _python("-m", "cardsched.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: cardsched")
+
+
+def test_the_cli_builds_its_parser_on_the_first_main_call_not_at_import():
+    code = (
+        "from cardsched import cli\n"
+        "built = [cli.make_parser.cache_info().currsize]\n"
+        "cli.main(['oracle', '--m', '1', '--k', '1', '--gen', 'uniform', '--n', '1'])\n"
+        "built.append(cli.make_parser.cache_info().currsize)\n"
+        "print(built)\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 1]"

@@ -20,6 +20,9 @@ perfbench/workloads.py:
   `run --algo ordinal` op, each layer timed as the CLI calls it (load,
   lower-bound metering of an online run, emit, the whole op; median of 15
   calls); output: the report's sha256 with `wall_time_s` set to 0.
+- `cli-oracle`: one pass of the oracle-exact workload's 105 ops (seed 1) as
+  in-process `cli.main` calls, and one uncached parser build (median of
+  15); output: the sha256 over the reports with `wall_time_s` set to 0.
 - `oracle-exact`, `worst`: one pass of `exact_opt` on the oracle-exact
   workload's instances, and on the seed-3 recipe's 1.40 M-node instance.
 - `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
@@ -51,7 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import (  # noqa: E402
-    HARD_K, HARD_M, SIZES, hard_oracle_set, loguniform, plan, small_oracle_set
+    HARD_K, HARD_M, SIZES, hard_oracle_set, loguniform, plan, small_oracle_set, write_inputs
 )
 
 FULL = SIZES["full"]
@@ -105,6 +108,37 @@ def io_case(algo: str) -> dict:
         os.chdir(cwd)
         tmp.cleanup()
     return out
+
+
+def cli_oracle() -> dict:
+    """One pass of the oracle-exact workload's ops as in-process cli.main calls."""
+    from cardsched import cli
+
+    build = getattr(cli.make_parser, "__wrapped__", cli.make_parser)  # uncached in any tree
+    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
+    os.chdir(tmp.name)  # relative paths: a report names its input
+    try:
+        workload = plan("oracle-exact", 1, "full", Path("."))
+        write_inputs(workload)
+        ops = workload.ops
+        t0 = time.perf_counter()
+        codes = [cli.main(op.argv) for op in ops]
+        ops_s = time.perf_counter() - t0
+        digest = hashlib.sha256()
+        for op in ops:
+            report = json.loads(op.out.read_text(encoding="utf-8"))
+            report["wall_time_s"] = 0.0
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    finally:  # never leave the worker inside a deleted directory
+        os.chdir(cwd)
+        tmp.cleanup()
+    return {
+        "ops_s": ops_s,
+        "parser_s": _median_time(build, IO_REPEATS),
+        "ops": len(ops),
+        "exit_codes": sorted(set(codes)),
+        "reports_sha256": digest.hexdigest(),
+    }
 
 
 def oracle_case(instances: list[tuple[list[int], int, int]]) -> dict:
@@ -269,6 +303,7 @@ CASES = {
     **{f"io-{a}": partial(io_case, a) for a in (
         "round-robin", "greedy-capped", "constant", "ordinal"
     )},
+    "cli-oracle": cli_oracle,
     "oracle-exact": oracle_exact,
     "exact-metering": exact_metering,
     "worst": worst,
