@@ -49,6 +49,7 @@ from .robust import RobustOrdinalScheduler
 
 SCHEMA_VERSION = 1
 TRANSCRIPT_LIMIT = 10000
+MAX_MACHINES = 2**31 - 1  # the widest machine index Trace.machines (array "i") holds
 # online scheduler key -> constructor(m, k, epsilon)
 SCHEDULERS = {
     "round-robin": lambda m, k, eps: RoundRobinScheduler(m, k),
@@ -409,6 +410,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.m > MAX_MACHINES:  # before any scheduler, map or solver sizes itself by m
+            raise ValueError(f"--m must be at most {MAX_MACHINES}, got {args.m}")
         if args.command == "run":
             report = cmd_run(args)
         elif args.command == "oracle":
@@ -418,7 +421,7 @@ def main(argv=None) -> int:
         else:
             report = cmd_clcs(args)
         _emit(report, args.out)
-    except (InfeasibleError, ContractViolation, ValueError, OSError) as exc:
+    except (InfeasibleError, ContractViolation, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -102,7 +102,8 @@ class ConstantCompetitiveScheduler(Scheduler):
         self._mixed: dict[int, _Row] = {}
         # by (fewest empty slots, rid): only the head takes jobs, which keeps it first
         self._small: list[_Row] = []
-        self._free: list[_Row] = []  # stack, lowest rid on top
+        # the free rows are rids _next_free .. k - 1, made when taken, lowest first
+        self._next_free = k
         self._removed: list[_Row] = []
         # the (count, machine) order all rows share: buckets[c] holds the
         # machines with c lifetime jobs in index order, the buckets below _low
@@ -118,13 +119,14 @@ class ConstantCompetitiveScheduler(Scheduler):
     # -- structure bookkeeping ------------------------------------------------
 
     def _init_structure(self):
-        # k rows by rid: the pairs, then the small rows, then floor(k/2) free rows
+        # ceil(k/2) rows by rid, the pairs and then the small rows; the floor(k/2)
+        # free rows after them are made when taken
         self.l = _floor_2log2(self.k)
         self._buckets = [list(range(self.m))]
-        rows = [_Row(rid) for rid in range(self.k)]
         pairs = 2 * (self.l + 1)
         small_target = -(self.k // -2) - pairs
         assert small_target >= 1, "structure requires ceil(k/2) > 2*(l+1)"
+        rows = [_Row(rid) for rid in range(pairs + small_target)]
         for i in range(self.l + 1):
             self._label(rows[2 * i], "pure", i)
             self._label(rows[2 * i + 1], "mixed", i)
@@ -132,7 +134,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         self._small = rows[pairs : pairs + small_target]
         for row in self._small:
             row.kind = "small"
-        self._free = rows[pairs + small_target :][::-1]
+        self._next_free = len(rows)
 
     def _label(self, row: _Row, kind: str, i: int):
         row.kind, row.group = kind, i
@@ -143,11 +145,15 @@ class ConstantCompetitiveScheduler(Scheduler):
         insort(self._small, row, key=_small_order)
 
     def _take_free(self) -> _Row:
-        assert self._free, "free rows exhausted before terminal mode"
-        return self._free.pop()
+        assert self._next_free < self.k, "free rows exhausted before terminal mode"
+        self._next_free += 1
+        return _Row(self._next_free - 1)
 
     def _live_rows(self) -> list[_Row]:
-        return [*self._pure.values(), *self._mixed.values(), *self._small, *self._free]
+        if self._frozen:  # terminal: the free rows were made at the freeze
+            return self._frozen
+        free = map(_Row, range(self._next_free, self.k))
+        return [*self._pure.values(), *self._mixed.values(), *self._small, *free]
 
     def _fill(self, row: _Row, c: int, pos: int, jid: int) -> int:
         # machine buckets[c][pos] takes the job in row; it moves to bucket c + 1
@@ -362,10 +368,9 @@ class ConstantCompetitiveScheduler(Scheduler):
         )
         for row in self._small:
             assert row.filled < self.m, "full small row survived"
-        assert len(self._free) == self.active_k // 2, (
-            f"free rows {len(self._free)} != floor(active_k/2)"
-        )
-        live = 2 * (self.l + 1) + len(self._small) + len(self._free)
+        free = self.k - self._next_free
+        assert free == self.active_k // 2, f"free rows {free} != floor(active_k/2)"
+        live = 2 * (self.l + 1) + len(self._small) + free
         assert live == self.active_k
 
 

@@ -438,6 +438,31 @@ def test_machine_count_or_cap_below_one_exits_2_with_one_line(capsys, argv):
     assert "must be >= 1" in err
 
 
+_HUGE = str(10**20)
+_UNIFORM_LB = ["clcs", "adversary", "--family", "uniform-lb", "--m", "2", "--k", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--m", _HUGE, "--k", "1", "--gen", "uniform", "--n", "2", "--seed", "1"],
+        ["clcs", "run", "--m", _HUGE, "--k", "1", "--input", None],
+        ["run", "--algo", "ordinal", "--m", _HUGE, "--k", "1", "--gen", "uniform", "--n", "2"],
+        # the widest machine index Trace.machines holds is 2**31 - 1
+        ["run", "--algo", "round-robin", "--m", str(2**31), "--k", "1", "--gen", "uniform", "--n", "1"],
+        _UNIFORM_LB + ["--beta", "1e308", "--eps-param", "1e-309"],  # round(M * beta) = round(inf)
+        _UNIFORM_LB + ["--beta", "1e300", "--eps-param", "1e-301"],  # rounds past a C ssize_t
+        _UNIFORM_LB + ["--big-m", str(10**400)],  # M too large for a float
+    ],
+)
+def test_overflowing_value_exits_2_with_one_line(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = [str(empty) if a is None else a for a in argv]
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+
+
 @pytest.mark.parametrize("speeds", ["1,2", "1,-2,0.5", "1,0,1", "1,inf,1", "1,nan,1"])
 def test_clcs_run_rejects_bad_speeds(tmp_path, capsys, speeds):
     rows = [{"size": 1.0, "class": 1}, {"size": 5.0, "class": 2}, {"size": 4.0, "class": 3}]

@@ -5,6 +5,7 @@ from bisect import insort
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cardsched import constant
 from cardsched.constant import ConstantCompetitiveScheduler, _small_order, certify_load_bound
 from cardsched.engine import StreamRunner, run_stream
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, round_down_pow2
@@ -49,6 +50,26 @@ def test_first_arrival_initializes_structure():
     occupied = [r for r in snap.rows if any(s is not None for s in r.slots)]
     assert len(occupied) == 1
     assert occupied[0].group == 0
+
+
+@pytest.mark.parametrize("k", [50, 51, 1000])
+def test_first_arrival_makes_only_the_pair_and_small_rows(monkeypatch, k):
+    # the floor(k/2) free rows are made when a repair takes one, not up front
+    made = []
+
+    class CountedRow(constant._Row):
+        __slots__ = ()
+
+        def __init__(self, rid):
+            super().__init__(rid)
+            made.append(rid)
+
+    monkeypatch.setattr(constant, "_Row", CountedRow)
+    scheduler = ConstantCompetitiveScheduler(3, k)
+    assert made == []
+    scheduler.on_arrival(1.0)
+    assert made == list(range(-(k // -2)))
+    scheduler.check_invariants()
 
 
 @pytest.mark.parametrize("k", [50, 51, 64, 99, 1000])

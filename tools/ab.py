@@ -12,27 +12,25 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  Cases
-that mirror a perfbench workload take its parameters from
-perfbench/workloads.py:
+A side whose outputs differ between its own runs fails the case.  The 10
+cases:
 
-- `io-*`: online-wide's `run --algo *` op, and `io-ordinal`, ordinal-robust's
-  `run --algo ordinal` op, each layer timed as the CLI calls it (load,
-  lower-bound metering of an online run, emit, the whole op; median of 15
-  calls); output: the report's sha256 with `wall_time_s` set to 0.
-- `cli-oracle`: one pass of the oracle-exact workload's 105 ops (seed 1) as
-  in-process `cli.main` calls, and one uncached parser build (median of
-  15); output: the sha256 over the reports with `wall_time_s` set to 0.
-- `oracle-exact`, `worst`: one pass of `exact_opt` on the oracle-exact
-  workload's instances, and on the seed-3 recipe's 1.40 M-node instance.
+- `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
+  oracle-exact, adversary-drive): one pass of the workload's seed-1 ops, as
+  perfbench plans them, through in-process `cli.main` calls (`ops_s`);
+  outputs: the exit codes and `reports_digest`, the digest that
+  `perfbench/run.py` prints for seed 1.  Per-layer splits come from
+  `python3 perfbench/run.py --workload <w> --trace 1`.
 - `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
   traces of oracle-exact's two exact-mode streams, what `run --mode exact`
   meters; outputs: the denominators and a digest of the prefix-max ratios.
-- `balanced-rr`, `pure-rr`, `balanced-constant`, `uniform-clcs` (the
-  adversary-drive workload's drives) and `run-stream-rr`: the drive, a
-  fresh scheduler alone on its stream, and `runner_s`, their difference.
-- `constant-*`: the constant scheduler in each of its modes, alone and under
-  `run_stream` (median of 3 passes), with its mode and row counters.
+- `worst`: `exact_opt` on the seed-3 recipe's 1.40 M-node instance.
+- `run-stream-rr`: `run_stream` with round-robin on 40,000 loguniform jobs
+  at m = k = 1000, the scheduler alone on the same stream, and `runner_s`,
+  their difference.
+- `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
+  in each of its modes, alone and under `run_stream` (median of 3 passes),
+  with its mode and row counters.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import hashlib
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
@@ -53,12 +50,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+from check import digest  # noqa: E402
 from workloads import (  # noqa: E402
-    HARD_K, HARD_M, SIZES, hard_oracle_set, loguniform, plan, small_oracle_set, write_inputs
+    HARD_K, HARD_M, SIZES, WORKLOADS, hard_oracle_set, plan, write_inputs
 )
 
 FULL = SIZES["full"]
-IO_REPEATS = 15
 CONSTANT_REPEATS = 3
 
 
@@ -73,100 +70,28 @@ def _median_time(fn, repeats: int, make=None) -> float:
     return statistics.median(times)
 
 
-def io_case(algo: str) -> dict:
-    from cardsched import cli
-    from cardsched.engine import competitive_metrics, run_stream
-    from cardsched.jsonl import load_jobs
-
-    if algo == "ordinal":  # the last op of ordinal-robust
-        expect = plan("ordinal-robust", 1, "full", Path("unused")).ops[-1].expect
-        m, sizes = expect["m"], expect["sizes"]
-    else:
-        m = FULL["online_m"]
-        sizes = loguniform(random.Random(1), FULL["online_n"])
-    path, report_path = "stream.jsonl", "report.json"
-    argv = ["run", "--algo", algo, "--m", str(m), "--k", str(m), "--input", path]
-    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
-    os.chdir(tmp.name)  # relative paths: a report names its input
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(json.dumps({"size": s}) + "\n" for s in sizes))
-        args = cli.make_parser().parse_args(argv)
-        report = cli.cmd_run(args)
-        report["wall_time_s"] = 0.0
-        out = {"load_s": _median_time(lambda: load_jobs(path), IO_REPEATS)}
-        if algo != "ordinal":  # the offline key has no trace to meter
-            trace = run_stream(cli.SCHEDULERS[algo](m, m, args.epsilon), sizes, m, m)
-            metering = partial(competitive_metrics, trace, "lower_bound")
-            out["metrics_s"] = _median_time(metering, IO_REPEATS)
-        out["emit_s"] = _median_time(lambda: cli._emit(report, report_path), IO_REPEATS)
-        with open(report_path, "rb") as fh:
-            out["report_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        op = argv + ["--out", report_path]
-        out["op_s"] = _median_time(lambda: cli.main(op), IO_REPEATS)
-    finally:  # never leave the worker inside a deleted directory
-        os.chdir(cwd)
-        tmp.cleanup()
-    return out
-
-
-def cli_oracle() -> dict:
-    """One pass of the oracle-exact workload's ops as in-process cli.main calls."""
+def workload_case(name: str) -> dict:
+    """One pass of a perfbench workload's seed-1 ops as in-process cli.main calls."""
     from cardsched import cli
 
-    build = getattr(cli.make_parser, "__wrapped__", cli.make_parser)  # uncached in any tree
     cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
-    os.chdir(tmp.name)  # relative paths: a report names its input
+    os.chdir(tmp.name)  # reports name their inputs by the relative paths perfbench uses
     try:
-        workload = plan("oracle-exact", 1, "full", Path("."))
-        write_inputs(workload)
-        ops = workload.ops
+        work = plan(name, 1, "full", Path("perfbench", "_work", f"{name}-full-1"))
+        write_inputs(work)
         t0 = time.perf_counter()
-        codes = [cli.main(op.argv) for op in ops]
+        codes = [cli.main(op.argv) for op in work.ops]
         ops_s = time.perf_counter() - t0
-        digest = hashlib.sha256()
-        for op in ops:
-            report = json.loads(op.out.read_text(encoding="utf-8"))
-            report["wall_time_s"] = 0.0
-            digest.update(json.dumps(report, sort_keys=True).encode())
+        digests = [digest(op.out.read_bytes()) if op.out.is_file() else None for op in work.ops]
     finally:  # never leave the worker inside a deleted directory
         os.chdir(cwd)
         tmp.cleanup()
     return {
         "ops_s": ops_s,
-        "parser_s": _median_time(build, IO_REPEATS),
-        "ops": len(ops),
+        "ops": len(codes),
         "exit_codes": sorted(set(codes)),
-        "reports_sha256": digest.hexdigest(),
+        "reports_digest": hashlib.sha256("\n".join(map(str, digests)).encode()).hexdigest(),
     }
-
-
-def oracle_case(instances: list[tuple[list[int], int, int]]) -> dict:
-    from cardsched.model import instance_from_sizes
-    from cardsched.oracle import exact_opt
-
-    todo = [instance_from_sizes([float(s) for s in sizes], m, k) for sizes, m, k in instances]
-    t0 = time.perf_counter()
-    results = [exact_opt(inst) for inst in todo]
-    exact_s = time.perf_counter() - t0
-    digest = hashlib.sha256()
-    for r in results:
-        schedule = getattr(r.schedule, "assignment", r.schedule)  # a wrapped dict in older trees
-        digest.update(repr((repr(r.opt_makespan), sorted(schedule.items()))).encode())
-    nodes = [r.nodes_explored for r in results]
-    return {
-        "exact_s": exact_s,
-        "solves": len(results),
-        "nodes": sum(nodes),
-        "nodes_max": max(nodes),
-        "solutions_sha256": digest.hexdigest(),
-    }
-
-
-def oracle_exact() -> dict:
-    small = small_oracle_set(FULL["small_count"], FULL["small_max_n"])
-    hard = hard_oracle_set(FULL["hard_count"], FULL["hard_n"])
-    return oracle_case(small + [(sizes, HARD_M, HARD_K) for sizes in hard])
 
 
 def exact_metering() -> dict:
@@ -189,75 +114,44 @@ def exact_metering() -> dict:
 
 
 def worst() -> dict:
-    return oracle_case([(hard_oracle_set(4, FULL["hard_n"])[3], HARD_M, HARD_K)])
+    from cardsched.model import instance_from_sizes
+    from cardsched.oracle import exact_opt
 
-
-def drive_case(case: str) -> dict:
-    """One timed drive, then one timed scheduler-alone replay of its stream."""
-    from cardsched import adversaries, clcs, cli, constant, engine
-
-    if case == "balanced-rr":
-        m, k = FULL["rr_balanced"]
-        make = partial(engine.RoundRobinScheduler, m, k)
-        drive = partial(adversaries.balanced_lb_drive, m=m, k=k, N=10.0, round_cap=100)
-    elif case == "pure-rr":
-        m, k = FULL["rr_pure"]
-        make = partial(engine.RoundRobinScheduler, m, k)
-        drive = partial(adversaries.pure_lb_drive, m=m, k=k, N=float(k))
-    elif case == "balanced-constant":
-        m, k = FULL["constant_balanced"]
-        make = partial(constant.ConstantCompetitiveScheduler, m, k)
-        drive = partial(adversaries.balanced_lb_drive, m=m, k=k, N=10.0, round_cap=100)
-    elif case == "uniform-clcs":
-        m, k, big_m = FULL["clcs_uniform"]
-        make = partial(clcs.GreedyClcsScheduler, m, k)
-        drive = partial(clcs.uniform_lb_drive, m=m, k=k, s=2.0, beta=1.0, eps=0.01, M=big_m)
-    else:
-        m = k = 1000
-        make = partial(engine.RoundRobinScheduler, m, k)
-        sizes = cli.generate_sizes("loguniform", 40_000, 1)
-        drive = partial(engine.run_stream, sizes=sizes, m=m, k=k)
-
-    runners = []
-
-    class Recorded(engine.StreamRunner):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            runners.append(self)
-
-    for module in (adversaries, clcs, engine):
-        module.StreamRunner = Recorded
-    scheduler = make()
+    sizes = hard_oracle_set(4, FULL["hard_n"])[3]
+    instance = instance_from_sizes([float(s) for s in sizes], HARD_M, HARD_K)
     t0 = time.perf_counter()
-    drive(scheduler)
+    r = exact_opt(instance)
+    exact_s = time.perf_counter() - t0
+    solution = repr((repr(r.opt_makespan), sorted(r.schedule.items()))).encode()
+    return {
+        "exact_s": exact_s,
+        "nodes": r.nodes_explored,
+        "solution_sha256": hashlib.sha256(solution).hexdigest(),
+    }
+
+
+def run_stream_rr() -> dict:
+    """run_stream with round-robin, then the scheduler alone on the same stream."""
+    from cardsched.cli import generate_sizes
+    from cardsched.engine import RoundRobinScheduler, run_stream
+
+    m = k = 1000
+    sizes = generate_sizes("loguniform", 40_000, 1)
+    t0 = time.perf_counter()
+    trace = run_stream(RoundRobinScheduler(m, k), sizes, m, k)
     drive_s = time.perf_counter() - t0
-    trace, classes = runners[-1].trace, runners[-1].classes
-
-    on_arrival = make().on_arrival
+    on_arrival = RoundRobinScheduler(m, k).on_arrival
     t0 = time.perf_counter()
-    if classes is None:
-        for size in trace.sizes:
-            on_arrival(size)
-    else:
-        for size, cls in zip(trace.sizes, classes):
-            on_arrival(size, cls)
+    for size in sizes:
+        on_arrival(size)
     decide_s = time.perf_counter() - t0
-
-    digest = hashlib.sha256()
-    for column in (trace.sizes, trace.machines, trace.makespans):
-        digest.update(repr(list(column)).encode())
-    migrations = [
-        (jid, [(mv.job, mv.src, mv.dst) for mv in r.moves], repr(r.moved_size))
-        for jid, r in sorted(trace.migrations.items())
-    ]
-    digest.update(repr(migrations).encode())
+    columns = trace.machines.tobytes() + trace.makespans.tobytes()
     return {
         "drive_s": drive_s,
         "decide_s": decide_s,
         "runner_s": drive_s - decide_s,
         "jobs": trace.n,
-        "migrations": len(migrations),
-        "trace_sha256": digest.hexdigest(),
+        "trace_sha256": hashlib.sha256(columns).hexdigest(),
     }
 
 
@@ -300,19 +194,10 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
 
 
 CASES = {
-    **{f"io-{a}": partial(io_case, a) for a in (
-        "round-robin", "greedy-capped", "constant", "ordinal"
-    )},
-    "cli-oracle": cli_oracle,
-    "oracle-exact": oracle_exact,
+    **{f"workload-{name}": partial(workload_case, name) for name in WORKLOADS},
     "exact-metering": exact_metering,
     "worst": worst,
-    **{case: partial(drive_case, case) for case in (
-        "balanced-rr", "pure-rr", "balanced-constant", "uniform-clcs", "run-stream-rr"
-    )},
-    "constant-online-wide": partial(
-        constant_case, FULL["online_m"], FULL["online_m"], FULL["online_n"], "loguniform", 1
-    ),
+    "run-stream-rr": run_stream_rr,
     "constant-terminal": partial(constant_case, 1000, 60, 60_000, "loguniform", 1),
     "constant-fallback": partial(constant_case, 1000, 40, 40_000, "loguniform", 1),
     "constant-interleaved-groups": partial(constant_case, 1000, 1000, 100_000, "groups", 0),
