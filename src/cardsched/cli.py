@@ -9,6 +9,7 @@ entries are omitted from the JSON (the length is always present).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -127,46 +128,41 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-def _load_sizes(args) -> list[float]:
+def _load_sizes(args, refuse) -> list[float]:
+    """The job sizes.  `refuse(n)` raises for a stream length the command
+    cannot take: after a file's sizes are checked, before --gen makes any."""
     if args.input and args.gen:
         raise ValueError("--input and --gen both name the jobs; pass one")
-    if args.input:
-        sizes = [size for size, _ in load_jobs(args.input)]
-    elif args.gen:
+    if args.gen:
         if args.n is None:
             raise ValueError("--gen needs --n, the stream length")
         if args.n < 0:
             raise ValueError(f"--n must be >= 0, got {args.n}")
-        sizes = generate_sizes(args.gen, args.n, args.seed)
-    else:
+        refuse(args.n)
+        return generate_sizes(args.gen, args.n, args.seed)  # sizes in [2**-10, 100]: a finite sum
+    if not args.input:
         raise ValueError("either --input or --gen is required")
+    sizes = [size for size, _ in load_jobs(args.input)]
     if not math.isfinite(sum(sizes)):
         raise ValueError("the job sizes sum past the largest float")
+    refuse(len(sizes))
     return sizes
 
 
-def _pick_mode(mode: str, n: int) -> str:
-    if mode == "auto":
-        return "exact" if n <= EXACT_RECOMMENDED_MAX_JOBS else "lower_bound"
-    return "exact" if mode == "exact" else "lower_bound"
-
-
-def _row_dicts(rows) -> list[dict]:
-    return [{"rid": r.rid, "kind": r.kind, "group": r.group, "slots": list(r.slots)} for r in rows]
-
-
 def cmd_run(args) -> dict:
-    sizes = _load_sizes(args)
     m, k = args.m, args.k
-    # the runner and Instance refuse this too, but only after the exact guard below
-    if len(sizes) > m * k:
-        raise InfeasibleError(f"infeasible: {len(sizes)} jobs exceed capacity m*k = {m * k}")
-    mode = _pick_mode(args.mode, len(sizes))
-    if mode == "exact":
-        exact_guard(len(sizes))  # before the stream runs, not after
-    started = time.perf_counter()
+
+    def refuse(n: int) -> None:
+        # the runner and Instance refuse this too, but only after the exact guard below
+        if n > m * k:
+            raise InfeasibleError(f"infeasible: {n} jobs exceed capacity m*k = {m * k}")
+        if args.mode == "exact":
+            exact_guard(n)  # before the stream runs, not after
+
+    sizes = _load_sizes(args, refuse)
+    auto_exact = args.mode == "auto" and len(sizes) <= EXACT_RECOMMENDED_MAX_JOBS
+    mode = "exact" if args.mode == "exact" or auto_exact else "lower_bound"
     report = {
-        "schema": SCHEMA_VERSION,
         "command": "run",
         "algorithm": args.algo,
         "m": m,
@@ -222,28 +218,16 @@ def cmd_run(args) -> dict:
         else:
             report["transcript_omitted"] = True
         if args.dump_structure and args.algo == "constant":
-            snap = scheduler.structure_snapshot()
-            report["structure"] = {
-                "active_k": snap.active_k,
-                "l": snap.l,
-                "p_max": snap.p_max,
-                "fallback": snap.fallback,
-                "terminal": snap.terminal,
-                "rows": _row_dicts(snap.rows),
-                "removed_rows": _row_dicts(snap.removed_rows),
-            }
-    report["wall_time_s"] = time.perf_counter() - started
+            structure = dataclasses.asdict(scheduler.structure_snapshot())
+            del structure["m"], structure["original_k"]
+            report["structure"] = structure
     return report
 
 
 def cmd_oracle(args) -> dict:
-    sizes = _load_sizes(args)
-    exact_guard(len(sizes))
-    instance = instance_from_sizes(sizes, args.m, args.k)
-    started = time.perf_counter()
-    result = exact_opt(instance)
+    sizes = _load_sizes(args, exact_guard)
+    result = exact_opt(instance_from_sizes(sizes, args.m, args.k))
     return {
-        "schema": SCHEMA_VERSION,
         "command": "oracle",
         "m": args.m,
         "k": args.k,
@@ -252,13 +236,11 @@ def cmd_oracle(args) -> dict:
         "schedule": {str(j): mach for j, mach in sorted(result.schedule.items())},
         "nodes_explored": result.nodes_explored,
         "lower_bound": lower_bound(sizes, args.m),
-        "wall_time_s": time.perf_counter() - started,
     }
 
 
 def _report_to_dict(report: AdversaryReport, extra: dict) -> dict:
     out = {
-        "schema": SCHEMA_VERSION,
         "command": "adversary",
         "family": report.family,
         "m": report.m,
@@ -280,68 +262,56 @@ def _report_to_dict(report: AdversaryReport, extra: dict) -> dict:
     return out
 
 
+# adversary family -> drive(scheduler, args), with the family's --n-param default;
+# each drive is called by name, so a patched module attribute is the one that runs
+ADVERSARIES = {
+    "pure-lb": lambda s, a: pure_lb_drive(
+        s, a.m, a.k, float(a.k) if a.n_param is None else a.n_param
+    ),
+    "balanced-lb": lambda s, a: balanced_lb_drive(
+        s, a.m, a.k, 10.0 if a.n_param is None else a.n_param, a.round_cap
+    ),
+    "robust-lb": lambda s, a: robust_lb_drive(s, a.m, a.k),
+    "phi-lb": lambda s, a: phi_lb_drive(s, a.big_m),
+}
+# ClCS adversary family -> drive(greedy ClCS scheduler, args)
+CLCS_ADVERSARIES = {
+    "identical-lb": lambda s, a: identical_lb_report(s, a.m, a.k),
+    "uniform-lb": lambda s, a: uniform_lb_drive(
+        s, a.m, a.k, a.speed, a.beta, a.eps_param, a.big_m
+    ),
+}
+
+
 def cmd_adversary(args) -> dict:
-    family = args.family
-    started = time.perf_counter()
-    if family == "phi-lb":
-        scheduler = SCHEDULERS[args.algo](2, 2, args.epsilon)
-        report = phi_lb_drive(scheduler, args.big_m)
-    else:
-        scheduler = SCHEDULERS[args.algo](args.m, args.k, args.epsilon)
-        if family == "pure-lb":
-            n_param = args.n_param if args.n_param is not None else float(args.k)
-            report = pure_lb_drive(scheduler, args.m, args.k, n_param)
-        elif family == "balanced-lb":
-            n_param = args.n_param if args.n_param is not None else 10.0
-            report = balanced_lb_drive(scheduler, args.m, args.k, n_param, args.round_cap)
-        elif family == "robust-lb":
-            report = robust_lb_drive(scheduler, args.m, args.k)
-        else:
-            raise ValueError(f"unknown adversary family {family!r}")
-    out = _report_to_dict(report, {"algorithm": args.algo})
-    out["wall_time_s"] = time.perf_counter() - started
-    return out
+    m, k = (2, 2) if args.family == "phi-lb" else (args.m, args.k)  # phi-lb plays on m = k = 2
+    report = ADVERSARIES[args.family](SCHEDULERS[args.algo](m, k, args.epsilon), args)
+    return _report_to_dict(report, {"algorithm": args.algo})
 
 
-def cmd_clcs(args) -> dict:
-    started = time.perf_counter()
-    if args.clcs_command == "run":
-        jobs = load_jobs(args.input)
-        missing = [i + 1 for i, (_, cls) in enumerate(jobs) if cls is None]
-        if missing:
-            raise ValueError(f"{args.input}: line {missing[0]}: 'class' field required for clcs")
-        speeds = [float(x) for x in args.speeds.split(",")] if args.speeds else [1.0] * args.m
-        drive = run_classed_stream(GreedyClcsScheduler(args.m, args.k), jobs, args.m, args.k)
-        return {
-            "schema": SCHEMA_VERSION,
-            "command": "clcs-run",
-            "algorithm": "greedy-clcs",
-            "m": args.m,
-            "k": args.k,
-            "n": drive.n,
-            "speeds": speeds,
-            "makespan": clcs_makespan(drive.loads, speeds),
-            "loads": list(drive.loads),
-            "machines": list(drive.trace.machines),
-            "wall_time_s": time.perf_counter() - started,
-        }
-    if args.family == "identical-lb":
-        report = identical_lb_report(GreedyClcsScheduler(args.m, args.k), args.m, args.k)
-    elif args.family == "uniform-lb":
-        report = uniform_lb_drive(
-            GreedyClcsScheduler(args.m, args.k),
-            args.m,
-            args.k,
-            args.speed,
-            args.beta,
-            args.eps_param,
-            args.big_m,
-        )
-    else:
-        raise ValueError(f"unknown clcs family {args.family!r}")
-    out = _report_to_dict(report, {"algorithm": "greedy-clcs", "command": "clcs-adversary"})
-    out["wall_time_s"] = time.perf_counter() - started
-    return out
+def cmd_clcs_run(args) -> dict:
+    jobs = load_jobs(args.input)
+    missing = [i + 1 for i, (_, cls) in enumerate(jobs) if cls is None]
+    if missing:
+        raise ValueError(f"{args.input}: line {missing[0]}: 'class' field required for clcs")
+    speeds = [float(x) for x in args.speeds.split(",")] if args.speeds else [1.0] * args.m
+    drive = run_classed_stream(GreedyClcsScheduler(args.m, args.k), jobs, args.m, args.k)
+    return {
+        "command": "clcs-run",
+        "algorithm": "greedy-clcs",
+        "m": args.m,
+        "k": args.k,
+        "n": drive.n,
+        "speeds": speeds,
+        "makespan": clcs_makespan(drive.loads, speeds),
+        "loads": list(drive.loads),
+        "machines": list(drive.trace.machines),
+    }
+
+
+def cmd_clcs_adversary(args) -> dict:
+    report = CLCS_ADVERSARIES[args.family](GreedyClcsScheduler(args.m, args.k), args)
+    return _report_to_dict(report, {"algorithm": "greedy-clcs", "command": "clcs-adversary"})
 
 
 def _add_input_args(p: argparse.ArgumentParser):
@@ -366,17 +336,17 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dump-structure", action="store_true")
     p_run.add_argument("--emit-map", action="store_true")
     p_run.add_argument("--out")
+    p_run.set_defaults(handler=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="exact offline optimum")
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     _add_input_args(p_oracle)
     p_oracle.add_argument("--out")
+    p_oracle.set_defaults(handler=cmd_oracle)
 
     p_adv = sub.add_parser("adversary", help="drive a lower-bound adversary")
-    p_adv.add_argument(
-        "--family", required=True, choices=("pure-lb", "balanced-lb", "robust-lb", "phi-lb")
-    )
+    p_adv.add_argument("--family", required=True, choices=tuple(ADVERSARIES))
     p_adv.add_argument("--algo", required=True, choices=tuple(SCHEDULERS))
     p_adv.add_argument("--m", type=int, default=2)
     p_adv.add_argument("--k", type=int, default=2)
@@ -385,6 +355,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--big-m", type=float, default=1e4, help="M for the phi family")
     p_adv.add_argument("--epsilon", type=float, default=1.0)
     p_adv.add_argument("--out")
+    p_adv.set_defaults(handler=cmd_adversary)
 
     p_clcs = sub.add_parser("clcs", help="class-constrained scheduling")
     clcs_sub = p_clcs.add_subparsers(dest="clcs_command", required=True)
@@ -394,8 +365,9 @@ def make_parser() -> argparse.ArgumentParser:
     c_run.add_argument("--input", required=True)
     c_run.add_argument("--speeds", help="comma-separated machine speeds")
     c_run.add_argument("--out")
+    c_run.set_defaults(handler=cmd_clcs_run)
     c_adv = clcs_sub.add_parser("adversary", help="ClCS lower-bound drivers vs greedy")
-    c_adv.add_argument("--family", required=True, choices=("identical-lb", "uniform-lb"))
+    c_adv.add_argument("--family", required=True, choices=tuple(CLCS_ADVERSARIES))
     c_adv.add_argument("--m", type=int, required=True)
     c_adv.add_argument("--k", type=int, default=1)
     c_adv.add_argument("--speed", type=float, default=2.0)
@@ -403,26 +375,24 @@ def make_parser() -> argparse.ArgumentParser:
     c_adv.add_argument("--eps-param", type=float, default=0.01)
     c_adv.add_argument("--big-m", type=int, default=200)
     c_adv.add_argument("--out")
+    c_adv.set_defaults(handler=cmd_clcs_adversary)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         if args.m > MAX_MACHINES:  # before any scheduler, map or solver sizes itself by m
             raise ValueError(f"--m must be at most {MAX_MACHINES}, got {args.m}")
-        if args.command == "run":
-            report = cmd_run(args)
-        elif args.command == "oracle":
-            report = cmd_oracle(args)
-        elif args.command == "adversary":
-            report = cmd_adversary(args)
-        else:
-            report = cmd_clcs(args)
+        report = args.handler(args)
+        report.update(schema=SCHEMA_VERSION, wall_time_s=time.perf_counter() - started)
         _emit(report, args.out)
     except (InfeasibleError, ContractViolation, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 2
     return 0
 

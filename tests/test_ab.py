@@ -42,3 +42,8 @@ def test_every_perfbench_workload_has_a_case(monkeypatch):
     import workloads
 
     assert {f"workload-{w}" for w in workloads.WORKLOADS} <= set(ab.CASES)
+
+
+def test_cli_reports_case_runs_every_argv():
+    row = _one_pair("cli-reports")
+    assert row["after"]["exit_codes"] == [0] * 15 + [2] * 4

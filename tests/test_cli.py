@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardsched import cli
+from cardsched import cli, engine
 from cardsched.cli import SCHEDULERS, main, make_parser
 from cardsched.engine import run_stream
 
@@ -536,6 +536,38 @@ def test_exact_solve_over_the_job_limit_exits_2_with_one_line(tmp_path, capsys, 
     code, out, err = _run_cli(capsys, argv + ["--input", path])
     _assert_one_line_exit_2(code, out, err)
     assert "21 jobs > 20" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--algo", "round-robin", "--m", "1", "--k", "1"], "jobs exceed capacity m*k = 1"),
+        (["oracle", "--m", "4", "--k", "5"], "jobs > 20; use a lower bound instead"),
+    ],
+)
+def test_oversized_gen_exits_2_before_making_sizes(capsys, monkeypatch, argv, message):
+    code, out, err = _run_cli(capsys, argv + ["--gen", "uniform", "--n", "21"])
+    _assert_one_line_exit_2(code, out, err)
+    assert f"21 {message}" in err
+
+    def generate_sizes(*_):
+        raise AssertionError("--gen made the sizes of a stream it refuses")
+
+    monkeypatch.setattr(cli, "generate_sizes", generate_sizes)
+    code, out, err = _run_cli(capsys, argv + ["--gen", "uniform", "--n", str(10**12)])
+    _assert_one_line_exit_2(code, out, err)
+    assert f"{10**12} {message}" in err
+
+
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def placements(m):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "placements", placements)
+    argv = ["run", "--algo", "round-robin", "--m", "3", "--k", "2", "--gen", "uniform", "--n", "4"]
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert err == "error: out of memory\n"
 
 
 def test_constant_takes_sizes_from_2_pow_1023_up(tmp_path, capsys):

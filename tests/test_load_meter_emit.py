@@ -218,15 +218,9 @@ def test_emit_refuses_or_writes_like_json_dumps(tmp_path, report):
 
 
 def _report(argv):
-    """The report dict the CLI would emit for argv."""
+    """The report dict the CLI would emit for argv, less the schema and wall_time_s main adds."""
     args = cli.make_parser().parse_args(argv)
-    if args.command == "run":
-        return cli.cmd_run(args)
-    if args.command == "oracle":
-        return cli.cmd_oracle(args)
-    if args.command == "adversary":
-        return cli.cmd_adversary(args)
-    return cli.cmd_clcs(args)
+    return args.handler(args)
 
 
 def _run(algo, m, k, n, *extra):

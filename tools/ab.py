@@ -12,7 +12,7 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  The 10
+A side whose outputs differ between its own runs fails the case.  The 11
 cases:
 
 - `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
@@ -21,6 +21,11 @@ cases:
   outputs: the exit codes and `reports_digest`, the digest that
   `perfbench/run.py` prints for seed 1.  Per-layer splits come from
   `python3 perfbench/run.py --workload <w> --trace 1`.
+- `cli-reports`: the CLI_ARGV list (`--dump-structure` in each constant
+  mode, `--emit-map`, `--input`, `clcs run`, every adversary family and four
+  error exits) through in-process `cli.main` calls (`ops_s`); outputs: the
+  exit codes and `reports_sha256`, over each report's perfbench digest and
+  its stderr.
 - `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
   traces of oracle-exact's two exact-mode streams, what `run --mode exact`
   meters; outputs: the denominators and a digest of the prefix-max ratios.
@@ -36,7 +41,9 @@ cases:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -91,6 +98,63 @@ def workload_case(name: str) -> dict:
         "ops": len(codes),
         "exit_codes": sorted(set(codes)),
         "reports_digest": hashlib.sha256("\n".join(map(str, digests)).encode()).hexdigest(),
+    }
+
+
+_CONSTANT = "run --algo constant --gen loguniform --seed 2 --dump-structure"
+CLI_ARGV = [
+    line.split()
+    for line in (
+        "run --algo greedy-capped --m 4 --k 8 --input jobs21.jsonl",
+        "run --algo greedy-capped --m 3 --k 5 --gen uniform --n 12 --seed 4",
+        f"{_CONSTANT} --m 4 --k 200 --n 60",  # live rows
+        f"{_CONSTANT} --m 4 --k 60 --n 150",  # terminal
+        f"{_CONSTANT} --m 3 --k 10 --n 20",  # fallback
+        "run --algo ordinal --m 4 --k 6 --gen loguniform --n 20 --mode lower-bound --emit-map",
+        "run --algo robust-ordinal --epsilon 0.5 --m 5 --k 5 --gen loguniform --n 25",
+        "oracle --m 3 --k 3 --gen uniform --n 8",
+        "clcs run --m 3 --k 2 --input classed.jsonl --speeds 1,2,0.5",
+        "clcs adversary --family identical-lb --m 4 --k 2",
+        "clcs adversary --family uniform-lb --m 5 --k 3",
+        "adversary --family phi-lb --algo phi",
+        "adversary --family robust-lb --algo robust-ordinal --m 4 --k 8",
+        "adversary --family pure-lb --algo greedy-capped --m 4 --k 3",
+        "adversary --family balanced-lb --algo constant --m 3 --k 60",
+        # error exits: capacity, the exact guard, a missing class, a phi-lb M too small
+        "run --algo round-robin --m 1 --k 1 --gen uniform --n 5",
+        "oracle --m 4 --k 8 --input jobs21.jsonl",
+        "clcs run --m 2 --k 2 --input jobs21.jsonl",
+        "adversary --family phi-lb --algo phi --big-m 1",
+    )
+]
+
+
+def cli_reports() -> dict:
+    """CLI_ARGV through in-process cli.main calls: the report paths no workload runs."""
+    from cardsched import cli
+
+    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
+    os.chdir(tmp.name)  # reports name their inputs by relative paths
+    try:
+        jobs = [{"size": (7 * j) % 23} for j in range(21)]
+        classed = [{"size": 2.0**-e, "class": e % 3 + 1} for e in range(12)]
+        for name, rows in (("jobs21.jsonl", jobs), ("classed.jsonl", classed)):
+            Path(name).write_text("".join(json.dumps(row) + "\n" for row in rows))
+        codes, parts = [], []
+        t0 = time.perf_counter()
+        for i, argv in enumerate(CLI_ARGV):
+            out, err = Path(f"report-{i}.json"), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes.append(cli.main([*argv, "--out", str(out)]))
+            parts += [digest(out.read_bytes()) if out.is_file() else None, err.getvalue()]
+        ops_s = time.perf_counter() - t0
+    finally:  # never leave the worker inside a deleted directory
+        os.chdir(cwd)
+        tmp.cleanup()
+    return {
+        "ops_s": ops_s,
+        "exit_codes": codes,
+        "reports_sha256": hashlib.sha256("\n".join(map(str, parts)).encode()).hexdigest(),
     }
 
 
@@ -195,6 +259,7 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
 
 CASES = {
     **{f"workload-{name}": partial(workload_case, name) for name in WORKLOADS},
+    "cli-reports": cli_reports,
     "exact-metering": exact_metering,
     "worst": worst,
     "run-stream-rr": run_stream_rr,
