@@ -3,7 +3,7 @@
 Each driver plays a proof's adversary strategy against a live scheduler:
 it observes every placement, chooses the next size accordingly, and reports
 the achieved ratio against an analytic or constructive optimum.  Drives run on
-the library's StreamRunner, whose trace is parallel arrays (O(1) per
+the library's StreamRunner, whose trace is parallel columns (O(1) per
 arrival), because the balanced driver emits millions of jobs.  Each phase is
 one `StreamRunner.feed` call: a fixed phase feeds `itertools.repeat`, and an
 adaptive one is a generator that reads the last placement from the trace
@@ -15,13 +15,12 @@ with one entry per job.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from .engine import PHI, Scheduler, StreamRunner
-from .oracle import lower_bound, sorted_round_robin_makespan
+from .oracle import sorted_round_robin_makespan
 
 ROBUST_LB_X = (-3.0 + math.sqrt(837.0)) / 2.0  # makespan-ratio fixed point, ~12.965476
 
@@ -31,14 +30,14 @@ class AdversaryReport:
     family: str
     m: int
     k: int
-    sizes: array
-    machines: array
+    sizes: list  # the runner's trace columns, shared, not copied
+    machines: list[int]
     alg_makespan: float
     opt_value: float
     opt_provenance: str  # analytic | oracle | constructive | alg-schedule
     ratio: float
     note: Optional[str] = None
-    classes: Optional[array] = None  # only for class-constrained drivers
+    classes: Optional[list[int]] = None  # only for class-constrained drivers
 
     @property
     def transcript(self) -> list[tuple[float, int]]:
@@ -101,30 +100,41 @@ def balanced_lb_drive(
     The sizes come from a generator that the runner drains, reading each
     placement from `trace.machines[-1]`; it sets `note` when it stops early
     (capacity exhausted, a round over `round_cap` jobs, or a size overflow).
+    Every round deals from one table of the powers `N**ell`, built before
+    the first job, so the trace's size column shares its float objects.
     """
     if N < 2 or k < 2 or round_cap < 1:
         raise ValueError("requires N >= 2, k >= 2, round_cap >= 1")
     drive = StreamRunner(scheduler, m, k)
     note = None
+    # N**0, N**1, ...: at most round_cap powers, ending before the first one
+    # that overflows (so at most 1,024 for N >= 2); a round that deals them
+    # all stops with `end` instead
+    powers, base = [], float(N)
+    end = f"unbounded-evidence: round exceeded cap of {round_cap} jobs"
+    for ell in range(round_cap):
+        try:
+            size = base**ell  # inf if N is; a finite N raises on overflow
+        except OverflowError:
+            size = math.inf
+        if math.isinf(size):
+            end = "unbounded-evidence: geometric size overflow"
+            break
+        powers.append(size)
+        if size != size:  # NaN, if N is: the runner refuses it
+            break
 
     def sizes():
         # the runner draws the next size only after placing the last one
         nonlocal note
-        machines, capacity, base, isinf = drive.trace.machines, m * k, float(N), math.isinf
+        machines, capacity = drive.trace.machines, m * k
         for _ in range(k):
-            for ell in count():
+            for size in chain(powers, (None,)):
                 if len(machines) >= capacity:
                     note = "unbounded-evidence: scheduler capacity exhausted before k rounds"
                     return
-                if ell >= round_cap:
-                    note = f"unbounded-evidence: round exceeded cap of {round_cap} jobs"
-                    return
-                try:
-                    size = base**ell  # inf if N is; a finite N raises on overflow
-                except OverflowError:
-                    size = math.inf
-                if isinf(size):
-                    note = "unbounded-evidence: geometric size overflow"
+                if size is None:
+                    note = end
                     return
                 yield size
                 if machines[-1] == 1:
@@ -184,11 +194,3 @@ def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
     drive.feed(repeat((X - 9.0) / (k - 2), 2 * (k - 2)))
     return drive_report(drive, "robust-lb", X + 6.0, "analytic", "canonical after part 1")
 
-
-def check_report(report: AdversaryReport) -> None:
-    """Internal consistency of a report: ratio arithmetic and the cheap bound."""
-    assert math.isclose(report.ratio, report.alg_makespan / report.opt_value, rel_tol=1e-12)
-    cheap = lower_bound(report.sizes, report.m)
-    assert report.opt_value >= cheap - 1e-9 * max(1.0, cheap), (
-        f"opt_value {report.opt_value} below cheap lower bound {cheap}"
-    )

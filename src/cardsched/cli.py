@@ -9,7 +9,6 @@ entries are omitted from the JSON (the length is always present).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -50,7 +49,7 @@ from .robust import RobustOrdinalScheduler
 
 SCHEMA_VERSION = 1
 TRANSCRIPT_LIMIT = 10000
-MAX_MACHINES = 2**31 - 1  # the widest machine index Trace.machines (array "i") holds
+MAX_MACHINES = 2**31 - 1  # the widest machine the runner's job -> machine array("i") holds
 # online scheduler key -> constructor(m, k, epsilon)
 SCHEDULERS = {
     "round-robin": lambda m, k, eps: RoundRobinScheduler(m, k),
@@ -218,10 +217,17 @@ def cmd_run(args) -> dict:
         else:
             report["transcript_omitted"] = True
         if args.dump_structure and args.algo == "constant":
-            structure = dataclasses.asdict(scheduler.structure_snapshot())
-            del structure["m"], structure["original_k"]
-            report["structure"] = structure
+            report["structure"] = _structure(scheduler.structure_snapshot())
     return report
+
+
+def _structure(snapshot) -> dict:
+    """The snapshot's fields less m and original_k: `dataclasses.asdict` without its deep copies."""
+    structure = dict(vars(snapshot))
+    del structure["m"], structure["original_k"]
+    for key in ("rows", "removed_rows"):
+        structure[key] = [vars(row) for row in structure[key]]
+    return structure
 
 
 def cmd_oracle(args) -> dict:

@@ -25,7 +25,7 @@ from .oracle import exact_guard, lower_bound, opt_makespan
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _MAX_SIZE = sys.float_info.max
-_MAX_CLASS = 2**63 - 1  # the largest class a trace's array("q") holds
+_MAX_CLASS = 2**63 - 1  # classes are signed 64-bit integers, as the job contract says
 
 
 class ContractViolation(Exception):
@@ -74,14 +74,18 @@ class StreamRunner:
     jobs, each size finite and >= 0 (a `classed` runner, for ClCS, has no
     job limit).  `feed` is the one arrival loop; `push` is its one-job case.
     Run whole streams through `feed`: its hot state lives in locals, so an
-    arrival costs a scheduler call plus a fixed handful of checks and array
-    appends (0.77 us per arrival on pure-lb vs round-robin, CPython 3.11 on
-    a shared 2-vCPU host; `BENCH_9.json`).  One feasibility rule is checked
-    on every machine an arrival touches: at most k jobs per machine, or, for
-    a classed runner, at most k distinct job classes per machine.  An
-    arrival costs O(1), plus a re-sum of each machine a migration touches.
-    The job -> machine array and the per-machine job sets that migrations
-    need are built on the first arrival that moves jobs.
+    arrival costs a scheduler call plus a fixed handful of checks and column
+    appends (0.25 us per arrival on pure-lb vs round-robin, the scheduler's
+    own time excluded, CPython 3.11 on a shared 2-vCPU host; `BENCH_20.json`).
+    The size, machine and class columns are lists of the fed objects, so a
+    size is recorded as fed (an int stays an int); every sum starts from
+    0.0, so loads and makespans come out as for the same sizes as floats.
+    One feasibility rule is checked on every machine an arrival touches: at
+    most k jobs per machine, or, for a classed runner, at most k distinct
+    job classes per machine.  An arrival costs O(1), plus a re-sum of each
+    machine a migration touches.  The job -> machine array and the
+    per-machine job sets that migrations need are built on the first
+    arrival that moves jobs.
     """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
@@ -94,8 +98,8 @@ class StreamRunner:
         self.loads = self.trace.loads = [0.0] * m
         self.counts = [0] * m
         self._capacity = sys.maxsize if classed else m * k  # ClCS: no job limit
-        # ClCS only: the class of every job and the classes each machine hosts
-        self.classes = array("q") if classed else None
+        # ClCS only: the class of every job (the caller's ints) and the classes each machine hosts
+        self.classes: list[int] | None = [] if classed else None
         self.class_sets: list[set[int]] | None = [set() for _ in range(m)] if classed else None
         self._where: array | None = None  # current machine per job, once a job moved
         self._jobs: list[set[int]] = []  # job ids per machine, once a job moved
@@ -132,15 +136,15 @@ class StreamRunner:
         if classed != (classes is not None):
             raise ValueError("a classed runner takes one class per job, an unclassed one none")
         trace = self.trace
-        append_size, append_machine = trace.sizes.append, trace.machines.append
+        sizes_col, machines_col = trace.sizes, trace.machines  # lists: `.append` is specialised
         append_makespan = trace.makespans.append
         counts, loads, on_arrival = self.counts, self.loads, self.scheduler.on_arrival
         m, k, capacity, max_size = self.m, self.k, self._capacity, _MAX_SIZE
         where, jobs = self._where, self._jobs
         if classed:
-            next_class, append_class = iter(classes).__next__, self.classes.append
+            next_class, classes_col = iter(classes).__next__, self.classes
             class_sets, max_class = self.class_sets, _MAX_CLASS
-        jid = len(trace.sizes)
+        jid = len(sizes_col)
         makespan = self._makespan
         try:
             for size in sizes:
@@ -159,12 +163,12 @@ class StreamRunner:
                 machine = decision.machine
                 if not 1 <= machine <= m:
                     raise ContractViolation(jid, f"machine {machine} outside [1, {m}]")
-                append_size(size)
-                append_machine(machine)
+                sizes_col.append(size)
+                machines_col.append(machine)
                 mi = machine - 1
                 used = counts[mi] = counts[mi] + 1
                 if classed:
-                    append_class(cls)
+                    classes_col.append(cls)
                     hosted = class_sets[mi]
                     hosted.add(cls)
                     used = len(hosted)
@@ -293,7 +297,7 @@ def competitive_metrics(trace: Trace, mode: str = "exact") -> CompetitiveMetrics
         )
         prefix_max = max(chain((prefix_max,), ratios))  # the left fold of max from 0.0
         if bounds:
-            final_denom = bounds[-1]
+            final_denom = float(bounds[-1])  # an int if the largest size, fed as an int, wins
         assert final_denom == lower_bound(sizes, m)
     return CompetitiveMetrics(
         final_ratio=_ratio(trace.final_makespan(), final_denom),

@@ -71,18 +71,24 @@ class ArrivalRecord:
 
 @dataclass
 class Trace:
-    """Evidence stream of an online run, as parallel arrays over arrivals.
+    """Evidence stream of an online run, as parallel columns over arrivals.
 
     Job j (1-based) has size `sizes[j-1]`, was placed on `machines[j-1]` and
     left makespan `makespans[j-1]`; `migrations` holds the record of each
     arrival that moved jobs, keyed by its job id.  `loads` holds the
     per-machine loads after the last arrival (the runner keeps it current).
+
+    `sizes` and `machines` are lists of the caller's own objects: the sizes
+    as fed (an int size stays an int) and the machine ints of the decisions,
+    so a list pays one pointer per job, as many bytes as an array("d") or
+    array("q"), and an append parses nothing.  Each makespan is a fresh
+    float, so that column stays an array("d"), which stores it unboxed.
     """
 
     m: int
     k: int
-    sizes: array = field(default_factory=lambda: array("d"))
-    machines: array = field(default_factory=lambda: array("i"))  # indices fit in 32 bits
+    sizes: list = field(default_factory=list)
+    machines: list[int] = field(default_factory=list)
     makespans: array = field(default_factory=lambda: array("d"))
     migrations: dict[int, MigrationRecord] = field(default_factory=dict)
     loads: list[float] = field(default_factory=list)

@@ -11,13 +11,15 @@ the exact oracle (with the sorted round-robin schedule it starts from) that
 re-sums the free slots and rescans every machine's slot-forcing bound at
 every node, searching on after a leaf has reached the lower bound unless
 told to stop there.  For the input, metering and report
-layers: the per-line `json.loads` loader, the lower-bound metering loop and
-`json.dumps` with the report settings.
+layers: the per-line `json.loads` loader, the lower-bound metering loop,
+`json.dumps` with the report settings and the `dataclasses.asdict` structure
+dump.
 
 It also holds the two brute-force oracles that the exact solvers are checked
 against: `brute_opt`, the cardinality-constrained optimum by enumerating every
 capped assignment (n <= 10), and `clcs_exact`, the class-constrained optimum
-by enumerating every assignment (n <= 8).
+by enumerating every assignment (n <= 8).  And `check_report`, the internal
+consistency of an adversary report.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from cardsched.constant import FALLBACK_MAX_K, RowSnapshot, RowStructure
@@ -753,3 +755,19 @@ def ref_lower_bound_metrics(sizes, makespans, m: int) -> tuple[float, float]:
 def ref_report_text(report) -> str:
     """A report as the CLI printed it before it had its own encoder."""
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+
+def ref_structure(snapshot) -> dict:
+    """`--dump-structure`'s former conversion: `dataclasses.asdict` less m and original_k."""
+    structure = asdict(snapshot)
+    del structure["m"], structure["original_k"]
+    return structure
+
+
+def check_report(report) -> None:
+    """Internal consistency of an adversary report: ratio arithmetic and the cheap bound."""
+    assert math.isclose(report.ratio, report.alg_makespan / report.opt_value, rel_tol=1e-12)
+    cheap = lower_bound(report.sizes, report.m)
+    assert report.opt_value >= cheap - 1e-9 * max(1.0, cheap), (
+        f"opt_value {report.opt_value} below cheap lower bound {cheap}"
+    )

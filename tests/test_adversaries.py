@@ -5,7 +5,6 @@ import pytest
 from cardsched.adversaries import (
     ROBUST_LB_X,
     balanced_lb_drive,
-    check_report,
     phi_lb_drive,
     pure_lb_drive,
     robust_lb_drive,
@@ -23,6 +22,7 @@ from cardsched.model import Move, instance_from_sizes
 from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.oracle import exact_opt, lower_bound
 from cardsched.robust import RobustOrdinalScheduler
+from reference_scans import check_report
 
 
 class _Stacker(Scheduler):
@@ -129,6 +129,16 @@ def test_balanced_lb_round_robin_small():
         loads[machine - 1] += size
     assert loads[0] > (9 / 10) * sum(loads)
     check_report(report)
+
+
+def test_balanced_lb_sizes_share_one_float_per_power():
+    # every round deals from one table of N**ell, so the size column holds one
+    # float object per distinct size, however many jobs it has
+    report = balanced_lb_drive(RoundRobinScheduler(3, 50), 3, 50, 10, 100)
+    sizes = list(report.sizes)
+    assert len(sizes) == 148
+    assert len(set(map(id, sizes))) == len(set(sizes)) == 3
+    assert sorted(set(sizes)) == [10.0**ell for ell in range(3)]
 
 
 def test_balanced_lb_stops_at_size_overflow():

@@ -203,6 +203,27 @@ _BALANCED_ROBUST_REPORT = {
 }
 
 
+_BALANCED_LB = ["adversary", "--family", "balanced-lb", "--algo", "round-robin", "--m", "3", "--k", "4"]
+
+
+@pytest.mark.parametrize(
+    "n_param, sizes", [("inf", [1.0, 1.0]), ("1e308", [1.0, 1.0, 1e308])], ids=["inf", "1e308"]
+)
+def test_balanced_lb_size_overflow_note(capsys, n_param, sizes):
+    # inf**1 is inf and 1e308**2 raises OverflowError: either ends the drive with the note
+    code, out, _ = _run_cli(capsys, _BALANCED_LB + ["--n-param", n_param])
+    report = json.loads(out)
+    assert code == 0
+    assert report["note"] == "unbounded-evidence: geometric size overflow"
+    assert report["transcript"] == [[size, mi] for mi, size in enumerate(sizes, start=1)]
+
+
+def test_balanced_lb_nan_size_exits_2(capsys):
+    code, out, err = _run_cli(capsys, _BALANCED_LB + ["--n-param", "nan"])
+    _assert_one_line_exit_2(code, out, err)
+    assert err == "error: job size must be finite and >= 0, got nan\n"
+
+
 def test_balanced_lb_vs_robust_ordinal_report_is_pinned(capsys):
     argv = ["adversary", "--family", "balanced-lb", "--algo", "robust-ordinal"]
     code, out, _ = _run_cli(capsys, argv + ["--m", "3", "--k", "8", "--epsilon", "0.5"])
@@ -448,7 +469,7 @@ _UNIFORM_LB = ["clcs", "adversary", "--family", "uniform-lb", "--m", "2", "--k",
         ["oracle", "--m", _HUGE, "--k", "1", "--gen", "uniform", "--n", "2", "--seed", "1"],
         ["clcs", "run", "--m", _HUGE, "--k", "1", "--input", None],
         ["run", "--algo", "ordinal", "--m", _HUGE, "--k", "1", "--gen", "uniform", "--n", "2"],
-        # the widest machine index Trace.machines holds is 2**31 - 1
+        # the widest machine index the runner's job -> machine array holds is 2**31 - 1
         ["run", "--algo", "round-robin", "--m", str(2**31), "--k", "1", "--gen", "uniform", "--n", "1"],
         _UNIFORM_LB + ["--beta", "1e308", "--eps-param", "1e-309"],  # round(M * beta) = round(inf)
         _UNIFORM_LB + ["--beta", "1e300", "--eps-param", "1e-301"],  # rounds past a C ssize_t

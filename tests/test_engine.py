@@ -1,9 +1,11 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched import engine
+from cardsched.cli import SCHEDULERS
 from cardsched.engine import (
     PHI,
     ContractViolation,
@@ -31,6 +33,24 @@ def test_run_stream_greedy_replay():
     trace = run_stream(ListSchedulingCapped(2, 2), [2, 1, 1], 2, 2)
     assert [r.machine for r in trace.records] == [1, 2, 2]
     assert trace.loads == [2, 2]
+
+
+@pytest.mark.parametrize("key", ["round-robin", "greedy-capped", "constant", "robust-ordinal"])
+def test_int_sizes_are_recorded_as_fed_and_sum_as_floats(key):
+    # trace.sizes holds the fed objects; loads, makespans and metering start
+    # every sum from 0.0, so they read as for the same sizes fed as floats
+    ints = [(7 * j) % 23 for j in range(39)] + [1000]  # the last job is the lower bound
+    as_fed, as_floats = (
+        run_stream(SCHEDULERS[key](8, 5, 0.5), sizes, 8, 5)
+        for sizes in (ints, list(map(float, ints)))
+    )
+    assert all(a is b for a, b in zip(as_fed.sizes, ints, strict=True))
+    assert repr(as_fed.loads) == repr(as_floats.loads)
+    assert repr(as_fed.makespans) == repr(as_floats.makespans)
+    assert as_fed.final_schedule() == as_floats.final_schedule()
+    lower = partial(competitive_metrics, mode="lower_bound")
+    for view in (lower, migration_stats):
+        assert repr(view(as_fed)) == repr(view(as_floats))
 
 
 def test_run_stream_guards_capacity_before_dispatch():

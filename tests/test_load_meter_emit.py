@@ -2,8 +2,9 @@
 
 Each fast path is checked against the code it replaced (tests/reference_scans.py):
 `load_jobs` against the per-line `json.loads` loader, lower-bound metering
-against its one-prefix-per-step loop, and the CLI's report encoder against
-`json.dumps(..., indent=2, sort_keys=True, allow_nan=False)`.
+against its one-prefix-per-step loop, the CLI's report encoder against
+`json.dumps(..., indent=2, sort_keys=True, allow_nan=False)` and its
+structure dump against `dataclasses.asdict`.
 """
 
 import json
@@ -17,7 +18,7 @@ from cardsched import cli
 from cardsched.engine import competitive_metrics, run_stream
 from cardsched.jsonl import load_jobs
 from cardsched.model import Trace
-from reference_scans import ref_load_jobs, ref_lower_bound_metrics, ref_report_text
+from reference_scans import ref_load_jobs, ref_lower_bound_metrics, ref_report_text, ref_structure
 
 _chars = st.characters(blacklist_categories=("Cs",))  # every str that UTF-8 can write
 
@@ -263,3 +264,14 @@ def test_encode_matches_json_dumps_on_a_clcs_run_report(tmp_path):
     argv = ["clcs", "run", "--m", "3", "--k", "2", "--input", str(path), "--speeds", "1,2,0.5"]
     report = _report(argv)
     assert cli._encode(report) == ref_report_text(report)
+
+
+@pytest.mark.parametrize(
+    "k, n, terminal", [(200, 60, False), (60, 150, True)], ids=["live", "terminal"]
+)
+def test_structure_dump_matches_asdict(monkeypatch, k, n, terminal):
+    argv = _run("constant", 4, k, n, "--dump-structure")
+    report = _report(argv)
+    assert report["structure"]["terminal"] is terminal
+    monkeypatch.setattr(cli, "_structure", ref_structure)
+    assert cli._encode(report) == cli._encode(_report(argv))

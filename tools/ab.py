@@ -52,6 +52,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from functools import partial
 from pathlib import Path
 
@@ -209,7 +210,8 @@ def run_stream_rr() -> dict:
     for size in sizes:
         on_arrival(size)
     decide_s = time.perf_counter() - t0
-    columns = trace.machines.tobytes() + trace.makespans.tobytes()
+    # the columns' bytes as array("i") and array("d"), whatever type holds them
+    columns = array("i", trace.machines).tobytes() + array("d", trace.makespans).tobytes()
     return {
         "drive_s": drive_s,
         "decide_s": decide_s,
@@ -251,7 +253,7 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
         "rows_removed": len(snap.removed_rows),
         "terminal_from_arrival": modes.index("terminal") + 1 if "terminal" in modes else None,
         "active_k_final": snap.active_k,
-        "machines_sha256": hashlib.sha256(trace.machines.tobytes()).hexdigest(),
+        "machines_sha256": hashlib.sha256(array("i", trace.machines).tobytes()).hexdigest(),
         "snapshot_sha256": hashlib.sha256(repr(snap).encode()).hexdigest(),
     })
     return out
