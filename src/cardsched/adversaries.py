@@ -74,7 +74,7 @@ def pure_lb_drive(scheduler: Scheduler, m: int, k: int, N: float) -> AdversaryRe
     m jobs of size N (some machine kept spare slots)."""
     if not (m >= k >= 2):
         raise ValueError(f"requires m >= k >= 2, got m={m}, k={k}")
-    if N <= 0:
+    if not N > 0:  # also refuses NaN
         raise ValueError("N must be positive")
     drive = StreamRunner(scheduler, m, k)
     drive.feed(repeat(1.0, m * (k - 1)))
@@ -103,7 +103,7 @@ def balanced_lb_drive(
     Every round deals from one table of the powers `N**ell`, built before
     the first job, so the trace's size column shares its float objects.
     """
-    if N < 2 or k < 2 or round_cap < 1:
+    if not N >= 2 or k < 2 or round_cap < 1:  # also refuses NaN
         raise ValueError("requires N >= 2, k >= 2, round_cap >= 1")
     drive = StreamRunner(scheduler, m, k)
     note = None
@@ -121,8 +121,6 @@ def balanced_lb_drive(
             end = "unbounded-evidence: geometric size overflow"
             break
         powers.append(size)
-        if size != size:  # NaN, if N is: the runner refuses it
-            break
 
     def sizes():
         # the runner draws the next size only after placing the last one

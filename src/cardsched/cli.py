@@ -81,9 +81,10 @@ def _encode(value, indent: str = "\n") -> str:
 
     `indent` is a newline plus the indentation of the line `value` starts
     on.  A non-empty list of plain ints and floats is one C encoder call,
-    split on its ", " separators, and so is a list of such lists (a
-    transcript's rows); dicts and other lists recurse, and scalars go
-    through the same C encoder.  A value json.dumps refuses raises here too,
+    split on its ", " separators, and so are a list of such lists (a
+    transcript's rows) and the sorted values of a dict of them (an
+    assignment); other dicts and lists recurse, and scalars go through the
+    same C encoder.  A value json.dumps refuses raises here too,
     but not always with its message (a non-finite float's lacks the `: inf`
     suffix, a key that is not a str gives a TypeError), so callers fall back
     to json.dumps.
@@ -92,7 +93,13 @@ def _encode(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = (_encode_key(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
+        keys = sorted(value)
+        values = [value[key] for key in keys]
+        if set(map(type, values)) <= _NUMBER_TYPES:
+            texts = _c_encode(values)[1:-1].split(", ")
+        else:
+            texts = (_encode(v, inner) for v in values)
+        items = (_encode_key(key) + ": " + text for key, text in zip(keys, texts))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:

@@ -15,12 +15,13 @@ import heapq
 import math
 import sys
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import add, truediv
 from typing import NamedTuple
 
-from .model import InfeasibleError, MigrationRecord, Move, Trace, instance_from_sizes
+from .model import InfeasibleError, MigrationRecord, Trace, instance_from_sizes
 from .oracle import exact_guard, lower_bound, opt_makespan
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -38,7 +39,7 @@ class ContractViolation(Exception):
 
 class SchedulerDecision(NamedTuple):
     machine: int
-    moves: tuple[Move, ...] = ()
+    moves: tuple[tuple[int, int, int], ...] = ()  # (job, src, dst) triples of earlier jobs
 
 
 def placements(m: int) -> list[SchedulerDecision]:
@@ -84,8 +85,10 @@ class StreamRunner:
     most k jobs per machine, or, for a classed runner, at most k distinct
     job classes per machine.  An arrival costs O(1), plus a re-sum of each
     machine a migration touches.  The job -> machine array and the
-    per-machine job sets that migrations need are built on the first
-    arrival that moves jobs.
+    per-machine job lists that migrations need are built on the first
+    arrival that moves jobs.  Each list stays ascending (an arrival appends
+    the largest id, a move bisects), so a re-sum adds in job-id order
+    without sorting.
     """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
@@ -102,7 +105,7 @@ class StreamRunner:
         self.classes: list[int] | None = [] if classed else None
         self.class_sets: list[set[int]] | None = [set() for _ in range(m)] if classed else None
         self._where: array | None = None  # current machine per job, once a job moved
-        self._jobs: list[set[int]] = []  # job ids per machine, once a job moved
+        self._jobs: list[list[int]] = []  # ascending job ids per machine, once a job moved
         self._makespan = 0.0
 
     @property
@@ -178,7 +181,7 @@ class StreamRunner:
                 else:
                     if where is not None:
                         where.append(machine)
-                        jobs[mi].add(jid)
+                        jobs[mi].append(jid)
                     if used > k:
                         self._check(jid, (machine,))
                     load = loads[mi] = loads[mi] + size
@@ -202,12 +205,12 @@ class StreamRunner:
         """Check, apply and price the moves of arrival `jid`; re-sum the machines they touch."""
         if self._where is None:
             self._where = array("i", self.trace.machines)
-            self._jobs = [set() for _ in range(self.m)]
+            self._jobs = [[] for _ in range(self.m)]
             for j, mi in enumerate(self._where, start=1):
-                self._jobs[mi - 1].add(j)
+                self._jobs[mi - 1].append(j)
         else:
             self._where.append(machine)
-            self._jobs[machine - 1].add(jid)
+            self._jobs[machine - 1].append(jid)
         where, jobs, counts, sizes = self._where, self._jobs, self.counts, self.trace.sizes
         moved_size = 0.0
         touched = {machine}
@@ -221,8 +224,9 @@ class StreamRunner:
             if not 1 <= dst <= self.m or dst == src:
                 raise ContractViolation(jid, f"move of job {job} to invalid machine {dst}")
             where[job - 1] = dst
-            jobs[src - 1].remove(job)
-            jobs[dst - 1].add(job)
+            held = jobs[src - 1]
+            del held[bisect_left(held, job)]  # held: where[job - 1] was src
+            insort(jobs[dst - 1], job)
             counts[src - 1] -= 1
             counts[dst - 1] += 1
             moved_size += sizes[job - 1]
@@ -237,7 +241,7 @@ class StreamRunner:
             # drift-free: re-add the machine's sizes in job-id order from 0.0,
             # the same sums an unmoved machine accumulates
             load = 0.0
-            for j in sorted(jobs[mi - 1]):
+            for j in jobs[mi - 1]:
                 load += sizes[j - 1]
             self.loads[mi - 1] = load
         self._makespan = max(self.loads)

@@ -45,18 +45,12 @@ def instance_from_sizes(sizes, m: int, k: int) -> Instance:
     return Instance(tuple(map(float, sizes)), m, k)
 
 
-class Move(NamedTuple):
-    job: int
-    src: int
-    dst: int
-
-
-@dataclass(frozen=True)
-class MigrationRecord:
-    """Jobs the runner moved when `trigger` arrived; `moved_size` sums their sizes."""
+class MigrationRecord(NamedTuple):
+    """Jobs the runner moved when `trigger` arrived, as (job, src, dst)
+    triples; `moved_size` sums their sizes."""
 
     trigger: int
-    moves: tuple[Move, ...] = ()
+    moves: tuple[tuple[int, int, int], ...] = ()
     moved_size: float = 0.0
 
 
@@ -118,8 +112,8 @@ class Trace:
         """Job id -> machine after the last arrival, keyed in arrival order."""
         schedule = dict(enumerate(self.machines, start=1))
         for record in self.migrations.values():
-            for mv in record.moves:
-                schedule[mv.job] = mv.dst
+            for job, _, dst in record.moves:
+                schedule[job] = dst
         return schedule
 
 

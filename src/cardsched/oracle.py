@@ -43,10 +43,14 @@ def lower_bound(sizes, m: int) -> float:
 
 def sorted_round_robin_makespan(sizes, m: int) -> float:
     """Makespan of dealing the sizes, sorted non-increasingly, round-robin over m machines."""
-    ld = [0.0] * m
-    for i, s in enumerate(sorted(sizes, reverse=True)):
-        ld[i % m] += s
-    return max(ld)
+    ordered = sorted(sizes, reverse=True)
+    loads = []
+    for r in range(min(m, len(ordered))):
+        load = 0.0
+        for s in ordered[r::m]:  # machine r + 1's sizes, added in sorted order from 0.0
+            load += s
+        loads.append(load)
+    return max(loads, default=0.0)
 
 
 def exact_opt(instance: Instance) -> OracleResult:

@@ -7,8 +7,8 @@ is sigma[p-1] of the fixed ordinal map.  The append shifts every smaller
 class one position back; rotating each smaller class's head to its tail
 cancels that shift for every other member, so per arrival only the head of
 each smaller class can change machine.  The decision lists those head
-moves; the stream runner checks them and prices them (the migration
-factor), so the scheduler keeps no sizes.
+moves as (job, src, dst) triples; the stream runner checks them and prices
+them (the migration factor), so the scheduler keeps no sizes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import deque
 from operator import neg
 
 from .engine import Scheduler, SchedulerDecision
-from .model import Move, round_up_geometric
+from .model import round_up_geometric
 from .ordinal import ordinal_map
 
 
@@ -67,6 +67,6 @@ class RobustOrdinalScheduler(Scheduler):
                 queue.append(head)
                 src, dst = sigma[end - 1], sigma[end + len(queue) - 1]
                 if src != dst:
-                    moves.append(Move(head, src, dst))
+                    moves.append((head, src, dst))
             end += len(queue)
         return SchedulerDecision(machine, tuple(moves))

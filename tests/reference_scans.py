@@ -10,7 +10,8 @@ diffs a job -> machine map over all jobs before and after each resort, and
 the exact oracle (with the sorted round-robin schedule it starts from) that
 re-sums the free slots and rescans every machine's slot-forcing bound at
 every node, searching on after a leaf has reached the lower bound unless
-told to stop there.  For the input, metering and report
+told to stop there.  The sorted round-robin makespan, dealt by `i % m` in
+one pass over all sizes.  For the input, metering and report
 layers: the per-line `json.loads` loader, the lower-bound metering loop,
 `json.dumps` with the report settings and the `dataclasses.asdict` structure
 dump.
@@ -36,7 +37,6 @@ from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler,
 from cardsched.model import (
     InfeasibleError,
     Instance,
-    Move,
     makespan,
     round_down_pow2,
     round_up_geometric,
@@ -52,7 +52,7 @@ CLCS_BRUTE_MAX_JOBS = 8
 class RefRecord:
     job: int
     machine: int
-    moves: tuple[Move, ...]
+    moves: tuple[tuple[int, int, int], ...]
     moved_size: float
     loads: tuple[float, ...]
     makespan: float
@@ -84,19 +84,19 @@ class RefStreamRunner:
 
         moves = decision.moves
         moved_size = 0.0
-        for mv in moves:
-            if mv.job == jid:
+        for job, src, dst in moves:
+            if job == jid:
                 raise ContractViolation(jid, "trigger job listed in its own migrations")
-            if self._assignment.get(mv.job) != mv.src:
+            if self._assignment.get(job) != src:
                 raise ContractViolation(
-                    jid, f"move of job {mv.job} from machine {mv.src} does not match schedule"
+                    jid, f"move of job {job} from machine {src} does not match schedule"
                 )
-            if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
-                raise ContractViolation(jid, f"move of job {mv.job} to invalid machine {mv.dst}")
-            self._assignment[mv.job] = mv.dst
-            self._counts[mv.src - 1] -= 1
-            self._counts[mv.dst - 1] += 1
-            moved_size += self._sizes[mv.job]
+            if not 1 <= dst <= self.m or dst == src:
+                raise ContractViolation(jid, f"move of job {job} to invalid machine {dst}")
+            self._assignment[job] = dst
+            self._counts[src - 1] -= 1
+            self._counts[dst - 1] += 1
+            moved_size += self._sizes[job]
 
         self._sizes[jid] = size
         self._assignment[jid] = machine
@@ -107,7 +107,7 @@ class RefStreamRunner:
                 raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
 
         if moves:
-            touched = {mv.src for mv in moves} | {mv.dst for mv in moves} | {machine}
+            touched = {src for _, src, _ in moves} | {dst for _, _, dst in moves} | {machine}
             for mi in touched:
                 load = 0.0  # a machine left empty reads 0.0, as if it was never used
                 for j, mm in self._assignment.items():
@@ -157,16 +157,16 @@ class RefDrive:
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
         moves = decision.moves
-        for mv in moves:
-            if mv.job == jid or not 1 <= mv.job < jid:
-                raise ContractViolation(jid, f"illegal migrated job id {mv.job}")
-            if self.current[mv.job - 1] != mv.src:
-                raise ContractViolation(jid, f"move of job {mv.job} does not match schedule")
-            if not 1 <= mv.dst <= self.m or mv.dst == mv.src:
-                raise ContractViolation(jid, f"move of job {mv.job} to machine {mv.dst}")
-            self.current[mv.job - 1] = mv.dst
-            self.counts[mv.src - 1] -= 1
-            self.counts[mv.dst - 1] += 1
+        for job, src, dst in moves:
+            if job == jid or not 1 <= job < jid:
+                raise ContractViolation(jid, f"illegal migrated job id {job}")
+            if self.current[job - 1] != src:
+                raise ContractViolation(jid, f"move of job {job} does not match schedule")
+            if not 1 <= dst <= self.m or dst == src:
+                raise ContractViolation(jid, f"move of job {job} to machine {dst}")
+            self.current[job - 1] = dst
+            self.counts[src - 1] -= 1
+            self.counts[dst - 1] += 1
         self.sizes.append(size)
         self.chosen.append(machine)
         self.current.append(machine)
@@ -526,9 +526,7 @@ class RefRobustOrdinal(Scheduler):
         before = self._machines()
         moved = self.resort_on_arrival(jid, exponent)
         after = self._machines()
-        moves = tuple(
-            Move(j, before[j], after[j]) for j in moved if before[j] != after[j]
-        )
+        moves = tuple((j, before[j], after[j]) for j in moved if before[j] != after[j])
         return SchedulerDecision(after[jid], moves)
 
 
@@ -540,6 +538,14 @@ def _by_size(instance: Instance) -> list[int]:
 def sorted_round_robin(instance: Instance) -> dict[int, int]:
     """Sort jobs non-increasingly, send the i-th to machine 1+(i-1) mod m."""
     return {j: 1 + i % instance.m for i, j in enumerate(_by_size(instance))}
+
+
+def ref_sorted_round_robin_makespan(sizes, m: int) -> float:
+    """The sorted round-robin makespan by one pass over all sizes, dealing by `i % m`."""
+    ld = [0.0] * m
+    for i, s in enumerate(sorted(sizes, reverse=True)):
+        ld[i % m] += s
+    return max(ld)
 
 
 def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> OracleResult:

@@ -213,7 +213,7 @@ def test_criterion_7_robust_wrapper():
                     ok = False
                     break
                 positions = scheduler.positions()
-                moved = {mv.job for mv in rec.migration.moves}
+                moved = {job for job, _, _ in rec.migration.moves}
                 stable = {j for j in prev_positions if positions[j] == prev_positions[j]}
                 if not moved.isdisjoint(stable):
                     failures.append((eps, m, k, "position stability"))

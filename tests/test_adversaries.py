@@ -18,7 +18,7 @@ from cardsched.engine import (
     Scheduler,
     SchedulerDecision,
 )
-from cardsched.model import Move, instance_from_sizes
+from cardsched.model import instance_from_sizes
 from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.oracle import exact_opt, lower_bound
 from cardsched.robust import RobustOrdinalScheduler
@@ -70,7 +70,7 @@ class _MovesOntoFullMachine(Scheduler):
     def on_arrival(self, size):
         self._i += 1
         if self._i == 4:
-            return SchedulerDecision(3, (Move(3, 2, 1),))
+            return SchedulerDecision(3, ((3, 2, 1),))
         return SchedulerDecision((1, 1, 2, 3, 2, 3)[self._i - 1])
 
 
@@ -183,7 +183,7 @@ class _MovesOntoMachineOne(Scheduler):
 
     def on_arrival(self, size):
         self._i += 1
-        moves = (Move(self._i - 1, 2, 1),) if self._i in (2, 4) else ()
+        moves = ((self._i - 1, 2, 1),) if self._i in (2, 4) else ()
         return SchedulerDecision(2, moves)
 
 

@@ -11,7 +11,7 @@ from cardsched.clcs import (
     uniform_lb_drive,
 )
 from cardsched.engine import ContractViolation, SchedulerDecision, StreamRunner
-from cardsched.model import InfeasibleError, Move
+from cardsched.model import InfeasibleError
 from reference_scans import clcs_exact
 
 
@@ -51,7 +51,7 @@ class _Scripted:
 
     def on_arrival(self, size, cls):
         self._i += 1
-        moves = (Move(1, 1, 2),) if self._i == 2 else ()
+        moves = ((1, 1, 2),) if self._i == 2 else ()
         return SchedulerDecision(next(self._machines), moves)
 
 

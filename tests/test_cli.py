@@ -219,9 +219,20 @@ def test_balanced_lb_size_overflow_note(capsys, n_param, sizes):
 
 
 def test_balanced_lb_nan_size_exits_2(capsys):
+    # refused as the parameter it is, before any job is placed
     code, out, err = _run_cli(capsys, _BALANCED_LB + ["--n-param", "nan"])
     _assert_one_line_exit_2(code, out, err)
-    assert err == "error: job size must be finite and >= 0, got nan\n"
+    assert err == "error: requires N >= 2, k >= 2, round_cap >= 1\n"
+
+
+@pytest.mark.parametrize("algo", ["greedy-capped", "robust-ordinal"])
+def test_pure_lb_nan_n_param_exits_2(capsys, algo):
+    # robust-ordinal leaves spare slots, so a NaN N would reach the runner as a size;
+    # greedy-capped balances the units, so N would go unused
+    argv = ["adversary", "--family", "pure-lb", "--algo", algo, "--m", "4", "--k", "3"]
+    code, out, err = _run_cli(capsys, argv + ["--n-param", "nan"])
+    _assert_one_line_exit_2(code, out, err)
+    assert err == "error: N must be positive\n"
 
 
 def test_balanced_lb_vs_robust_ordinal_report_is_pinned(capsys):

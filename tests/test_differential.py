@@ -31,7 +31,7 @@ from cardsched.engine import (
     SchedulerDecision,
     StreamRunner,
 )
-from cardsched.model import Move, instance_from_sizes, loads
+from cardsched.model import instance_from_sizes, loads
 from cardsched.oracle import branch_and_bound, exact_opt, exit_target, lower_bound, opt_makespan
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
@@ -196,7 +196,7 @@ class _RandomMigrator(Scheduler):
             dst = self._pick(exclude=src)
             if dst is None:
                 continue
-            moves.append(Move(job, src, dst))
+            moves.append((job, src, dst))
             if job != jid:
                 self._put(job, dst)
         machine = self._pick()
@@ -222,6 +222,67 @@ def test_migrating_runner_matches_scan(sizes, m, k, seed, cheat):
         _assert_same(runner, ref)
 
 
+def _assert_job_lists_ascending(runner):
+    """The runner's per-machine job lists, once built, hold each machine's jobs in id order."""
+    if runner._where is None:
+        return
+    held = [[] for _ in range(runner.m)]
+    for job, machine in sorted(runner.trace.final_schedule().items()):
+        held[machine - 1].append(job)
+    assert runner._jobs == held
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=1e6), st.sampled_from([0.1, 0.3, 0.7])),
+        min_size=1,
+        max_size=80,
+    ),
+    st.integers(1, 6),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_migrating_runner_matches_scan_on_long_machines(sizes, m, k, seed):
+    # up to 12 jobs per machine, so the ascending lists take many bisections
+    sizes = _stream(sizes, m, k)
+    runner, ref, errors = _replay(
+        _RandomMigrator(m, k, seed), _RandomMigrator(m, k, seed), sizes, m, k
+    )
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+    _assert_job_lists_ascending(runner)
+
+
+class _ScriptedMoves(Scheduler):
+    """m = 3, k = 4: fixed machines, and the moves of arrival i from `moves[i]`."""
+
+    m, k = 3, 4
+    machines = (1, 2, 3, 1, 2, 3, 1, 2)
+    moves = {
+        # job 1 moves twice, ending on the arriving job's machine; job 4 moves there too
+        6: ((1, 1, 2), (1, 2, 3), (4, 1, 3)),
+        # job 1 goes back below job 7, job 6 off the machine it arrived on
+        8: ((1, 3, 1), (6, 3, 2), (2, 2, 3)),
+    }
+
+    def __init__(self):
+        self._i = 0
+
+    def on_arrival(self, size):
+        self._i += 1
+        return SchedulerDecision(self.machines[self._i - 1], self.moves.get(self._i, ()))
+
+
+def test_scripted_moves_match_scan():
+    sizes = [0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 0.6, 0.9]
+    runner, ref, errors = _replay(_ScriptedMoves(), _ScriptedMoves(), sizes, 3, 4)
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+    _assert_job_lists_ascending(runner)
+    assert runner._jobs == [[1, 7], [5, 6, 8], [2, 3, 4]]
+
+
 def test_cap_violation_names_lowest_touched_machine():
     class TwoOver(Scheduler):
         m, k = 4, 1
@@ -229,7 +290,7 @@ def test_cap_violation_names_lowest_touched_machine():
         def on_arrival(self, size):
             # job 4 lands on machine 2 while job 1 moves onto machine 3: both over the cap
             if size == 4.0:
-                return SchedulerDecision(2, (Move(1, 1, 3),))
+                return SchedulerDecision(2, ((1, 1, 3),))
             return SchedulerDecision(int(size))
 
     for runner_cls in (StreamRunner, RefStreamRunner):

@@ -19,7 +19,7 @@ from cardsched.engine import (
     migration_stats,
     run_stream,
 )
-from cardsched.model import InfeasibleError, Move, check_feasible, instance_from_sizes
+from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes
 from cardsched.oracle import exact_opt, lower_bound, opt_makespan
 
 
@@ -140,19 +140,19 @@ class _Scripted(Scheduler):
 
 def test_run_stream_rejects_inconsistent_moves():
     with pytest.raises(ContractViolation, match="arrival 2: move of job 1 from machine 2 does"):
-        run_stream(_Scripted((Move(1, 2, 1),)), [1.0, 1.0], 2, 2)
+        run_stream(_Scripted(((1, 2, 1),)), [1.0, 1.0], 2, 2)
 
 
 def test_runner_refuses_trigger_in_its_own_moves():
     with pytest.raises(ContractViolation, match="arrival 2: trigger job listed in its own migr"):
-        run_stream(_Scripted((Move(2, 2, 1),)), [1.0, 1.0], 2, 2)
+        run_stream(_Scripted(((2, 2, 1),)), [1.0, 1.0], 2, 2)
 
 
 @pytest.mark.parametrize("dst", [1, 3])  # its own source, and outside [1, m]
 def test_runner_refuses_move_to_invalid_machine(dst):
     message = f"arrival 2: move of job 1 to invalid machine {dst}"
     with pytest.raises(ContractViolation, match=message):
-        run_stream(_Scripted((Move(1, 1, dst),)), [1.0, 1.0], 2, 2)
+        run_stream(_Scripted(((1, 1, dst),)), [1.0, 1.0], 2, 2)
 
 
 def test_round_robin_examples():
@@ -305,7 +305,7 @@ def test_migration_stats_quotient():
         def on_arrival(self, size):
             # job 2 (size 2) lands on machine 2 and moves job 1 (size 3) there too
             if size == 2.0:
-                return SchedulerDecision(2, (Move(1, 1, 2),))
+                return SchedulerDecision(2, ((1, 1, 2),))
             return SchedulerDecision(1)
 
     trace = run_stream(MoveOnSecond(), [3.0, 2.0], 2, 2)

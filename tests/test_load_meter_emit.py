@@ -175,6 +175,11 @@ _values = st.recursive(
         st.lists(_number, min_size=1, max_size=5),  # the C encoder's number lists
         st.lists(st.lists(_number, max_size=3), min_size=1, max_size=4),  # rows, some empty
         st.lists(st.tuples(_number, _number), min_size=1, max_size=4),
+        st.dictionaries(st.text(_chars, max_size=5), _number, min_size=1, max_size=5),
+        # a bool is not a number to the C encoder's dict path
+        st.dictionaries(
+            st.text(_chars, max_size=5), st.one_of(_number, st.booleans()), min_size=2, max_size=5
+        ),
     ),
     max_leaves=30,
 )
@@ -212,6 +217,9 @@ def _ref_emit(report, out):
         {"a": {(1, 2): 3}},
         {"a": [object()]},
         {"a": [1, 10**5000]},  # over int's default digit limit
+        {"a": {"b": 1, "c": math.nan}},
+        {"a": {"b": 10**5000}},
+        {1: 1.0, 2: 2},  # number values under int keys
     ],
 )
 def test_emit_refuses_or_writes_like_json_dumps(tmp_path, report):

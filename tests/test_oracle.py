@@ -12,7 +12,7 @@ from cardsched.oracle import (
     lower_bound,
     sorted_round_robin_makespan,
 )
-from reference_scans import brute_opt, sorted_round_robin
+from reference_scans import brute_opt, ref_sorted_round_robin_makespan, sorted_round_robin
 
 
 def test_exact_opt_examples():
@@ -88,6 +88,23 @@ def test_sorted_round_robin_makespan_matches_schedule():
         sizes = [rng.uniform(0, 20) for _ in range(n)]
         inst = instance_from_sizes(sizes, m, max(1, -(-n // m)))
         assert sorted_round_robin_makespan(sizes, m) == makespan(sorted_round_robin(inst), inst)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1e6),  # -0.0 among them
+            st.just(-0.0),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=30,
+    ),
+    st.integers(1, 40),  # m > n on most short lists, n = 0 included
+)
+@settings(max_examples=300, deadline=None)
+def test_sorted_round_robin_makespan_matches_one_pass_deal(sizes, m):
+    got = sorted_round_robin_makespan(sizes, m)
+    assert repr(got) == repr(ref_sorted_round_robin_makespan(sizes, m))
 
 
 # dyadic sizes keep float sums exact in any order, per the oracle's contract

@@ -41,7 +41,7 @@ def test_cascade_moves_heads_of_smaller_classes():
     assert after[3] == 3 and after[2] == 4  # class-1 head rotated behind its tail
     repositioned = {j for j in before if before[j] != after[j]}
     assert repositioned == {1, 2}
-    assert {mv.job for mv in rec.migration.moves} <= repositioned
+    assert {job for job, _, _ in rec.migration.moves} <= repositioned
 
 
 def test_new_smallest_job_moves_nothing():
@@ -113,11 +113,11 @@ def test_migrated_rounded_sizes_are_distinct_smaller_powers(eps):
             runner.push(s)
             rec = runner.trace.records[-1]
             placed[i] = round_up_geometric(s, eps)
-            exps = [placed[mv.job][1] for mv in rec.migration.moves]
+            exps = [placed[job][1] for job, _, _ in rec.migration.moves]
             new_exp = placed[i][1]
             assert len(set(exps)) == len(exps)
             assert all(e < new_exp for e in exps)
-            rounded_moved = sum(placed[mv.job][0] for mv in rec.migration.moves)
+            rounded_moved = sum(placed[job][0] for job, _, _ in rec.migration.moves)
             assert rounded_moved <= placed[i][0] / eps + 1e-9
 
 
@@ -135,7 +135,7 @@ def test_position_stability_every_arrival():
             runner.push(s)
             rec = runner.trace.records[-1]
             positions = rs.positions()
-            moved = {mv.job for mv in rec.migration.moves}
+            moved = {job for job, _, _ in rec.migration.moves}
             shifted = {j for j in prev if positions[j] != prev[j]}
             # machine changes only happen to jobs whose position shifted
             assert moved <= shifted

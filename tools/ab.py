@@ -12,7 +12,7 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  The 11
+A side whose outputs differ between its own runs fails the case.  The 12
 cases:
 
 - `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
@@ -33,6 +33,10 @@ cases:
 - `run-stream-rr`: `run_stream` with round-robin on 40,000 loguniform jobs
   at m = k = 1000, the scheduler alone on the same stream, and `runner_s`,
   their difference.
+- `run-stream-robust`: the same three timings for robust-ordinal at
+  eps = 0.5 on 4,000 loguniform jobs at m = k = 1000, where the runner's
+  migration path is most of the run; outputs: the migrating arrivals and
+  digests of the makespans, the migration records and the final loads.
 - `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
   in each of its modes, alone and under `run_stream` (median of 3 passes),
   with its mode and row counters.
@@ -221,6 +225,38 @@ def run_stream_rr() -> dict:
     }
 
 
+def run_stream_robust() -> dict:
+    """run_stream with robust-ordinal, then the scheduler alone on the same stream."""
+    from cardsched.cli import generate_sizes
+    from cardsched.engine import run_stream
+    from cardsched.robust import RobustOrdinalScheduler
+
+    m = k = 1000
+    sizes = generate_sizes("loguniform", 4000, 1)
+    t0 = time.perf_counter()
+    trace = run_stream(RobustOrdinalScheduler(m, k, 0.5), sizes, m, k)
+    drive_s = time.perf_counter() - t0
+    on_arrival = RobustOrdinalScheduler(m, k, 0.5).on_arrival
+    t0 = time.perf_counter()
+    for size in sizes:
+        on_arrival(size)
+    decide_s = time.perf_counter() - t0
+    # moves as plain triples and sizes by repr, whatever types hold them
+    records = [
+        (jid, [tuple(mv) for mv in rec.moves], repr(rec.moved_size))
+        for jid, rec in trace.migrations.items()
+    ]
+    return {
+        "drive_s": drive_s,
+        "decide_s": decide_s,
+        "runner_s": drive_s - decide_s,
+        "migrating_arrivals": len(records),
+        "makespans_sha256": hashlib.sha256(array("d", trace.makespans).tobytes()).hexdigest(),
+        "migrations_sha256": hashlib.sha256(repr(records).encode()).hexdigest(),
+        "loads_sha256": hashlib.sha256(array("d", trace.loads).tobytes()).hexdigest(),
+    }
+
+
 def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
     from cardsched.cli import generate_sizes
     from cardsched.constant import ConstantCompetitiveScheduler
@@ -265,6 +301,7 @@ CASES = {
     "exact-metering": exact_metering,
     "worst": worst,
     "run-stream-rr": run_stream_rr,
+    "run-stream-robust": run_stream_robust,
     "constant-terminal": partial(constant_case, 1000, 60, 60_000, "loguniform", 1),
     "constant-fallback": partial(constant_case, 1000, 40, 40_000, "loguniform", 1),
     "constant-interleaved-groups": partial(constant_case, 1000, 1000, 100_000, "groups", 0),
