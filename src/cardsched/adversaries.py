@@ -74,8 +74,8 @@ def pure_lb_drive(scheduler: Scheduler, m: int, k: int, N: float) -> AdversaryRe
     m jobs of size N (some machine kept spare slots)."""
     if not (m >= k >= 2):
         raise ValueError(f"requires m >= k >= 2, got m={m}, k={k}")
-    if not N > 0:  # also refuses NaN
-        raise ValueError("N must be positive")
+    if not 0 < N < math.inf:  # also refuses NaN
+        raise ValueError("N must be finite and > 0")
     drive = StreamRunner(scheduler, m, k)
     drive.feed(repeat(1.0, m * (k - 1)))
     if all(c == k - 1 for c in drive.counts):

@@ -13,23 +13,23 @@ import itertools
 import math
 
 from .adversaries import AdversaryReport, drive_report
-from .engine import SchedulerDecision, StreamRunner
+from .engine import StreamRunner
 from .model import InfeasibleError
 
 
 class GreedyClcsScheduler:
     """First job of an unseen class binds it to the machine with fewest bound
     classes (among those below k), tie to the lowest index; every later job of
-    the class follows it.  One decision per class is cached and reused."""
+    the class follows it."""
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        self._decision_of_class: dict[int, SchedulerDecision] = {}
+        self._machine_of_class: dict[int, int] = {}
         self._bound = [0] * m
 
-    def on_arrival(self, size: float, cls: int) -> SchedulerDecision:
-        decision = self._decision_of_class.get(cls)
-        if decision is None:
+    def on_arrival(self, size: float, cls: int) -> int:
+        machine = self._machine_of_class.get(cls)
+        if machine is None:
             best = None
             for mi in range(self.m):
                 if self._bound[mi] >= self.k:
@@ -39,8 +39,8 @@ class GreedyClcsScheduler:
             if best is None:
                 raise InfeasibleError("all machines already host k classes")
             self._bound[best] += 1
-            decision = self._decision_of_class[cls] = SchedulerDecision(best + 1)
-        return decision
+            machine = self._machine_of_class[cls] = best + 1
+        return machine
 
 
 def clcs_makespan(loads, speeds) -> float:

@@ -33,10 +33,8 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, mul
 
-from .engine import Scheduler, SchedulerDecision, placements
+from .engine import RoundRobinScheduler, Scheduler
 from .model import Trace, round_down_pow2
 
 FALLBACK_MAX_K = 49
@@ -84,9 +82,6 @@ class RowStructure:
     fallback: bool
     terminal: bool
 
-    def rows_of_kind(self, kind: str) -> tuple[RowSnapshot, ...]:
-        return tuple(r for r in self.rows if r.kind == kind)
-
 
 class ConstantCompetitiveScheduler(Scheduler):
     def __init__(self, m: int, k: int):
@@ -114,7 +109,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         # of them that may still be empty there
         self._frozen: list[_Row] = []
         self._next: list[int] = []
-        self._decisions = placements(m)
+        self._round_robin = RoundRobinScheduler(m, k).on_arrival  # the fallback
 
     # -- structure bookkeeping ------------------------------------------------
 
@@ -290,10 +285,10 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     # -- contract ------------------------------------------------------------
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> int:
         self.arrivals += 1
         if self.fallback:
-            return self._decisions[(self.arrivals - 1) % self.m]
+            return self._round_robin(size)
         if self.l is None:
             self._init_structure()
         if size:  # a zero is a small job and sets no p_max
@@ -302,12 +297,10 @@ class ConstantCompetitiveScheduler(Scheduler):
                 self.e_pmax = e
         jid = self.arrivals
         if self.terminal:
-            return self._decisions[self._place_terminal(jid) - 1]
+            return self._place_terminal(jid)
         if size and self.e_pmax - e <= self.l:
-            machine = self._place_group(jid, self.e_pmax - e)
-        else:
-            machine = self._place_small(jid)
-        return self._decisions[machine - 1]
+            return self._place_group(jid, self.e_pmax - e)
+        return self._place_small(jid)
 
     # -- introspection -------------------------------------------------------
 
@@ -330,48 +323,6 @@ class ConstantCompetitiveScheduler(Scheduler):
             fallback=self.fallback,
             terminal=self.terminal,
         )
-
-    def check_invariants(self):
-        """Raise AssertionError when a structural invariant is broken.
-
-        O(m + k), cheap enough to call after every arrival.  Each machine sits
-        in one bucket, between the removed rows (each full: one job per
-        machine) and k; the buckets hold every arrival, and so do the removed
-        rows and the live rows' filled slots; terminal pointers have passed
-        filled slots; the row population is checked while live.  Fallback
-        keeps no state.
-        """
-        if self.fallback or self.l is None:
-            return
-        buckets, removed = self._buckets, len(self._removed)
-        assert sorted(chain.from_iterable(buckets)) == list(range(self.m))
-        assert all(b == sorted(b) for b in filter(None, buckets)) and len(buckets) <= self.k + 1
-        assert buckets[self._low] and not any(buckets[: self._low]) and self._low >= removed
-        jobs = sum(map(mul, range(len(buckets)), map(len, buckets)))
-        live_jobs = sum(map(attrgetter("filled"), self._live_rows()))
-        assert jobs == self.arrivals == self.m * removed + live_jobs
-        if self.terminal:
-            rows = self._frozen
-            assert all(i == 0 or rows[i - 1].slots[mi] for mi, i in enumerate(self._next))
-            return
-        assert self.active_k > FALLBACK_MAX_K
-        assert self.l == _floor_2log2(self.active_k)
-        for i in range(self.l + 1):
-            pure, mixed = self._pure[i], self._mixed[i]
-            assert pure.kind == "pure" and pure.group == i
-            assert mixed.kind == "mixed" and mixed.group == i
-            assert pure.filled < self.m or mixed.filled < self.m, f"pair {i} fully full"
-        assert len(self._pure) == len(self._mixed) == self.l + 1
-        small_target = -(self.active_k // -2) - 2 * (self.l + 1)
-        assert len(self._small) == small_target, (
-            f"small rows {len(self._small)} != target {small_target}"
-        )
-        for row in self._small:
-            assert row.filled < self.m, "full small row survived"
-        free = self.k - self._next_free
-        assert free == self.active_k // 2, f"free rows {free} != floor(active_k/2)"
-        live = 2 * (self.l + 1) + len(self._small) + free
-        assert live == self.active_k
 
 
 def certify_load_bound(trace: Trace) -> list[str]:

@@ -1,12 +1,11 @@
 """Online scheduling engine: scheduler contract, stream runner and metering.
 
-Schedulers are single-use state machines.  A decision is a machine for the
-arriving job plus the moves of earlier jobs.  One runner serves online runs,
-the adversary drives and ClCS: it owns the authoritative schedule, is the one
-place that checks and prices moves, re-derives loads and refuses infeasible
-states with a ContractViolation naming the arrival index.  Schedulers that
-never migrate return prebuilt decisions (`placements`), so an arrival
-allocates none.  Metering reads only the trace.
+Schedulers are single-use state machines.  A decision is the arriving job's
+machine, an int, or a (machine, moves) pair when earlier jobs move, each
+move a (job, src, dst) triple.  One runner serves online runs, the adversary
+drives and ClCS: it owns the authoritative schedule, is the one place that
+checks and prices moves, re-derives loads and refuses infeasible states with
+a ContractViolation naming the arrival index.  Metering reads only the trace.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import sys
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, truediv
-from typing import NamedTuple
 
 from .model import InfeasibleError, MigrationRecord, Trace, instance_from_sizes
 from .oracle import exact_guard, lower_bound, opt_makespan
@@ -37,34 +35,22 @@ class ContractViolation(Exception):
         self.arrival = arrival
 
 
-class SchedulerDecision(NamedTuple):
-    machine: int
-    moves: tuple[tuple[int, int, int], ...] = ()  # (job, src, dst) triples of earlier jobs
-
-
-def placements(m: int) -> list[SchedulerDecision]:
-    """The move-free decision for each machine, machine mi at index mi - 1.
-
-    Schedulers that never migrate build this once and return its entries,
-    so an arrival allocates no decision.
-    """
-    return [SchedulerDecision(mi) for mi in range(1, m + 1)]
-
-
 class Scheduler:
     """Behavioral contract: construct with (m, k), then on_arrival per job.
 
+    `on_arrival` returns the arriving job's machine in [1, m], an int.
     Placements are irrevocable for the triggering job; only schedulers with a
-    migration budget may move previously placed jobs, and they declare those
-    moves in the returned decision.  A scheduler sees only the arrivals its
-    runner admits (at most m*k jobs, each size finite and >= 0), so it keeps
-    no copy of that check.
+    migration budget may move previously placed jobs, and they return a
+    (machine, moves) pair instead, `moves` a tuple of (job, src, dst)
+    triples (an empty one is a plain placement).  A scheduler sees only the
+    arrivals its runner admits (at most m*k jobs, each size finite and
+    >= 0), so it keeps no copy of that check.
     """
 
     m: int
     k: int
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> int | tuple[int, tuple[tuple[int, int, int], ...]]:
         raise NotImplementedError
 
 
@@ -160,10 +146,12 @@ class StreamRunner:
                     cls = next_class()
                     if not 1 <= cls <= max_class:
                         raise ValueError(f"job class must be in [1, 2**63 - 1], got {cls}")
-                    decision = on_arrival(size, cls)
+                    machine = on_arrival(size, cls)
                 else:
-                    decision = on_arrival(size)
-                machine = decision.machine
+                    machine = on_arrival(size)
+                moves = None
+                if machine.__class__ is not int:
+                    machine, moves = machine
                 if not 1 <= machine <= m:
                     raise ContractViolation(jid, f"machine {machine} outside [1, {m}]")
                 sizes_col.append(size)
@@ -175,8 +163,8 @@ class StreamRunner:
                     hosted = class_sets[mi]
                     hosted.add(cls)
                     used = len(hosted)
-                if decision.moves:
-                    self._migrate(jid, machine, decision.moves)
+                if moves:
+                    self._migrate(jid, machine, moves)
                     where, jobs, makespan = self._where, self._jobs, self._makespan
                 else:
                     if where is not None:
@@ -335,28 +323,25 @@ class RoundRobinScheduler(Scheduler):
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        self._decisions = placements(m)
-        self._i = 0
+        # after the first lap the cycle hands out the same int objects again
+        self._next = cycle(range(1, m + 1)).__next__
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
-        i = self._i
-        self._i = i + 1
-        return self._decisions[i % self.m]
+    def on_arrival(self, size: float) -> int:
+        return self._next()
 
 
 class ListSchedulingCapped(Scheduler):
     """Greedy: lowest-load machine among those with fewer than k jobs, tie to lowest index.
 
-    A heap on (load, index, count) holds every machine below the cap exactly
+    A heap on (load, machine, count) holds every machine below the cap exactly
     once; a machine leaves it when it reaches k jobs.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        self._heap = [(0.0, mi, 0) for mi in range(m)] if k > 0 else []  # sorted: a heap
-        self._decisions = placements(m)
+        self._heap = [(0.0, mi, 0) for mi in range(1, m + 1)] if k > 0 else []  # sorted: a heap
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> int:
         if not self._heap:  # its own state: a direct caller can run it past m*k
             raise InfeasibleError("greedy-capped: all machines hold k jobs")
         load, best, count = self._heap[0]
@@ -364,7 +349,7 @@ class ListSchedulingCapped(Scheduler):
             heapq.heapreplace(self._heap, (load + size, best, count + 1))
         else:
             heapq.heappop(self._heap)
-        return self._decisions[best]
+        return best
 
 
 class PhiScheduler(Scheduler):
@@ -383,7 +368,7 @@ class PhiScheduler(Scheduler):
         self._p = [0.0, 0.0]  # p1 and p2, on machines 1 and 2
         self._third = 0  # job 3's machine
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> int:
         j = self._j + 1
         if j > 4:
             raise InfeasibleError("phi scheduler accepts at most 4 jobs")
@@ -396,4 +381,4 @@ class PhiScheduler(Scheduler):
             machine = self._third = big if size <= self._p[big - 1] / PHI else 3 - big
         else:  # the machine holding a single job
             machine = 3 - self._third
-        return SchedulerDecision(machine)
+        return machine

@@ -135,7 +135,7 @@ def _search(sizes: list[float], m: int, k: int, target: float) -> tuple[float, l
         return best, best_assign, 0
 
     greedy = ListSchedulingCapped(m, k)
-    lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
+    lpt = [greedy.on_arrival(s) - 1 for s in sizes]
     lpt_loads = [0.0] * m
     for s, mi in zip(sizes, lpt):
         lpt_loads[mi] += s

@@ -103,13 +103,3 @@ def ordinal_schedule(instance: Instance) -> dict[int, int]:
     order = sorted(range(instance.n), key=instance.sizes.__getitem__, reverse=True)  # stable
     return {j + 1: machine for j, machine in zip(order, sigma)}
 
-
-def iota(s: int, k: int) -> int:
-    """Jobs the first border machine of phase s receives during phase s (closed form)."""
-    if s < 2:
-        raise ValueError(f"s must be >= 2, got {s}")
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if (k - 1) % 3 == 1 and s % 2 == 1:
-        return (k - 1) // 3
-    return -((k - 1) // -3)  # ceil((k-1)/3)

@@ -6,9 +6,10 @@ form a class below all others.  The machine of the job at list position p
 is sigma[p-1] of the fixed ordinal map.  The append shifts every smaller
 class one position back; rotating each smaller class's head to its tail
 cancels that shift for every other member, so per arrival only the head of
-each smaller class can change machine.  The decision lists those head
-moves as (job, src, dst) triples; the stream runner checks them and prices
-them (the migration factor), so the scheduler keeps no sizes.
+each smaller class can change machine.  The decision pairs the arriving
+job's machine with those head moves as (job, src, dst) triples; the stream
+runner checks them and prices them (the migration factor), so the scheduler
+keeps no sizes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import insort
 from collections import deque
 from operator import neg
 
-from .engine import Scheduler, SchedulerDecision
+from .engine import Scheduler
 from .model import round_up_geometric
 from .ordinal import ordinal_map
 
@@ -44,7 +45,7 @@ class RobustOrdinalScheduler(Scheduler):
         order = (jid for e in self._order for jid in self._classes[e])
         return {jid: p for p, jid in enumerate(order, start=1)}
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         # a zero joins the bottom class, below every exponent, and moves nothing
         exponent = round_up_geometric(size, self.eps)[1] if size else -math.inf
         self._arrivals += 1
@@ -69,4 +70,4 @@ class RobustOrdinalScheduler(Scheduler):
                 if src != dst:
                     moves.append((head, src, dst))
             end += len(queue)
-        return SchedulerDecision(machine, tuple(moves))
+        return machine, tuple(moves)

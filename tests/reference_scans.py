@@ -21,6 +21,12 @@ against: `brute_opt`, the cardinality-constrained optimum by enumerating every
 capped assignment (n <= 10), and `clcs_exact`, the class-constrained optimum
 by enumerating every assignment (n <= 8).  And `check_report`, the internal
 consistency of an adversary report.
+
+The references take a scheduler's decision through `as_pair`: a bare machine
+int is a placement with no moves.  Three helpers only tests use live here
+too: `check_invariants`, the constant scheduler's structural invariants;
+`rows_of_kind`, a snapshot's live rows of one kind; and `iota`, the closed
+form of the jobs an ordinal phase's first border machine receives.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from cardsched.constant import FALLBACK_MAX_K, RowSnapshot, RowStructure
-from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler, SchedulerDecision
+from cardsched.constant import FALLBACK_MAX_K, RowSnapshot, RowStructure, _floor_2log2
+from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler
 from cardsched.model import (
     InfeasibleError,
     Instance,
@@ -58,6 +64,11 @@ class RefRecord:
     makespan: float
 
 
+def as_pair(decision) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """A scheduler's decision as (machine, moves): a bare machine int moves no job."""
+    return (decision, ()) if decision.__class__ is int else decision
+
+
 class RefStreamRunner:
     """Checks every machine's count and copies all loads on every arrival."""
 
@@ -77,12 +88,10 @@ class RefStreamRunner:
         if size < 0:
             raise ValueError(f"job size must be >= 0, got {size}")
         jid = len(self._sizes) + 1
-        decision = self.scheduler.on_arrival(size)
-        machine = decision.machine
+        machine, moves = as_pair(self.scheduler.on_arrival(size))
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
 
-        moves = decision.moves
         moved_size = 0.0
         for job, src, dst in moves:
             if job == jid:
@@ -152,11 +161,9 @@ class RefDrive:
 
     def feed(self, size: float) -> int:
         jid = self.n + 1
-        decision = self.scheduler.on_arrival(size)
-        machine = decision.machine
+        machine, moves = as_pair(self.scheduler.on_arrival(size))
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
-        moves = decision.moves
         for job, src, dst in moves:
             if job == jid or not 1 <= job < jid:
                 raise ContractViolation(jid, f"illegal migrated job id {job}")
@@ -206,7 +213,7 @@ class RefClassedDrive:
 
     def feed(self, size: float, cls: int) -> int:
         jid = self.n + 1
-        machine = self.scheduler.on_arrival(size, cls).machine
+        machine = as_pair(self.scheduler.on_arrival(size, cls))[0]
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
         self.class_sets[machine - 1].add(cls)
@@ -227,7 +234,7 @@ class RefListSchedulingCapped(Scheduler):
         self._loads = [0.0] * m
         self._counts = [0] * m
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> int:
         best = None
         for mi in range(self.m):
             if self._counts[mi] >= self.k:
@@ -238,7 +245,7 @@ class RefListSchedulingCapped(Scheduler):
             raise InfeasibleError("greedy-capped: all machines hold k jobs")
         self._loads[best] += size
         self._counts[best] += 1
-        return SchedulerDecision(best + 1)
+        return best + 1
 
 
 class _RefRow:
@@ -432,12 +439,12 @@ class RefConstantScheduler(Scheduler):
                 self._repair_after_single_removal()
         return machine
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> int:
         if self.arrivals >= self.m * self.k:
             raise InfeasibleError("capacity m*k exhausted")
         self.arrivals += 1
         if self.fallback:
-            return SchedulerDecision(self._place_balanced())
+            return self._place_balanced()
         if self.l is None:
             self._init_structure()
         jid = self.arrivals
@@ -447,10 +454,10 @@ class RefConstantScheduler(Scheduler):
             if self.e_pmax is None or e > self.e_pmax:
                 self.e_pmax = e
         if self.terminal:
-            return SchedulerDecision(self._place_terminal(jid))
+            return self._place_terminal(jid)
         if e is not None and self.e_pmax - e <= self.l:
-            return SchedulerDecision(self._place_group(jid, self.e_pmax - e))
-        return SchedulerDecision(self._place_small(jid))
+            return self._place_group(jid, self.e_pmax - e)
+        return self._place_small(jid)
 
     def structure_snapshot(self) -> RowStructure:
         def snap(row: _RefRow) -> RowSnapshot:
@@ -467,6 +474,64 @@ class RefConstantScheduler(Scheduler):
             fallback=self.fallback,
             terminal=self.terminal,
         )
+
+
+def check_invariants(scheduler) -> None:
+    """Raise AssertionError when a `ConstantCompetitiveScheduler` invariant is broken.
+
+    O(m + k), cheap enough to call after every arrival.  Each machine sits
+    in one bucket, between the removed rows (each full: one job per
+    machine) and k; the buckets hold every arrival, and so do the removed
+    rows and the live rows' filled slots; terminal pointers have passed
+    filled slots; the row population is checked while live.  Fallback
+    keeps no state.
+    """
+    sc = scheduler
+    if sc.fallback or sc.l is None:
+        return
+    buckets, removed = sc._buckets, len(sc._removed)
+    assert sorted(itertools.chain.from_iterable(buckets)) == list(range(sc.m))
+    assert all(b == sorted(b) for b in filter(None, buckets)) and len(buckets) <= sc.k + 1
+    assert buckets[sc._low] and not any(buckets[: sc._low]) and sc._low >= removed
+    jobs = sum(c * len(b) for c, b in enumerate(buckets))
+    live_jobs = sum(row.filled for row in sc._live_rows())
+    assert jobs == sc.arrivals == sc.m * removed + live_jobs
+    if sc.terminal:
+        rows = sc._frozen
+        assert all(i == 0 or rows[i - 1].slots[mi] for mi, i in enumerate(sc._next))
+        return
+    assert sc.active_k > FALLBACK_MAX_K
+    assert sc.l == _floor_2log2(sc.active_k)
+    for i in range(sc.l + 1):
+        pure, mixed = sc._pure[i], sc._mixed[i]
+        assert pure.kind == "pure" and pure.group == i
+        assert mixed.kind == "mixed" and mixed.group == i
+        assert pure.filled < sc.m or mixed.filled < sc.m, f"pair {i} fully full"
+    assert len(sc._pure) == len(sc._mixed) == sc.l + 1
+    small_target = -(sc.active_k // -2) - 2 * (sc.l + 1)
+    assert len(sc._small) == small_target, f"small rows {len(sc._small)} != target {small_target}"
+    for row in sc._small:
+        assert row.filled < sc.m, "full small row survived"
+    free = sc.k - sc._next_free
+    assert free == sc.active_k // 2, f"free rows {free} != floor(active_k/2)"
+    live = 2 * (sc.l + 1) + len(sc._small) + free
+    assert live == sc.active_k
+
+
+def rows_of_kind(snapshot: RowStructure, kind: str) -> tuple[RowSnapshot, ...]:
+    """The live rows of a constant scheduler's snapshot labelled `kind`."""
+    return tuple(r for r in snapshot.rows if r.kind == kind)
+
+
+def iota(s: int, k: int) -> int:
+    """Jobs the first border machine of ordinal phase s receives during phase s (closed form)."""
+    if s < 2:
+        raise ValueError(f"s must be >= 2, got {s}")
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    if (k - 1) % 3 == 1 and s % 2 == 1:
+        return (k - 1) // 3
+    return -((k - 1) // -3)  # ceil((k-1)/3)
 
 
 class RefRobustOrdinal(Scheduler):
@@ -519,7 +584,7 @@ class RefRobustOrdinal(Scheduler):
         self._dummies -= 1
         return moved
 
-    def on_arrival(self, size: float) -> SchedulerDecision:
+    def on_arrival(self, size: float) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         # a zero sits in a class below every exponent
         exponent = round_up_geometric(size, self.eps)[1] if size else -math.inf
         jid = self.m * self.k - self._dummies + 1
@@ -527,7 +592,7 @@ class RefRobustOrdinal(Scheduler):
         moved = self.resort_on_arrival(jid, exponent)
         after = self._machines()
         moves = tuple((j, before[j], after[j]) for j in moved if before[j] != after[j])
-        return SchedulerDecision(after[jid], moves)
+        return after[jid], moves
 
 
 def _by_size(instance: Instance) -> list[int]:
@@ -570,7 +635,7 @@ def ref_exact_opt(instance: Instance, stop_at_lb: bool = False, target=None) -> 
     best_assign = [srr[j] - 1 for j in order]
     best = incumbent
     greedy = ListSchedulingCapped(m, k)
-    lpt = [greedy.on_arrival(s).machine - 1 for s in sizes]
+    lpt = [greedy.on_arrival(s) - 1 for s in sizes]
     lpt_loads = [0.0] * m
     for s, mi in zip(sizes, lpt):
         lpt_loads[mi] += s

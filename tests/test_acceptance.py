@@ -33,10 +33,10 @@ from cardsched.engine import (
 )
 from cardsched.model import check_feasible, instance_from_sizes
 from cardsched.oracle import exact_opt, opt_makespan
-from cardsched.ordinal import iota, ordinal_map, ordinal_schedule
+from cardsched.ordinal import ordinal_map, ordinal_schedule
 from cardsched.robust import RobustOrdinalScheduler
 from cardsched.model import makespan as schedule_makespan
-from reference_scans import brute_opt, clcs_exact
+from reference_scans import brute_opt, check_invariants, clcs_exact, iota
 
 RATE_81_41 = 81.0 / 41.0
 
@@ -127,7 +127,7 @@ def test_criterion_4_constant_competitive_guarantee():
         try:
             for s in sizes:
                 runner.push(s)  # raises ContractViolation on any infeasibility
-                scheduler.check_invariants()
+                check_invariants(scheduler)
         except Exception as exc:  # noqa: BLE001 - collect, report, fail loudly
             failures.append((stream_idx, m, k, repr(exc)))
             continue

@@ -16,7 +16,6 @@ from cardsched.engine import (
     PhiScheduler,
     RoundRobinScheduler,
     Scheduler,
-    SchedulerDecision,
 )
 from cardsched.model import instance_from_sizes
 from cardsched.constant import ConstantCompetitiveScheduler
@@ -36,7 +35,7 @@ class _Stacker(Scheduler):
         for mi in range(self.m):
             if self._counts[mi] < self.k:
                 self._counts[mi] += 1
-                return SchedulerDecision(mi + 1)
+                return mi + 1
         raise AssertionError("over capacity")
 
 
@@ -70,8 +69,8 @@ class _MovesOntoFullMachine(Scheduler):
     def on_arrival(self, size):
         self._i += 1
         if self._i == 4:
-            return SchedulerDecision(3, ((3, 2, 1),))
-        return SchedulerDecision((1, 1, 2, 3, 2, 3)[self._i - 1])
+            return 3, ((3, 2, 1),)
+        return (1, 1, 2, 3, 2, 3)[self._i - 1]
 
 
 def test_pure_lb_rejects_migration_onto_full_machine():
@@ -165,7 +164,7 @@ def test_balanced_lb_round_cap_abort():
             self.m, self.k = 2, 10**6
 
         def on_arrival(self, size):
-            return SchedulerDecision(2)
+            return 2
 
     report = balanced_lb_drive(NeverMachineOne(), 2, 10**6, 10, 20)
     assert report.note == "unbounded-evidence: round exceeded cap of 20 jobs"
@@ -184,7 +183,7 @@ class _MovesOntoMachineOne(Scheduler):
     def on_arrival(self, size):
         self._i += 1
         moves = ((self._i - 1, 2, 1),) if self._i in (2, 4) else ()
-        return SchedulerDecision(2, moves)
+        return 2, moves
 
 
 def test_balanced_lb_capacity_exhausted_exit():
@@ -300,7 +299,7 @@ class _CanonicalScheduler(Scheduler):
             machine = best + 1
         self._counts[machine - 1] += 1
         self._loads[machine - 1] += size
-        return SchedulerDecision(machine)
+        return machine
 
 
 def test_robust_lb_canonical_branch_pigeonhole():

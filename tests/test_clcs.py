@@ -10,7 +10,7 @@ from cardsched.clcs import (
     run_classed_stream,
     uniform_lb_drive,
 )
-from cardsched.engine import ContractViolation, SchedulerDecision, StreamRunner
+from cardsched.engine import ContractViolation, StreamRunner
 from cardsched.model import InfeasibleError
 from reference_scans import clcs_exact
 
@@ -52,7 +52,7 @@ class _Scripted:
     def on_arrival(self, size, cls):
         self._i += 1
         moves = ((1, 1, 2),) if self._i == 2 else ()
-        return SchedulerDecision(next(self._machines), moves)
+        return next(self._machines), moves
 
 
 def test_classed_runner_recounts_classes_after_a_move():
@@ -108,7 +108,7 @@ def test_identical_lb_spreading_scheduler_burns_slots():
 
         def on_arrival(self, size, cls):
             self._i += 1
-            return SchedulerDecision((self._i - 1) % self.m + 1)
+            return (self._i - 1) % self.m + 1
 
     report = identical_lb_report(Spreader(3), 3, 1)
     assert report.ratio <= 3.0

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardsched import cli, engine
+from cardsched import cli
 from cardsched.cli import SCHEDULERS, main, make_parser
 from cardsched.engine import run_stream
 
@@ -230,9 +230,10 @@ def test_pure_lb_nan_n_param_exits_2(capsys, algo):
     # robust-ordinal leaves spare slots, so a NaN N would reach the runner as a size;
     # greedy-capped balances the units, so N would go unused
     argv = ["adversary", "--family", "pure-lb", "--algo", algo, "--m", "4", "--k", "3"]
-    code, out, err = _run_cli(capsys, argv + ["--n-param", "nan"])
-    _assert_one_line_exit_2(code, out, err)
-    assert err == "error: N must be positive\n"
+    for n_param in ("nan", "inf"):
+        code, out, err = _run_cli(capsys, argv + ["--n-param", n_param])
+        _assert_one_line_exit_2(code, out, err)
+        assert err == "error: N must be finite and > 0\n"
 
 
 def test_balanced_lb_vs_robust_ordinal_report_is_pinned(capsys):
@@ -592,10 +593,10 @@ def test_oversized_gen_exits_2_before_making_sizes(capsys, monkeypatch, argv, me
 
 
 def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
-    def placements(m):
+    def run_stream(scheduler, sizes, m, k):
         raise MemoryError
 
-    monkeypatch.setattr(engine, "placements", placements)
+    monkeypatch.setattr(cli, "run_stream", run_stream)
     argv = ["run", "--algo", "round-robin", "--m", "3", "--k", "2", "--gen", "uniform", "--n", "4"]
     code, out, err = _run_cli(capsys, argv)
     _assert_one_line_exit_2(code, out, err)

@@ -10,6 +10,8 @@ from cardsched.constant import ConstantCompetitiveScheduler, _small_order, certi
 from cardsched.engine import StreamRunner, run_stream
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, round_down_pow2
 
+from reference_scans import check_invariants, rows_of_kind
+
 
 def _violations(trace):
     instance = instance_from_sizes(trace.sizes, trace.m, trace.k)
@@ -21,7 +23,7 @@ def _run_with_invariants(m, k, sizes):
     runner = StreamRunner(scheduler, m, k)
     for s in sizes:
         runner.push(s)
-        scheduler.check_invariants()
+        check_invariants(scheduler)
     return scheduler, runner.trace
 
 
@@ -42,10 +44,10 @@ def test_first_arrival_initializes_structure():
     assert snap.p_max == 4.0  # rounded down from 5
     assert snap.l == 12  # floor(2*log2(64))
     assert snap.active_k == 64
-    assert len(snap.rows_of_kind("free")) == 32
-    assert len(snap.rows_of_kind("small")) == 32 - 2 * 13
-    assert len(snap.rows_of_kind("pure")) == 13
-    assert len(snap.rows_of_kind("mixed")) == 13
+    assert len(rows_of_kind(snap, "free")) == 32
+    assert len(rows_of_kind(snap, "small")) == 32 - 2 * 13
+    assert len(rows_of_kind(snap, "pure")) == 13
+    assert len(rows_of_kind(snap, "mixed")) == 13
     # the first job lands in the group-0 pure/mixed pair
     occupied = [r for r in snap.rows if any(s is not None for s in r.slots)]
     assert len(occupied) == 1
@@ -69,7 +71,7 @@ def test_first_arrival_makes_only_the_pair_and_small_rows(monkeypatch, k):
     assert made == []
     scheduler.on_arrival(1.0)
     assert made == list(range(-(k // -2)))
-    scheduler.check_invariants()
+    check_invariants(scheduler)
 
 
 @pytest.mark.parametrize("k", [50, 51, 64, 99, 1000])
@@ -85,7 +87,7 @@ def test_init_small_rows_equal_the_insort_build(k):
     pairs = 2 * (scheduler.l + 1)
     assert [r.rid for r in small] == list(range(pairs, pairs + len(small)))
     assert all(r.kind == "small" and r.group is None for r in small)
-    scheduler.check_invariants()
+    check_invariants(scheduler)
 
 
 def test_full_equal_stream_completes_feasibly():
@@ -121,7 +123,7 @@ def test_pair_removal_decrements_active_k_by_two():
     # arrival fills both rows and triggers a pair removal
     for _ in range(2 * m):
         runner.push(2.0)
-        scheduler.check_invariants()
+        check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     assert snap.active_k == k - 2
     assert len(snap.removed_rows) == 2
@@ -134,7 +136,7 @@ def test_small_row_removal_decrements_active_k_by_one():
     runner.push(1024.0)  # group 0, sets p_max
     # tiny jobs land in small rows (i > l); each fills a 1-slot row at m=1
     runner.push(2.0 ** -10)
-    scheduler.check_invariants()
+    check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     assert snap.active_k == k - 1
     assert len(snap.removed_rows) == 1
@@ -157,7 +159,7 @@ def test_terminal_mode_freezes_and_finishes():
     runner = StreamRunner(scheduler, m, k)
     for _ in range(m * k):
         runner.push(8.0)
-        scheduler.check_invariants()
+        check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     assert snap.terminal
     assert snap.active_k <= 49
@@ -181,9 +183,7 @@ class _Stacker:
         self.m, self.k = m, k
 
     def on_arrival(self, size):
-        from cardsched.engine import SchedulerDecision
-
-        return SchedulerDecision(1)
+        return 1
 
 
 def test_certify_load_bound_flags_violations():
@@ -230,12 +230,12 @@ def test_leading_zero_builds_the_structure_and_sets_no_p_max():
     scheduler = ConstantCompetitiveScheduler(2, 64)
     runner = StreamRunner(scheduler, 2, 64)
     runner.push(0.0)
-    scheduler.check_invariants()
+    check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     assert snap.p_max is None and snap.l == 12
     assert [r.kind for r in snap.rows if any(s is not None for s in r.slots)] == ["small"]
     runner.push(5.0)
-    scheduler.check_invariants()
+    check_invariants(scheduler)
     assert scheduler.structure_snapshot().p_max == 4.0
     assert certify_load_bound(runner.trace) == []
 
@@ -256,7 +256,7 @@ def test_active_k_only_decreases_and_l_tracks():
             assert last_l - snap.l in (0, 1)
         last_active = snap.active_k
         last_l = snap.l
-        scheduler.check_invariants()
+        check_invariants(scheduler)
 
 
 def test_no_migrations_ever():
@@ -276,12 +276,12 @@ def test_full_merged_row_is_removed_immediately():
     runner = StreamRunner(scheduler, m, k)
     runner.push(4096.0)  # 2**12 sets p_max
     runner.push(1.0)  # group 12
-    scheduler.check_invariants()
+    check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     mixed12 = [r for r in snap.rows if r.kind == "mixed" and r.group == 12]
     assert mixed12[0].slots == (2,)
     runner.push(2.0**-13)
-    scheduler.check_invariants()
+    check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     assert scheduler.active_k == 62  # small-row removal plus full merged row
     assert snap.l == 11
@@ -290,7 +290,7 @@ def test_full_merged_row_is_removed_immediately():
     rng = random.Random(1)
     while runner.trace.n < m * k:
         runner.push(2.0 ** rng.randint(-13, 12))
-        scheduler.check_invariants()
+        check_invariants(scheduler)
     assert _violations(runner.trace) == []
     assert certify_load_bound(runner.trace) == []
 

@@ -28,7 +28,6 @@ from cardsched.engine import (
     PhiScheduler,
     RoundRobinScheduler,
     Scheduler,
-    SchedulerDecision,
     StreamRunner,
 )
 from cardsched.model import instance_from_sizes, loads
@@ -41,6 +40,7 @@ from reference_scans import (
     RefListSchedulingCapped,
     RefRobustOrdinal,
     RefStreamRunner,
+    check_invariants,
     ref_exact_opt,
 )
 
@@ -104,7 +104,7 @@ def test_greedy_capped_matches_scan(sizes, m, k):
 def test_greedy_capped_exhausted_raises_like_scan():
     for cls in (ListSchedulingCapped, RefListSchedulingCapped):
         sched = cls(2, 1)
-        assert [sched.on_arrival(1.0).machine for _ in range(2)] == [1, 2]
+        assert [sched.on_arrival(1.0) for _ in range(2)] == [1, 2]
         with pytest.raises(Exception) as err:
             sched.on_arrival(1.0)
         assert str(err.value) == "greedy-capped: all machines hold k jobs"
@@ -201,7 +201,7 @@ class _RandomMigrator(Scheduler):
                 self._put(job, dst)
         machine = self._pick()
         self._put(jid, machine)
-        return SchedulerDecision(machine, tuple(moves))
+        return machine, tuple(moves)
 
 
 @given(
@@ -271,7 +271,7 @@ class _ScriptedMoves(Scheduler):
 
     def on_arrival(self, size):
         self._i += 1
-        return SchedulerDecision(self.machines[self._i - 1], self.moves.get(self._i, ()))
+        return self.machines[self._i - 1], self.moves.get(self._i, ())
 
 
 def test_scripted_moves_match_scan():
@@ -283,6 +283,25 @@ def test_scripted_moves_match_scan():
     assert runner._jobs == [[1, 7], [5, 6, 8], [2, 3, 4]]
 
 
+class _MaxMachineLosesJob(_ScriptedMoves):
+    """Arrival 5 moves job 4 off machine 1, which held the makespan, so the makespan
+    falls to untouched machine 3's load; arrival 8 moves jobs off no makespan machine."""
+
+    machines = (1, 2, 3, 1, 2, 1, 1, 2)
+    moves = {5: ((4, 1, 2),), 7: ((1, 1, 3),), 8: ((2, 2, 1),)}
+
+
+def test_makespan_falls_when_its_machine_loses_a_job():
+    sizes = [5.0, 3.0, 8.0, 4.0, 0.5, 1.0, 0.25, 0.1]
+    runner, ref, errors = _replay(_MaxMachineLosesJob(), _MaxMachineLosesJob(), sizes, 3, 4)
+    assert errors == [None, None]
+    _assert_same(runner, ref)
+    assert list(runner.trace.makespans) == [5.0, 5.0, 8.0, 9.0, 8.0, 8.0, 13.0, 13.0]
+    whole = StreamRunner(_MaxMachineLosesJob(), 3, 4)
+    whole.feed(sizes)  # one feed call: the running makespan never leaves its local
+    assert whole.trace.makespans == runner.trace.makespans
+
+
 def test_cap_violation_names_lowest_touched_machine():
     class TwoOver(Scheduler):
         m, k = 4, 1
@@ -290,8 +309,8 @@ def test_cap_violation_names_lowest_touched_machine():
         def on_arrival(self, size):
             # job 4 lands on machine 2 while job 1 moves onto machine 3: both over the cap
             if size == 4.0:
-                return SchedulerDecision(2, ((1, 1, 3),))
-            return SchedulerDecision(int(size))
+                return 2, ((1, 1, 3),)
+            return int(size)
 
     for runner_cls in (StreamRunner, RefStreamRunner):
         runner = runner_cls(TwoOver(), 4, 1)
@@ -323,21 +342,21 @@ def _with_zeros(rng: random.Random, sizes: list[float], share: float) -> list[fl
 _zeros = st.sampled_from([0.0, 0.0, 0.3, 1.0])  # no zeros in half the draws
 
 
-def _replay_constant(m, k, sizes, check_invariants=False):
+def _replay_constant(m, k, sizes, checked=False):
     """Replay through both runners; optionally check the structure after every arrival.
 
-    The check runs check_invariants() and holds each machine's bucket in the
+    The check runs check_invariants and holds each machine's bucket in the
     shared (count, machine) order to the reference's count of its jobs, and
     the slots to the reference's.
     """
-    if check_invariants:
+    if checked:
         scheduler = ConstantCompetitiveScheduler(m, k)
         runner = StreamRunner(scheduler, m, k)
         ref = RefStreamRunner(RefConstantScheduler(m, k), m, k)
         for s in sizes:
             runner.push(s)
             ref.push(s)
-            scheduler.check_invariants()
+            check_invariants(scheduler)
             bucket_of = {mi: c for c, b in enumerate(scheduler._buckets) for mi in b}
             assert bucket_of == dict(enumerate(ref.scheduler.counts))
             assert scheduler.structure_snapshot() == ref.scheduler.structure_snapshot()
@@ -393,7 +412,7 @@ def test_constant_invariants_hold_after_every_live_and_terminal_arrival():
         fill = 1.0 if seed % 2 else 0.1
         sizes = _constant_sizes(rng, int(fill * m * k))
         for stream in (sizes, _with_zeros(rng, sizes, 0.5)):
-            scheduler = _replay_constant(m, k, stream, check_invariants=True)
+            scheduler = _replay_constant(m, k, stream, checked=True)
             modes.add(("terminal" if scheduler.terminal else "live", 0.0 in stream))
     assert modes == {(mode, zeros) for mode in ("live", "terminal") for zeros in (False, True)}
 

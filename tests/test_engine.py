@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cardsched import engine
 from cardsched.cli import SCHEDULERS
+from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.engine import (
     PHI,
     ContractViolation,
@@ -13,7 +15,6 @@ from cardsched.engine import (
     PhiScheduler,
     RoundRobinScheduler,
     Scheduler,
-    SchedulerDecision,
     StreamRunner,
     competitive_metrics,
     migration_stats,
@@ -56,9 +57,11 @@ def test_int_sizes_are_recorded_as_fed_and_sum_as_floats(key):
 def test_run_stream_guards_capacity_before_dispatch():
     # the runner refuses arrival m*k + 1 before the scheduler sees it
     scheduler = RoundRobinScheduler(2, 1)
+    calls, inner = [], scheduler.on_arrival
+    scheduler.on_arrival = lambda size: calls.append(size) or inner(size)
     with pytest.raises(InfeasibleError, match="capacity m\\*k = 2"):
         run_stream(scheduler, [1, 1, 1], 2, 1)
-    assert scheduler._i == 2
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, -1.0])
@@ -102,11 +105,32 @@ def test_runner_keeps_its_makespan_after_a_refused_size():
     assert list(runner.trace.makespans) == [5.0, 5.0]
 
 
-def test_never_migrating_schedulers_reuse_their_decisions():
-    for scheduler in (RoundRobinScheduler(3, 4), ListSchedulingCapped(3, 4)):
-        decisions = [scheduler.on_arrival(1.0) for _ in range(6)]
-        assert [d.machine for d in decisions] == [1, 2, 3, 1, 2, 3]
-        assert decisions[0] is decisions[3] and not decisions[0].moves
+@pytest.mark.parametrize(
+    "make",
+    [
+        partial(RoundRobinScheduler, 10**6, 1),
+        partial(ConstantCompetitiveScheduler, 10**6, 60),
+        PhiScheduler,
+    ],
+    ids=["round-robin", "constant", "phi"],
+)
+def test_never_migrating_schedulers_build_nothing_per_machine(make):
+    # a decision is a machine int, so no scheduler prebuilds one per machine
+    tracemalloc.start()
+    try:
+        make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_round_robin_hands_out_the_same_ints_after_its_first_lap():
+    # machines above 256 are not cached ints; a trace then holds m of them, not n
+    scheduler = RoundRobinScheduler(300, 2)
+    machines = [scheduler.on_arrival(1.0) for _ in range(600)]
+    assert machines == [*range(1, 301)] * 2
+    assert all(a is b for a, b in zip(machines[:300], machines[300:]))
 
 
 class _CheatingScheduler(Scheduler):
@@ -116,7 +140,7 @@ class _CheatingScheduler(Scheduler):
         self.m, self.k = m, k
 
     def on_arrival(self, size):
-        return SchedulerDecision(1)
+        return 1
 
 
 def test_run_stream_detects_cap_violation():
@@ -126,7 +150,8 @@ def test_run_stream_detects_cap_violation():
 
 
 class _Scripted(Scheduler):
-    """Job 1 goes to machine 1; job 2 goes to machine 2 with the given moves."""
+    """Job 1 goes to machine 1, as a pair with no moves (a plain placement);
+    job 2 goes to machine 2 with the given moves."""
 
     def __init__(self, moves):
         self.m = self.k = 2
@@ -135,7 +160,13 @@ class _Scripted(Scheduler):
 
     def on_arrival(self, size):
         self._i += 1
-        return SchedulerDecision(1) if self._i == 1 else SchedulerDecision(2, self._moves)
+        return (1, ()) if self._i == 1 else (2, self._moves)
+
+
+def test_a_pair_with_no_moves_is_a_plain_placement():
+    trace = run_stream(_Scripted(()), [1.0, 2.0], 2, 2)
+    assert list(trace.machines) == [1, 2] and trace.migrations == {}
+    assert list(trace.makespans) == [1.0, 2.0]
 
 
 def test_run_stream_rejects_inconsistent_moves():
@@ -157,9 +188,9 @@ def test_runner_refuses_move_to_invalid_machine(dst):
 
 def test_round_robin_examples():
     sched = RoundRobinScheduler(2, 2)
-    assert [sched.on_arrival(1.0).machine for _ in range(4)] == [1, 2, 1, 2]
+    assert [sched.on_arrival(1.0) for _ in range(4)] == [1, 2, 1, 2]
     sched3 = RoundRobinScheduler(3, 2)
-    machines = [sched3.on_arrival(1.0).machine for _ in range(4)]
+    machines = [sched3.on_arrival(1.0) for _ in range(4)]
     assert machines[3] == 1
     # the runner, not the scheduler, refuses the arrival past m*k
     full = StreamRunner(RoundRobinScheduler(1, 2), 1, 2)
@@ -305,8 +336,8 @@ def test_migration_stats_quotient():
         def on_arrival(self, size):
             # job 2 (size 2) lands on machine 2 and moves job 1 (size 3) there too
             if size == 2.0:
-                return SchedulerDecision(2, ((1, 1, 2),))
-            return SchedulerDecision(1)
+                return 2, ((1, 1, 2),)
+            return 1
 
     trace = run_stream(MoveOnSecond(), [3.0, 2.0], 2, 2)
     assert trace.migration(2).moved_size == 3.0

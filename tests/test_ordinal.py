@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, makespan
 from cardsched.oracle import exact_opt
-from cardsched.ordinal import iota, ordinal_map, ordinal_schedule
+from cardsched.ordinal import ordinal_map, ordinal_schedule
+from reference_scans import iota
 
 
 def test_borders_power_of_two():

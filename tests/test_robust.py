@@ -65,7 +65,7 @@ def test_rejects_bad_eps_and_sizes():
             RobustOrdinalScheduler(2, 2, eps)
     # a zero is accepted: it joins the bottom class and moves nothing
     decision = RobustOrdinalScheduler(2, 2, 1.0).on_arrival(0.0)
-    assert decision.machine == 1 and decision.moves == ()
+    assert decision == (1, ())
 
 
 @given(st.sampled_from([1.0, 0.5, 0.25]), st.integers(1, 4), st.randoms(use_true_random=False))

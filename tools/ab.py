@@ -12,7 +12,7 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  The 12
+A side whose outputs differ between its own runs fails the case.  The 13
 cases:
 
 - `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
@@ -26,6 +26,11 @@ cases:
   error exits) through in-process `cli.main` calls (`ops_s`); outputs: the
   exit codes and `reports_sha256`, over each report's perfbench digest and
   its stderr.
+- `startup`: a five-job `run --gen uniform --n 5 --mode lower-bound` per
+  `--algo` key but phi, at m = 10**6 and k = 1 (constant at k = 60), through
+  in-process `cli.main` calls, the ordinal map's cache cleared before each
+  as in a fresh process (`ops_s`, and `<key>_s` per key); outputs: the exit
+  codes and `reports_sha256`, over each report's perfbench digest.
 - `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
   traces of oracle-exact's two exact-mode streams, what `run --mode exact`
   meters; outputs: the denominators and a digest of the prefix-max ratios.
@@ -160,6 +165,37 @@ def cli_reports() -> dict:
         "ops_s": ops_s,
         "exit_codes": codes,
         "reports_sha256": hashlib.sha256("\n".join(map(str, parts)).encode()).hexdigest(),
+    }
+
+
+STARTUP_ALGOS = ("round-robin", "greedy-capped", "constant", "robust-ordinal", "ordinal")
+
+
+def startup() -> dict:
+    """Five-job runs at m = 10**6, one per --algo key but phi: what a run pays before its jobs."""
+    from cardsched import cli
+    from cardsched.ordinal import ordinal_map
+
+    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
+    os.chdir(tmp.name)
+    try:
+        out, codes, digests = {}, [], []
+        for algo in STARTUP_ALGOS:
+            k = 60 if algo == "constant" else 1
+            argv = f"run --algo {algo} --m {10**6} --k {k} --gen uniform --n 5 --mode lower-bound"
+            ordinal_map.cache_clear()  # each key builds its own map, as in a fresh process
+            t0 = time.perf_counter()
+            codes.append(cli.main([*argv.split(), "--out", "report.json"]))
+            out[f"{algo}_s"] = time.perf_counter() - t0
+            digests.append(digest(Path("report.json").read_bytes()))
+    finally:  # never leave the worker inside a deleted directory
+        os.chdir(cwd)
+        tmp.cleanup()
+    return {
+        "ops_s": sum(out.values()),
+        **out,
+        "exit_codes": codes,
+        "reports_sha256": hashlib.sha256("\n".join(digests).encode()).hexdigest(),
     }
 
 
@@ -298,6 +334,7 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
 CASES = {
     **{f"workload-{name}": partial(workload_case, name) for name in WORKLOADS},
     "cli-reports": cli_reports,
+    "startup": startup,
     "exact-metering": exact_metering,
     "worst": worst,
     "run-stream-rr": run_stream_rr,
