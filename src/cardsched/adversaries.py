@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional
 
 from .engine import PHI, Scheduler, StreamRunner
@@ -98,8 +98,10 @@ def balanced_lb_drive(
     is at least 1 and never overstates the scheduler's true ratio.
 
     The sizes come from a generator that the runner drains, reading each
-    placement from `trace.machines[-1]`; it sets `note` when it stops early
-    (capacity exhausted, a round over `round_cap` jobs, or a size overflow).
+    placement from `trace.machines[-1]` and counting the runner's m*k
+    capacity down in a local; it sets `note` when it stops early: capacity
+    exhausted, which takes precedence, else a round over `round_cap` jobs or
+    a size overflow.
     Every round deals from one table of the powers `N**ell`, built before
     the first job, so the trace's size column shares its float objects.
     """
@@ -125,18 +127,20 @@ def balanced_lb_drive(
     def sizes():
         # the runner draws the next size only after placing the last one
         nonlocal note
-        machines, capacity = drive.trace.machines, m * k
+        machines, left = drive.trace.machines, m * k  # left: the runner's capacity to go
+        exhausted = "unbounded-evidence: scheduler capacity exhausted before k rounds"
         for _ in range(k):
-            for size in chain(powers, (None,)):
-                if len(machines) >= capacity:
-                    note = "unbounded-evidence: scheduler capacity exhausted before k rounds"
-                    return
-                if size is None:
-                    note = end
+            for size in powers:
+                if not left:
+                    note = exhausted
                     return
                 yield size
+                left -= 1
                 if machines[-1] == 1:
                     break
+            else:  # the round dealt every power; exhausted capacity still comes first
+                note = end if left else exhausted
+                return
 
     drive.feed(sizes())
     opt = sorted_round_robin_makespan(drive.trace.sizes, m)

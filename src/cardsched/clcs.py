@@ -28,8 +28,9 @@ class GreedyClcsScheduler:
         self._bound = [0] * m
 
     def on_arrival(self, size: float, cls: int) -> int:
-        machine = self._machine_of_class.get(cls)
-        if machine is None:
+        try:
+            return self._machine_of_class[cls]  # a bound class: one lookup
+        except KeyError:
             best = None
             for mi in range(self.m):
                 if self._bound[mi] >= self.k:
@@ -37,10 +38,10 @@ class GreedyClcsScheduler:
                 if best is None or self._bound[mi] < self._bound[best]:
                     best = mi
             if best is None:
-                raise InfeasibleError("all machines already host k classes")
+                raise InfeasibleError("all machines already host k classes") from None
             self._bound[best] += 1
             machine = self._machine_of_class[cls] = best + 1
-        return machine
+            return machine
 
 
 def clcs_makespan(loads, speeds) -> float:

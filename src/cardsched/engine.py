@@ -16,6 +16,7 @@ import sys
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, truediv
 
@@ -62,19 +63,21 @@ class StreamRunner:
     job limit).  `feed` is the one arrival loop; `push` is its one-job case.
     Run whole streams through `feed`: its hot state lives in locals, so an
     arrival costs a scheduler call plus a fixed handful of checks and column
-    appends (0.25 us per arrival on pure-lb vs round-robin, the scheduler's
-    own time excluded, CPython 3.11 on a shared 2-vCPU host; `BENCH_20.json`).
+    appends (about 0.25 us per arrival on pure-lb vs round-robin, the
+    scheduler's own time excluded, and 0.04 us for round-robin's decision, a
+    C call; CPython 3.11 on a shared 2-vCPU host, `BENCH_23.json`).
     The size, machine and class columns are lists of the fed objects, so a
     size is recorded as fed (an int stays an int); every sum starts from
     0.0, so loads and makespans come out as for the same sizes as floats.
     One feasibility rule is checked on every machine an arrival touches: at
     most k jobs per machine, or, for a classed runner, at most k distinct
-    job classes per machine.  An arrival costs O(1), plus a re-sum of each
-    machine a migration touches.  The job -> machine array and the
-    per-machine job lists that migrations need are built on the first
-    arrival that moves jobs.  Each list stays ascending (an arrival appends
-    the largest id, a move bisects), so a re-sum adds in job-id order
-    without sorting.
+    job classes per machine; a job whose class its machine already hosts
+    costs one set lookup, and only a new class is added and counted.  An
+    arrival costs O(1), plus a re-sum of each machine a migration touches.
+    The job -> machine array and the per-machine job lists that migrations
+    need are built on the first arrival that moves jobs.  Each list stays
+    ascending (an arrival appends the largest id, a move bisects), so a
+    re-sum adds in job-id order without sorting.
     """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
@@ -115,7 +118,8 @@ class StreamRunner:
         so an adaptive adversary can be a generator that reads the trace
         between its yields.  An arrival is refused before its scheduler call
         if the stream is over capacity, its size is not finite and >= 0, or
-        its class is not in [1, 2**63 - 1].  Such a refusal, a scheduler
+        its class is missing (`classes` ran out before `sizes`) or not in
+        [1, 2**63 - 1], checked in that order.  Such a refusal, a scheduler
         error or a machine out of range leaves the runner as it was after the
         last applied arrival, running makespan included, so the stream can go
         on; a ContractViolation on the machines an arrival touches leaves that
@@ -143,7 +147,10 @@ class StreamRunner:
                 if not 0.0 <= size <= max_size:  # also rejects NaN
                     raise ValueError(f"job size must be finite and >= 0, got {size}")
                 if classed:
-                    cls = next_class()
+                    try:
+                        cls = next_class()
+                    except StopIteration:
+                        raise ValueError(f"arrival {jid} has a size but no class") from None
                     if not 1 <= cls <= max_class:
                         raise ValueError(f"job class must be in [1, 2**63 - 1], got {cls}")
                     machine = on_arrival(size, cls)
@@ -161,8 +168,11 @@ class StreamRunner:
                 if classed:
                     classes_col.append(cls)
                     hosted = class_sets[mi]
-                    hosted.add(cls)
-                    used = len(hosted)
+                    if cls in hosted:
+                        used = 0  # a hosted class adds nothing to check
+                    else:
+                        hosted.add(cls)
+                        used = len(hosted)
                 if moves:
                     self._migrate(jid, machine, moves)
                     where, jobs, makespan = self._where, self._jobs, self._makespan
@@ -323,11 +333,10 @@ class RoundRobinScheduler(Scheduler):
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        # after the first lap the cycle hands out the same int objects again
-        self._next = cycle(range(1, m + 1)).__next__
-
-    def on_arrival(self, size: float) -> int:
-        return self._next()
+        # a decision is a C call: the size fills next's default, which the
+        # endless cycle never returns; after the first lap the cycle hands
+        # out the same int objects again
+        self.on_arrival = partial(next, cycle(range(1, m + 1)))
 
 
 class ListSchedulingCapped(Scheduler):

@@ -3,9 +3,9 @@
 Each reference keeps the straightforward code that the indexed version must
 match decision for decision and bit for bit: the stream runner that scans
 every machine per arrival, the adversaries' and ClCS's former runners,
-capped greedy as a linear scan, a standalone constant scheduler that
-chooses every machine and row by a scan (slots allocated up front), the
-robust-ordinal scheduler that
+greedy ClCS class pinning by a `.get` and a scan, capped greedy as a
+linear scan, a standalone constant scheduler that chooses every machine and
+row by a scan (slots allocated up front), the robust-ordinal scheduler that
 diffs a job -> machine map over all jobs before and after each resort, and
 the exact oracle (with the sorted round-robin schedule it starts from) that
 re-sums the free slots and rescans every machine's slot-forcing bound at
@@ -223,6 +223,30 @@ class RefClassedDrive:
         self.classes.append(cls)
         self.machines.append(machine)
         self.loads[machine - 1] += size
+        return machine
+
+
+class RefGreedyClcs:
+    """Greedy class pinning with a `.get` per arrival and a scan per new class."""
+
+    def __init__(self, m: int, k: int):
+        self.m, self.k = m, k
+        self._machine_of_class: dict[int, int] = {}
+        self._bound = [0] * m
+
+    def on_arrival(self, size: float, cls: int) -> int:
+        machine = self._machine_of_class.get(cls)
+        if machine is None:
+            best = None
+            for mi in range(self.m):
+                if self._bound[mi] >= self.k:
+                    continue
+                if best is None or self._bound[mi] < self._bound[best]:
+                    best = mi
+            if best is None:
+                raise InfeasibleError("all machines already host k classes")
+            self._bound[best] += 1
+            machine = self._machine_of_class[cls] = best + 1
         return machine
 
 

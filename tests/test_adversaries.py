@@ -197,6 +197,17 @@ def test_balanced_lb_capacity_exhausted_exit():
     check_report(report)
 
 
+def test_balanced_lb_capacity_note_wins_when_the_powers_run_out_with_it():
+    # round_cap = 4: the fourth job uses the last power and the last slot of m*k = 4
+    report = balanced_lb_drive(_MovesOntoMachineOne(), 2, 2, 2, 4)
+    assert report.note == "unbounded-evidence: scheduler capacity exhausted before k rounds"
+    assert list(report.sizes) == [1.0, 2.0, 4.0, 8.0]
+    # one power fewer ends the round first
+    report = balanced_lb_drive(_MovesOntoMachineOne(), 2, 2, 2, 3)
+    assert report.note == "unbounded-evidence: round exceeded cap of 3 jobs"
+    assert list(report.sizes) == [1.0, 2.0, 4.0]
+
+
 def test_balanced_lb_preconditions():
     with pytest.raises(ValueError):
         balanced_lb_drive(RoundRobinScheduler(2, 2), 2, 2, 1, 10)

@@ -79,6 +79,19 @@ def test_classed_runner_refuses_a_class_before_the_scheduler_sees_it(cls):
     assert list(runner.trace.machines) == [1, 2]
 
 
+def test_classed_feed_refuses_a_size_without_a_class():
+    scheduler = GreedyClcsScheduler(2, 2)
+    runner = StreamRunner(scheduler, 2, 2, classed=True)
+    with pytest.raises(ValueError, match="^arrival 2 has a size but no class$"):
+        runner.feed([1.0, 2.0], [1])
+    # as after job 1, so the stream can go on
+    assert runner.n == 1 and list(runner.classes) == [1] and runner.class_sets == [{1}, set()]
+    assert list(runner.trace.makespans) == [1.0] and scheduler._bound == [1, 0]
+    runner.push(3.0, 2)
+    assert list(runner.trace.machines) == [1, 2]
+    assert list(runner.trace.makespans) == [1.0, 3.0]
+
+
 def test_clcs_exact_examples():
     # one class may appear on many machines: k restricts distinct classes
     assert clcs_exact([(1.0, 1)] * 3, 3, 1) == 1.0

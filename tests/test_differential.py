@@ -30,13 +30,14 @@ from cardsched.engine import (
     Scheduler,
     StreamRunner,
 )
-from cardsched.model import instance_from_sizes, loads
+from cardsched.model import InfeasibleError, instance_from_sizes, loads
 from cardsched.oracle import branch_and_bound, exact_opt, exit_target, lower_bound, opt_makespan
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
     RefClassedDrive,
     RefConstantScheduler,
     RefDrive,
+    RefGreedyClcs,
     RefListSchedulingCapped,
     RefRobustOrdinal,
     RefStreamRunner,
@@ -519,6 +520,37 @@ def test_greedy_clcs_matches_former_classed_drive(jobs, m, k, speeds):
     assert runner.class_sets == ref.class_sets
     assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
     assert repr(clcs_makespan(runner.loads, speeds)) == repr(ref.makespan)
+
+
+@st.composite
+def _class_streams(draw):
+    """(m, k, classes): revisits of bound classes mixed with every class 1..m*k + 1."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    revisits = draw(st.lists(st.integers(1, m * k + 1), max_size=40))
+    return m, k, draw(st.permutations(revisits + list(range(1, m * k + 2))))
+
+
+def _clcs_decisions(scheduler, classes):
+    """Each arrival's machine, up to and including the message of a refusal."""
+    out = []
+    for i, cls in enumerate(classes, start=1):
+        try:
+            out.append(scheduler.on_arrival(float(i), cls))
+        except InfeasibleError as exc:
+            out.append(str(exc))
+            break
+    return out
+
+
+@given(_class_streams())
+@settings(max_examples=150, deadline=None)
+def test_greedy_clcs_decisions_match_reference(case):
+    m, k, classes = case
+    got = _clcs_decisions(GreedyClcsScheduler(m, k), classes)
+    assert got == _clcs_decisions(RefGreedyClcs(m, k), classes)
+    # the m*k + 1st distinct class finds every slot bound
+    assert got[-1] == "all machines already host k classes"
+    assert len(set(classes[: len(got) - 1])) == m * k
 
 
 class _Classless:

@@ -127,10 +127,15 @@ def test_never_migrating_schedulers_build_nothing_per_machine(make):
 
 def test_round_robin_hands_out_the_same_ints_after_its_first_lap():
     # machines above 256 are not cached ints; a trace then holds m of them, not n
-    scheduler = RoundRobinScheduler(300, 2)
-    machines = [scheduler.on_arrival(1.0) for _ in range(600)]
-    assert machines == [*range(1, 301)] * 2
-    assert all(a is b for a, b in zip(machines[:300], machines[300:]))
+    trace = run_stream(RoundRobinScheduler(300, 3), [1.0] * 900, 300, 3)
+    assert trace.machines == [*range(1, 301)] * 3
+    assert len({id(x) for x in trace.machines}) == 300
+    # the size is never read
+    laps = []
+    for size in (0.0, 1e308, 7):
+        scheduler = RoundRobinScheduler(300, 3)
+        laps.append([scheduler.on_arrival(size) for _ in range(600)])
+    assert laps[0] == laps[1] == laps[2] == [*range(1, 301)] * 2
 
 
 class _CheatingScheduler(Scheduler):
