@@ -160,12 +160,12 @@ def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
     drive = StreamRunner(scheduler, 2, 2)
     drive.push(float(M))
     drive.push(1.0)
-    if drive.machine_of(1) == drive.machine_of(2):
+    placed = drive.trace.final_schedule()
+    if placed[1] == placed[2]:
         drive.push(float(M) * M)
         drive.push(float(M) * M)
         return drive_report(drive, "phi-lb", M + M * M, "analytic")
-    drive.push((PHI - 1.0) * M)
-    if drive.machine_of(3) == drive.machine_of(1):
+    if drive.push((PHI - 1.0) * M) == drive.trace.final_schedule()[1]:
         drive.push(1.0)
         return drive_report(drive, "phi-lb", M + 1.0, "analytic")
     drive.push(PHI * M)
@@ -185,8 +185,8 @@ def robust_lb_drive(scheduler: Scheduler, m: int, k: int) -> AdversaryReport:
     drive.feed([6.0, 6.0, 6.0, 9.0, 9.0] + [X] * (m - 2))
 
     per_machine: list[list[float]] = [[] for _ in range(m)]
-    for jid in range(1, drive.n + 1):
-        per_machine[drive.machine_of(jid) - 1].append(drive.trace.sizes[jid - 1])
+    for jid, machine in drive.trace.final_schedule().items():
+        per_machine[machine - 1].append(drive.trace.sizes[jid - 1])
     arrangement = sorted(tuple(sorted(sz)) for sz in per_machine)
     canonical = sorted([(6.0, 6.0, 6.0), (9.0, 9.0)] + [(X,)] * (m - 2))
     if arrangement != canonical:

@@ -49,7 +49,7 @@ from .robust import RobustOrdinalScheduler
 
 SCHEMA_VERSION = 1
 TRANSCRIPT_LIMIT = 10000
-MAX_MACHINES = 2**31 - 1  # the widest machine the runner's job -> machine array("i") holds
+MAX_MACHINES = 2**31 - 1  # the most machines a run takes; every run sizes loads and counts by m
 # online scheduler key -> constructor(m, k, epsilon)
 SCHEDULERS = {
     "round-robin": lambda m, k, eps: RoundRobinScheduler(m, k),

@@ -13,8 +13,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from array import array
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, cycle, islice, repeat
@@ -74,10 +74,14 @@ class StreamRunner:
     job classes per machine; a job whose class its machine already hosts
     costs one set lookup, and only a new class is added and counted.  An
     arrival costs O(1), plus a re-sum of each machine a migration touches.
-    The job -> machine array and the per-machine job lists that migrations
-    need are built on the first arrival that moves jobs.  Each list stays
-    ascending (an arrival appends the largest id, a move bisects), so a
-    re-sum adds in job-id order without sorting.
+    The per-machine job lists that migrations need are built on the first
+    arrival that moves jobs, from the trace's machine column: O(n), and a
+    list only for a machine that has held a job.  Each list stays ascending
+    (an arrival appends the largest id, a move bisects, which also checks
+    that the job is on its source), so a re-sum adds in job-id order
+    without sorting.  The new makespan comes from the machines a migration
+    touches; only when one of them held the makespan and all of them fell
+    below it are all m loads scanned.
     """
 
     def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
@@ -93,17 +97,14 @@ class StreamRunner:
         # ClCS only: the class of every job (the caller's ints) and the classes each machine hosts
         self.classes: list[int] | None = [] if classed else None
         self.class_sets: list[set[int]] | None = [set() for _ in range(m)] if classed else None
-        self._where: array | None = None  # current machine per job, once a job moved
-        self._jobs: list[list[int]] = []  # ascending job ids per machine, once a job moved
-        self._makespan = 0.0
+        # machine -> its ascending job ids, from the first arrival that moves jobs
+        # on; only machines that have held a job have a list
+        self._jobs: defaultdict[int, list[int]] | None = None
+        self._makespan = 0.0  # max(loads), as of the last applied arrival
 
     @property
     def n(self) -> int:
         return len(self.trace.sizes)
-
-    def machine_of(self, jid: int) -> int:
-        where = self.trace.machines if self._where is None else self._where
-        return where[jid - 1]
 
     def push(self, size: float, cls: int | None = None) -> int:
         """Apply one arrival (with its class on a classed runner); returns its machine."""
@@ -133,7 +134,7 @@ class StreamRunner:
         append_makespan = trace.makespans.append
         counts, loads, on_arrival = self.counts, self.loads, self.scheduler.on_arrival
         m, k, capacity, max_size = self.m, self.k, self._capacity, _MAX_SIZE
-        where, jobs = self._where, self._jobs
+        jobs = self._jobs
         if classed:
             next_class, classes_col = iter(classes).__next__, self.classes
             class_sets, max_class = self.class_sets, _MAX_CLASS
@@ -174,12 +175,11 @@ class StreamRunner:
                         hosted.add(cls)
                         used = len(hosted)
                 if moves:
-                    self._migrate(jid, machine, moves)
-                    where, jobs, makespan = self._where, self._jobs, self._makespan
+                    makespan = self._migrate(jid, machine, moves, makespan)
+                    jobs = self._jobs
                 else:
-                    if where is not None:
-                        where.append(machine)
-                        jobs[mi].append(jid)
+                    if jobs is not None:
+                        jobs[machine].append(jid)
                     if used > k:
                         self._check(jid, (machine,))
                     load = loads[mi] = loads[mi] + size
@@ -199,32 +199,32 @@ class StreamRunner:
                 c = self.counts[mi - 1]
                 raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
 
-    def _migrate(self, jid: int, machine: int, moves) -> None:
-        """Check, apply and price the moves of arrival `jid`; re-sum the machines they touch."""
-        if self._where is None:
-            self._where = array("i", self.trace.machines)
-            self._jobs = [[] for _ in range(self.m)]
-            for j, mi in enumerate(self._where, start=1):
-                self._jobs[mi - 1].append(j)
+    def _migrate(self, jid: int, machine: int, moves, makespan: float) -> float:
+        """Check, apply and price the moves of arrival `jid`; re-sum the machines they
+        touch and return the new makespan, given the one before the arrival."""
+        jobs = self._jobs
+        if jobs is None:  # the first migration: O(n), and no list for an empty machine
+            jobs = self._jobs = defaultdict(list)
+            for j, mi in enumerate(self.trace.machines, start=1):
+                jobs[mi].append(j)
         else:
-            self._where.append(machine)
-            self._jobs[machine - 1].append(jid)
-        where, jobs, counts, sizes = self._where, self._jobs, self.counts, self.trace.sizes
+            jobs[machine].append(jid)
+        counts, sizes, m = self.counts, self.trace.sizes, self.m
         moved_size = 0.0
         touched = {machine}
         for job, src, dst in moves:
             if job == jid:
                 raise ContractViolation(jid, "trigger job listed in its own migrations")
-            if not 1 <= job < jid or where[job - 1] != src:
+            held = jobs.get(src, ())  # `.get`: a refused move adds no list
+            i = bisect_left(held, job)
+            if i == len(held) or held[i] != job:
                 raise ContractViolation(
                     jid, f"move of job {job} from machine {src} does not match schedule"
                 )
-            if not 1 <= dst <= self.m or dst == src:
+            if not 1 <= dst <= m or dst == src:
                 raise ContractViolation(jid, f"move of job {job} to invalid machine {dst}")
-            where[job - 1] = dst
-            held = jobs[src - 1]
-            del held[bisect_left(held, job)]  # held: where[job - 1] was src
-            insort(jobs[dst - 1], job)
+            del held[i]
+            insort(jobs[dst], job)
             counts[src - 1] -= 1
             counts[dst - 1] += 1
             moved_size += sizes[job - 1]
@@ -233,17 +233,28 @@ class StreamRunner:
         touched = sorted(touched)  # ascending: the lowest violator is named
         if self.classes is not None:  # a move may take a class's last job off a machine
             for mi in touched:
-                self.class_sets[mi - 1] = {self.classes[j - 1] for j in jobs[mi - 1]}
+                self.class_sets[mi - 1] = {self.classes[j - 1] for j in jobs[mi]}
         self._check(jid, touched)
+        loads = self.loads
+        top = 0.0  # the largest touched load
+        had_makespan = False
         for mi in touched:
             # drift-free: re-add the machine's sizes in job-id order from 0.0,
             # the same sums an unmoved machine accumulates
             load = 0.0
-            for j in jobs[mi - 1]:
+            for j in jobs[mi]:
                 load += sizes[j - 1]
-            self.loads[mi - 1] = load
-        self._makespan = max(self.loads)
+            if loads[mi - 1] == makespan:
+                had_makespan = True
+            loads[mi - 1] = load
+            if load > top:
+                top = load
         self.trace.migrations[jid] = MigrationRecord(jid, tuple(moves), moved_size)
+        # the makespan was max(loads) and no untouched load changed, so only a
+        # makespan machine whose touched loads all fell below it needs a scan
+        if top >= makespan:
+            return top
+        return max(loads) if had_makespan else makespan
 
 
 def run_stream(scheduler: Scheduler, sizes, m: int, k: int) -> Trace:

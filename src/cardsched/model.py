@@ -186,21 +186,52 @@ def power(base: float, exponent: int) -> float:
     return result
 
 
-def round_up_geometric(size: float, eps: float) -> tuple[float, int]:
-    """Smallest integer power of (1+eps) >= size, as (value, exponent).
+class GeometricClasses:
+    """Size classes of one eps: a size rounds up to the smallest integer power of (1+eps) >= it.
 
     The exponent is found from a log estimate and then corrected by neighbor
     comparison on the lifted powers themselves, so two equal sizes always land
-    in the same class even at class boundaries.
+    in the same class even at class boundaries.  The two powers that bound
+    each class found are kept, so a size whose estimate lands in a known
+    class costs a log and two dict lookups; only a new class walks, lifting
+    each power it compares afresh, and adds two entries.
     """
+
+    def __init__(self, eps: float):
+        if not (eps > 0) or not math.isfinite(eps) or 1.0 + eps == 1.0:
+            raise ValueError(f"eps must be positive, finite and make 1 + eps > 1, got {eps}")
+        self._base = 1.0 + eps
+        self._log_base = math.log(1.0 + eps)
+        self._powers: dict[int, float] = {}  # e -> power(1 + eps, e), known classes' bounds
+
+    def exponent(self, size: float) -> int:
+        """The class of `size`: the exponent of its rounded-up power of (1+eps)."""
+        if not (size > 0) or not math.isfinite(size):
+            raise ValueError(f"size must be positive and finite, got {size}")
+        powers = self._powers
+        e = math.ceil(math.log(size) / self._log_base - 1e-12)
+        try:
+            if powers[e] >= size > powers[e - 1]:  # neither correction loop would step
+                return e
+        except KeyError:
+            pass
+        base = self._base
+        while power(base, e) < size:
+            e += 1
+        while power(base, e - 1) >= size:
+            e -= 1
+        powers[e], powers[e - 1] = power(base, e), power(base, e - 1)
+        return e
+
+    def round_up(self, size: float) -> tuple[float, int]:
+        """Smallest integer power of (1+eps) >= size, as (value, exponent)."""
+        e = self.exponent(size)
+        return self._powers[e], e
+
+
+def round_up_geometric(size: float, eps: float) -> tuple[float, int]:
+    """Smallest integer power of (1+eps) >= size, as (value, exponent), by a fresh
+    GeometricClasses: the size is checked before eps."""
     if not (size > 0) or not math.isfinite(size):
         raise ValueError(f"size must be positive and finite, got {size}")
-    if not (eps > 0) or not math.isfinite(eps) or 1.0 + eps == 1.0:
-        raise ValueError(f"eps must be positive, finite and make 1 + eps > 1, got {eps}")
-    base = 1.0 + eps
-    e = math.ceil(math.log(size) / math.log(base) - 1e-12)
-    while power(base, e) < size:
-        e += 1
-    while power(base, e - 1) >= size:
-        e -= 1
-    return power(base, e), e
+    return GeometricClasses(eps).round_up(size)

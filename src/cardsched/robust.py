@@ -20,7 +20,7 @@ from collections import deque
 from operator import neg
 
 from .engine import Scheduler
-from .model import round_up_geometric
+from .model import GeometricClasses
 from .ordinal import ordinal_map
 
 
@@ -31,9 +31,11 @@ class RobustOrdinalScheduler(Scheduler):
     """
 
     def __init__(self, m: int, k: int, eps: float):
-        round_up_geometric(1.0, eps)  # its eps rule, applied before any arrival
         self.m, self.k = m, k
         self.eps = eps
+        # one set of size classes for the whole run (it checks eps now), so an
+        # arrival in a class met before lifts no power of (1+eps)
+        self._exponent = GeometricClasses(eps).exponent
         self._sigma = ordinal_map(m, k).sigma
         # exponent (-inf for zeros) -> job ids, head first
         self._classes: dict[float, deque[int]] = {}
@@ -47,7 +49,7 @@ class RobustOrdinalScheduler(Scheduler):
 
     def on_arrival(self, size: float) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         # a zero joins the bottom class, below every exponent, and moves nothing
-        exponent = round_up_geometric(size, self.eps)[1] if size else -math.inf
+        exponent = self._exponent(size) if size else -math.inf
         self._arrivals += 1
         jid = self._arrivals
         classes = self._classes

@@ -6,7 +6,9 @@ every machine per arrival, the adversaries' and ClCS's former runners,
 greedy ClCS class pinning by a `.get` and a scan, capped greedy as a
 linear scan, a standalone constant scheduler that chooses every machine and
 row by a scan (slots allocated up front), the robust-ordinal scheduler that
-diffs a job -> machine map over all jobs before and after each resort, and
+diffs a job -> machine map over all jobs before and after each resort (its
+sizes rounded by `ref_round_up_geometric`, which lifts every power of
+(1+eps) afresh on each call), and
 the exact oracle (with the sorted round-robin schedule it starts from) that
 re-sums the free slots and rescans every machine's slot-forcing bound at
 every node, searching on after a leaf has reached the lower bound unless
@@ -44,8 +46,8 @@ from cardsched.model import (
     InfeasibleError,
     Instance,
     makespan,
+    power,
     round_down_pow2,
-    round_up_geometric,
 )
 from cardsched.oracle import OracleResult, lower_bound
 from cardsched.ordinal import ordinal_map
@@ -558,6 +560,22 @@ def iota(s: int, k: int) -> int:
     return -((k - 1) // -3)  # ceil((k-1)/3)
 
 
+def ref_round_up_geometric(size: float, eps: float) -> tuple[float, int]:
+    """Smallest integer power of (1+eps) >= size, as (value, exponent): every
+    power lifted afresh, and size and eps checked on every call."""
+    if not (size > 0) or not math.isfinite(size):
+        raise ValueError(f"size must be positive and finite, got {size}")
+    if not (eps > 0) or not math.isfinite(eps) or 1.0 + eps == 1.0:
+        raise ValueError(f"eps must be positive, finite and make 1 + eps > 1, got {eps}")
+    base = 1.0 + eps
+    e = math.ceil(math.log(size) / math.log(base) - 1e-12)
+    while power(base, e) < size:
+        e += 1
+    while power(base, e - 1) >= size:
+        e -= 1
+    return power(base, e), e
+
+
 class RefRobustOrdinal(Scheduler):
     """Robust-ordinal by rebuilding every job's machine before and after the resort."""
 
@@ -610,7 +628,7 @@ class RefRobustOrdinal(Scheduler):
 
     def on_arrival(self, size: float) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         # a zero sits in a class below every exponent
-        exponent = round_up_geometric(size, self.eps)[1] if size else -math.inf
+        exponent = ref_round_up_geometric(size, self.eps)[1] if size else -math.inf
         jid = self.m * self.k - self._dummies + 1
         before = self._machines()
         moved = self.resort_on_arrival(jid, exponent)

@@ -59,7 +59,7 @@ def test_classed_runner_recounts_classes_after_a_move():
     # m=2, k=1: moving job 1 (class 1) off machine 1 frees it for class 2
     runner = run_classed_stream(_Scripted([1, 2, 1]), [(1.0, 1), (1.0, 1), (1.0, 2)], 2, 1)
     assert runner.class_sets == [{2}, {1}]
-    assert [runner.machine_of(j) for j in (1, 2, 3)] == [2, 2, 1]
+    assert runner.trace.final_schedule() == {1: 2, 2: 2, 3: 1}
     # a move onto a machine that already hosts k other classes is refused
     runner = StreamRunner(_Scripted([1, 2]), 2, 1, classed=True)
     runner.push(1.0, 1)

@@ -30,7 +30,14 @@ from cardsched.engine import (
     Scheduler,
     StreamRunner,
 )
-from cardsched.model import InfeasibleError, instance_from_sizes, loads
+from cardsched.model import (
+    GeometricClasses,
+    InfeasibleError,
+    instance_from_sizes,
+    loads,
+    power,
+    round_up_geometric,
+)
 from cardsched.oracle import branch_and_bound, exact_opt, exit_target, lower_bound, opt_makespan
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
@@ -43,6 +50,7 @@ from reference_scans import (
     RefStreamRunner,
     check_invariants,
     ref_exact_opt,
+    ref_round_up_geometric,
 )
 
 
@@ -157,6 +165,39 @@ def test_robust_ordinal_long_stream_matches_position_maps(eps):
     assert fast.positions() == ref.positions()
 
 
+_geometric_eps = st.one_of(
+    st.sampled_from([1e-9, 0.01, 0.5, 1.0, 3.0]), st.floats(min_value=1e-9, max_value=100.0)
+)
+# a size is exp(x * L) for x in [-1, 1], as drawn or snapped to the nearest
+# power of (1+eps), which then arrives with its float neighbours: above (the
+# next class up), the power itself, below.  L reaches the ends of the float
+# range (subnormals included) for large eps; for small eps it keeps
+# |exponent| <= 2**20, since the lifted powers' error grows with the
+# exponent and the correction walk steps one class at a time
+_geometric_size = st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.booleans())
+
+
+@given(_geometric_eps, st.lists(_geometric_size, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_geometric_classes_match_reference(eps, draws):
+    classes = GeometricClasses(eps)  # one object for the whole draw, so its classes are reused
+    base, reach = 1.0 + eps, min(709.78, 2**20 * math.log1p(eps))
+    sizes = []
+    for x, snap in draws:
+        size = math.exp(x * reach)
+        if snap:
+            near = power(base, round(math.log(size) / math.log(base)))
+            sizes += [math.nextafter(near, math.inf), near, math.nextafter(near, 0.0)]
+        else:
+            sizes.append(size)
+    sizes = [size for size in sizes if 0.0 < size < math.inf]
+    for size in sizes + sizes:  # the second pass meets only known classes
+        want = ref_round_up_geometric(size, eps)
+        assert round_up_geometric(size, eps) == want
+        assert classes.round_up(size) == want
+        assert classes.exponent(size) == want[1]
+
+
 class _RandomMigrator(Scheduler):
     """Seeded scheduler that moves up to three placed jobs per arrival.
 
@@ -224,13 +265,14 @@ def test_migrating_runner_matches_scan(sizes, m, k, seed, cheat):
 
 
 def _assert_job_lists_ascending(runner):
-    """The runner's per-machine job lists, once built, hold each machine's jobs in id order."""
-    if runner._where is None:
+    """The runner's per-machine job lists, once built, hold each machine's jobs in id order:
+    every machine of the final schedule has its list, and no other list holds a job."""
+    if runner._jobs is None:
         return
-    held = [[] for _ in range(runner.m)]
+    held = {}
     for job, machine in sorted(runner.trace.final_schedule().items()):
-        held[machine - 1].append(job)
-    assert runner._jobs == held
+        held.setdefault(machine, []).append(job)
+    assert {mi: ids for mi, ids in runner._jobs.items() if ids} == held
 
 
 @given(
@@ -281,7 +323,7 @@ def test_scripted_moves_match_scan():
     assert errors == [None, None]
     _assert_same(runner, ref)
     _assert_job_lists_ascending(runner)
-    assert runner._jobs == [[1, 7], [5, 6, 8], [2, 3, 4]]
+    assert runner._jobs == {1: [1, 7], 2: [5, 6, 8], 3: [2, 3, 4]}
 
 
 class _MaxMachineLosesJob(_ScriptedMoves):
@@ -292,15 +334,41 @@ class _MaxMachineLosesJob(_ScriptedMoves):
     moves = {5: ((4, 1, 2),), 7: ((1, 1, 3),), 8: ((2, 2, 1),)}
 
 
+class _MaxMachineLosesJobToATie(_ScriptedMoves):
+    """Machines 1 and 2 both hold the makespan 5; arrival 4 moves job 3 off machine 1,
+    and only untouched machine 2 still holds 5."""
+
+    machines = (1, 2, 1, 3)
+    moves = {4: ((3, 1, 3),)}
+
+
+class _MoveLiftsPastMakespan(_ScriptedMoves):
+    """Arrival 4 moves job 1 off makespan machine 1 onto machine 2, which rises past it."""
+
+    machines = (1, 2, 1, 3)
+    moves = {4: ((1, 1, 2),)}
+
+
 def test_makespan_falls_when_its_machine_loses_a_job():
-    sizes = [5.0, 3.0, 8.0, 4.0, 0.5, 1.0, 0.25, 0.1]
-    runner, ref, errors = _replay(_MaxMachineLosesJob(), _MaxMachineLosesJob(), sizes, 3, 4)
-    assert errors == [None, None]
-    _assert_same(runner, ref)
-    assert list(runner.trace.makespans) == [5.0, 5.0, 8.0, 9.0, 8.0, 8.0, 13.0, 13.0]
-    whole = StreamRunner(_MaxMachineLosesJob(), 3, 4)
-    whole.feed(sizes)  # one feed call: the running makespan never leaves its local
-    assert whole.trace.makespans == runner.trace.makespans
+    cases = [
+        (
+            _MaxMachineLosesJob,
+            [5.0, 3.0, 8.0, 4.0, 0.5, 1.0, 0.25, 0.1],
+            [5.0, 5.0, 8.0, 9.0, 8.0, 8.0, 13.0, 13.0],
+        ),
+        # every touched load falls below the makespan, which an untouched machine ties
+        (_MaxMachineLosesJobToATie, [3.0, 5.0, 2.0, 0.5], [3.0, 5.0, 5.0, 5.0]),
+        # a touched load rises past the old makespan, off the machine that held it
+        (_MoveLiftsPastMakespan, [5.0, 4.0, 1.0, 0.5], [5.0, 5.0, 6.0, 9.0]),
+    ]
+    for scheduler, sizes, makespans in cases:
+        runner, ref, errors = _replay(scheduler(), scheduler(), sizes, 3, 4)
+        assert errors == [None, None]
+        _assert_same(runner, ref)
+        assert list(runner.trace.makespans) == makespans
+        whole = StreamRunner(scheduler(), 3, 4)
+        whole.feed(sizes)  # one feed call: the running makespan never leaves its local
+        assert whole.trace.makespans == runner.trace.makespans
 
 
 def test_cap_violation_names_lowest_touched_machine():
@@ -461,7 +529,7 @@ def _replay_drive(make, sizes, m, k):
     for s in sizes:
         assert runner.push(s) == ref.feed(s)
     assert list(runner.trace.machines) == list(ref.chosen)
-    assert [runner.machine_of(j) for j in range(1, ref.n + 1)] == list(ref.current)
+    assert list(runner.trace.final_schedule().values()) == list(ref.current)
     assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
     assert repr(runner.trace.final_makespan()) == repr(ref.makespan)
     return runner

@@ -177,6 +177,12 @@ def test_a_pair_with_no_moves_is_a_plain_placement():
 def test_run_stream_rejects_inconsistent_moves():
     with pytest.raises(ContractViolation, match="arrival 2: move of job 1 from machine 2 does"):
         run_stream(_Scripted(((1, 2, 1),)), [1.0, 1.0], 2, 2)
+    # a source outside [1, m] holds no job either, and refusing it adds no job list
+    runner = StreamRunner(_Scripted(((1, 3, 1),)), 2, 2)
+    runner.push(1.0)
+    with pytest.raises(ContractViolation, match="arrival 2: move of job 1 from machine 3 does"):
+        runner.push(1.0)
+    assert sorted(runner._jobs) == [1, 2]
 
 
 def test_runner_refuses_trigger_in_its_own_moves():
@@ -189,6 +195,21 @@ def test_runner_refuses_move_to_invalid_machine(dst):
     message = f"arrival 2: move of job 1 to invalid machine {dst}"
     with pytest.raises(ContractViolation, match=message):
         run_stream(_Scripted(((1, 1, dst),)), [1.0, 1.0], 2, 2)
+
+
+def test_first_migration_allocates_per_job_not_per_machine():
+    # job 2 moves job 1 to machine 3: the job lists the runner then builds
+    # cover the machines that hold jobs, not all 10**6
+    runner = StreamRunner(_Scripted(((1, 1, 3),)), 10**6, 1)  # loads and counts: O(m)
+    tracemalloc.start()
+    try:
+        runner.feed([1.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert runner.trace.final_schedule() == {1: 3, 2: 2}
+    assert list(runner.trace.makespans) == [1.0, 2.0]
 
 
 def test_round_robin_examples():

@@ -178,5 +178,5 @@ def test_machines_follow_fixed_map_positions():
     for s in (8.0, 2.0, 16.0, 1.0):
         runner.push(s)
         positions = rs.positions()
-        for jid in range(1, runner.n + 1):
-            assert runner.machine_of(jid) == sigma[positions[jid] - 1]
+        placed = runner.trace.final_schedule()
+        assert placed == {jid: sigma[p - 1] for jid, p in positions.items()}
