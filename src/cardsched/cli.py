@@ -159,7 +159,9 @@ def cmd_run(args) -> dict:
     m, k = args.m, args.k
 
     def refuse(n: int) -> None:
-        # the runner and Instance refuse this too, but only after the exact guard below
+        # the runner and Instance refuse these too, but only after the exact guard below
+        if m < 1 or k < 1:
+            raise ValueError("m and k must be >= 1")
         if n > m * k:
             raise InfeasibleError(f"infeasible: {n} jobs exceed capacity m*k = {m * k}")
         if args.mode == "exact":
@@ -224,17 +226,8 @@ def cmd_run(args) -> dict:
         else:
             report["transcript_omitted"] = True
         if args.dump_structure and args.algo == "constant":
-            report["structure"] = _structure(scheduler.structure_snapshot())
+            report["structure"] = scheduler.structure_snapshot()
     return report
-
-
-def _structure(snapshot) -> dict:
-    """The snapshot's fields less m and original_k: `dataclasses.asdict` without its deep copies."""
-    structure = dict(vars(snapshot))
-    del structure["m"], structure["original_k"]
-    for key in ("rows", "removed_rows"):
-        structure[key] = [vars(row) for row in structure[key]]
-    return structure
 
 
 def cmd_oracle(args) -> dict:

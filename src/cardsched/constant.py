@@ -11,7 +11,8 @@ rows are retired together with one unit (small row) or two units (group
 pair) of active_k, and the row population is repaired from the free pool;
 once active_k falls below 50 the structure freezes (terminal mode) and the
 remaining live slots are filled, fewest-jobs machine first.  Caps k <= 49
-never build the structure: that fallback is round-robin.  Otherwise the
+never build the structure: that fallback's `on_arrival` is round-robin's
+own, so an arrival runs none of this module's code.  Otherwise the
 first arrival builds it, and the first positive size sets p_max.
 
 Within a row the slot goes to the machine with the fewest lifetime jobs, tie
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 
 from .engine import RoundRobinScheduler, Scheduler
 from .model import Trace, round_down_pow2
@@ -58,29 +58,6 @@ class _Row:
         self.group: int | None = None
         self.slots: list[int | None] | None = None  # allocated on the first placement
         self.filled = 0
-
-
-@dataclass(frozen=True)
-class RowSnapshot:
-    rid: int
-    kind: str
-    group: int | None
-    slots: tuple[int | None, ...]
-
-
-@dataclass(frozen=True)
-class RowStructure:
-    """Read-only copy of the scheduler's internal state, for tests and dumps."""
-
-    m: int
-    original_k: int
-    active_k: int
-    p_max: float | None
-    l: int | None
-    rows: tuple[RowSnapshot, ...]
-    removed_rows: tuple[RowSnapshot, ...]
-    fallback: bool
-    terminal: bool
 
 
 class ConstantCompetitiveScheduler(Scheduler):
@@ -109,7 +86,8 @@ class ConstantCompetitiveScheduler(Scheduler):
         # of them that may still be empty there
         self._frozen: list[_Row] = []
         self._next: list[int] = []
-        self._round_robin = RoundRobinScheduler(m, k).on_arrival  # the fallback
+        if self.fallback:  # round-robin's own decision, a C call; no structure is built
+            self.on_arrival = RoundRobinScheduler(m, k).on_arrival
 
     # -- structure bookkeeping ------------------------------------------------
 
@@ -287,8 +265,6 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     def on_arrival(self, size: float) -> int:
         self.arrivals += 1
-        if self.fallback:
-            return self._round_robin(size)
         if self.l is None:
             self._init_structure()
         if size:  # a zero is a small job and sets no p_max
@@ -304,25 +280,24 @@ class ConstantCompetitiveScheduler(Scheduler):
 
     # -- introspection -------------------------------------------------------
 
-    def structure_snapshot(self) -> RowStructure:
+    def structure_snapshot(self) -> dict:
+        """The dict `run --dump-structure` prints: the live rows by rid and the removed
+        rows in removal order, each {rid, kind, group, slots} with a job id or None per machine."""
         empty = (None,) * self.m
 
-        def snap(row: _Row) -> RowSnapshot:
+        def snap(row: _Row) -> dict:
             slots = empty if row.slots is None else tuple(row.slots)
-            return RowSnapshot(row.rid, row.kind, row.group, slots)
+            return {"rid": row.rid, "kind": row.kind, "group": row.group, "slots": slots}
 
-        live = sorted(self._live_rows(), key=lambda r: r.rid)
-        return RowStructure(
-            m=self.m,
-            original_k=self.k,
-            active_k=self.active_k,
-            p_max=None if self.e_pmax is None else math.ldexp(1.0, self.e_pmax),
-            l=self.l,
-            rows=tuple(snap(r) for r in live),
-            removed_rows=tuple(snap(r) for r in self._removed),
-            fallback=self.fallback,
-            terminal=self.terminal,
-        )
+        return {
+            "active_k": self.active_k,
+            "p_max": None if self.e_pmax is None else math.ldexp(1.0, self.e_pmax),
+            "l": self.l,
+            "rows": [snap(r) for r in sorted(self._live_rows(), key=lambda r: r.rid)],
+            "removed_rows": [snap(r) for r in self._removed],
+            "fallback": self.fallback,
+            "terminal": self.terminal,
+        }
 
 
 def certify_load_bound(trace: Trace) -> list[str]:

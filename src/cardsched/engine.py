@@ -249,7 +249,7 @@ class StreamRunner:
             loads[mi - 1] = load
             if load > top:
                 top = load
-        self.trace.migrations[jid] = MigrationRecord(jid, tuple(moves), moved_size)
+        self.trace.migrations[jid] = MigrationRecord(tuple(moves), moved_size)
         # the makespan was max(loads) and no untouched load changed, so only a
         # makespan machine whose touched loads all fell below it needs a scan
         if top >= makespan:
@@ -269,7 +269,6 @@ class CompetitiveMetrics:
     final_ratio: float
     prefix_max_ratio: float
     denominator: float
-    mode: str
 
 
 def _ratio(numer: float, denom: float) -> float:
@@ -316,7 +315,6 @@ def competitive_metrics(trace: Trace, mode: str = "exact") -> CompetitiveMetrics
         final_ratio=_ratio(trace.final_makespan(), final_denom),
         prefix_max_ratio=prefix_max,
         denominator=final_denom,
-        mode=mode,
     )
 
 

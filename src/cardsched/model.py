@@ -46,12 +46,14 @@ def instance_from_sizes(sizes, m: int, k: int) -> Instance:
 
 
 class MigrationRecord(NamedTuple):
-    """Jobs the runner moved when `trigger` arrived, as (job, src, dst)
-    triples; `moved_size` sums their sizes."""
+    """Jobs the runner moved on one arrival, as (job, src, dst) triples;
+    `moved_size` sums their sizes.  The trace keys it by the arriving job."""
 
-    trigger: int
     moves: tuple[tuple[int, int, int], ...] = ()
     moved_size: float = 0.0
+
+
+_NO_MIGRATION = MigrationRecord()
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class Trace:
 
     def migration(self, jid: int) -> MigrationRecord:
         """Moves made when job `jid` arrived (an empty record if none)."""
-        return self.migrations.get(jid) or MigrationRecord(jid)
+        return self.migrations.get(jid, _NO_MIGRATION)
 
     @property
     def records(self) -> tuple[ArrivalRecord, ...]:
@@ -189,12 +191,12 @@ def power(base: float, exponent: int) -> float:
 class GeometricClasses:
     """Size classes of one eps: a size rounds up to the smallest integer power of (1+eps) >= it.
 
-    The exponent is found from a log estimate and then corrected by neighbor
-    comparison on the lifted powers themselves, so two equal sizes always land
-    in the same class even at class boundaries.  The two powers that bound
-    each class found are kept, so a size whose estimate lands in a known
-    class costs a log and two dict lookups; only a new class walks, lifting
-    each power it compares afresh, and adds two entries.
+    The exponent is a log estimate corrected on the lifted powers themselves,
+    so equal sizes always share a class, even at class boundaries: probes 1,
+    2, 4, ... classes from the estimate until one lands past the size, then
+    a bisection, O(log d) lifts for an estimate d classes off.  The powers
+    that bound each class found are kept, so a size whose estimate lands in
+    a known class costs a log and two dict lookups.
     """
 
     def __init__(self, eps: float):
@@ -205,33 +207,23 @@ class GeometricClasses:
         self._powers: dict[int, float] = {}  # e -> power(1 + eps, e), known classes' bounds
 
     def exponent(self, size: float) -> int:
-        """The class of `size`: the exponent of its rounded-up power of (1+eps)."""
+        """The class of `size`: an e with power(1+eps, e-1) < size <= power(1+eps, e)."""
         if not (size > 0) or not math.isfinite(size):
             raise ValueError(f"size must be positive and finite, got {size}")
         powers = self._powers
         e = math.ceil(math.log(size) / self._log_base - 1e-12)
         try:
-            if powers[e] >= size > powers[e - 1]:  # neither correction loop would step
+            if powers[e] >= size > powers[e - 1]:  # no correction needed
                 return e
         except KeyError:
             pass
-        base = self._base
-        while power(base, e) < size:
-            e += 1
-        while power(base, e - 1) >= size:
-            e -= 1
-        powers[e], powers[e - 1] = power(base, e), power(base, e - 1)
-        return e
-
-    def round_up(self, size: float) -> tuple[float, int]:
-        """Smallest integer power of (1+eps) >= size, as (value, exponent)."""
-        e = self.exponent(size)
-        return self._powers[e], e
-
-
-def round_up_geometric(size: float, eps: float) -> tuple[float, int]:
-    """Smallest integer power of (1+eps) >= size, as (value, exponent), by a fresh
-    GeometricClasses: the size is checked before eps."""
-    if not (size > 0) or not math.isfinite(size):
-        raise ValueError(f"size must be positive and finite, got {size}")
-    return GeometricClasses(eps).round_up(size)
+        base, lo, hi, step = self._base, e, e, 1
+        while power(base, hi) < size:  # gallop up
+            lo, hi, step = hi, e + step, 2 * step
+        while power(base, lo) >= size:  # or down
+            hi, lo, step = lo, e - step, 2 * step
+        while hi - lo > 1:  # power(lo) < size <= power(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if power(base, mid) >= size else (mid, hi)
+        powers[hi], powers[lo] = power(base, hi), power(base, lo)
+        return hi

@@ -17,8 +17,6 @@ from .model import Instance
 class OrdinalMap:
     """sigma[pos-1] is the machine of the pos-th largest job; len(sigma) == m*k."""
 
-    m: int
-    k: int
     sigma: tuple[int, ...]
     xi: int
     borders: tuple[int, ...]
@@ -39,12 +37,12 @@ def ordinal_map(m: int, k: int) -> OrdinalMap:
     mu = _borders(m, xi) if m >= 2 else (1, 2)
 
     if m == 1:
-        return OrdinalMap(m, k, (1,) * k, xi, mu, None)
+        return OrdinalMap((1,) * k, xi, mu, None)
     if k == 1:
-        return OrdinalMap(m, k, tuple(range(1, m + 1)), xi, mu, None)
+        return OrdinalMap(tuple(range(1, m + 1)), xi, mu, None)
     if k == 2:
         zigzag = tuple(range(1, m + 1)) + tuple(range(m, 0, -1))
-        return OrdinalMap(m, k, zigzag, xi, mu, None)
+        return OrdinalMap(zigzag, xi, mu, None)
 
     sigma: list[int] = []
     counts = [0] * (m + 1)  # 1-based
@@ -90,7 +88,7 @@ def ordinal_map(m: int, k: int) -> OrdinalMap:
         do_round(1, 2, xi)
 
     assert all(c == k for c in counts[1:]) and len(sigma) == m * k
-    return OrdinalMap(m, k, tuple(sigma), xi, mu, tuple(tuple(p) for p in phase_counts))
+    return OrdinalMap(tuple(sigma), xi, mu, tuple(tuple(p) for p in phase_counts))
 
 
 def ordinal_schedule(instance: Instance) -> dict[int, int]:

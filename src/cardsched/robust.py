@@ -42,11 +42,6 @@ class RobustOrdinalScheduler(Scheduler):
         self._order: list[float] = []  # the exponents of _classes, descending
         self._arrivals = 0
 
-    def positions(self) -> dict[int, int]:
-        """Job id -> 1-based list position (descending class exponent, queue order)."""
-        order = (jid for e in self._order for jid in self._classes[e])
-        return {jid: p for p, jid in enumerate(order, start=1)}
-
     def on_arrival(self, size: float) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         # a zero joins the bottom class, below every exponent, and moves nothing
         exponent = self._exponent(size) if size else -math.inf

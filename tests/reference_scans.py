@@ -14,9 +14,8 @@ re-sums the free slots and rescans every machine's slot-forcing bound at
 every node, searching on after a leaf has reached the lower bound unless
 told to stop there.  The sorted round-robin makespan, dealt by `i % m` in
 one pass over all sizes.  For the input, metering and report
-layers: the per-line `json.loads` loader, the lower-bound metering loop,
-`json.dumps` with the report settings and the `dataclasses.asdict` structure
-dump.
+layers: the per-line `json.loads` loader, the lower-bound metering loop
+and `json.dumps` with the report settings.
 
 It also holds the two brute-force oracles that the exact solvers are checked
 against: `brute_opt`, the cardinality-constrained optimum by enumerating every
@@ -25,10 +24,11 @@ by enumerating every assignment (n <= 8).  And `check_report`, the internal
 consistency of an adversary report.
 
 The references take a scheduler's decision through `as_pair`: a bare machine
-int is a placement with no moves.  Three helpers only tests use live here
+int is a placement with no moves.  Four helpers only tests use live here
 too: `check_invariants`, the constant scheduler's structural invariants;
-`rows_of_kind`, a snapshot's live rows of one kind; and `iota`, the closed
-form of the jobs an ordinal phase's first border machine receives.
+`rows_of_kind`, a snapshot's live rows of one kind; `positions`, the list
+position of each job a robust-ordinal scheduler holds; and `iota`, the
+closed form of the jobs an ordinal phase's first border machine receives.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ import itertools
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
-from cardsched.constant import FALLBACK_MAX_K, RowSnapshot, RowStructure, _floor_2log2
+from cardsched.constant import FALLBACK_MAX_K, _floor_2log2
 from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler
 from cardsched.model import (
     InfeasibleError,
@@ -485,21 +485,20 @@ class RefConstantScheduler(Scheduler):
             return self._place_group(jid, self.e_pmax - e)
         return self._place_small(jid)
 
-    def structure_snapshot(self) -> RowStructure:
-        def snap(row: _RefRow) -> RowSnapshot:
-            return RowSnapshot(row.rid, row.kind, row.group, tuple(row.slots))
+    def structure_snapshot(self) -> dict:
+        def snap(row: _RefRow) -> dict:
+            slots = tuple(row.slots)
+            return {"rid": row.rid, "kind": row.kind, "group": row.group, "slots": slots}
 
-        return RowStructure(
-            m=self.m,
-            original_k=self.k,
-            active_k=self.active_k,
-            p_max=None if self.e_pmax is None else math.ldexp(1.0, self.e_pmax),
-            l=self.l,
-            rows=tuple(snap(r) for r in sorted(self._live(), key=lambda r: r.rid)),
-            removed_rows=tuple(snap(r) for r in self._removed),
-            fallback=self.fallback,
-            terminal=self.terminal,
-        )
+        return {
+            "active_k": self.active_k,
+            "p_max": None if self.e_pmax is None else math.ldexp(1.0, self.e_pmax),
+            "l": self.l,
+            "rows": [snap(r) for r in sorted(self._live(), key=lambda r: r.rid)],
+            "removed_rows": [snap(r) for r in self._removed],
+            "fallback": self.fallback,
+            "terminal": self.terminal,
+        }
 
 
 def check_invariants(scheduler) -> None:
@@ -544,9 +543,16 @@ def check_invariants(scheduler) -> None:
     assert live == sc.active_k
 
 
-def rows_of_kind(snapshot: RowStructure, kind: str) -> tuple[RowSnapshot, ...]:
+def rows_of_kind(snapshot: dict, kind: str) -> list[dict]:
     """The live rows of a constant scheduler's snapshot labelled `kind`."""
-    return tuple(r for r in snapshot.rows if r.kind == kind)
+    return [r for r in snapshot["rows"] if r["kind"] == kind]
+
+
+def positions(scheduler) -> dict[int, int]:
+    """A `RobustOrdinalScheduler`'s job id -> 1-based list position
+    (descending class exponent, queue order)."""
+    order = (jid for e in scheduler._order for jid in scheduler._classes[e])
+    return {jid: p for p, jid in enumerate(order, start=1)}
 
 
 def iota(s: int, k: int) -> int:
@@ -868,13 +874,6 @@ def ref_lower_bound_metrics(sizes, makespans, m: int) -> tuple[float, float]:
 def ref_report_text(report) -> str:
     """A report as the CLI printed it before it had its own encoder."""
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-
-
-def ref_structure(snapshot) -> dict:
-    """`--dump-structure`'s former conversion: `dataclasses.asdict` less m and original_k."""
-    structure = asdict(snapshot)
-    del structure["m"], structure["original_k"]
-    return structure
 
 
 def check_report(report) -> None:

@@ -36,7 +36,7 @@ from cardsched.oracle import exact_opt, opt_makespan
 from cardsched.ordinal import ordinal_map, ordinal_schedule
 from cardsched.robust import RobustOrdinalScheduler
 from cardsched.model import makespan as schedule_makespan
-from reference_scans import brute_opt, check_invariants, clcs_exact, iota
+from reference_scans import brute_opt, check_invariants, clcs_exact, iota, positions
 
 RATE_81_41 = 81.0 / 41.0
 
@@ -212,14 +212,14 @@ def test_criterion_7_robust_wrapper():
                     failures.append((eps, m, k, "migration factor", rec.migration.moved_size, rec.size))
                     ok = False
                     break
-                positions = scheduler.positions()
+                now = positions(scheduler)
                 moved = {job for job, _, _ in rec.migration.moves}
-                stable = {j for j in prev_positions if positions[j] == prev_positions[j]}
+                stable = {j for j in prev_positions if now[j] == prev_positions[j]}
                 if not moved.isdisjoint(stable):
                     failures.append((eps, m, k, "position stability"))
                     ok = False
                     break
-                prev_positions = positions
+                prev_positions = now
             if not ok:
                 continue
             trace = runner.trace

@@ -463,6 +463,9 @@ def test_non_finite_report_value_exits_2_with_one_line(tmp_path, capsys):
         ["clcs", "adversary", "--family", "uniform-lb", "--m", "0", "--k", "2"],
         ["clcs", "adversary", "--family", "identical-lb", "--m", "3", "--k", "0"],
         ["adversary", "--family", "balanced-lb", "--algo", "round-robin", "--m", "0", "--k", "3"],
+        # named before the capacity check, which would read m*k = 0 or -2
+        ["run", "--algo", "round-robin", "--m", "0", "--k", "5", "--gen", "uniform", "--n", "3"],
+        ["run", "--algo", "round-robin", "--m", "-1", "--k", "2", "--gen", "uniform", "--n", "0"],
     ],
 )
 def test_machine_count_or_cap_below_one_exits_2_with_one_line(capsys, argv):

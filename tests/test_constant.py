@@ -30,28 +30,31 @@ def _run_with_invariants(m, k, sizes):
 def test_fallback_mode_below_50():
     scheduler = ConstantCompetitiveScheduler(3, 10)
     snap = scheduler.structure_snapshot()
-    assert snap.fallback
+    assert snap["fallback"]
     trace = run_stream(scheduler, [1.0] * 6, 3, 10)
     # balanced fill: fewest jobs first, tie to lowest index
     assert [r.machine for r in trace.records] == [1, 2, 3, 1, 2, 3]
+    # round-robin's own decisions: no structure is ever built
+    assert scheduler.structure_snapshot() == snap
+    assert snap["rows"] == snap["removed_rows"] == [] and snap["l"] is None
 
 
 def test_first_arrival_initializes_structure():
     scheduler = ConstantCompetitiveScheduler(2, 64)
     run_stream(scheduler, [5.0], 2, 64)
     snap = scheduler.structure_snapshot()
-    assert not snap.fallback
-    assert snap.p_max == 4.0  # rounded down from 5
-    assert snap.l == 12  # floor(2*log2(64))
-    assert snap.active_k == 64
+    assert not snap["fallback"]
+    assert snap["p_max"] == 4.0  # rounded down from 5
+    assert snap["l"] == 12  # floor(2*log2(64))
+    assert snap["active_k"] == 64
     assert len(rows_of_kind(snap, "free")) == 32
     assert len(rows_of_kind(snap, "small")) == 32 - 2 * 13
     assert len(rows_of_kind(snap, "pure")) == 13
     assert len(rows_of_kind(snap, "mixed")) == 13
     # the first job lands in the group-0 pure/mixed pair
-    occupied = [r for r in snap.rows if any(s is not None for s in r.slots)]
+    occupied = [r for r in snap["rows"] if any(s is not None for s in r["slots"])]
     assert len(occupied) == 1
-    assert occupied[0].group == 0
+    assert occupied[0]["group"] == 0
 
 
 @pytest.mark.parametrize("k", [50, 51, 1000])
@@ -107,11 +110,11 @@ def test_new_max_enters_group_zero_without_relabeling():
     before = scheduler.structure_snapshot()
     runner.push(64.0)  # larger than current p_max
     after = scheduler.structure_snapshot()
-    assert after.p_max == 64.0
-    assert after.l == before.l
+    assert after["p_max"] == 64.0
+    assert after["l"] == before["l"]
     # both jobs sit in group-0 rows: labels did not shift with p_max
-    group0 = [r for r in after.rows if r.group == 0]
-    placed = [jid for r in group0 for jid in r.slots if jid is not None]
+    group0 = [r for r in after["rows"] if r["group"] == 0]
+    placed = [jid for r in group0 for jid in r["slots"] if jid is not None]
     assert sorted(placed) == [1, 2]
 
 
@@ -125,8 +128,8 @@ def test_pair_removal_decrements_active_k_by_two():
         runner.push(2.0)
         check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
-    assert snap.active_k == k - 2
-    assert len(snap.removed_rows) == 2
+    assert snap["active_k"] == k - 2
+    assert len(snap["removed_rows"]) == 2
 
 
 def test_small_row_removal_decrements_active_k_by_one():
@@ -138,8 +141,8 @@ def test_small_row_removal_decrements_active_k_by_one():
     runner.push(2.0 ** -10)
     check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
-    assert snap.active_k == k - 1
-    assert len(snap.removed_rows) == 1
+    assert snap["active_k"] == k - 1
+    assert len(snap["removed_rows"]) == 1
 
 
 def test_arrival_cap_and_domain_errors():
@@ -161,8 +164,8 @@ def test_terminal_mode_freezes_and_finishes():
         runner.push(8.0)
         check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
-    assert snap.terminal
-    assert snap.active_k <= 49
+    assert snap["terminal"]
+    assert snap["active_k"] <= 49
     assert _violations(runner.trace) == []
 
 
@@ -232,11 +235,11 @@ def test_leading_zero_builds_the_structure_and_sets_no_p_max():
     runner.push(0.0)
     check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
-    assert snap.p_max is None and snap.l == 12
-    assert [r.kind for r in snap.rows if any(s is not None for s in r.slots)] == ["small"]
+    assert snap["p_max"] is None and snap["l"] == 12
+    assert [r["kind"] for r in snap["rows"] if any(s is not None for s in r["slots"])] == ["small"]
     runner.push(5.0)
     check_invariants(scheduler)
-    assert scheduler.structure_snapshot().p_max == 4.0
+    assert scheduler.structure_snapshot()["p_max"] == 4.0
     assert certify_load_bound(runner.trace) == []
 
 
@@ -250,12 +253,12 @@ def test_active_k_only_decreases_and_l_tracks():
     for _ in range(m * k):
         runner.push(2.0 ** rng.randint(-12, 6))
         snap = scheduler.structure_snapshot()
-        assert snap.active_k <= last_active
-        assert last_active - snap.active_k <= 2
-        if last_l is not None and snap.l is not None and not snap.terminal:
-            assert last_l - snap.l in (0, 1)
-        last_active = snap.active_k
-        last_l = snap.l
+        assert snap["active_k"] <= last_active
+        assert last_active - snap["active_k"] <= 2
+        if last_l is not None and snap["l"] is not None and not snap["terminal"]:
+            assert last_l - snap["l"] in (0, 1)
+        last_active = snap["active_k"]
+        last_l = snap["l"]
         check_invariants(scheduler)
 
 
@@ -278,15 +281,15 @@ def test_full_merged_row_is_removed_immediately():
     runner.push(1.0)  # group 12
     check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
-    mixed12 = [r for r in snap.rows if r.kind == "mixed" and r.group == 12]
-    assert mixed12[0].slots == (2,)
+    mixed12 = [r for r in snap["rows"] if r["kind"] == "mixed" and r["group"] == 12]
+    assert mixed12[0]["slots"] == (2,)
     runner.push(2.0**-13)
     check_invariants(scheduler)
     snap = scheduler.structure_snapshot()
     assert scheduler.active_k == 62  # small-row removal plus full merged row
-    assert snap.l == 11
-    assert len(snap.removed_rows) == 2
-    assert all(r.group != 12 for r in snap.rows)
+    assert snap["l"] == 11
+    assert len(snap["removed_rows"]) == 2
+    assert all(r["group"] != 12 for r in snap["rows"])
     rng = random.Random(1)
     while runner.trace.n < m * k:
         runner.push(2.0 ** rng.randint(-13, 12))
@@ -301,7 +304,7 @@ def test_snapshot_is_a_deep_copy():
     snap = scheduler.structure_snapshot()
     scheduler.on_arrival(2.0)
     snap2 = scheduler.structure_snapshot()
-    filled = lambda s: sum(1 for r in s.rows for x in r.slots if x is not None)
+    filled = lambda s: sum(1 for r in s["rows"] for x in r["slots"] if x is not None)
     assert filled(snap2) == filled(snap) + 1
 
 

@@ -36,7 +36,6 @@ from cardsched.model import (
     instance_from_sizes,
     loads,
     power,
-    round_up_geometric,
 )
 from cardsched.oracle import branch_and_bound, exact_opt, exit_target, lower_bound, opt_makespan
 from cardsched.robust import RobustOrdinalScheduler
@@ -49,6 +48,7 @@ from reference_scans import (
     RefRobustOrdinal,
     RefStreamRunner,
     check_invariants,
+    positions,
     ref_exact_opt,
     ref_round_up_geometric,
 )
@@ -162,7 +162,7 @@ def test_robust_ordinal_long_stream_matches_position_maps(eps):
     for s in sizes:
         got, want = fast.on_arrival(s), ref.on_arrival(s)
         assert got == want
-    assert fast.positions() == ref.positions()
+    assert positions(fast) == ref.positions()
 
 
 _geometric_eps = st.one_of(
@@ -173,7 +173,7 @@ _geometric_eps = st.one_of(
 # next class up), the power itself, below.  L reaches the ends of the float
 # range (subnormals included) for large eps; for small eps it keeps
 # |exponent| <= 2**20, since the lifted powers' error grows with the
-# exponent and the correction walk steps one class at a time
+# exponent and the reference's correction walk steps one class at a time
 _geometric_size = st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.booleans())
 
 
@@ -193,9 +193,9 @@ def test_geometric_classes_match_reference(eps, draws):
     sizes = [size for size in sizes if 0.0 < size < math.inf]
     for size in sizes + sizes:  # the second pass meets only known classes
         want = ref_round_up_geometric(size, eps)
-        assert round_up_geometric(size, eps) == want
-        assert classes.round_up(size) == want
-        assert classes.exponent(size) == want[1]
+        assert GeometricClasses(eps).exponent(size) == want[1]  # a new class
+        e = classes.exponent(size)
+        assert (power(base, e), e) == want
 
 
 class _RandomMigrator(Scheduler):

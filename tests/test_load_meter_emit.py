@@ -4,7 +4,7 @@ Each fast path is checked against the code it replaced (tests/reference_scans.py
 `load_jobs` against the per-line `json.loads` loader, lower-bound metering
 against its one-prefix-per-step loop, the CLI's report encoder against
 `json.dumps(..., indent=2, sort_keys=True, allow_nan=False)` and its
-structure dump against `dataclasses.asdict`.
+structure dump against the reference constant scheduler's.
 """
 
 import json
@@ -18,7 +18,12 @@ from cardsched import cli
 from cardsched.engine import competitive_metrics, run_stream
 from cardsched.jsonl import load_jobs
 from cardsched.model import Trace
-from reference_scans import ref_load_jobs, ref_lower_bound_metrics, ref_report_text, ref_structure
+from reference_scans import (
+    RefConstantScheduler,
+    ref_load_jobs,
+    ref_lower_bound_metrics,
+    ref_report_text,
+)
 
 _chars = st.characters(blacklist_categories=("Cs",))  # every str that UTF-8 can write
 
@@ -275,11 +280,18 @@ def test_encode_matches_json_dumps_on_a_clcs_run_report(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "k, n, terminal", [(200, 60, False), (60, 150, True)], ids=["live", "terminal"]
+    "k, n, mode",
+    [(200, 60, "live"), (60, 150, "terminal"), (10, 20, "fallback")],
+    ids=["live", "terminal", "fallback"],
 )
-def test_structure_dump_matches_asdict(monkeypatch, k, n, terminal):
-    argv = _run("constant", 4, k, n, "--dump-structure")
-    report = _report(argv)
-    assert report["structure"]["terminal"] is terminal
-    monkeypatch.setattr(cli, "_structure", ref_structure)
-    assert cli._encode(report) == cli._encode(_report(argv))
+def test_structure_dump_matches_the_reference_scheduler(k, n, mode):
+    m = 4
+    report = _report(_run("constant", m, k, n, "--dump-structure"))
+    structure = report["structure"]
+    assert structure["terminal"] is (mode == "terminal")
+    assert structure["fallback"] is (mode == "fallback")
+    ref = RefConstantScheduler(m, k)
+    for size in cli.generate_sizes("loguniform", n, 3):
+        ref.on_arrival(size)
+    assert structure == ref.structure_snapshot()
+    assert cli._encode(report) == ref_report_text(report)

@@ -1,17 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from cardsched import model
 from cardsched.model import (
+    GeometricClasses,
     InfeasibleError,
     Instance,
     check_feasible,
     instance_from_sizes,
     loads,
     makespan,
+    power,
     round_down_pow2,
-    round_up_geometric,
 )
 from cardsched.oracle import exact_opt
 from cardsched.ordinal import ordinal_schedule
@@ -130,17 +132,16 @@ def test_round_down_pow2_domain(bad):
 
 
 def test_round_up_geometric_examples():
-    assert round_up_geometric(5, 1) == (8.0, 3)
-    assert round_up_geometric(1, 0.5) == (1.0, 0)
-    rounded, exponent = round_up_geometric(5, 0.5)
-    assert exponent == 4
-    assert rounded == pytest.approx(5.0625, abs=1e-12)
+    assert GeometricClasses(1).exponent(5) == 3 and power(2.0, 3) == 8.0
+    assert GeometricClasses(0.5).exponent(1) == 0
+    assert GeometricClasses(0.5).exponent(5) == 4
+    assert power(1.5, 4) == pytest.approx(5.0625, abs=1e-12)
 
 
 @pytest.mark.parametrize("size,eps", [(0, 1), (-2, 1), (1, 0), (1, -0.5)])
 def test_round_up_geometric_domain(size, eps):
     with pytest.raises(ValueError):
-        round_up_geometric(size, eps)
+        GeometricClasses(eps).exponent(size)
 
 
 @given(st.floats(min_value=1e-12, max_value=1e12))
@@ -155,12 +156,52 @@ def test_round_down_pow2_bracketing(x):
     st.floats(min_value=1e-3, max_value=4.0),
 )
 def test_round_up_geometric_bracketing(x, eps):
-    rounded, e = round_up_geometric(x, eps)
+    classes = GeometricClasses(eps)
+    e = classes.exponent(x)
+    rounded = power(1 + eps, e)
     assert rounded >= x
     # upper bound holds to float precision of the lifted powers
     assert rounded <= (1 + eps) * x * (1 + 1e-12)
     # same size always lands in the same class
-    assert round_up_geometric(x, eps)[1] == e
+    assert classes.exponent(x) == e
+
+
+@given(
+    st.floats(min_value=2.0**-40, max_value=4.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(1e-9, 1e-310)
+@example(2.0**-40, 5e-324)
+@example(2.0**-40, 1.7976931348623157e308)
+def test_geometric_class_brackets_the_size_at_any_eps(eps, size):
+    # where the lifted powers are not monotone the class may differ from a
+    # one-step walk's, but its two powers still bracket the size
+    classes = GeometricClasses(eps)
+    e = classes.exponent(size)
+    assert power(1 + eps, e - 1) < size <= power(1 + eps, e)
+    assert classes.exponent(size) == e == GeometricClasses(eps).exponent(size)
+
+
+@pytest.mark.parametrize(
+    "eps, sizes",
+    [(1e-9, [1.0, 1e-310]), (1e-12, [100.0]), (2.0**-40, [5e-324, 1.7976931348623157e308])],
+)
+def test_geometric_class_search_lifts_logarithmically_many_powers(monkeypatch, eps, sizes):
+    # a walk one class at a time from the estimate needs tens of thousands of
+    # lifts here and never ends on the subnormal: fail at once, not hang
+    lifts, lift = [0], model.power
+
+    def counted(base, exponent):
+        lifts[0] += 1
+        if lifts[0] > 500:
+            raise AssertionError("more than 500 lifts of (1+eps)")
+        return lift(base, exponent)
+
+    monkeypatch.setattr(model, "power", counted)
+    classes = GeometricClasses(eps)
+    for size in sizes:
+        e = classes.exponent(size)
+        assert lift(1 + eps, e - 1) < size <= lift(1 + eps, e)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=100), max_size=12))

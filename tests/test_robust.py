@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched.engine import StreamRunner, migration_stats, run_stream
-from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes
+from cardsched.model import (
+    GeometricClasses,
+    InfeasibleError,
+    check_feasible,
+    instance_from_sizes,
+    power,
+)
 from cardsched.oracle import exact_opt
 from cardsched.ordinal import ordinal_map
 from cardsched.robust import RobustOrdinalScheduler
+from reference_scans import positions
 
 
 def test_first_arrival_goes_to_position_one():
@@ -21,8 +28,7 @@ def test_equal_size_appends_to_class_tail_without_cascade():
     rs = RobustOrdinalScheduler(2, 3, 1.0)
     trace = run_stream(rs, [4.0, 4.0, 4.0], 2, 3)
     assert all(r.migration.moves == () for r in trace.records)
-    positions = rs.positions()
-    assert positions == {1: 1, 2: 2, 3: 3}
+    assert positions(rs) == {1: 1, 2: 2, 3: 3}
 
 
 def test_cascade_moves_heads_of_smaller_classes():
@@ -31,11 +37,11 @@ def test_cascade_moves_heads_of_smaller_classes():
     runner = StreamRunner(rs, 3, 3)
     for s in (8.0, 2.0, 2.0):
         runner.push(s)
-    before = rs.positions()
+    before = positions(rs)
     assert before == {1: 1, 2: 2, 3: 3}
     runner.push(32.0)
     rec = runner.trace.records[-1]
-    after = rs.positions()
+    after = positions(rs)
     assert after[4] == 1  # new largest job takes the head position
     assert after[1] == 2  # head of class 3 slid to its tail (single-job class)
     assert after[3] == 3 and after[2] == 4  # class-1 head rotated behind its tail
@@ -106,13 +112,13 @@ def test_migrated_rounded_sizes_are_distinct_smaller_powers(eps):
         sizes = [2.0 ** rng.randint(-3, 5) for _ in range(n)]
         rs = RobustOrdinalScheduler(m, k, eps)
         runner = StreamRunner(rs, m, k)
-        from cardsched.model import round_up_geometric
-
+        classes = GeometricClasses(eps)
         placed = {}
         for i, s in enumerate(sizes, start=1):
             runner.push(s)
             rec = runner.trace.records[-1]
-            placed[i] = round_up_geometric(s, eps)
+            e = classes.exponent(s)
+            placed[i] = (power(1 + eps, e), e)
             exps = [placed[job][1] for job, _, _ in rec.migration.moves]
             new_exp = placed[i][1]
             assert len(set(exps)) == len(exps)
@@ -134,12 +140,12 @@ def test_position_stability_every_arrival():
         for i, s in enumerate(sizes, start=1):
             runner.push(s)
             rec = runner.trace.records[-1]
-            positions = rs.positions()
+            now = positions(rs)
             moved = {job for job, _, _ in rec.migration.moves}
-            shifted = {j for j in prev if positions[j] != prev[j]}
+            shifted = {j for j in prev if now[j] != prev[j]}
             # machine changes only happen to jobs whose position shifted
             assert moved <= shifted
-            prev = positions
+            prev = now
 
 
 def test_end_to_end_rate_bound():
@@ -177,6 +183,5 @@ def test_machines_follow_fixed_map_positions():
     sigma = ordinal_map(m, k).sigma
     for s in (8.0, 2.0, 16.0, 1.0):
         runner.push(s)
-        positions = rs.positions()
         placed = runner.trace.final_schedule()
-        assert placed == {jid: sigma[p - 1] for jid, p in positions.items()}
+        assert placed == {jid: sigma[p - 1] for jid, p in positions(rs).items()}

@@ -44,7 +44,9 @@ cases:
   digests of the makespans, the migration records and the final loads.
 - `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
   in each of its modes, alone and under `run_stream` (median of 3 passes),
-  with its mode and row counters.
+  with its mode and row counters, read from attributes every tree has, and
+  `snapshot_sha256`, the digest of the `run --dump-structure` report that
+  `cli.main` writes for the same sizes, fed as a JSONL file.
 """
 
 from __future__ import annotations
@@ -87,22 +89,29 @@ def _median_time(fn, repeats: int, make=None) -> float:
     return statistics.median(times)
 
 
+@contextlib.contextmanager
+def _in_tempdir():
+    """Run the body in a new temporary directory, and never stay in it once deleted."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 def workload_case(name: str) -> dict:
     """One pass of a perfbench workload's seed-1 ops as in-process cli.main calls."""
     from cardsched import cli
 
-    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
-    os.chdir(tmp.name)  # reports name their inputs by the relative paths perfbench uses
-    try:
+    with _in_tempdir():  # reports name their inputs by the relative paths perfbench uses
         work = plan(name, 1, "full", Path("perfbench", "_work", f"{name}-full-1"))
         write_inputs(work)
         t0 = time.perf_counter()
         codes = [cli.main(op.argv) for op in work.ops]
         ops_s = time.perf_counter() - t0
         digests = [digest(op.out.read_bytes()) if op.out.is_file() else None for op in work.ops]
-    finally:  # never leave the worker inside a deleted directory
-        os.chdir(cwd)
-        tmp.cleanup()
     return {
         "ops_s": ops_s,
         "ops": len(codes),
@@ -143,9 +152,7 @@ def cli_reports() -> dict:
     """CLI_ARGV through in-process cli.main calls: the report paths no workload runs."""
     from cardsched import cli
 
-    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
-    os.chdir(tmp.name)  # reports name their inputs by relative paths
-    try:
+    with _in_tempdir():  # reports name their inputs by relative paths
         jobs = [{"size": (7 * j) % 23} for j in range(21)]
         classed = [{"size": 2.0**-e, "class": e % 3 + 1} for e in range(12)]
         for name, rows in (("jobs21.jsonl", jobs), ("classed.jsonl", classed)):
@@ -158,9 +165,6 @@ def cli_reports() -> dict:
                 codes.append(cli.main([*argv, "--out", str(out)]))
             parts += [digest(out.read_bytes()) if out.is_file() else None, err.getvalue()]
         ops_s = time.perf_counter() - t0
-    finally:  # never leave the worker inside a deleted directory
-        os.chdir(cwd)
-        tmp.cleanup()
     return {
         "ops_s": ops_s,
         "exit_codes": codes,
@@ -176,10 +180,8 @@ def startup() -> dict:
     from cardsched import cli
     from cardsched.ordinal import ordinal_map
 
-    cwd, tmp = os.getcwd(), tempfile.TemporaryDirectory()
-    os.chdir(tmp.name)
-    try:
-        out, codes, digests = {}, [], []
+    out, codes, digests = {}, [], []
+    with _in_tempdir():
         for algo in STARTUP_ALGOS:
             k = 60 if algo == "constant" else 1
             argv = f"run --algo {algo} --m {10**6} --k {k} --gen uniform --n 5 --mode lower-bound"
@@ -188,9 +190,6 @@ def startup() -> dict:
             codes.append(cli.main([*argv.split(), "--out", "report.json"]))
             out[f"{algo}_s"] = time.perf_counter() - t0
             digests.append(digest(Path("report.json").read_bytes()))
-    finally:  # never leave the worker inside a deleted directory
-        os.chdir(cwd)
-        tmp.cleanup()
     return {
         "ops_s": sum(out.values()),
         **out,
@@ -235,57 +234,49 @@ def worst() -> dict:
     }
 
 
-def run_stream_rr() -> dict:
-    """run_stream with round-robin, then the scheduler alone on the same stream."""
-    from cardsched.cli import generate_sizes
-    from cardsched.engine import RoundRobinScheduler, run_stream
+def _drive_and_decide(make, sizes, m: int, k: int):
+    """The trace of run_stream on make(), and its time, a new make()'s alone, and the runner's."""
+    from cardsched.engine import run_stream
 
-    m = k = 1000
-    sizes = generate_sizes("loguniform", 40_000, 1)
     t0 = time.perf_counter()
-    trace = run_stream(RoundRobinScheduler(m, k), sizes, m, k)
+    trace = run_stream(make(), sizes, m, k)
     drive_s = time.perf_counter() - t0
-    on_arrival = RoundRobinScheduler(m, k).on_arrival
+    on_arrival = make().on_arrival
     t0 = time.perf_counter()
     for size in sizes:
         on_arrival(size)
     decide_s = time.perf_counter() - t0
+    return trace, {"drive_s": drive_s, "decide_s": decide_s, "runner_s": drive_s - decide_s}
+
+
+def run_stream_rr() -> dict:
+    """run_stream with round-robin, then the scheduler alone on the same stream."""
+    from cardsched.cli import generate_sizes
+    from cardsched.engine import RoundRobinScheduler
+
+    m = k = 1000
+    sizes = generate_sizes("loguniform", 40_000, 1)
+    trace, times = _drive_and_decide(partial(RoundRobinScheduler, m, k), sizes, m, k)
     # the columns' bytes as array("i") and array("d"), whatever type holds them
     columns = array("i", trace.machines).tobytes() + array("d", trace.makespans).tobytes()
-    return {
-        "drive_s": drive_s,
-        "decide_s": decide_s,
-        "runner_s": drive_s - decide_s,
-        "jobs": trace.n,
-        "trace_sha256": hashlib.sha256(columns).hexdigest(),
-    }
+    return {**times, "jobs": trace.n, "trace_sha256": hashlib.sha256(columns).hexdigest()}
 
 
 def run_stream_robust() -> dict:
     """run_stream with robust-ordinal, then the scheduler alone on the same stream."""
     from cardsched.cli import generate_sizes
-    from cardsched.engine import run_stream
     from cardsched.robust import RobustOrdinalScheduler
 
     m = k = 1000
     sizes = generate_sizes("loguniform", 4000, 1)
-    t0 = time.perf_counter()
-    trace = run_stream(RobustOrdinalScheduler(m, k, 0.5), sizes, m, k)
-    drive_s = time.perf_counter() - t0
-    on_arrival = RobustOrdinalScheduler(m, k, 0.5).on_arrival
-    t0 = time.perf_counter()
-    for size in sizes:
-        on_arrival(size)
-    decide_s = time.perf_counter() - t0
+    trace, times = _drive_and_decide(partial(RobustOrdinalScheduler, m, k, 0.5), sizes, m, k)
     # moves as plain triples and sizes by repr, whatever types hold them
     records = [
         (jid, [tuple(mv) for mv in rec.moves], repr(rec.moved_size))
         for jid, rec in trace.migrations.items()
     ]
     return {
-        "drive_s": drive_s,
-        "decide_s": decide_s,
-        "runner_s": drive_s - decide_s,
+        **times,
         "migrating_arrivals": len(records),
         "makespans_sha256": hashlib.sha256(array("d", trace.makespans).tobytes()).hexdigest(),
         "migrations_sha256": hashlib.sha256(repr(records).encode()).hexdigest(),
@@ -294,7 +285,7 @@ def run_stream_robust() -> dict:
 
 
 def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
-    from cardsched.cli import generate_sizes
+    from cardsched import cli
     from cardsched.constant import ConstantCompetitiveScheduler
     from cardsched.engine import run_stream
 
@@ -303,7 +294,7 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
         # arrival goes to the next of 20 groups, whose rows fill side by side
         sizes = [2.0 ** -(i % 20) for i in range(n)]
     else:
-        sizes = generate_sizes(gen, n, seed)
+        sizes = cli.generate_sizes(gen, n, seed)
     make = partial(ConstantCompetitiveScheduler, m, k)
 
     def alone(scheduler):
@@ -318,15 +309,19 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
     for size in sizes:
         modes.append("fallback" if probe.fallback else "terminal" if probe.terminal else "live")
         probe.on_arrival(size)
-    snap = probe.structure_snapshot()
     trace = run_stream(make(), sizes, m, k)
+    with _in_tempdir():
+        Path("sizes.jsonl").write_text("".join(f'{{"size": {s!r}}}\n' for s in sizes))
+        argv = f"run --algo constant --m {m} --k {k} --input sizes.jsonl --mode lower-bound"
+        cli.main([*argv.split(), "--dump-structure", "--out", "report.json"])
+        snapshot_sha256 = digest(Path("report.json").read_bytes())
     out.update({f"placements_{x}": modes.count(x) for x in ("fallback", "live", "terminal")})
     out.update({
-        "rows_removed": len(snap.removed_rows),
+        "rows_removed": k - probe.active_k,  # each removed row lowers active_k by one
         "terminal_from_arrival": modes.index("terminal") + 1 if "terminal" in modes else None,
-        "active_k_final": snap.active_k,
+        "active_k_final": probe.active_k,
         "machines_sha256": hashlib.sha256(array("i", trace.machines).tobytes()).hexdigest(),
-        "snapshot_sha256": hashlib.sha256(repr(snap).encode()).hexdigest(),
+        "snapshot_sha256": snapshot_sha256,
     })
     return out
 
