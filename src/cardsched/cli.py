@@ -72,7 +72,7 @@ def generate_sizes(name: str, n: int, seed: int) -> list[float]:
 # the C encoder: json.dumps uses it only without indent, below Python 3.13
 _c_encode = json.JSONEncoder(allow_nan=False).encode
 _encode_key = json.encoder.encode_basestring_ascii  # a TypeError for keys that are not str
-_NUMBER_TYPES = {int, float}
+_SCALAR_TYPES = {int, float, type(None)}
 _LIST_TYPES = {list, tuple}
 
 
@@ -80,8 +80,8 @@ def _encode(value, indent: str = "\n") -> str:
     """What json.dumps(value, indent=2, sort_keys=True, allow_nan=False) returns.
 
     `indent` is a newline plus the indentation of the line `value` starts
-    on.  A non-empty list of plain ints and floats is one C encoder call,
-    split on its ", " separators, and so are a list of such lists (a
+    on.  A non-empty list of plain ints, floats and Nones is one C encoder
+    call, split on its ", " separators, and so are a list of such lists (a
     transcript's rows) and the sorted values of a dict of them (an
     assignment); other dicts and lists recurse, and scalars go through the
     same C encoder.  A value json.dumps refuses raises here too,
@@ -95,7 +95,7 @@ def _encode(value, indent: str = "\n") -> str:
         inner = indent + "  "
         keys = sorted(value)
         values = [value[key] for key in keys]
-        if set(map(type, values)) <= _NUMBER_TYPES:
+        if set(map(type, values)) <= _SCALAR_TYPES:
             texts = _c_encode(values)[1:-1].split(", ")
         else:
             texts = (_encode(v, inner) for v in values)
@@ -106,12 +106,12 @@ def _encode(value, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         kinds = set(map(type, value))
-        if kinds <= _NUMBER_TYPES:
+        if kinds <= _SCALAR_TYPES:
             items = _c_encode(value)[1:-1].split(", ")
         elif (
             kinds <= _LIST_TYPES
             and all(value)
-            and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
+            and set(map(type, chain.from_iterable(value))) <= _SCALAR_TYPES
         ):
             row = ("," + inner + "  ").join
             rows = _c_encode(value)[2:-2].split("], [")

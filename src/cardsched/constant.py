@@ -17,12 +17,17 @@ first arrival builds it, and the first positive size sets p_max.
 
 Within a row the slot goes to the machine with the fewest lifetime jobs, tie
 to the lowest index.  All rows share one (count, machine) order, kept as
-buckets of machines per count.  Per arrival, fallback is O(1); live mode
-walks that order up to the first machine empty in the row (the machines
-skipped are the cost; no log m bound in theory), moves it to the next count
-by bisection, and retires rows in O(k); terminal mode takes the first
-machine of the order, and a per-machine pointer over the frozen rows passes
-each row at most once.
+buckets of touched machines per count.  Bucket 0 is implicit: the untouched
+machines are an index range, counted by `_next_fresh`, and an untouched
+machine is empty in every row and first in the order, so it takes the job
+without a walk.  A row keeps its filled slots only, as a dict from machine
+to job, so a run holds O(n + k) state whatever m is; the snapshot builds a
+row's m slots only when asked.  Per arrival, fallback is O(1); live mode is
+one Python frame that picks the row, walks the order up to the first
+machine empty in it (the machines skipped are the cost; no log m bound in
+theory) and moves that machine to the next count by bisection; a full row
+retires in O(k).  Terminal mode takes the first machine of the order, and a
+per-machine pointer over the frozen rows passes each row at most once.
 
 When the maximum grows, row labels stay fixed: the groups are re-read
 relative to the new maximum, which treats the old jobs as if enlarged; loads
@@ -32,10 +37,10 @@ only ever count real sizes.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
+from math import frexp
 
 from .engine import RoundRobinScheduler, Scheduler
-from .model import Trace, round_down_pow2
 
 FALLBACK_MAX_K = 49
 
@@ -56,7 +61,7 @@ class _Row:
         self.rid = rid
         self.kind = "free"
         self.group: int | None = None
-        self.slots: list[int | None] | None = None  # allocated on the first placement
+        self.slots: dict[int, int] = {}  # machine index -> job id, filled slots only
         self.filled = 0
 
 
@@ -77,11 +82,14 @@ class ConstantCompetitiveScheduler(Scheduler):
         # the free rows are rids _next_free .. k - 1, made when taken, lowest first
         self._next_free = k
         self._removed: list[_Row] = []
-        # the (count, machine) order all rows share: buckets[c] holds the
-        # machines with c lifetime jobs in index order, the buckets below _low
-        # are empty, and a bucket is added when the first machine reaches it
+        # the (count, machine) order all rows share: the untouched machines are
+        # _next_fresh .. m - 1, and buckets[c] holds the touched machines with c
+        # lifetime jobs in index order (bucket 0 stays empty); the touched
+        # buckets below _low are empty, and a bucket is added when the first
+        # machine reaches it
+        self._next_fresh = 0
         self._buckets: list[list[int]] = []
-        self._low = 0
+        self._low = 1
         # terminal mode: the frozen live rows by rid, and per machine the first
         # of them that may still be empty there
         self._frozen: list[_Row] = []
@@ -95,7 +103,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         # ceil(k/2) rows by rid, the pairs and then the small rows; the floor(k/2)
         # free rows after them are made when taken
         self.l = _floor_2log2(self.k)
-        self._buckets = [list(range(self.m))]
+        self._buckets = [[], []]
         pairs = 2 * (self.l + 1)
         small_target = -(self.k // -2) - pairs
         assert small_target >= 1, "structure requires ceil(k/2) > 2*(l+1)"
@@ -127,31 +135,6 @@ class ConstantCompetitiveScheduler(Scheduler):
             return self._frozen
         free = map(_Row, range(self._next_free, self.k))
         return [*self._pure.values(), *self._mixed.values(), *self._small, *free]
-
-    def _fill(self, row: _Row, c: int, pos: int, jid: int) -> int:
-        # machine buckets[c][pos] takes the job in row; it moves to bucket c + 1
-        buckets = self._buckets
-        mi = buckets[c].pop(pos)
-        if c + 1 == len(buckets):
-            buckets.append([])
-        insort(buckets[c + 1], mi)
-        if not buckets[self._low]:
-            self._low += 1
-        if row.slots is None:
-            row.slots = [None] * self.m
-        row.slots[mi] = jid
-        row.filled += 1
-        return mi + 1
-
-    def _place_in_row(self, row: _Row, jid: int) -> int:
-        # empty slot on the machine with the fewest lifetime jobs, tie to lowest
-        # index: the first machine in (count, index) order empty in this row
-        buckets, slots = self._buckets, row.slots
-        for c in range(self._low, len(buckets)):
-            for pos, mi in enumerate(buckets[c]):
-                if slots is None or slots[mi] is None:
-                    return self._fill(row, c, pos, jid)
-        raise AssertionError("placement into a full row")
 
     def _remove_row(self, row: _Row):
         row.kind = "removed"
@@ -219,64 +202,91 @@ class ConstantCompetitiveScheduler(Scheduler):
         while len(self._small) < target:
             self._make_small(self._take_free())
 
-    # -- placements --------------------------------------------------------
-
-    def _place_terminal(self, jid: int) -> int:
-        # frozen structure: every removed row holds one job per machine, so a
-        # machine has an empty live slot exactly when its count is below k; the
-        # first machine in (count, index) order takes the job in its lowest-rid
-        # live row still empty there, and frozen rows only fill
-        assert self._low < self.k, "no live empty slot despite remaining capacity"
-        mi = self._buckets[self._low][0]
-        rows, i = self._frozen, self._next[mi]
-        while rows[i].slots is not None and rows[i].slots[mi] is not None:
-            i += 1
-        self._next[mi] = i + 1
-        return self._fill(rows[i], self._low, 0, jid)
-
-    def _place_group(self, jid: int, i: int) -> int:
+    def _retire(self, row: _Row):
+        # `row` just filled up: a small row retires at once, a group row with its
+        # pair once both are full; the structure freezes or is repaired
+        if row.kind == "small":
+            del self._small[0]  # only the head takes jobs
+            self._remove_row(row)
+            if not self._check_terminal():
+                self._repair_after_single_removal()
+            return
+        i = row.group
         pure, mixed = self._pure[i], self._mixed[i]
-        candidates = [r for r in (mixed, pure) if r.filled < self.m]
-        assert candidates, "both rows of a pair are full before placement"
-        row = max(candidates, key=lambda r: r.filled)  # fewest empty slots, tie mixed
-        machine = self._place_in_row(row, jid)
-        if pure.filled == self.m and mixed.filled == self.m:
+        if pure.filled == mixed.filled == self.m:
             del self._pure[i]
             del self._mixed[i]
             self._remove_row(pure)
             self._remove_row(mixed)
             if not self._check_terminal():
                 self._repair_after_pair_removal(i)
-        return machine
-
-    def _place_small(self, jid: int) -> int:
-        # small row with the fewest empty slots, tie to lowest rid
-        assert self._small, "no small row available"
-        row = self._small[0]
-        machine = self._place_in_row(row, jid)
-        if row.filled == self.m:
-            del self._small[0]
-            self._remove_row(row)
-            if not self._check_terminal():
-                self._repair_after_single_removal()
-        return machine
 
     # -- contract ------------------------------------------------------------
 
     def on_arrival(self, size: float) -> int:
-        self.arrivals += 1
+        jid = self.arrivals = self.arrivals + 1
         if self.l is None:
             self._init_structure()
         if size:  # a zero is a small job and sets no p_max
-            e = round_down_pow2(size)[1]
+            # size rounds down to 2**e, exactly; the runner admits only finite sizes
+            e = frexp(size)[1] - 1
             if self.e_pmax is None or e > self.e_pmax:
                 self.e_pmax = e
-        jid = self.arrivals
+        m, buckets = self.m, self._buckets
         if self.terminal:
-            return self._place_terminal(jid)
-        if size and self.e_pmax - e <= self.l:
-            return self._place_group(jid, self.e_pmax - e)
-        return self._place_small(jid)
+            # frozen structure: every removed row holds one job per machine, so a
+            # machine has an empty live slot exactly when its count is below k; the
+            # first machine in (count, index) order takes the job in its lowest-rid
+            # live row still empty there, and frozen rows only fill
+            c = self._low
+            assert c < self.k, "no live empty slot despite remaining capacity"
+            mi = buckets[c][0]
+            rows, r = self._frozen, self._next[mi]
+            while mi in rows[r].slots:
+                r += 1
+            self._next[mi] = r + 1
+            row = rows[r]
+        else:
+            if size and (i := self.e_pmax - e) <= self.l:
+                pure, mixed = self._pure[i], self._mixed[i]
+                # the pair's row with the fewest empty slots, tie to mixed; the
+                # pair is never full, and a full row takes no job
+                pf, mf = pure.filled, mixed.filled
+                row = pure if mf == m or mf < pf < m else mixed
+            else:
+                row = self._small[0]  # fewest empty slots, tie to lowest rid
+            # the slot goes to the first machine in (count, index) order empty in
+            # the row; an untouched machine is empty in every row and comes first
+            mi = self._next_fresh
+            if mi < m:
+                self._next_fresh = mi + 1
+                buckets[1].append(mi)
+                c = 0
+            else:
+                slots = row.slots
+                for c in range(self._low, len(buckets)):
+                    for mi in buckets[c]:
+                        if mi not in slots:
+                            break
+                    else:
+                        continue  # every machine of count c is filled in this row
+                    break
+                else:
+                    raise AssertionError("placement into a full row")
+        if c:  # a touched machine leaves bucket c for c + 1
+            bucket = buckets[c]
+            del bucket[bisect_left(bucket, mi)]
+            if c + 1 == len(buckets):
+                buckets.append([mi])
+            else:
+                insort(buckets[c + 1], mi)
+            if not buckets[self._low]:
+                self._low += 1
+        row.slots[mi] = jid
+        row.filled += 1
+        if row.filled == m and not self.terminal:
+            self._retire(row)
+        return mi + 1
 
     # -- introspection -------------------------------------------------------
 
@@ -286,7 +296,12 @@ class ConstantCompetitiveScheduler(Scheduler):
         empty = (None,) * self.m
 
         def snap(row: _Row) -> dict:
-            slots = empty if row.slots is None else tuple(row.slots)
+            slots = empty
+            if row.slots:
+                slots = list(empty)
+                for mi, jid in row.slots.items():
+                    slots[mi] = jid
+                slots = tuple(slots)
             return {"rid": row.rid, "kind": row.kind, "group": row.group, "slots": slots}
 
         return {
@@ -298,33 +313,3 @@ class ConstantCompetitiveScheduler(Scheduler):
             "fallback": self.fallback,
             "terminal": self.terminal,
         }
-
-
-def certify_load_bound(trace: Trace) -> list[str]:
-    """End-of-stream load-bound certificate on the rounded sizes.
-
-    For original caps >= 50 each machine's rounded load must be at most
-    (2/m) * sum(rounded) + (50 - 1/(k-1)) * max(rounded); smaller caps run in
-    fallback mode, where any feasible schedule is within k * max(rounded).
-    A zero rounds to 0.
-    """
-    if not trace.n:
-        return []
-    m, k0 = trace.m, trace.k
-    rounded = [round_down_pow2(size)[0] if size else 0.0 for size in trace.sizes]
-    total = sum(rounded)
-    p_max = max(rounded)
-    rounded_loads = [0.0] * m
-    for jid, machine in trace.final_schedule().items():
-        rounded_loads[machine - 1] += rounded[jid - 1]
-    violations = []
-    if k0 <= FALLBACK_MAX_K:
-        bound = k0 * p_max
-        label = "fallback bound k*p'_max"
-    else:
-        bound = (2.0 / m) * total + (50.0 - 1.0 / (k0 - 1)) * p_max
-        label = "(2/m)*sum(p') + (50 - 1/(k-1))*p'_max"
-    for mi, load in enumerate(rounded_loads, start=1):
-        if load > bound + 1e-9:
-            violations.append(f"machine {mi}: rounded load {load} > {label} = {bound}")
-    return violations

@@ -351,22 +351,28 @@ class RoundRobinScheduler(Scheduler):
 class ListSchedulingCapped(Scheduler):
     """Greedy: lowest-load machine among those with fewer than k jobs, tie to lowest index.
 
-    A heap on (load, machine, count) holds every machine below the cap exactly
-    once; a machine leaves it when it reaches k jobs.
+    A heap on (load, machine, count) holds every touched machine below the
+    cap exactly once, plus (0.0, f, 0) for the lowest untouched machine f:
+    the untouched machines above f never come first, so the heap holds at
+    most n + 1 entries whatever m is.  A machine leaves it when it reaches k
+    jobs, and when f takes its first job, f + 1 (if any) joins.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
-        self._heap = [(0.0, mi, 0) for mi in range(1, m + 1)] if k > 0 else []  # sorted: a heap
+        self._heap = [(0.0, 1, 0)] if m > 0 and k > 0 else []
 
     def on_arrival(self, size: float) -> int:
-        if not self._heap:  # its own state: a direct caller can run it past m*k
+        heap = self._heap
+        if not heap:  # its own state: a direct caller can run it past m*k
             raise InfeasibleError("greedy-capped: all machines hold k jobs")
-        load, best, count = self._heap[0]
+        load, best, count = heap[0]
         if count + 1 < self.k:
-            heapq.heapreplace(self._heap, (load + size, best, count + 1))
+            heapq.heapreplace(heap, (load + size, best, count + 1))
         else:
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
+        if not count and best < self.m:  # the untouched machine was taken
+            heapq.heappush(heap, (0.0, best + 1, 0))
         return best
 
 

@@ -165,14 +165,6 @@ def check_feasible(schedule: dict[int, int], instance: Instance) -> list[str]:
     return violations
 
 
-def round_down_pow2(size: float) -> tuple[float, int]:
-    """Largest power of two <= size, as (value, exponent); exponent may be negative."""
-    if not (size > 0) or not math.isfinite(size):
-        raise ValueError(f"size must be positive and finite, got {size}")
-    e = math.frexp(size)[1] - 1  # size = frac * 2**(e+1) with frac in [0.5, 1), exactly
-    return math.ldexp(1.0, e), e
-
-
 def power(base: float, exponent: int) -> float:
     """base**exponent by binary lifting; deterministic for size-class keys."""
     if exponent < 0:

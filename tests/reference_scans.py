@@ -24,11 +24,14 @@ by enumerating every assignment (n <= 8).  And `check_report`, the internal
 consistency of an adversary report.
 
 The references take a scheduler's decision through `as_pair`: a bare machine
-int is a placement with no moves.  Four helpers only tests use live here
+int is a placement with no moves.  Six helpers only tests use live here
 too: `check_invariants`, the constant scheduler's structural invariants;
-`rows_of_kind`, a snapshot's live rows of one kind; `positions`, the list
-position of each job a robust-ordinal scheduler holds; and `iota`, the
-closed form of the jobs an ordinal phase's first border machine receives.
+`rows_of_kind`, a snapshot's live rows of one kind; `round_down_pow2`, the
+checked rounding the reference constant scheduler uses; `certify_load_bound`,
+the constant scheduler's end-of-stream load bound on the rounded sizes;
+`positions`, the list position of each job a robust-ordinal scheduler
+holds; and `iota`, the closed form of the jobs an ordinal phase's first
+border machine receives.
 """
 
 from __future__ import annotations
@@ -42,13 +45,7 @@ from functools import lru_cache
 
 from cardsched.constant import FALLBACK_MAX_K, _floor_2log2
 from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler
-from cardsched.model import (
-    InfeasibleError,
-    Instance,
-    makespan,
-    power,
-    round_down_pow2,
-)
+from cardsched.model import InfeasibleError, Instance, Trace, makespan, power
 from cardsched.oracle import OracleResult, lower_bound
 from cardsched.ordinal import ordinal_map
 
@@ -272,6 +269,44 @@ class RefListSchedulingCapped(Scheduler):
         self._loads[best] += size
         self._counts[best] += 1
         return best + 1
+
+
+def round_down_pow2(size: float) -> tuple[float, int]:
+    """Largest power of two <= size, as (value, exponent); exponent may be negative."""
+    if not (size > 0) or not math.isfinite(size):
+        raise ValueError(f"size must be positive and finite, got {size}")
+    e = math.frexp(size)[1] - 1  # size = frac * 2**(e+1) with frac in [0.5, 1), exactly
+    return math.ldexp(1.0, e), e
+
+
+def certify_load_bound(trace: Trace) -> list[str]:
+    """End-of-stream load-bound certificate on the rounded sizes.
+
+    For original caps >= 50 each machine's rounded load must be at most
+    (2/m) * sum(rounded) + (50 - 1/(k-1)) * max(rounded); smaller caps run in
+    fallback mode, where any feasible schedule is within k * max(rounded).
+    A zero rounds to 0.
+    """
+    if not trace.n:
+        return []
+    m, k0 = trace.m, trace.k
+    rounded = [round_down_pow2(size)[0] if size else 0.0 for size in trace.sizes]
+    total = sum(rounded)
+    p_max = max(rounded)
+    rounded_loads = [0.0] * m
+    for jid, machine in trace.final_schedule().items():
+        rounded_loads[machine - 1] += rounded[jid - 1]
+    violations = []
+    if k0 <= FALLBACK_MAX_K:
+        bound = k0 * p_max
+        label = "fallback bound k*p'_max"
+    else:
+        bound = (2.0 / m) * total + (50.0 - 1.0 / (k0 - 1)) * p_max
+        label = "(2/m)*sum(p') + (50 - 1/(k-1))*p'_max"
+    for mi, load in enumerate(rounded_loads, start=1):
+        if load > bound + 1e-9:
+            violations.append(f"machine {mi}: rounded load {load} > {label} = {bound}")
+    return violations
 
 
 class _RefRow:
@@ -504,26 +539,31 @@ class RefConstantScheduler(Scheduler):
 def check_invariants(scheduler) -> None:
     """Raise AssertionError when a `ConstantCompetitiveScheduler` invariant is broken.
 
-    O(m + k), cheap enough to call after every arrival.  Each machine sits
-    in one bucket, between the removed rows (each full: one job per
+    O(m + k), cheap enough to call after every arrival.  The machines from
+    `_next_fresh` on are untouched; each touched machine sits in one bucket
+    (bucket 0 stays empty), between the removed rows (each full: one job per
     machine) and k; the buckets hold every arrival, and so do the removed
-    rows and the live rows' filled slots; terminal pointers have passed
-    filled slots; the row population is checked while live.  Fallback
-    keeps no state.
+    rows and the live rows' filled slots, each live row counting its slot
+    entries; terminal pointers have passed filled slots; the row population
+    is checked while live.  Fallback keeps no state.
     """
     sc = scheduler
     if sc.fallback or sc.l is None:
         return
-    buckets, removed = sc._buckets, len(sc._removed)
-    assert sorted(itertools.chain.from_iterable(buckets)) == list(range(sc.m))
+    buckets, removed, fresh = sc._buckets, len(sc._removed), sc._next_fresh
+    assert not buckets[0] and 0 <= fresh <= sc.m and (fresh == sc.m or not removed)
+    assert sorted(itertools.chain.from_iterable(buckets)) == list(range(fresh))
     assert all(b == sorted(b) for b in filter(None, buckets)) and len(buckets) <= sc.k + 1
-    assert buckets[sc._low] and not any(buckets[: sc._low]) and sc._low >= removed
+    assert 1 <= sc._low and not any(buckets[: sc._low]) and sc._low >= removed
+    assert buckets[sc._low] or not fresh
     jobs = sum(c * len(b) for c, b in enumerate(buckets))
-    live_jobs = sum(row.filled for row in sc._live_rows())
+    live = sc._live_rows()
+    assert all(row.filled == len(row.slots) for row in live)
+    live_jobs = sum(row.filled for row in live)
     assert jobs == sc.arrivals == sc.m * removed + live_jobs
     if sc.terminal:
         rows = sc._frozen
-        assert all(i == 0 or rows[i - 1].slots[mi] for mi, i in enumerate(sc._next))
+        assert all(i == 0 or mi in rows[i - 1].slots for mi, i in enumerate(sc._next))
         return
     assert sc.active_k > FALLBACK_MAX_K
     assert sc.l == _floor_2log2(sc.active_k)

@@ -22,7 +22,7 @@ from cardsched.clcs import (
     run_classed_stream,
     uniform_lb_drive,
 )
-from cardsched.constant import ConstantCompetitiveScheduler, certify_load_bound
+from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.engine import (
     PHI,
     ListSchedulingCapped,
@@ -36,7 +36,14 @@ from cardsched.oracle import exact_opt, opt_makespan
 from cardsched.ordinal import ordinal_map, ordinal_schedule
 from cardsched.robust import RobustOrdinalScheduler
 from cardsched.model import makespan as schedule_makespan
-from reference_scans import brute_opt, check_invariants, clcs_exact, iota, positions
+from reference_scans import (
+    brute_opt,
+    certify_load_bound,
+    check_invariants,
+    clcs_exact,
+    iota,
+    positions,
+)
 
 RATE_81_41 = 81.0 / 41.0
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched import constant
-from cardsched.constant import ConstantCompetitiveScheduler, _small_order, certify_load_bound
+from cardsched.constant import ConstantCompetitiveScheduler, _small_order
 from cardsched.engine import StreamRunner, run_stream
-from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, round_down_pow2
+from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes
 
-from reference_scans import check_invariants, rows_of_kind
+from reference_scans import certify_load_bound, check_invariants, round_down_pow2, rows_of_kind
 
 
 def _violations(trace):

@@ -415,8 +415,8 @@ def _replay_constant(m, k, sizes, checked=False):
     """Replay through both runners; optionally check the structure after every arrival.
 
     The check runs check_invariants and holds each machine's bucket in the
-    shared (count, machine) order to the reference's count of its jobs, and
-    the slots to the reference's.
+    shared (count, machine) order (0 for an untouched machine) to the
+    reference's count of its jobs, and the slots to the reference's.
     """
     if checked:
         scheduler = ConstantCompetitiveScheduler(m, k)
@@ -427,6 +427,7 @@ def _replay_constant(m, k, sizes, checked=False):
             ref.push(s)
             check_invariants(scheduler)
             bucket_of = {mi: c for c, b in enumerate(scheduler._buckets) for mi in b}
+            bucket_of |= dict.fromkeys(range(scheduler._next_fresh, m), 0)  # untouched
             assert bucket_of == dict(enumerate(ref.scheduler.counts))
             assert scheduler.structure_snapshot() == ref.scheduler.structure_snapshot()
     else:

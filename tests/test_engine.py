@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched import engine
-from cardsched.cli import SCHEDULERS
+from cardsched.cli import SCHEDULERS, generate_sizes
 from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.engine import (
     PHI,
@@ -123,6 +123,26 @@ def test_never_migrating_schedulers_build_nothing_per_machine(make):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(ConstantCompetitiveScheduler, 10**5, 60), partial(ListSchedulingCapped, 10**5, 1)],
+    ids=["constant", "greedy-capped"],
+)
+def test_scheduler_state_grows_with_the_stream_not_with_m(make):
+    # 2,000 decisions touch at most 2,000 of the 10**5 machines, and the
+    # scheduler keeps state for those alone: no bucket, row or heap of m entries
+    sizes = generate_sizes("loguniform", 2000, 1)
+    tracemalloc.start()
+    try:
+        scheduler = make()
+        for size in sizes:
+            scheduler.on_arrival(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_round_robin_hands_out_the_same_ints_after_its_first_lap():

@@ -13,10 +13,11 @@ from cardsched.model import (
     loads,
     makespan,
     power,
-    round_down_pow2,
 )
 from cardsched.oracle import exact_opt
 from cardsched.ordinal import ordinal_schedule
+
+from reference_scans import round_down_pow2
 
 
 def test_loads_direct_sum():
