@@ -155,6 +155,8 @@ def phi_lb_drive(scheduler: Scheduler, M: float) -> AdversaryReport:
     first two were co-located) or (phi-1)*M followed by 1 or phi*M."""
     if not math.isfinite(M * M):  # an overflow makes both sides of the next test inf
         raise ValueError(f"M={M}: M*M = {M * M} is not finite")
+    if not M > 0:  # a negative M passes the next test
+        raise ValueError(f"M={M} must be > 0")
     if not 2 * M * M > PHI * (M + M * M):
         raise ValueError(f"M={M} too small: need 2M^2 > phi*(M + M^2)")
     drive = StreamRunner(scheduler, 2, 2)

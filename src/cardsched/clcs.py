@@ -13,34 +13,29 @@ import itertools
 import math
 
 from .adversaries import AdversaryReport, drive_report
-from .engine import StreamRunner
+from .engine import ListSchedulingCapped, StreamRunner
 from .model import InfeasibleError
 
 
 class GreedyClcsScheduler:
     """First job of an unseen class binds it to the machine with fewest bound
     classes (among those below k), tie to the lowest index; every later job of
-    the class follows it."""
+    the class follows it.  A binding is capped list scheduling of one unit job,
+    so it costs O(log n) and nothing per machine, whatever m is."""
 
     def __init__(self, m: int, k: int):
         self.m, self.k = m, k
         self._machine_of_class: dict[int, int] = {}
-        self._bound = [0] * m
+        self._bind = ListSchedulingCapped(m, k).on_arrival
 
     def on_arrival(self, size: float, cls: int) -> int:
         try:
             return self._machine_of_class[cls]  # a bound class: one lookup
         except KeyError:
-            best = None
-            for mi in range(self.m):
-                if self._bound[mi] >= self.k:
-                    continue
-                if best is None or self._bound[mi] < self._bound[best]:
-                    best = mi
-            if best is None:
+            try:
+                machine = self._machine_of_class[cls] = self._bind(1.0)
+            except InfeasibleError:
                 raise InfeasibleError("all machines already host k classes") from None
-            self._bound[best] += 1
-            machine = self._machine_of_class[cls] = best + 1
             return machine
 
 

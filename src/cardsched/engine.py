@@ -61,19 +61,19 @@ class StreamRunner:
     The runner is the one online owner of the job contract: at most m*k
     jobs, each size finite and >= 0 (a `classed` runner, for ClCS, has no
     job limit).  `feed` is the one arrival loop; `push` is its one-job case.
-    Run whole streams through `feed`: its hot state lives in locals, so an
-    arrival costs a scheduler call plus a fixed handful of checks and column
-    appends (about 0.25 us per arrival on pure-lb vs round-robin, the
-    scheduler's own time excluded, and 0.04 us for round-robin's decision, a
-    C call; CPython 3.11 on a shared 2-vCPU host, `BENCH_23.json`).
+    Run whole streams through `feed`: its hot state lives in locals and
+    `islice` stops the source at the capacity, so an arrival costs a
+    scheduler call plus a fixed handful of checks and column appends, and
+    counts nothing (about 0.19 us per arrival on pure-lb vs round-robin, the
+    scheduler's own time excluded, and 0.07 us for round-robin's decision, a
+    C call; CPython 3.11 on a shared 2-vCPU host, `BENCH_27.json`).
     The size, machine and class columns are lists of the fed objects, so a
     size is recorded as fed (an int stays an int); every sum starts from
     0.0, so loads and makespans come out as for the same sizes as floats.
-    One feasibility rule is checked on every machine an arrival touches: at
-    most k jobs per machine, or, for a classed runner, at most k distinct
-    job classes per machine; a job whose class its machine already hosts
-    costs one set lookup, and only a new class is added and counted.  An
-    arrival costs O(1), plus a re-sum of each machine a migration touches.
+    At most k jobs, or for a classed runner k distinct classes, per machine:
+    a count is tested as it rises (only the arriving machine and a move's
+    destination gain jobs), a hosted class costs one set lookup, and an
+    arrival costs O(1) plus a re-sum of each machine a migration touches.
     The per-machine job lists that migrations need are built on the first
     arrival that moves jobs, from the trace's machine column: O(n), and a
     list only for a machine that has held a job.  Each list stays ascending
@@ -138,19 +138,17 @@ class StreamRunner:
         if classed:
             next_class, classes_col = iter(classes).__next__, self.classes
             class_sets, max_class = self.class_sets, _MAX_CLASS
-        jid = len(sizes_col)
         makespan = self._makespan
+        sizes = iter(sizes)  # the draw past capacity continues the same source
         try:
-            for size in sizes:
-                jid += 1
-                if jid > capacity:
-                    raise InfeasibleError(f"stream longer than capacity m*k = {m * k}")
+            for size in islice(sizes, capacity - len(sizes_col)):
                 if not 0.0 <= size <= max_size:  # also rejects NaN
                     raise ValueError(f"job size must be finite and >= 0, got {size}")
                 if classed:
                     try:
                         cls = next_class()
                     except StopIteration:
+                        jid = len(sizes_col) + 1
                         raise ValueError(f"arrival {jid} has a size but no class") from None
                     if not 1 <= cls <= max_class:
                         raise ValueError(f"job class must be in [1, 2**63 - 1], got {cls}")
@@ -161,6 +159,7 @@ class StreamRunner:
                 if machine.__class__ is not int:
                     machine, moves = machine
                 if not 1 <= machine <= m:
+                    jid = len(sizes_col) + 1
                     raise ContractViolation(jid, f"machine {machine} outside [1, {m}]")
                 sizes_col.append(size)
                 machines_col.append(machine)
@@ -175,17 +174,20 @@ class StreamRunner:
                         hosted.add(cls)
                         used = len(hosted)
                 if moves:
-                    makespan = self._migrate(jid, machine, moves, makespan)
+                    makespan = self._migrate(machine, moves, makespan)
                     jobs = self._jobs
                 else:
                     if jobs is not None:
-                        jobs[machine].append(jid)
+                        jobs[machine].append(len(sizes_col))
                     if used > k:
-                        self._check(jid, (machine,))
+                        self._check(len(sizes_col), (machine,))
                     load = loads[mi] = loads[mi] + size
                     if load > makespan:
                         makespan = load
                 append_makespan(makespan)
+            if len(sizes_col) == capacity:
+                for _ in sizes:  # a full runner draws one more size and refuses it
+                    raise InfeasibleError(f"stream longer than capacity m*k = {m * k}")
         finally:
             self._makespan = makespan
 
@@ -195,21 +197,21 @@ class StreamRunner:
             if self.classes is not None:
                 if len(self.class_sets[mi - 1]) > self.k:
                     raise ContractViolation(jid, f"machine {mi} hosts more than {self.k} classes")
-            elif self.counts[mi - 1] > self.k:
-                c = self.counts[mi - 1]
+            elif (c := self.counts[mi - 1]) > self.k:
                 raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
 
-    def _migrate(self, jid: int, machine: int, moves, makespan: float) -> float:
-        """Check, apply and price the moves of arrival `jid`; re-sum the machines they
-        touch and return the new makespan, given the one before the arrival."""
-        jobs = self._jobs
+    def _migrate(self, machine: int, moves, makespan: float) -> float:
+        """Check, apply and price the moves of the arrival just recorded; re-sum the machines
+        they touch and return the new makespan, given the one before the arrival."""
+        counts, sizes, m, k = self.counts, self.trace.sizes, self.m, self.k
+        jobs, jid = self._jobs, len(sizes)
         if jobs is None:  # the first migration: O(n), and no list for an empty machine
             jobs = self._jobs = defaultdict(list)
             for j, mi in enumerate(self.trace.machines, start=1):
                 jobs[mi].append(j)
         else:
             jobs[machine].append(jid)
-        counts, sizes, m = self.counts, self.trace.sizes, self.m
+        over = counts[machine - 1] > k  # only the arriving machine and destinations gain jobs
         moved_size = 0.0
         touched = {machine}
         for job, src, dst in moves:
@@ -227,14 +229,15 @@ class StreamRunner:
             insort(jobs[dst], job)
             counts[src - 1] -= 1
             counts[dst - 1] += 1
+            over |= counts[dst - 1] > k
             moved_size += sizes[job - 1]
             touched.add(src)
             touched.add(dst)
-        touched = sorted(touched)  # ascending: the lowest violator is named
         if self.classes is not None:  # a move may take a class's last job off a machine
             for mi in touched:
                 self.class_sets[mi - 1] = {self.classes[j - 1] for j in jobs[mi]}
-        self._check(jid, touched)
+        if over or self.classes is not None:  # ascending: the lowest violator is named
+            self._check(jid, sorted(touched))
         loads = self.loads
         top = 0.0  # the largest touched load
         had_makespan = False

@@ -77,8 +77,9 @@ class Trace:
     `sizes` and `machines` are lists of the caller's own objects: the sizes
     as fed (an int size stays an int) and the machine ints of the decisions,
     so a list pays one pointer per job, as many bytes as an array("d") or
-    array("q"), and an append parses nothing.  Each makespan is a fresh
-    float, so that column stays an array("d"), which stores it unboxed.
+    array("q"), and an append parses nothing.  A new makespan float exists
+    only when the makespan rises; the array("d") column stores it unboxed
+    for the streams where it rises on every arrival (ClCS's phase 2).
     """
 
     m: int

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .model import Instance, makespan
 
@@ -44,13 +46,10 @@ def lower_bound(sizes, m: int) -> float:
 def sorted_round_robin_makespan(sizes, m: int) -> float:
     """Makespan of dealing the sizes, sorted non-increasingly, round-robin over m machines."""
     ordered = sorted(sizes, reverse=True)
-    loads = []
-    for r in range(min(m, len(ordered))):
-        load = 0.0
-        for s in ordered[r::m]:  # machine r + 1's sizes, added in sorted order from 0.0
-            load += s
-        loads.append(load)
-    return max(loads, default=0.0)
+    # machine r + 1's sizes, added in sorted order from 0.0: a left fold, which
+    # the builtin `sum` is not from Python 3.12 on (it compensates)
+    folds = (reduce(add, ordered[r::m], 0.0) for r in range(min(m, len(ordered))))
+    return max(folds, default=0.0)
 
 
 def exact_opt(instance: Instance) -> OracleResult:

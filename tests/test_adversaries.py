@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -268,6 +269,10 @@ def test_phi_lb_m_precondition():
     # M*M overflows to inf on both sides of the size test: M is too large, not too small
     for M in (1e200, -1e200, math.inf, math.nan):
         with pytest.raises(ValueError, match="M\\*M = (inf|nan) is not finite"):
+            phi_lb_drive(RoundRobinScheduler(2, 2), M)
+    # a non-positive M passes the size test; it is refused by name, not as a job size
+    for M in (-10.0, -0.001, 0.0, -0.0):
+        with pytest.raises(ValueError, match=f"^M={re.escape(str(M))} must be > 0$"):
             phi_lb_drive(RoundRobinScheduler(2, 2), M)
 
 

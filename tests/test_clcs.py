@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -38,8 +39,22 @@ def test_greedy_infeasible_when_classes_exceed_mk():
     scheduler = GreedyClcsScheduler(2, 1)
     scheduler.on_arrival(1.0, 1)
     scheduler.on_arrival(1.0, 2)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="^all machines already host k classes$"):
         scheduler.on_arrival(1.0, 3)
+
+
+def test_greedy_binding_keeps_nothing_per_machine():
+    # a binding touches one machine, so 100 new classes at m = 10**6 cost what
+    # 100 bindings hold, not a count per machine (8 MB as a list of m ints)
+    tracemalloc.start()
+    try:
+        scheduler = GreedyClcsScheduler(10**6, 1)
+        machines = [scheduler.on_arrival(1.0, cls) for cls in range(1, 101)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert machines == list(range(1, 101))
+    assert peak < 256 * 1024
 
 
 class _Scripted:
@@ -74,7 +89,7 @@ def test_classed_runner_refuses_a_class_before_the_scheduler_sees_it(cls):
     with pytest.raises(ValueError, match=r"job class must be in \[1, 2\*\*63 - 1\], got"):
         runner.feed([1.0, 2.0], [1, cls])
     assert runner.n == 1 and list(runner.classes) == [1] and runner.class_sets == [{1}, set()]
-    assert scheduler._bound == [1, 0]
+    assert scheduler._machine_of_class == {1: 1}
     runner.push(3.0, 2)
     assert list(runner.trace.machines) == [1, 2]
 
@@ -86,7 +101,7 @@ def test_classed_feed_refuses_a_size_without_a_class():
         runner.feed([1.0, 2.0], [1])
     # as after job 1, so the stream can go on
     assert runner.n == 1 and list(runner.classes) == [1] and runner.class_sets == [{1}, set()]
-    assert list(runner.trace.makespans) == [1.0] and scheduler._bound == [1, 0]
+    assert list(runner.trace.makespans) == [1.0] and scheduler._machine_of_class == {1: 1}
     runner.push(3.0, 2)
     assert list(runner.trace.machines) == [1, 2]
     assert list(runner.trace.makespans) == [1.0, 3.0]

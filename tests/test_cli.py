@@ -141,6 +141,14 @@ def test_adversary_phi_lb(capsys):
     assert 1.61 <= report["ratio"] <= 1.6190339887498949
 
 
+@pytest.mark.parametrize("big_m", ["-10", "-0.001", "0"])
+def test_adversary_phi_lb_refuses_a_non_positive_m_by_name(capsys, big_m):
+    argv = ["adversary", "--family", "phi-lb", "--algo", "phi", "--big-m", big_m]
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert err == f"error: M={float(big_m)} must be > 0\n"
+
+
 def test_adversary_robust_lb(capsys):
     code, out, _ = _run_cli(
         capsys,

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from functools import partial
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,37 @@ def test_run_stream_guards_capacity_before_dispatch():
     with pytest.raises(InfeasibleError, match="capacity m\\*k = 2"):
         run_stream(scheduler, [1, 1, 1], 2, 1)
     assert len(calls) == 2
+
+
+def test_feed_draws_one_size_past_capacity_and_refuses_it():
+    # a source that runs past m*k is drawn m*k + 1 times; the extra size never
+    # reaches the scheduler and the trace stays as after arrival m*k
+    scheduler = RoundRobinScheduler(2, 2)
+    calls, inner = [], scheduler.on_arrival
+    scheduler.on_arrival = lambda size: calls.append(size) or inner(size)
+    runner = StreamRunner(scheduler, 2, 2)
+    draws = []
+
+    def sizes():
+        for i in count(1):
+            draws.append(i)
+            yield float(i)
+
+    source = sizes()
+    with pytest.raises(InfeasibleError, match="^stream longer than capacity m\\*k = 4$"):
+        runner.feed(source)
+    assert draws == [1, 2, 3, 4, 5] and calls == [1.0, 2.0, 3.0, 4.0]
+    full = (list(runner.trace.sizes), list(runner.trace.makespans), runner.counts, runner.loads)
+    assert full == ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 6.0], [2, 2], [4.0, 6.0])
+    # a second feed on the full runner draws once and refuses again
+    with pytest.raises(InfeasibleError, match="capacity m\\*k = 4"):
+        runner.feed(source)
+    assert draws == [1, 2, 3, 4, 5, 6] and len(calls) == 4
+    assert (list(runner.trace.sizes), list(runner.trace.makespans)) == full[:2]
+    # a source that ends at capacity is not refused
+    runner = StreamRunner(RoundRobinScheduler(2, 2), 2, 2)
+    runner.feed(islice(sizes(), 4))
+    assert runner.n == 4
 
 
 @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, -1.0])
@@ -215,6 +247,31 @@ def test_runner_refuses_move_to_invalid_machine(dst):
     message = f"arrival 2: move of job 1 to invalid machine {dst}"
     with pytest.raises(ContractViolation, match=message):
         run_stream(_Scripted(((1, 1, dst),)), [1.0, 1.0], 2, 2)
+
+
+class _Replay(Scheduler):
+    """Replays the given decisions in order."""
+
+    def __init__(self, m, k, decisions):
+        self.m, self.k = m, k
+        self._decisions = iter(decisions)
+
+    def on_arrival(self, size):
+        return next(self._decisions)
+
+
+def test_migration_cap_is_checked_after_all_moves_on_the_lowest_machine():
+    # m = 4, k = 1: job 4 joins machine 3 (over k first) and moves job 2 onto
+    # machine 1, so machines 1 and 3 both end over k and the lower is named
+    decisions = [1, 2, 3, (3, ((2, 2, 1),))]
+    with pytest.raises(ContractViolation, match="^arrival 4: machine 1 holds 2 jobs, cap is 1$"):
+        run_stream(_Replay(4, 1, decisions), [1.0] * 4, 4, 1)
+    # a count that passes k and falls back within one arrival breaks nothing:
+    # job 3 moves job 1 onto machine 2, then job 2 off it, onto machine 1
+    decisions = [1, 2, (3, ((1, 1, 2), (2, 2, 1)))]
+    trace = run_stream(_Replay(3, 1, decisions), [1.0, 2.0, 4.0], 3, 1)
+    assert trace.final_schedule() == {1: 2, 2: 1, 3: 3}
+    assert list(trace.makespans) == [1.0, 2.0, 4.0] and trace.loads == [2.0, 1.0, 4.0]
 
 
 def test_first_migration_allocates_per_job_not_per_machine():

@@ -71,6 +71,14 @@ def test_sorted_round_robin_examples():
         sorted_round_robin(instance_from_sizes([1, 1, 1], 1, 2))
 
 
+def test_sorted_round_robin_makespan_is_a_left_fold():
+    # each machine's sorted sizes fold left from 0.0; Python 3.12's compensated
+    # sum() gives 1.0000000000000002e16 here
+    assert sorted_round_robin_makespan([1.0, 1e16, 1.0], 1) == 1e16
+    assert sorted_round_robin_makespan([1.0, 1e16, 1.0, 1.0, 1.0], 2) == 1e16
+    assert sorted_round_robin_makespan([], 3) == 0.0
+
+
 def test_sorted_round_robin_full_instance_has_k_per_machine():
     inst = instance_from_sizes(range(1, 13), 3, 4)
     schedule = sorted_round_robin(inst)

@@ -12,7 +12,7 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  The 13
+A side whose outputs differ between its own runs fails the case.  The 14
 cases:
 
 - `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
@@ -38,6 +38,10 @@ cases:
 - `run-stream-rr`: `run_stream` with round-robin on 40,000 loguniform jobs
   at m = k = 1000, the scheduler alone on the same stream, and `runner_s`,
   their difference.
+- `run-stream-clcs`: the same three timings for the classed runner with
+  greedy ClCS on uniform-lb's stream at m = 50, k = 20 (1,000 unit jobs of
+  distinct classes, then 400,000 jobs of size 0.99 over the 20 classes on
+  machine 1); outputs: the job count and digests of the trace and loads.
 - `run-stream-robust`: the same three timings for robust-ordinal at
   eps = 0.5 on 4,000 loguniform jobs at m = k = 1000, where the runner's
   migration path is most of the run; outputs: the migrating arrivals and
@@ -262,6 +266,39 @@ def run_stream_rr() -> dict:
     return {**times, "jobs": trace.n, "trace_sha256": hashlib.sha256(columns).hexdigest()}
 
 
+def run_stream_clcs() -> dict:
+    """The classed runner with greedy ClCS on uniform-lb's stream, then the scheduler alone."""
+    from cardsched.clcs import GreedyClcsScheduler
+    from cardsched.engine import StreamRunner
+
+    m, k, rounds = FULL["clcs_uniform"]  # M rounds at the CLI's default beta = 1
+    size = 1.0 / 1.0 - 0.01  # 1 / beta - eps at the default eps = 0.01
+    # phase 1: one unit job per class, which greedy binds round-robin; phase 2
+    # floods the min(k, m - 1) classes that land on machine 1
+    targets = list(range(1, m * k + 1, m))[: min(k, m - 1)]
+    sizes = [1.0] * (m * k) + [size] * (rounds * len(targets))
+    classes = list(range(1, m * k + 1)) + targets * rounds
+    t0 = time.perf_counter()
+    runner = StreamRunner(GreedyClcsScheduler(m, k), m, k, classed=True)
+    runner.feed(sizes, classes)
+    drive_s = time.perf_counter() - t0
+    on_arrival = GreedyClcsScheduler(m, k).on_arrival
+    t0 = time.perf_counter()
+    for job in zip(sizes, classes):
+        on_arrival(*job)
+    decide_s = time.perf_counter() - t0
+    trace = runner.trace
+    columns = array("i", trace.machines).tobytes() + array("d", trace.makespans).tobytes()
+    return {
+        "drive_s": drive_s,
+        "decide_s": decide_s,
+        "runner_s": drive_s - decide_s,
+        "jobs": trace.n,
+        "trace_sha256": hashlib.sha256(columns).hexdigest(),
+        "loads_sha256": hashlib.sha256(array("d", runner.loads).tobytes()).hexdigest(),
+    }
+
+
 def run_stream_robust() -> dict:
     """run_stream with robust-ordinal, then the scheduler alone on the same stream."""
     from cardsched.cli import generate_sizes
@@ -333,6 +370,7 @@ CASES = {
     "exact-metering": exact_metering,
     "worst": worst,
     "run-stream-rr": run_stream_rr,
+    "run-stream-clcs": run_stream_clcs,
     "run-stream-robust": run_stream_robust,
     "constant-terminal": partial(constant_case, 1000, 60, 60_000, "loguniform", 1),
     "constant-fallback": partial(constant_case, 1000, 40, 40_000, "loguniform", 1),
