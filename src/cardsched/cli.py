@@ -200,7 +200,7 @@ def cmd_run(args) -> dict:
             }
         )
         if args.emit_map:
-            report["ordinal_map"] = list(ordinal_map(m, k).sigma)
+            report["ordinal_map"] = list(ordinal_map(m, k))
     else:
         scheduler = SCHEDULERS[args.algo](m, k, args.epsilon)
         trace = run_stream(scheduler, sizes, m, k)

@@ -51,18 +51,17 @@ def _floor_2log2(k: int) -> int:
 
 
 def _small_order(row: _Row) -> tuple[int, int]:
-    return -row.filled, row.rid
+    return -len(row.slots), row.rid
 
 
 class _Row:
-    __slots__ = ("rid", "kind", "group", "slots", "filled")
+    __slots__ = ("rid", "kind", "group", "slots")
 
     def __init__(self, rid: int):
         self.rid = rid
         self.kind = "free"
         self.group: int | None = None
         self.slots: dict[int, int] = {}  # machine index -> job id, filled slots only
-        self.filled = 0
 
 
 class ConstantCompetitiveScheduler(Scheduler):
@@ -111,7 +110,7 @@ class ConstantCompetitiveScheduler(Scheduler):
         for i in range(self.l + 1):
             self._label(rows[2 * i], "pure", i)
             self._label(rows[2 * i + 1], "mixed", i)
-        # every new row has filled == 0, so ascending rid is already _small_order
+        # every new row is empty, so ascending rid is already _small_order
         self._small = rows[pairs : pairs + small_target]
         for row in self._small:
             row.kind = "small"
@@ -170,9 +169,9 @@ class ConstantCompetitiveScheduler(Scheduler):
             # becomes the new pure row, the leftover joins the small rows
             old_pure = self._pure.pop(self.l)
             old_mixed = self._mixed.pop(self.l)
-            new_mixed = max((old_mixed, old_pure), key=lambda r: r.filled)
+            new_mixed = max((old_mixed, old_pure), key=lambda r: len(r.slots))
             leftover = old_pure if new_mixed is old_mixed else old_mixed
-            assert leftover.filled < self.m, "both rows of a live pair are full"
+            assert len(leftover.slots) < self.m, "both rows of a live pair are full"
             self._label(new_mixed, "mixed", i)
             self._make_small(leftover)
             self._label(self._take_free(), "pure", i)
@@ -189,7 +188,7 @@ class ConstantCompetitiveScheduler(Scheduler):
                 self._make_small(row)
             self.l = new_l
             # a merged row may already be full; full small rows never persist
-            full = [r for r in merged if r.filled == self.m]
+            full = [r for r in merged if len(r.slots) == self.m]
             if not full:
                 break
             for row in full:
@@ -213,7 +212,7 @@ class ConstantCompetitiveScheduler(Scheduler):
             return
         i = row.group
         pure, mixed = self._pure[i], self._mixed[i]
-        if pure.filled == mixed.filled == self.m:
+        if len(pure.slots) == len(mixed.slots) == self.m:
             del self._pure[i]
             del self._mixed[i]
             self._remove_row(pure)
@@ -251,7 +250,7 @@ class ConstantCompetitiveScheduler(Scheduler):
                 pure, mixed = self._pure[i], self._mixed[i]
                 # the pair's row with the fewest empty slots, tie to mixed; the
                 # pair is never full, and a full row takes no job
-                pf, mf = pure.filled, mixed.filled
+                pf, mf = len(pure.slots), len(mixed.slots)
                 row = pure if mf == m or mf < pf < m else mixed
             else:
                 row = self._small[0]  # fewest empty slots, tie to lowest rid
@@ -283,8 +282,7 @@ class ConstantCompetitiveScheduler(Scheduler):
             if not buckets[self._low]:
                 self._low += 1
         row.slots[mi] = jid
-        row.filled += 1
-        if row.filled == m and not self.terminal:
+        if len(row.slots) == m and not self.terminal:
             self._retire(row)
         return mi + 1
 

@@ -100,7 +100,6 @@ class StreamRunner:
         # machine -> its ascending job ids, from the first arrival that moves jobs
         # on; only machines that have held a job have a list
         self._jobs: defaultdict[int, list[int]] | None = None
-        self._makespan = 0.0  # max(loads), as of the last applied arrival
 
     @property
     def n(self) -> int:
@@ -138,58 +137,55 @@ class StreamRunner:
         if classed:
             next_class, classes_col = iter(classes).__next__, self.classes
             class_sets, max_class = self.class_sets, _MAX_CLASS
-        makespan = self._makespan
+        makespan = trace.final_makespan()  # max(loads), as of the last applied arrival
         sizes = iter(sizes)  # the draw past capacity continues the same source
-        try:
-            for size in islice(sizes, capacity - len(sizes_col)):
-                if not 0.0 <= size <= max_size:  # also rejects NaN
-                    raise ValueError(f"job size must be finite and >= 0, got {size}")
-                if classed:
-                    try:
-                        cls = next_class()
-                    except StopIteration:
-                        jid = len(sizes_col) + 1
-                        raise ValueError(f"arrival {jid} has a size but no class") from None
-                    if not 1 <= cls <= max_class:
-                        raise ValueError(f"job class must be in [1, 2**63 - 1], got {cls}")
-                    machine = on_arrival(size, cls)
-                else:
-                    machine = on_arrival(size)
-                moves = None
-                if machine.__class__ is not int:
-                    machine, moves = machine
-                if not 1 <= machine <= m:
+        for size in islice(sizes, capacity - len(sizes_col)):
+            if not 0.0 <= size <= max_size:  # also rejects NaN
+                raise ValueError(f"job size must be finite and >= 0, got {size}")
+            if classed:
+                try:
+                    cls = next_class()
+                except StopIteration:
                     jid = len(sizes_col) + 1
-                    raise ContractViolation(jid, f"machine {machine} outside [1, {m}]")
-                sizes_col.append(size)
-                machines_col.append(machine)
-                mi = machine - 1
-                used = counts[mi] = counts[mi] + 1
-                if classed:
-                    classes_col.append(cls)
-                    hosted = class_sets[mi]
-                    if cls in hosted:
-                        used = 0  # a hosted class adds nothing to check
-                    else:
-                        hosted.add(cls)
-                        used = len(hosted)
-                if moves:
-                    makespan = self._migrate(machine, moves, makespan)
-                    jobs = self._jobs
+                    raise ValueError(f"arrival {jid} has a size but no class") from None
+                if not 1 <= cls <= max_class:
+                    raise ValueError(f"job class must be in [1, 2**63 - 1], got {cls}")
+                machine = on_arrival(size, cls)
+            else:
+                machine = on_arrival(size)
+            moves = None
+            if machine.__class__ is not int:
+                machine, moves = machine
+            if not 1 <= machine <= m:
+                jid = len(sizes_col) + 1
+                raise ContractViolation(jid, f"machine {machine} outside [1, {m}]")
+            sizes_col.append(size)
+            machines_col.append(machine)
+            mi = machine - 1
+            used = counts[mi] = counts[mi] + 1
+            if classed:
+                classes_col.append(cls)
+                hosted = class_sets[mi]
+                if cls in hosted:
+                    used = 0  # a hosted class adds nothing to check
                 else:
-                    if jobs is not None:
-                        jobs[machine].append(len(sizes_col))
-                    if used > k:
-                        self._check(len(sizes_col), (machine,))
-                    load = loads[mi] = loads[mi] + size
-                    if load > makespan:
-                        makespan = load
-                append_makespan(makespan)
-            if len(sizes_col) == capacity:
-                for _ in sizes:  # a full runner draws one more size and refuses it
-                    raise InfeasibleError(f"stream longer than capacity m*k = {m * k}")
-        finally:
-            self._makespan = makespan
+                    hosted.add(cls)
+                    used = len(hosted)
+            if moves:
+                makespan = self._migrate(machine, moves, makespan)
+                jobs = self._jobs
+            else:
+                if jobs is not None:
+                    jobs[machine].append(len(sizes_col))
+                if used > k:
+                    self._check(len(sizes_col), (machine,))
+                load = loads[mi] = loads[mi] + size
+                if load > makespan:
+                    makespan = load
+            append_makespan(makespan)
+        if len(sizes_col) == capacity:
+            for _ in sizes:  # a full runner draws one more size and refuses it
+                raise InfeasibleError(f"stream longer than capacity m*k = {m * k}")
 
     def _check(self, jid: int, touched) -> None:
         """Raise for the first machine in `touched` that breaks the runner's rule."""

@@ -32,11 +32,10 @@ class RobustOrdinalScheduler(Scheduler):
 
     def __init__(self, m: int, k: int, eps: float):
         self.m, self.k = m, k
-        self.eps = eps
         # one set of size classes for the whole run (it checks eps now), so an
         # arrival in a class met before lifts no power of (1+eps)
         self._exponent = GeometricClasses(eps).exponent
-        self._sigma = ordinal_map(m, k).sigma
+        self._sigma = ordinal_map(m, k)
         # exponent (-inf for zeros) -> job ids, head first
         self._classes: dict[float, deque[int]] = {}
         self._order: list[float] = []  # the exponents of _classes, descending

@@ -8,7 +8,8 @@ linear scan, a standalone constant scheduler that chooses every machine and
 row by a scan (slots allocated up front), the robust-ordinal scheduler that
 diffs a job -> machine map over all jobs before and after each resort (its
 sizes rounded by `ref_round_up_geometric`, which lifts every power of
-(1+eps) afresh on each call), and
+(1+eps) afresh on each call), the ordinal map
+by simulating every round one machine at a time (`ref_ordinal_map`), and
 the exact oracle (with the sorted round-robin schedule it starts from) that
 re-sums the free slots and rescans every machine's slot-forcing bound at
 every node, searching on after a leaf has reached the lower bound unless
@@ -24,14 +25,15 @@ by enumerating every assignment (n <= 8).  And `check_report`, the internal
 consistency of an adversary report.
 
 The references take a scheduler's decision through `as_pair`: a bare machine
-int is a placement with no moves.  Six helpers only tests use live here
+int is a placement with no moves.  Seven helpers only tests use live here
 too: `check_invariants`, the constant scheduler's structural invariants;
 `rows_of_kind`, a snapshot's live rows of one kind; `round_down_pow2`, the
 checked rounding the reference constant scheduler uses; `certify_load_bound`,
 the constant scheduler's end-of-stream load bound on the rounded sizes;
 `positions`, the list position of each job a robust-ordinal scheduler
-holds; and `iota`, the closed form of the jobs an ordinal phase's first
-border machine receives.
+holds; `iota`, the closed form of the jobs an ordinal phase's first
+border machine receives; and `wide_rounds`, the wide rounds of each phase
+read off an ordinal map.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from cardsched.constant import FALLBACK_MAX_K, _floor_2log2
 from cardsched.engine import ContractViolation, ListSchedulingCapped, Scheduler
 from cardsched.model import InfeasibleError, Instance, Trace, makespan, power
 from cardsched.oracle import OracleResult, lower_bound
-from cardsched.ordinal import ordinal_map
+from cardsched.ordinal import borders, ordinal_map
 
 BRUTE_MAX_JOBS = 10
 CLCS_BRUTE_MAX_JOBS = 8
@@ -558,8 +560,7 @@ def check_invariants(scheduler) -> None:
     assert buckets[sc._low] or not fresh
     jobs = sum(c * len(b) for c, b in enumerate(buckets))
     live = sc._live_rows()
-    assert all(row.filled == len(row.slots) for row in live)
-    live_jobs = sum(row.filled for row in live)
+    live_jobs = sum(len(row.slots) for row in live)
     assert jobs == sc.arrivals == sc.m * removed + live_jobs
     if sc.terminal:
         rows = sc._frozen
@@ -571,12 +572,12 @@ def check_invariants(scheduler) -> None:
         pure, mixed = sc._pure[i], sc._mixed[i]
         assert pure.kind == "pure" and pure.group == i
         assert mixed.kind == "mixed" and mixed.group == i
-        assert pure.filled < sc.m or mixed.filled < sc.m, f"pair {i} fully full"
+        assert len(pure.slots) < sc.m or len(mixed.slots) < sc.m, f"pair {i} fully full"
     assert len(sc._pure) == len(sc._mixed) == sc.l + 1
     small_target = -(sc.active_k // -2) - 2 * (sc.l + 1)
     assert len(sc._small) == small_target, f"small rows {len(sc._small)} != target {small_target}"
     for row in sc._small:
-        assert row.filled < sc.m, "full small row survived"
+        assert len(row.slots) < sc.m, "full small row survived"
     free = sc.k - sc._next_free
     assert free == sc.active_k // 2, f"free rows {free} != floor(active_k/2)"
     live = 2 * (sc.l + 1) + len(sc._small) + free
@@ -606,6 +607,69 @@ def iota(s: int, k: int) -> int:
     return -((k - 1) // -3)  # ceil((k-1)/3)
 
 
+def ref_ordinal_map(m: int, k: int) -> tuple[int, ...]:
+    """The ordinal map by simulating every round one machine at a time: per-machine
+    counts, an overflow check per position, and a scan of the narrow interval
+    after every round to see whether the phase is over."""
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be >= 1")
+    if m == 1:
+        return (1,) * k
+    if k == 1:
+        return tuple(range(1, m + 1))
+    if k == 2:
+        return tuple(range(1, m + 1)) + tuple(range(m, 0, -1))
+    xi = (m.bit_length() - 1) + 2  # floor(log2 m) + 2
+    mu = tuple(m // 2 ** (xi - i) + 1 for i in range(1, xi + 1))
+    sigma: list[int] = []
+    counts = [0] * (m + 1)  # 1-based
+
+    def do_round(a: int, b: int):
+        for mach in range(a, b):
+            if counts[mach] >= k:
+                raise AssertionError(f"round [{a},{b}) overflows machine {mach} past k={k}")
+            sigma.append(mach)
+            counts[mach] += 1
+
+    def interval_full(a: int, b: int) -> bool:
+        return all(counts[mach] == k for mach in range(a, b))
+
+    do_round(1, m + 1)
+    wide_a, nar_a, b = mu[xi - 3], mu[xi - 2], mu[xi - 1]
+    while not interval_full(nar_a, b):
+        do_round(wide_a, b)
+        if interval_full(nar_a, b):
+            break
+        do_round(nar_a, b)
+        if interval_full(nar_a, b):
+            break
+        do_round(nar_a, b)
+    for s in range(3, xi):
+        wide_a, nar_a, b = mu[xi - s - 1], mu[xi - s], mu[xi - s + 1]
+        while not interval_full(nar_a, b):
+            do_round(wide_a, b)
+            if interval_full(nar_a, b):
+                break
+            do_round(nar_a, b)
+    while counts[1] < k:
+        do_round(1, 2)
+    assert all(c == k for c in counts[1:]) and len(sigma) == m * k
+    return tuple(sigma)
+
+
+def wide_rounds(sigma, m: int) -> dict[int, int]:
+    """Ordinal phase s (2 <= s < xi) -> the wide rounds the map `sigma` deals in it.
+
+    A round deals one position to each machine of an interval in order, so
+    sigma splits into rounds wherever sigma[i] != sigma[i-1] + 1.  After the
+    first round, phase s's wide rounds are those over [mu(xi-s), mu(xi-s+2)).
+    """
+    mu = borders(m)
+    cuts = [i for i in range(1, len(sigma)) if sigma[i] != sigma[i - 1] + 1]
+    rounds = [(sigma[i], sigma[j - 1] + 1) for i, j in zip(cuts, cuts[1:] + [len(sigma)])]
+    return {s: rounds.count((mu[-s - 1], mu[-s + 1])) for s in range(2, len(mu))}
+
+
 def ref_round_up_geometric(size: float, eps: float) -> tuple[float, int]:
     """Smallest integer power of (1+eps) >= size, as (value, exponent): every
     power lifted afresh, and size and eps checked on every call."""
@@ -630,7 +694,7 @@ class RefRobustOrdinal(Scheduler):
             raise ValueError(f"eps must be positive, got {eps}")
         self.m, self.k = m, k
         self.eps = eps
-        self._map = ordinal_map(m, k)
+        self._sigma = ordinal_map(m, k)
         self._classes: dict[float, list[int]] = {}  # exponent (-inf for zeros) -> job ids
         self._dummies = m * k
 
@@ -645,7 +709,7 @@ class RefRobustOrdinal(Scheduler):
         return pos
 
     def _machines(self) -> dict[int, int]:
-        sigma = self._map.sigma
+        sigma = self._sigma
         out = {}
         p = 0
         for e in sorted(self._classes, reverse=True):

@@ -33,7 +33,7 @@ from cardsched.engine import (
 )
 from cardsched.model import check_feasible, instance_from_sizes
 from cardsched.oracle import exact_opt, opt_makespan
-from cardsched.ordinal import ordinal_map, ordinal_schedule
+from cardsched.ordinal import borders, ordinal_map, ordinal_schedule
 from cardsched.robust import RobustOrdinalScheduler
 from cardsched.model import makespan as schedule_makespan
 from reference_scans import (
@@ -43,6 +43,7 @@ from reference_scans import (
     clcs_exact,
     iota,
     positions,
+    wide_rounds,
 )
 
 RATE_81_41 = 81.0 / 41.0
@@ -184,12 +185,12 @@ def test_criterion_6_phase_counts_and_parity():
     failures = []
     for m in (8, 16, 32):
         for k in range(3, 201):
-            omap = ordinal_map(m, k)
-            for s in range(2, omap.xi):
-                first_border = omap.borders[omap.xi - s - 1]
-                simulated = omap.phase_counts[s - 1][first_border - 1]
-                if simulated != iota(s, k):
-                    failures.append((m, k, s, simulated, iota(s, k)))
+            counts = wide_rounds(ordinal_map(m, k), m)
+            if sorted(counts) != list(range(2, len(borders(m)))):
+                failures.append((m, k, "phases", sorted(counts)))
+            for s, count in counts.items():
+                if count != iota(s, k):
+                    failures.append((m, k, s, count, iota(s, k)))
                 even = ((k - 1) - iota(s, k)) % 2 == 0
                 expected_even = (k - 1) % 3 == 0 or ((k - 1) % 3 == 1 and s % 2 == 0)
                 if even != expected_even:

@@ -1,63 +1,97 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes, makespan
 from cardsched.oracle import exact_opt
-from cardsched.ordinal import ordinal_map, ordinal_schedule
-from reference_scans import iota
+from cardsched.ordinal import borders, ordinal_map, ordinal_schedule
+from reference_scans import iota, ref_ordinal_map, wide_rounds
 
 
 def test_borders_power_of_two():
-    omap = ordinal_map(8, 3)
-    assert omap.xi == 5
-    assert omap.borders == (1, 2, 3, 5, 9)
+    assert borders(8) == (1, 2, 3, 5, 9)  # xi = 5
 
 
 def test_borders_m6():
-    omap = ordinal_map(6, 3)
-    assert omap.xi == 4
-    assert omap.borders == (1, 2, 4, 7)
+    assert borders(6) == (1, 2, 4, 7)  # xi = 4
+
+
+def test_borders_m1():
+    assert borders(1) == (1, 2)
 
 
 @pytest.mark.parametrize("m,expected", [(4, 3), (5, 3), (6, 4), (7, 4)])
 def test_third_border_m4_to_7(m, expected):
-    assert ordinal_map(m, 3).borders[2] == expected
+    assert borders(m)[2] == expected
+
+
+def test_ordinal_map_is_a_tuple():
+    assert type(ordinal_map(5, 4)) is tuple
 
 
 def test_k2_zigzag():
-    assert ordinal_map(2, 2).sigma == (1, 2, 2, 1)
-    assert ordinal_map(4, 2).sigma == (1, 2, 3, 4, 4, 3, 2, 1)
+    assert ordinal_map(2, 2) == (1, 2, 2, 1)
+    assert ordinal_map(4, 2) == (1, 2, 3, 4, 4, 3, 2, 1)
 
 
 def test_special_cases():
-    assert ordinal_map(1, 5).sigma == (1,) * 5
-    assert ordinal_map(4, 1).sigma == (1, 2, 3, 4)
+    assert ordinal_map(1, 5) == (1,) * 5
+    assert ordinal_map(4, 1) == (1, 2, 3, 4)
 
 
 def test_first_round_spreads_largest_jobs():
     for m in range(2, 12):
         for k in (3, 4, 7):
-            sigma = ordinal_map(m, k).sigma
+            sigma = ordinal_map(m, k)
             assert sigma[:m] == tuple(range(1, m + 1))
 
 
 def test_each_machine_gets_exactly_k_positions():
     for m in range(1, 12):
         for k in range(1, 9):
-            sigma = ordinal_map(m, k).sigma
+            sigma = ordinal_map(m, k)
             assert len(sigma) == m * k
             for machine in range(1, m + 1):
                 assert sigma.count(machine) == k
 
 
 def test_wide_range_of_shapes_never_overflows():
-    # do_round raises if any round would push a machine past k
+    # no round pushes a machine past k: each machine holds exactly k positions
     for m in list(range(2, 41)) + [63, 64, 65, 100]:
         for k in (3, 4, 5, 7, 11, 30):
-            sigma = ordinal_map(m, k).sigma
+            sigma = ordinal_map(m, k)
             assert len(sigma) == m * k
+            assert all(sigma.count(machine) == k for machine in range(1, m + 1)), (m, k)
+
+
+def test_closed_form_matches_round_simulation():
+    shapes = [(m, k) for m in range(1, 70) for k in range(1, 40)]
+    shapes += [(m, k) for j in range(1, 12) for m in (2**j - 1, 2**j, 2**j + 1) for k in (3, 4, 5, 7, 64)]
+    # log-uniform draws over m <= 3000 and k <= 300, at most 10**5 positions each
+    rng = random.Random(28)
+    for _ in range(300):
+        m = round(3000 ** rng.random())
+        shapes.append((m, round(min(300, 10**5 // m) ** rng.random())))
+    for m, k in shapes:
+        # uncached, so the maps do not outlive the test
+        assert ordinal_map.__wrapped__(m, k) == ref_ordinal_map(m, k), (m, k)
+
+
+def test_ordinal_map_allocates_one_pointer_per_position():
+    # 3 * 10**5 positions: the tuple is 2.4 MB and the machine ints 2.8 MB;
+    # per-machine counts or per-phase copies of them would exceed the bound
+    ordinal_map.cache_clear()
+    tracemalloc.start()
+    try:
+        sigma = ordinal_map(10**5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ordinal_map.cache_clear()
+    assert peak < 16 * 2**20, peak
+    assert len(sigma) == 3 * 10**5
 
 
 def test_ordinal_schedule_example():
@@ -98,20 +132,24 @@ def test_iota_domain():
         iota(2, 2)
 
 
-def test_iota_matches_simulation_small():
+def test_iota_matches_wide_rounds_small():
     for m in (8, 16):
         for k in range(3, 40):
-            omap = ordinal_map(m, k)
-            for s in range(2, omap.xi):
-                first_border = omap.borders[omap.xi - s - 1]
-                assert omap.phase_counts[s - 1][first_border - 1] == iota(s, k), (m, k, s)
+            counts = wide_rounds(ordinal_map(m, k), m)
+            assert sorted(counts) == list(range(2, len(borders(m))))
+            for s, count in counts.items():
+                assert count == iota(s, k), (m, k, s)
+
+
+def test_wide_rounds_read_the_simulated_map():
+    # phase 2: 9 rounds (W, N, N); phases 3 and 4 start at 1 + 3 held: 6 rounds (W, N)
+    assert wide_rounds(ref_ordinal_map(8, 10), 8) == {2: 3, 3: 3, 4: 3}
 
 
 def test_phase_count_parity_small():
     for m in (8, 16):
         for k in range(3, 40):
-            omap = ordinal_map(m, k)
-            for s in range(2, omap.xi):
+            for s in range(2, len(borders(m))):
                 even = ((k - 1) - iota(s, k)) % 2 == 0
                 expected = (k - 1) % 3 == 0 or ((k - 1) % 3 == 1 and s % 2 == 0)
                 assert even == expected, (m, k, s)

@@ -180,7 +180,7 @@ def test_machines_follow_fixed_map_positions():
     m, k, eps = 2, 3, 1.0
     rs = RobustOrdinalScheduler(m, k, eps)
     runner = StreamRunner(rs, m, k)
-    sigma = ordinal_map(m, k).sigma
+    sigma = ordinal_map(m, k)
     for s in (8.0, 2.0, 16.0, 1.0):
         runner.push(s)
         placed = runner.trace.final_schedule()

@@ -12,7 +12,7 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  The 14
+A side whose outputs differ between its own runs fails the case.  The 15
 cases:
 
 - `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
@@ -46,6 +46,9 @@ cases:
   eps = 0.5 on 4,000 loguniform jobs at m = k = 1000, where the runner's
   migration path is most of the run; outputs: the migrating arrivals and
   digests of the makespans, the migration records and the final loads.
+- `ordinal-map`: `ordinal_map` at (m, k) = (10**6, 3), (1000, 1000) and
+  (2, 10**6), its cache cleared before each as in a fresh process (`ops_s`,
+  and `map_<m>x<k>_s` per shape); outputs: each map's sha256.
 - `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
   in each of its modes, alone and under `run_stream` (median of 3 passes),
   with its mode and row counters, read from attributes every tree has, and
@@ -321,6 +324,25 @@ def run_stream_robust() -> dict:
     }
 
 
+ORDINAL_MAP_SHAPES = ((10**6, 3), (1000, 1000), (2, 10**6))
+
+
+def ordinal_map_case() -> dict:
+    """`ordinal_map` at each of ORDINAL_MAP_SHAPES, its cache cleared first as in a fresh process."""
+    from cardsched.ordinal import ordinal_map
+
+    out, digests = {}, {}
+    for m, k in ORDINAL_MAP_SHAPES:
+        ordinal_map.cache_clear()
+        t0 = time.perf_counter()
+        built = ordinal_map(m, k)
+        out[f"map_{m}x{k}_s"] = time.perf_counter() - t0
+        sigma = getattr(built, "sigma", built)  # the positions, whatever type holds them
+        digests[f"sigma_{m}x{k}_sha256"] = hashlib.sha256(array("i", sigma).tobytes()).hexdigest()
+        del built, sigma  # the next shape builds with this map freed
+    return {"ops_s": sum(out.values()), **out, **digests}
+
+
 def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
     from cardsched import cli
     from cardsched.constant import ConstantCompetitiveScheduler
@@ -372,6 +394,7 @@ CASES = {
     "run-stream-rr": run_stream_rr,
     "run-stream-clcs": run_stream_clcs,
     "run-stream-robust": run_stream_robust,
+    "ordinal-map": ordinal_map_case,
     "constant-terminal": partial(constant_case, 1000, 60, 60_000, "loguniform", 1),
     "constant-fallback": partial(constant_case, 1000, 40, 40_000, "loguniform", 1),
     "constant-interleaved-groups": partial(constant_case, 1000, 1000, 100_000, "groups", 0),
