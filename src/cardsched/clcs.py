@@ -4,7 +4,8 @@ Here a machine may host jobs from at most k *distinct classes* instead of at
 most k jobs.  The greedy scheduler pins each class to one machine; it is
 m-competitive and that is the best possible even with migration, which the
 two lower-bound drivers demonstrate on identical and uniform machines.  All
-of them run on a classed StreamRunner; speeds enter only clcs_makespan.
+of them run on a classed StreamRunner, which takes each job as the (size,
+class) pair the callers hold; speeds enter only clcs_makespan.
 """
 
 from __future__ import annotations
@@ -47,14 +48,13 @@ def clcs_makespan(loads, speeds) -> float:
 
 
 def run_classed_stream(scheduler, jobs, m: int, k: int) -> StreamRunner:
-    """Feed (size, class) pairs in order under the class cap; returns the finished runner.
+    """Feed (size, class) pairs as given under the class cap; returns the finished runner.
 
-    The runner refuses a class outside [1, 2**63 - 1] before the scheduler
-    sees it (a ValueError), as it does for the drives.
+    Sizes and classes are recorded as fed.  The runner refuses a bad size, then a
+    class outside [1, 2**63 - 1], before the scheduler sees it (a ValueError).
     """
     runner = StreamRunner(scheduler, m, k, classed=True)
-    jobs = list(jobs)
-    runner.feed((float(size) for size, _ in jobs), (int(cls) for _, cls in jobs))
+    runner.feed(jobs)
     return runner
 
 
@@ -101,7 +101,7 @@ def uniform_lb_drive(
     rounds = round(M * beta)
     size = 1.0 / beta - eps
     classes = itertools.chain.from_iterable(itertools.repeat(targets, rounds))
-    drive.feed(itertools.repeat(size, rounds * len(targets)), classes)
+    drive.feed(zip(itertools.repeat(size), classes))
     alg = clcs_makespan(drive.loads, speeds)
     analytic, constructive = M / s + k / s, max(float(k), (k + rounds * size) / s)
     opt, provenance = analytic, "analytic"

@@ -94,9 +94,10 @@ class StreamRunner:
         self.loads = self.trace.loads = [0.0] * m
         self.counts = [0] * m
         self._capacity = sys.maxsize if classed else m * k  # ClCS: no job limit
-        # ClCS only: the class of every job (the caller's ints) and the classes each machine hosts
+        # ClCS only: the class of every job (the caller's ints) and the classes each
+        # machine hosts, keyed by 0-based machine; a set is made when its machine is first used
         self.classes: list[int] | None = [] if classed else None
-        self.class_sets: list[set[int]] | None = [set() for _ in range(m)] if classed else None
+        self.class_sets: defaultdict[int, set[int]] | None = defaultdict(set) if classed else None
         # machine -> its ascending job ids, from the first arrival that moves jobs
         # on; only machines that have held a job have a list
         self._jobs: defaultdict[int, list[int]] | None = None
@@ -105,53 +106,48 @@ class StreamRunner:
     def n(self) -> int:
         return len(self.trace.sizes)
 
-    def push(self, size: float, cls: int | None = None) -> int:
-        """Apply one arrival (with its class on a classed runner); returns its machine."""
-        self.feed((size,), None if cls is None else (cls,))
+    def push(self, job) -> int:
+        """Apply one arrival (a size, or a (size, class) pair); returns its machine."""
+        self.feed((job,))
         return self.trace.machines[-1]
 
-    def feed(self, sizes, classes=None) -> None:
-        """Apply the arrivals `sizes` in order, with `classes` (one per size) on a classed runner.
+    def feed(self, jobs) -> None:
+        """Apply the arrivals `jobs` in order: sizes, or (size, class) pairs on a classed runner.
 
-        This is the runner's one arrival loop.  It draws the next size (and
-        class) only after the previous arrival is fully applied and recorded,
-        so an adaptive adversary can be a generator that reads the trace
-        between its yields.  An arrival is refused before its scheduler call
-        if the stream is over capacity, its size is not finite and >= 0, or
-        its class is missing (`classes` ran out before `sizes`) or not in
-        [1, 2**63 - 1], checked in that order.  Such a refusal, a scheduler
-        error or a machine out of range leaves the runner as it was after the
-        last applied arrival, running makespan included, so the stream can go
-        on; a ContractViolation on the machines an arrival touches leaves that
-        arrival partly applied.
+        This is the runner's one arrival loop.  It draws the next job only
+        after the previous arrival is fully applied and recorded, so an
+        adaptive adversary can be a generator that reads the trace between
+        its yields.  An arrival is refused before its scheduler call if the
+        stream is over capacity, its size is not finite and >= 0, or its
+        class is not in [1, 2**63 - 1], checked in that order; a classed job
+        that does not unpack into a pair is refused by the unpacking.  Such a
+        refusal, a scheduler error or a machine out of range leaves the
+        runner as it was after the last applied arrival, running makespan
+        included, so the stream can go on; a ContractViolation on the
+        machines an arrival touches leaves that arrival partly applied.
         """
         classed = self.classes is not None
-        if classed != (classes is not None):
-            raise ValueError("a classed runner takes one class per job, an unclassed one none")
         trace = self.trace
         sizes_col, machines_col = trace.sizes, trace.machines  # lists: `.append` is specialised
         append_makespan = trace.makespans.append
         counts, loads, on_arrival = self.counts, self.loads, self.scheduler.on_arrival
         m, k, capacity, max_size = self.m, self.k, self._capacity, _MAX_SIZE
-        jobs = self._jobs
+        job_lists = self._jobs
         if classed:
-            next_class, classes_col = iter(classes).__next__, self.classes
-            class_sets, max_class = self.class_sets, _MAX_CLASS
+            classes_col, class_sets, max_class = self.classes, self.class_sets, _MAX_CLASS
         makespan = trace.final_makespan()  # max(loads), as of the last applied arrival
-        sizes = iter(sizes)  # the draw past capacity continues the same source
-        for size in islice(sizes, capacity - len(sizes_col)):
-            if not 0.0 <= size <= max_size:  # also rejects NaN
-                raise ValueError(f"job size must be finite and >= 0, got {size}")
+        jobs = iter(jobs)  # the draw past capacity continues the same source
+        for size in islice(jobs, capacity - len(sizes_col)):
             if classed:
-                try:
-                    cls = next_class()
-                except StopIteration:
-                    jid = len(sizes_col) + 1
-                    raise ValueError(f"arrival {jid} has a size but no class") from None
+                size, cls = size  # a (size, class) pair
+                if not 0.0 <= size <= max_size:
+                    raise ValueError(f"job size must be finite and >= 0, got {size}")
                 if not 1 <= cls <= max_class:
                     raise ValueError(f"job class must be in [1, 2**63 - 1], got {cls}")
                 machine = on_arrival(size, cls)
             else:
+                if not 0.0 <= size <= max_size:  # also rejects NaN
+                    raise ValueError(f"job size must be finite and >= 0, got {size}")
                 machine = on_arrival(size)
             moves = None
             if machine.__class__ is not int:
@@ -173,10 +169,10 @@ class StreamRunner:
                     used = len(hosted)
             if moves:
                 makespan = self._migrate(machine, moves, makespan)
-                jobs = self._jobs
+                job_lists = self._jobs
             else:
-                if jobs is not None:
-                    jobs[machine].append(len(sizes_col))
+                if job_lists is not None:
+                    job_lists[machine].append(len(sizes_col))
                 if used > k:
                     self._check(len(sizes_col), (machine,))
                 load = loads[mi] = loads[mi] + size
@@ -184,7 +180,7 @@ class StreamRunner:
                     makespan = load
             append_makespan(makespan)
         if len(sizes_col) == capacity:
-            for _ in sizes:  # a full runner draws one more size and refuses it
+            for _ in jobs:  # a full runner draws one more job and refuses it
                 raise InfeasibleError(f"stream longer than capacity m*k = {m * k}")
 
     def _check(self, jid: int, touched) -> None:

@@ -7,7 +7,6 @@ machines, ending with machine 1.  It depends only on (m, k), never on sizes.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, cycle, islice, repeat
 
 from .model import Instance
@@ -18,7 +17,6 @@ def borders(m: int) -> tuple[int, ...]:
     return tuple(m // 2**j + 1 for j in range(m.bit_length(), -1, -1))
 
 
-@lru_cache(maxsize=None)
 def ordinal_map(m: int, k: int) -> tuple[int, ...]:
     """sigma[pos-1] is the machine of the pos-th largest job; len(sigma) == m*k.
 

@@ -31,8 +31,8 @@ def test_greedy_feasible_when_classes_fit():
     m, k = 3, 2
     jobs = [(1.0, c) for c in range(1, m * k + 1)] * 2
     drive = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
-    for class_set in drive.class_sets:
-        assert len(class_set) <= k
+    for i in range(m):
+        assert len(drive.class_sets[i]) <= k
 
 
 def test_greedy_infeasible_when_classes_exceed_mk():
@@ -73,13 +73,23 @@ class _Scripted:
 def test_classed_runner_recounts_classes_after_a_move():
     # m=2, k=1: moving job 1 (class 1) off machine 1 frees it for class 2
     runner = run_classed_stream(_Scripted([1, 2, 1]), [(1.0, 1), (1.0, 1), (1.0, 2)], 2, 1)
-    assert runner.class_sets == [{2}, {1}]
+    assert [runner.class_sets[i] for i in range(2)] == [{2}, {1}]
     assert runner.trace.final_schedule() == {1: 2, 2: 2, 3: 1}
     # a move onto a machine that already hosts k other classes is refused
     runner = StreamRunner(_Scripted([1, 2]), 2, 1, classed=True)
-    runner.push(1.0, 1)
+    runner.push((1.0, 1))
     with pytest.raises(ContractViolation, match="arrival 2: machine 2 hosts more than 1 classes"):
-        runner.push(1.0, 2)
+        runner.push((1.0, 2))
+
+
+def _refused_as_after_job_1(runner, scheduler):
+    """The runner and greedy ClCS stand as after the job (1.0, 1), and the stream goes on."""
+    assert runner.n == 1 and list(runner.classes) == [1]
+    assert [runner.class_sets[i] for i in range(2)] == [{1}, set()]
+    assert list(runner.trace.makespans) == [1.0] and scheduler._machine_of_class == {1: 1}
+    runner.push((3.0, 2))
+    assert list(runner.trace.machines) == [1, 2]
+    assert list(runner.trace.makespans) == [1.0, 3.0]
 
 
 @pytest.mark.parametrize("cls", [0, -1, 2**63])
@@ -87,24 +97,43 @@ def test_classed_runner_refuses_a_class_before_the_scheduler_sees_it(cls):
     scheduler = GreedyClcsScheduler(2, 1)
     runner = StreamRunner(scheduler, 2, 1, classed=True)
     with pytest.raises(ValueError, match=r"job class must be in \[1, 2\*\*63 - 1\], got"):
-        runner.feed([1.0, 2.0], [1, cls])
-    assert runner.n == 1 and list(runner.classes) == [1] and runner.class_sets == [{1}, set()]
-    assert scheduler._machine_of_class == {1: 1}
-    runner.push(3.0, 2)
-    assert list(runner.trace.machines) == [1, 2]
+        runner.feed([(1.0, 1), (2.0, cls)])
+    _refused_as_after_job_1(runner, scheduler)
 
 
-def test_classed_feed_refuses_a_size_without_a_class():
+@pytest.mark.parametrize("job", [2.0, (2.0,), (2.0, 2, 3), None])
+def test_classed_runner_refuses_a_job_that_is_not_a_pair(job):
+    scheduler = GreedyClcsScheduler(2, 2)
+    calls, inner = [], scheduler.on_arrival
+    scheduler.on_arrival = lambda size, cls: calls.append((size, cls)) or inner(size, cls)
+    runner = StreamRunner(scheduler, 2, 2, classed=True)
+    with pytest.raises((TypeError, ValueError)):
+        runner.feed([(1.0, 1), job, (5.0, 1)])
+    assert calls == [(1.0, 1)]  # the scheduler never saw the bad job or what followed
+    _refused_as_after_job_1(runner, scheduler)
+
+
+@pytest.mark.parametrize("size", [math.nan, -1.0, math.inf])
+def test_classed_runner_refuses_a_bad_size_before_a_bad_class(size):
     scheduler = GreedyClcsScheduler(2, 2)
     runner = StreamRunner(scheduler, 2, 2, classed=True)
-    with pytest.raises(ValueError, match="^arrival 2 has a size but no class$"):
-        runner.feed([1.0, 2.0], [1])
-    # as after job 1, so the stream can go on
-    assert runner.n == 1 and list(runner.classes) == [1] and runner.class_sets == [{1}, set()]
-    assert list(runner.trace.makespans) == [1.0] and scheduler._machine_of_class == {1: 1}
-    runner.push(3.0, 2)
-    assert list(runner.trace.machines) == [1, 2]
-    assert list(runner.trace.makespans) == [1.0, 3.0]
+    with pytest.raises(ValueError, match="^job size must be finite and >= 0, got"):
+        runner.feed([(1.0, 1), (size, 0)])
+    _refused_as_after_job_1(runner, scheduler)
+
+
+def test_classed_runner_builds_no_class_set_per_machine():
+    # a class set per machine at m = 10**5 peaks near 23 MB; the loads and
+    # counts, 8 bytes a machine each, are what remains
+    m = 10**5
+    tracemalloc.start()
+    try:
+        runner = run_classed_stream(GreedyClcsScheduler(m, 1), [(1.0, 1), (2.0, 2), (3.0, 1)], m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(runner.trace.machines) == [1, 2, 1]
+    assert peak < 4 * 2**20, peak
 
 
 def test_clcs_exact_examples():
@@ -195,5 +224,5 @@ def test_greedy_within_m_times_optimum_random():
         drive = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
         opt = clcs_exact(jobs, m, k)
         assert max(drive.loads) <= m * opt + 1e-9
-        for class_set in drive.class_sets:
-            assert len(class_set) <= k
+        for i in range(m):
+            assert len(drive.class_sets[i]) <= k

@@ -586,7 +586,7 @@ def test_greedy_clcs_matches_former_classed_drive(jobs, m, k, speeds):
         ref.feed(size, cls)
     assert list(runner.trace.machines) == list(ref.machines)
     assert list(runner.classes) == list(ref.classes)
-    assert runner.class_sets == ref.class_sets
+    assert [runner.class_sets[i] for i in range(m)] == ref.class_sets
     assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
     assert repr(clcs_makespan(runner.loads, speeds)) == repr(ref.makespan)
 
@@ -653,7 +653,9 @@ def _runner_state(runner) -> tuple:
     trace = runner.trace
     migrations = sorted((j, r.moves, repr(r.moved_size)) for j, r in trace.migrations.items())
     classes = None if runner.classes is None else list(runner.classes)
-    class_sets = None if runner.class_sets is None else [sorted(c) for c in runner.class_sets]
+    class_sets = None
+    if runner.class_sets is not None:
+        class_sets = [sorted(runner.class_sets[i]) for i in range(runner.m)]
     return (
         list(trace.sizes),
         list(trace.machines),
@@ -667,33 +669,35 @@ def _runner_state(runner) -> tuple:
 
 
 def _apply(runner, jobs, batch: bool) -> list:
-    """Apply (size, class) jobs with one feed call per stretch (batch) or one push
-    per job; a refused job is skipped and the rest applied.  Returns each
-    refusal's job index, exception type and message, and the runner's state
-    right after it, then the final state."""
-    classed = runner.classes is not None
+    """Apply (size, class) jobs, as pairs on a classed runner and as sizes on an
+    unclassed one, with one feed call per stretch (batch) or one push per job;
+    a refused job is skipped and the rest applied.  Returns each refusal's job
+    index, exception type and message, and the runner's state right after it,
+    then the final state."""
+    if runner.classes is None:
+        jobs = [size for size, _ in jobs]
     outcomes = []
     i = 0
     while i < len(jobs):
         if batch:
             last = [i - 1]
 
-            def sizes(start=i):
+            def source(start=i):
                 for j in range(start, len(jobs)):
                     last[0] = j
-                    yield jobs[j][0]
+                    yield jobs[j]
 
-            classes = (cls for _, cls in jobs[i:]) if classed else None
             try:
-                runner.feed(sizes(), classes)
+                runner.feed(source())
                 break
             except Exception as exc:  # noqa: BLE001 - compared by type and message
+                if last[0] < i:  # refused before drawing a job: there is none to skip
+                    raise
                 outcomes.append((last[0], type(exc), str(exc), _runner_state(runner)))
                 i = last[0] + 1
         else:
-            size, cls = jobs[i]
             try:
-                runner.push(size, cls if classed else None)
+                runner.push(jobs[i])
             except Exception as exc:  # noqa: BLE001
                 outcomes.append((i, type(exc), str(exc), _runner_state(runner)))
             i += 1
@@ -702,7 +706,7 @@ def _apply(runner, jobs, batch: bool) -> list:
 
 @st.composite
 def _parity_jobs(draw):
-    """Up to 40 (size, class) jobs, a few of them refused: bad sizes and classes."""
+    """Up to 40 (size, class) jobs, a few of them refused: bad sizes, bad classes or both."""
     sizes = draw(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=40))
     classes = draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))
     jobs = list(zip(sizes, classes))
@@ -710,7 +714,13 @@ def _parity_jobs(draw):
     bad_class = st.sampled_from([-1, 0, 2**63])
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(jobs)))
-        job = draw(st.one_of(st.tuples(bad_size, st.just(1)), st.tuples(st.just(1.0), bad_class)))
+        job = draw(
+            st.one_of(
+                st.tuples(bad_size, st.just(1)),
+                st.tuples(st.just(1.0), bad_class),
+                st.tuples(bad_size, bad_class),
+            )
+        )
         jobs.insert(at, job)
     return jobs
 

@@ -122,13 +122,6 @@ def test_feed_draws_each_size_after_the_last_arrival_is_applied():
     assert list(runner.trace.machines) == [1, 2, 1, 2, 1, 2]
 
 
-def test_feed_takes_classes_only_on_a_classed_runner():
-    with pytest.raises(ValueError, match="classed runner"):
-        StreamRunner(RoundRobinScheduler(2, 2), 2, 2).feed([1.0], [1])
-    with pytest.raises(ValueError, match="classed runner"):
-        StreamRunner(RoundRobinScheduler(2, 2), 2, 2, classed=True).feed([1.0])
-
-
 def test_runner_keeps_its_makespan_after_a_refused_size():
     runner = StreamRunner(RoundRobinScheduler(2, 3), 2, 3)
     with pytest.raises(ValueError, match="finite and >= 0"):

@@ -75,21 +75,18 @@ def test_closed_form_matches_round_simulation():
         m = round(3000 ** rng.random())
         shapes.append((m, round(min(300, 10**5 // m) ** rng.random())))
     for m, k in shapes:
-        # uncached, so the maps do not outlive the test
-        assert ordinal_map.__wrapped__(m, k) == ref_ordinal_map(m, k), (m, k)
+        assert ordinal_map(m, k) == ref_ordinal_map(m, k), (m, k)
 
 
 def test_ordinal_map_allocates_one_pointer_per_position():
     # 3 * 10**5 positions: the tuple is 2.4 MB and the machine ints 2.8 MB;
     # per-machine counts or per-phase copies of them would exceed the bound
-    ordinal_map.cache_clear()
     tracemalloc.start()
     try:
         sigma = ordinal_map(10**5, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        ordinal_map.cache_clear()
     assert peak < 16 * 2**20, peak
     assert len(sigma) == 3 * 10**5
 

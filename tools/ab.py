@@ -28,27 +28,31 @@ cases:
   its stderr.
 - `startup`: a five-job `run --gen uniform --n 5 --mode lower-bound` per
   `--algo` key but phi, at m = 10**6 and k = 1 (constant at k = 60), through
-  in-process `cli.main` calls, the ordinal map's cache cleared before each
-  as in a fresh process (`ops_s`, and `<key>_s` per key); outputs: the exit
-  codes and `reports_sha256`, over each report's perfbench digest.
+  in-process `cli.main` calls; on a tree whose ordinal map has a cache, it
+  is cleared before each, as in a fresh process (`ops_s`, and `<key>_s` per
+  key); outputs: the exit codes and `reports_sha256`, over each report's
+  perfbench digest.
 - `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
   traces of oracle-exact's two exact-mode streams, what `run --mode exact`
   meters; outputs: the denominators and a digest of the prefix-max ratios.
 - `worst`: `exact_opt` on the seed-3 recipe's 1.40 M-node instance.
 - `run-stream-rr`: `run_stream` with round-robin on 40,000 loguniform jobs
-  at m = k = 1000, the scheduler alone on the same stream, and `runner_s`,
+  at m = k = 1000 (`drive_s`, the scheduler built before the timer starts),
+  a new scheduler alone on the same stream (`decide_s`), and `runner_s`,
   their difference.
-- `run-stream-clcs`: the same three timings for the classed runner with
-  greedy ClCS on uniform-lb's stream at m = 50, k = 20 (1,000 unit jobs of
-  distinct classes, then 400,000 jobs of size 0.99 over the 20 classes on
-  machine 1); outputs: the job count and digests of the trace and loads.
+- `run-stream-clcs`: the same three timings for `run_classed_stream`, the
+  classed entry every tree has, with greedy ClCS on uniform-lb's stream of
+  (size, class) pairs at m = 50, k = 20 (1,000 unit jobs of distinct
+  classes, then 400,000 jobs of size 0.99 over the 20 classes on machine
+  1); outputs: the job count and digests of the trace and loads.
 - `run-stream-robust`: the same three timings for robust-ordinal at
   eps = 0.5 on 4,000 loguniform jobs at m = k = 1000, where the runner's
   migration path is most of the run; outputs: the migrating arrivals and
   digests of the makespans, the migration records and the final loads.
 - `ordinal-map`: `ordinal_map` at (m, k) = (10**6, 3), (1000, 1000) and
-  (2, 10**6), its cache cleared before each as in a fresh process (`ops_s`,
-  and `map_<m>x<k>_s` per shape); outputs: each map's sha256.
+  (2, 10**6), its cache, on a tree that has one, cleared before each as in
+  a fresh process (`ops_s`, and `map_<m>x<k>_s` per shape); outputs: each
+  map's sha256.
 - `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
   in each of its modes, alone and under `run_stream` (median of 3 passes),
   with its mode and row counters, read from attributes every tree has, and
@@ -187,12 +191,13 @@ def startup() -> dict:
     from cardsched import cli
     from cardsched.ordinal import ordinal_map
 
+    clear_map = getattr(ordinal_map, "cache_clear", lambda: None)  # a no-op on an uncached map
     out, codes, digests = {}, [], []
     with _in_tempdir():
         for algo in STARTUP_ALGOS:
             k = 60 if algo == "constant" else 1
             argv = f"run --algo {algo} --m {10**6} --k {k} --gen uniform --n 5 --mode lower-bound"
-            ordinal_map.cache_clear()  # each key builds its own map, as in a fresh process
+            clear_map()  # each key builds its own map, as in a fresh process
             t0 = time.perf_counter()
             codes.append(cli.main([*argv.split(), "--out", "report.json"]))
             out[f"{algo}_s"] = time.perf_counter() - t0
@@ -242,11 +247,14 @@ def worst() -> dict:
 
 
 def _drive_and_decide(make, sizes, m: int, k: int):
-    """The trace of run_stream on make(), and its time, a new make()'s alone, and the runner's."""
+    """The trace of run_stream on make(), and its time, a new make()'s alone, and the runner's.
+
+    Both schedulers are built before their timers start, so `runner_s` holds no constructor."""
     from cardsched.engine import run_stream
 
+    scheduler = make()
     t0 = time.perf_counter()
-    trace = run_stream(make(), sizes, m, k)
+    trace = run_stream(scheduler, sizes, m, k)
     drive_s = time.perf_counter() - t0
     on_arrival = make().on_arrival
     t0 = time.perf_counter()
@@ -270,24 +278,22 @@ def run_stream_rr() -> dict:
 
 
 def run_stream_clcs() -> dict:
-    """The classed runner with greedy ClCS on uniform-lb's stream, then the scheduler alone."""
-    from cardsched.clcs import GreedyClcsScheduler
-    from cardsched.engine import StreamRunner
+    """run_classed_stream with greedy ClCS on uniform-lb's stream, then the scheduler alone."""
+    from cardsched.clcs import GreedyClcsScheduler, run_classed_stream
 
     m, k, rounds = FULL["clcs_uniform"]  # M rounds at the CLI's default beta = 1
     size = 1.0 / 1.0 - 0.01  # 1 / beta - eps at the default eps = 0.01
     # phase 1: one unit job per class, which greedy binds round-robin; phase 2
     # floods the min(k, m - 1) classes that land on machine 1
     targets = list(range(1, m * k + 1, m))[: min(k, m - 1)]
-    sizes = [1.0] * (m * k) + [size] * (rounds * len(targets))
-    classes = list(range(1, m * k + 1)) + targets * rounds
+    jobs = [(1.0, cls) for cls in range(1, m * k + 1)] + [(size, cls) for cls in targets] * rounds
+    scheduler = GreedyClcsScheduler(m, k)
     t0 = time.perf_counter()
-    runner = StreamRunner(GreedyClcsScheduler(m, k), m, k, classed=True)
-    runner.feed(sizes, classes)
+    runner = run_classed_stream(scheduler, jobs, m, k)
     drive_s = time.perf_counter() - t0
     on_arrival = GreedyClcsScheduler(m, k).on_arrival
     t0 = time.perf_counter()
-    for job in zip(sizes, classes):
+    for job in jobs:
         on_arrival(*job)
     decide_s = time.perf_counter() - t0
     trace = runner.trace
@@ -328,12 +334,13 @@ ORDINAL_MAP_SHAPES = ((10**6, 3), (1000, 1000), (2, 10**6))
 
 
 def ordinal_map_case() -> dict:
-    """`ordinal_map` at each of ORDINAL_MAP_SHAPES, its cache cleared first as in a fresh process."""
+    """`ordinal_map` at each of ORDINAL_MAP_SHAPES, any cache cleared first as in a fresh process."""
     from cardsched.ordinal import ordinal_map
 
+    clear_map = getattr(ordinal_map, "cache_clear", lambda: None)  # a no-op on an uncached map
     out, digests = {}, {}
     for m, k in ORDINAL_MAP_SHAPES:
-        ordinal_map.cache_clear()
+        clear_map()
         t0 = time.perf_counter()
         built = ordinal_map(m, k)
         out[f"map_{m}x{k}_s"] = time.perf_counter() - t0
