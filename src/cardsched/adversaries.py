@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
-from .engine import PHI, Scheduler, StreamRunner
+from .engine import PHI, Scheduler, StreamRunner, safe_ratio
 from .oracle import sorted_round_robin_makespan
 
 ROBUST_LB_X = (-3.0 + math.sqrt(837.0)) / 2.0  # makespan-ratio fixed point, ~12.965476
@@ -63,7 +63,7 @@ def drive_report(
         alg_makespan=alg,
         opt_value=opt,
         opt_provenance=provenance,
-        ratio=alg / opt if opt else math.inf,
+        ratio=safe_ratio(alg, opt),
         note=note,
         classes=runner.classes,
     )

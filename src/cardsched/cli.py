@@ -40,6 +40,7 @@ from .engine import (
     competitive_metrics,
     migration_stats,
     run_stream,
+    safe_ratio,
 )
 from .jsonl import load_jobs
 from .model import InfeasibleError, check_feasible, instance_from_sizes, makespan
@@ -193,7 +194,7 @@ def cmd_run(args) -> dict:
             {
                 "final_makespan": final,
                 "denominator": denom,
-                "final_ratio": final / denom if denom else 1.0,
+                "final_ratio": safe_ratio(final, denom),
                 "prefix_max_ratio": None,
                 "migration": {"total_moved": 0.0, "max_factor": 0.0},
                 "assignment": {str(j): mach for j, mach in sorted(schedule.items())},
@@ -296,10 +297,7 @@ def cmd_adversary(args) -> dict:
 
 
 def cmd_clcs_run(args) -> dict:
-    jobs = load_jobs(args.input)
-    missing = [i + 1 for i, (_, cls) in enumerate(jobs) if cls is None]
-    if missing:
-        raise ValueError(f"{args.input}: line {missing[0]}: 'class' field required for clcs")
+    jobs = load_jobs(args.input, classed=True)
     speeds = [float(x) for x in args.speeds.split(",")] if args.speeds else [1.0] * args.m
     drive = run_classed_stream(GreedyClcsScheduler(args.m, args.k), jobs, args.m, args.k)
     return {

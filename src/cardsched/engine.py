@@ -17,8 +17,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, cycle, islice, repeat
-from operator import add, truediv
+from itertools import cycle, islice
 
 from .model import InfeasibleError, MigrationRecord, Trace, instance_from_sizes
 from .oracle import exact_guard, lower_bound, opt_makespan
@@ -266,7 +265,8 @@ class CompetitiveMetrics:
     denominator: float
 
 
-def _ratio(numer: float, denom: float) -> float:
+def safe_ratio(numer: float, denom: float) -> float:
+    """numer / denom, the program's one ratio rule: 0/0 is 1.0 and x/0 is inf."""
     if denom == 0:
         return 1.0 if numer == 0 else math.inf
     return numer / denom
@@ -279,35 +279,34 @@ def competitive_metrics(trace: Trace, mode: str = "exact") -> CompetitiveMetrics
     point, so both views are reported.  Exact mode solves each prefix once
     with `opt_makespan`: the value alone, which on integer sizes stops on the
     integer grid, so metering pays for no node count it does not report.
+    Lower-bound mode is one pass that keeps nothing per arrival: a prefix's bound
+    is max(total / m, largest), both left folds from 0.0 in arrival order, as in `lower_bound`.
     """
     if mode not in ("exact", "lower_bound"):
         raise ValueError(f"unknown mode {mode!r}")
     sizes, makespans, m, n = trace.sizes, trace.makespans, trace.m, trace.n
-    prefix_max = 0.0
-    final_denom = 0.0  # ends as the denominator of prefix n, the whole stream
+    prefix_max = final_denom = 0.0  # final_denom ends as prefix n's, the whole stream's
     if mode == "exact":
         exact_guard(n)
-        for t in range(1, n + 1):
+        for t, makespan in enumerate(makespans, start=1):
             final_denom = opt_makespan(instance_from_sizes(sizes[:t], m, trace.k))
-            prefix_max = max(prefix_max, _ratio(makespans[t - 1], final_denom))
+            prefix_max = max(prefix_max, safe_ratio(makespan, final_denom))
     else:
-        # prefix t's bound is max(running max, running total / m), both left
-        # folds from 0.0 in arrival order (so a -0.0 size counts as 0.0)
-        totals = islice(accumulate(sizes, add, initial=0.0), 1, None)
-        maxima = islice(accumulate(sizes, max, initial=0.0), 1, None)
-        bounds = list(map(max, maxima, map(truediv, totals, repeat(m))))
-        # the bound is 0 only while every size so far is; _ratio prices those prefixes
-        lead = next((t for t, bound in enumerate(bounds) if bound), n)
-        ratios = chain(
-            map(_ratio, makespans[:lead], bounds[:lead]),
-            map(truediv, islice(makespans, lead, None), islice(bounds, lead, None)),
-        )
-        prefix_max = max(chain((prefix_max,), ratios))  # the left fold of max from 0.0
-        if bounds:
-            final_denom = float(bounds[-1])  # an int if the largest size, fed as an int, wins
+        total = largest = 0.0
+        for size, makespan in zip(sizes, makespans):
+            total += size
+            if size > largest:
+                largest = size
+            final_denom = total / m
+            if largest > final_denom:
+                final_denom = largest
+            ratio = makespan / final_denom if final_denom else safe_ratio(makespan, final_denom)
+            if ratio > prefix_max:
+                prefix_max = ratio
+        final_denom = float(final_denom)  # an int if the largest size, fed as an int, wins
         assert final_denom == lower_bound(sizes, m)
     return CompetitiveMetrics(
-        final_ratio=_ratio(trace.final_makespan(), final_denom),
+        final_ratio=safe_ratio(trace.final_makespan(), final_denom),
         prefix_max_ratio=prefix_max,
         denominator=final_denom,
     )
@@ -321,14 +320,14 @@ class MigrationStats:
 
 def migration_stats(trace: Trace) -> MigrationStats:
     """Worst per-arrival migration factor (moved size / arriving size) and total moved size."""
-    max_factor = 0.0
-    total = 0.0
+    max_factor = total = 0.0
     for jid, record in trace.migrations.items():
         moved = record.moved_size
         total += moved
         if moved > 0:
-            size = trace.sizes[jid - 1]
-            max_factor = max(max_factor, math.inf if size == 0 else moved / size)
+            factor = safe_ratio(moved, trace.sizes[jid - 1])
+            if factor > max_factor:
+                max_factor = factor
     return MigrationStats(max_factor=max_factor, total_moved=total)
 
 

@@ -1,7 +1,7 @@
 """JSONL instance files: one object per line, arrival order = line order.
 
-Each line is `{"size": <number>}` with an optional integer `"class"` used by
-the class-constrained subcommands.
+Each line is `{"size": <number>}`, finite and >= 0, with an optional integer
+`"class"` that `clcs run` requires in [1, 2**63 - 1].  A refusal names the file and line.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ def _loads(path: str, lineno: int, line: str):
         raise ValueError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
 
 
-def load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
+def load_jobs(path: str, classed: bool = False) -> list[tuple[float, Optional[int]]]:
+    """The (size, class) jobs of a JSONL file; `classed` requires every class, in range."""
     try:
-        return _load_jobs(path)
+        return _load_jobs(path, classed)
     except UnicodeDecodeError:
         # name the first bad line, counting lines as the text-mode loop does (\n, \r, \r\n)
         with open(path, "rb") as fh:
@@ -41,9 +42,9 @@ def load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
         raise
 
 
-def _load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
+def _load_jobs(path: str, classed: bool) -> list[tuple[float, Optional[int]]]:
     entries: list[tuple[float, Optional[int]]] = []
-    append, decode, isfinite = entries.append, _decode, math.isfinite
+    append, decode, inf = entries.append, _decode, math.inf
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -65,10 +66,15 @@ def _load_jobs(path: str) -> list[tuple[float, Optional[int]]]:
                     size = float(size)
                 except OverflowError:
                     size = math.inf
-            if not isfinite(size):
-                raise ValueError(f"{path}: line {lineno}: 'size' must be finite, got {size}")
+            if not 0.0 <= size < inf:  # also rejects NaN; -0.0 passes
+                raise ValueError(f"{path}: line {lineno}: size must be finite and >= 0, got {size}")
             cls = obj.get("class")
             if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
                 raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
+            if classed and cls is None:
+                raise ValueError(f"{path}: line {lineno}: 'class' field required for clcs")
+            if classed and not 1 <= cls <= 2**63 - 1:
+                why = f"job class must be in [1, 2**63 - 1], got {cls}"
+                raise ValueError(f"{path}: line {lineno}: {why}")
             append((size, cls))
     return entries

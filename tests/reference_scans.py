@@ -925,8 +925,8 @@ def clcs_exact(jobs, m: int, k: int, speeds=None) -> float:
     return best
 
 
-def ref_load_jobs(path: str) -> list[tuple[float, int | None]]:
-    """The loader with one json.loads call per line."""
+def ref_load_jobs(path: str, classed: bool = False) -> list[tuple[float, int | None]]:
+    """The loader with one json.loads call per line; `classed` requires a class in range."""
     entries: list[tuple[float, int | None]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -946,11 +946,18 @@ def ref_load_jobs(path: str) -> list[tuple[float, int | None]]:
                 size = float(size)
             except OverflowError:
                 size = math.inf
-            if not math.isfinite(size):
-                raise ValueError(f"{path}: line {lineno}: 'size' must be finite, got {size}")
+            if not (math.isfinite(size) and size >= 0):
+                raise ValueError(f"{path}: line {lineno}: size must be finite and >= 0, got {size}")
             cls = obj.get("class")
             if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
                 raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
+            if classed:
+                if cls is None:
+                    raise ValueError(f"{path}: line {lineno}: 'class' field required for clcs")
+                if not 1 <= cls <= 2**63 - 1:
+                    raise ValueError(
+                        f"{path}: line {lineno}: job class must be in [1, 2**63 - 1], got {cls}"
+                    )
             entries.append((size, cls))
     return entries
 
@@ -973,6 +980,18 @@ def ref_lower_bound_metrics(sizes, makespans, m: int) -> tuple[float, float]:
         final_denom = max(running_max, running_total / m)
         prefix_max = max(prefix_max, _ref_ratio(makespans[t], final_denom))
     return prefix_max, final_denom
+
+
+def ref_migration_stats(trace) -> tuple[float, float]:
+    """(max factor, total moved) of migration metering, one record per arrival."""
+    max_factor = total = 0.0
+    for jid in range(1, trace.n + 1):
+        moved = trace.migration(jid).moved_size
+        total += moved
+        if moved > 0:
+            size = trace.sizes[jid - 1]
+            max_factor = max(max_factor, math.inf if size == 0 else moved / size)
+    return max_factor, total
 
 
 def ref_report_text(report) -> str:

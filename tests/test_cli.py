@@ -175,7 +175,16 @@ def test_clcs_run_rejects_class_outside_1_to_2_pow_63_minus_1(tmp_path, capsys, 
     path = _write_jsonl(tmp_path / "classed.jsonl", rows)
     code, out, err = _run_cli(capsys, ["clcs", "run", "--m", "2", "--k", "1", "--input", path])
     _assert_one_line_exit_2(code, out, err)
-    assert f"job class must be in [1, 2**63 - 1], got {cls}" in err
+    assert err == f"error: {path}: line 2: job class must be in [1, 2**63 - 1], got {cls}\n"
+
+
+def test_clcs_run_names_the_file_line_of_a_job_without_a_class(tmp_path, capsys):
+    # the loader skips blank lines, so the job's index among the jobs (2) is not its line
+    path = tmp_path / "gaps.jsonl"
+    path.write_text('\n\n{"size": 1.0, "class": 1}\n\n{"size": 2.0}\n')
+    code, out, err = _run_cli(capsys, ["clcs", "run", "--m", "2", "--k", "1", "--input", str(path)])
+    _assert_one_line_exit_2(code, out, err)
+    assert err == f"error: {path}: line 5: 'class' field required for clcs\n"
 
 
 def test_clcs_run_takes_class_2_pow_63_minus_1(tmp_path, capsys):
@@ -445,17 +454,18 @@ def test_every_run_key_accepts_size_zero(tmp_path, capsys, algo, k):
     assert report["n"] == 3 and report["final_makespan"] == 2.0
 
 
-@pytest.mark.parametrize("algo", ["round-robin", "robust-ordinal", "ordinal", "greedy-clcs"])
+@pytest.mark.parametrize(
+    "algo", ["round-robin", "robust-ordinal", "ordinal", "greedy-clcs", "oracle"]
+)
 def test_negative_size_exits_2_with_one_line(tmp_path, capsys, algo):
-    # online keys and the classed runner reach the runner's size check; ordinal
-    # builds an Instance first, which states the same rule
+    # the loader refuses it for every command, naming the file and line
     rows = [{"size": 1.0, "class": 1}, {"size": -2.0, "class": 2}]
     path = _write_jsonl(tmp_path / "negative.jsonl", rows)
-    argv = ["clcs", "run"] if algo == "greedy-clcs" else ["run", "--algo", algo]
+    argv = {"greedy-clcs": ["clcs", "run"], "oracle": ["oracle"]}.get(algo, ["run", "--algo", algo])
     argv += ["--m", "2", "--k", "2", "--input", path]
     code, out, err = _run_cli(capsys, argv)
     _assert_one_line_exit_2(code, out, err)
-    assert "finite and >= 0, got -2.0" in err
+    assert err == f"error: {path}: line 2: size must be finite and >= 0, got -2.0\n"
 
 
 def test_non_finite_report_value_exits_2_with_one_line(tmp_path, capsys):

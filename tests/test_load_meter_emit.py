@@ -2,26 +2,29 @@
 
 Each fast path is checked against the code it replaced (tests/reference_scans.py):
 `load_jobs` against the per-line `json.loads` loader, lower-bound metering
-against its one-prefix-per-step loop, the CLI's report encoder against
+against its one-prefix-per-step loop, migration metering against a loop over
+every arrival's record, the CLI's report encoder against
 `json.dumps(..., indent=2, sort_keys=True, allow_nan=False)` and its
 structure dump against the reference constant scheduler's.
 """
 
 import json
 import math
+import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cardsched import cli
-from cardsched.engine import competitive_metrics, run_stream
+from cardsched.engine import Scheduler, competitive_metrics, migration_stats, run_stream
 from cardsched.jsonl import load_jobs
 from cardsched.model import Trace
 from reference_scans import (
     RefConstantScheduler,
     ref_load_jobs,
     ref_lower_bound_metrics,
+    ref_migration_stats,
     ref_report_text,
 )
 
@@ -86,20 +89,20 @@ _line = st.one_of(
 )
 
 
-def _outcome(loader, path):
+def _outcome(loader, path, classed):
     try:
-        return [(repr(size), cls) for size, cls in loader(path)]
+        return [(repr(size), cls) for size, cls in loader(path, classed)]
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-@given(st.lists(_line, min_size=1, max_size=6), st.sampled_from(["\n", "\r\n"]))
+@given(st.lists(_line, min_size=1, max_size=6), st.sampled_from(["\n", "\r\n"]), st.booleans())
 @settings(max_examples=400, deadline=None)
-def test_load_jobs_matches_json_loads_per_line(tmp_path_factory, lines, newline):
+def test_load_jobs_matches_json_loads_per_line(tmp_path_factory, lines, newline, classed):
     path = tmp_path_factory.mktemp("load") / "jobs.jsonl"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(newline.join(lines) + newline)
-    assert _outcome(load_jobs, str(path)) == _outcome(ref_load_jobs, str(path))
+    assert _outcome(load_jobs, str(path), classed) == _outcome(ref_load_jobs, str(path), classed)
 
 
 def test_load_jobs_names_a_line_nested_too_deeply(tmp_path):
@@ -163,6 +166,60 @@ def test_lower_bound_metering_matches_loop_on_any_makespans(pairs, zero_pairs, m
     trace.sizes = array("d", (size for size, _ in pairs))
     trace.makespans = array("d", (ms for _, ms in pairs))
     _assert_metering_matches(trace)
+
+
+def test_lower_bound_metering_keeps_nothing_per_arrival():
+    # a list of one bound per arrival would peak at about 2.8 MiB here
+    m, n = 1000, 10**5
+    trace = Trace(m, n // m)
+    trace.sizes = [2.0 ** -(i % 20) for i in range(n)]
+    trace.makespans = array("d", (1.0 + i / m for i in range(n)))
+    tracemalloc.start()
+    try:
+        got = competitive_metrics(trace, "lower_bound")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    prefix_max, denom = ref_lower_bound_metrics(trace.sizes, trace.makespans, m)
+    assert (got.prefix_max_ratio, got.denominator) == (prefix_max, denom)
+
+
+class _ScriptedMover(Scheduler):
+    """Places arrival i on machine (i - 1) % m + 1; a step (pick, shift) also moves the
+    earlier job pick % (i - 1) + 1 by `shift` machines, cyclically."""
+
+    def __init__(self, m: int, k: int, steps):
+        self.m, self.k = m, k
+        self._steps = iter(steps)
+        self._where: list[int] = []  # job id - 1 -> its machine
+
+    def on_arrival(self, size):
+        step, where = next(self._steps), self._where
+        moves = ()
+        if step is not None and where:
+            pick, shift = step
+            job = pick % len(where) + 1
+            src = where[job - 1]
+            where[job - 1] = dst = (src - 1 + shift) % self.m + 1
+            moves = ((job, src, dst),)
+        where.append(len(where) % self.m + 1)
+        return where[-1], moves
+
+
+_move = st.one_of(st.none(), st.tuples(st.integers(0, 50), st.integers(1, 2)))
+
+
+@given(st.lists(st.tuples(_meter_size, _move), max_size=30))
+@example([(1.0, None), (0.0, (0, 1))])  # a zero-size arrival that moves job 1: factor inf
+@settings(max_examples=300, deadline=None)
+def test_migration_stats_matches_per_record_loop(steps):
+    m, k = 3, max(1, len(steps))  # k never binds
+    scheduler = _ScriptedMover(m, k, [step for _, step in steps])
+    trace = run_stream(scheduler, [size for size, _ in steps], m, k)
+    got = migration_stats(trace)
+    max_factor, total = ref_migration_stats(trace)
+    assert (repr(got.max_factor), repr(got.total_moved)) == (repr(max_factor), repr(total))
 
 
 # -- emit ---------------------------------------------------------------------

@@ -6,8 +6,12 @@ Usage (from the repository root; to time one tree alone, pass it as --before):
 
 A case is a function in CASES that runs in a worker process against the
 cardsched on its PYTHONPATH and returns one flat dict: a key ending in `_s`
-is seconds, every other key a deterministic output (a count or a digest)
-that both trees must share.  Each case runs in P pairs of fresh processes,
+is scaled seconds, every other key a deterministic output (a count or a
+digest) that both trees must share.  Each timed span is scaled as
+`perfbench/run.py` scales an op: its seconds times REF_S over the mean of
+one `reference()` sample on either side of it, so a tenant that slows the
+host for a while slows the kernel too and the scaled time moves with the
+program.  Each case runs in P pairs of fresh processes,
 one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
@@ -36,26 +40,27 @@ cases:
   traces of oracle-exact's two exact-mode streams, what `run --mode exact`
   meters; outputs: the denominators and a digest of the prefix-max ratios.
 - `worst`: `exact_opt` on the seed-3 recipe's 1.40 M-node instance.
-- `run-stream-rr`: `run_stream` with round-robin on 40,000 loguniform jobs
+- `run-stream-rr`: `run_stream` with round-robin on 200,000 loguniform jobs
   at m = k = 1000 (`drive_s`, the scheduler built before the timer starts),
-  a new scheduler alone on the same stream (`decide_s`), and `runner_s`,
-  their difference.
+  a new scheduler alone on the same stream (`decide_s`), each the median of
+  REPEATS passes, and `runner_s`, their difference.
 - `run-stream-clcs`: the same three timings for `run_classed_stream`, the
   classed entry every tree has, with greedy ClCS on uniform-lb's stream of
   (size, class) pairs at m = 50, k = 20 (1,000 unit jobs of distinct
   classes, then 400,000 jobs of size 0.99 over the 20 classes on machine
   1); outputs: the job count and digests of the trace and loads.
-- `run-stream-robust`: the same three timings for robust-ordinal at
-  eps = 0.5 on 4,000 loguniform jobs at m = k = 1000, where the runner's
-  migration path is most of the run; outputs: the migrating arrivals and
-  digests of the makespans, the migration records and the final loads.
+- `run-stream-robust`: the same three timings, medians of REPEATS passes,
+  for robust-ordinal at eps = 0.5 on 4,000 loguniform jobs at m = k =
+  1000, where the runner's migration path is most of the run; outputs: the
+  migrating arrivals and digests of the makespans, the migration records
+  and the final loads.
 - `ordinal-map`: `ordinal_map` at (m, k) = (10**6, 3), (1000, 1000) and
   (2, 10**6), its cache, on a tree that has one, cleared before each as in
   a fresh process (`ops_s`, and `map_<m>x<k>_s` per shape); outputs: each
   map's sha256.
 - `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
-  in each of its modes, alone and under `run_stream` (median of 3 passes),
-  with its mode and row counters, read from attributes every tree has, and
+  in each of its modes, alone and under `run_stream` (medians of REPEATS
+  passes), with its mode and row counters, read from attributes every tree has, and
   `snapshot_sha256`, the digest of the `run --dump-structure` report that
   `cli.main` writes for the same sizes, fed as a JSONL file.
 """
@@ -81,23 +86,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from check import digest  # noqa: E402
+from run import REF_S, reference  # noqa: E402
 from workloads import (  # noqa: E402
     HARD_K, HARD_M, SIZES, WORKLOADS, hard_oracle_set, plan, write_inputs
 )
 
 FULL = SIZES["full"]
-CONSTANT_REPEATS = 3
+REPEATS = 5  # passes of each timed span in the run-stream-{rr,robust} and constant cases
 
 
-def _median_time(fn, repeats: int, make=None) -> float:
-    """Median seconds of `fn()`, or of `fn(make())` with `make` untimed, over `repeats` calls."""
-    times = []
-    for _ in range(repeats):
-        args = (make(),) if make else ()
-        t0 = time.perf_counter()
-        fn(*args)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def _timed(fn, *args):
+    """fn(*args) and its scaled seconds: perfbench's scaling of an op, its time multiplied
+    by REF_S over the mean of one reference() sample on either side of it."""
+    before = reference()
+    t0 = time.perf_counter()
+    result = fn(*args)
+    elapsed = time.perf_counter() - t0
+    return result, elapsed * REF_S / ((before + reference()) / 2)
+
+
+def _median_time(fn, repeats: int, make) -> float:
+    """Median scaled seconds of `fn(make())`, `make` untimed, over `repeats` calls."""
+    return statistics.median(_timed(fn, make())[1] for _ in range(repeats))
 
 
 @contextlib.contextmanager
@@ -119,9 +129,7 @@ def workload_case(name: str) -> dict:
     with _in_tempdir():  # reports name their inputs by the relative paths perfbench uses
         work = plan(name, 1, "full", Path("perfbench", "_work", f"{name}-full-1"))
         write_inputs(work)
-        t0 = time.perf_counter()
-        codes = [cli.main(op.argv) for op in work.ops]
-        ops_s = time.perf_counter() - t0
+        codes, ops_s = _timed(lambda: [cli.main(op.argv) for op in work.ops])
         digests = [digest(op.out.read_bytes()) if op.out.is_file() else None for op in work.ops]
     return {
         "ops_s": ops_s,
@@ -168,14 +176,14 @@ def cli_reports() -> dict:
         classed = [{"size": 2.0**-e, "class": e % 3 + 1} for e in range(12)]
         for name, rows in (("jobs21.jsonl", jobs), ("classed.jsonl", classed)):
             Path(name).write_text("".join(json.dumps(row) + "\n" for row in rows))
-        codes, parts = [], []
-        t0 = time.perf_counter()
+        codes, parts, ops_s = [], [], 0.0
         for i, argv in enumerate(CLI_ARGV):
             out, err = Path(f"report-{i}.json"), io.StringIO()
             with contextlib.redirect_stderr(err):
-                codes.append(cli.main([*argv, "--out", str(out)]))
+                code, op_s = _timed(cli.main, [*argv, "--out", str(out)])
+            codes.append(code)
+            ops_s += op_s
             parts += [digest(out.read_bytes()) if out.is_file() else None, err.getvalue()]
-        ops_s = time.perf_counter() - t0
     return {
         "ops_s": ops_s,
         "exit_codes": codes,
@@ -198,9 +206,8 @@ def startup() -> dict:
             k = 60 if algo == "constant" else 1
             argv = f"run --algo {algo} --m {10**6} --k {k} --gen uniform --n 5 --mode lower-bound"
             clear_map()  # each key builds its own map, as in a fresh process
-            t0 = time.perf_counter()
-            codes.append(cli.main([*argv.split(), "--out", "report.json"]))
-            out[f"{algo}_s"] = time.perf_counter() - t0
+            code, out[f"{algo}_s"] = _timed(cli.main, [*argv.split(), "--out", "report.json"])
+            codes.append(code)
             digests.append(digest(Path("report.json").read_bytes()))
     return {
         "ops_s": sum(out.values()),
@@ -218,9 +225,7 @@ def exact_metering() -> dict:
         run_stream(ListSchedulingCapped(HARD_M, HARD_K), [float(s) for s in sizes], HARD_M, HARD_K)
         for sizes in streams
     ]
-    t0 = time.perf_counter()
-    metrics = [competitive_metrics(trace, "exact") for trace in traces]
-    metering_s = time.perf_counter() - t0
+    metrics, metering_s = _timed(lambda: [competitive_metrics(trace, "exact") for trace in traces])
     ratios = repr([repr(mt.prefix_max_ratio) for mt in metrics]).encode()
     return {
         "metering_s": metering_s,
@@ -235,9 +240,7 @@ def worst() -> dict:
 
     sizes = hard_oracle_set(4, FULL["hard_n"])[3]
     instance = instance_from_sizes([float(s) for s in sizes], HARD_M, HARD_K)
-    t0 = time.perf_counter()
-    r = exact_opt(instance)
-    exact_s = time.perf_counter() - t0
+    r, exact_s = _timed(exact_opt, instance)
     solution = repr((repr(r.opt_makespan), sorted(r.schedule.items()))).encode()
     return {
         "exact_s": exact_s,
@@ -247,20 +250,20 @@ def worst() -> dict:
 
 
 def _drive_and_decide(make, sizes, m: int, k: int):
-    """The trace of run_stream on make(), and its time, a new make()'s alone, and the runner's.
+    """The trace of run_stream on make(); the median over REPEATS passes of its time and of a
+    new make()'s alone; and the runner's, their difference.
 
-    Both schedulers are built before their timers start, so `runner_s` holds no constructor."""
+    Each scheduler is built before its timer starts, so `runner_s` holds no constructor."""
     from cardsched.engine import run_stream
 
-    scheduler = make()
-    t0 = time.perf_counter()
-    trace = run_stream(scheduler, sizes, m, k)
-    drive_s = time.perf_counter() - t0
-    on_arrival = make().on_arrival
-    t0 = time.perf_counter()
-    for size in sizes:
-        on_arrival(size)
-    decide_s = time.perf_counter() - t0
+    def decide(scheduler):
+        on_arrival = scheduler.on_arrival
+        for size in sizes:
+            on_arrival(size)
+
+    drive_s = _median_time(lambda s: run_stream(s, sizes, m, k), REPEATS, make)
+    decide_s = _median_time(decide, REPEATS, make)
+    trace = run_stream(make(), sizes, m, k)
     return trace, {"drive_s": drive_s, "decide_s": decide_s, "runner_s": drive_s - decide_s}
 
 
@@ -270,7 +273,7 @@ def run_stream_rr() -> dict:
     from cardsched.engine import RoundRobinScheduler
 
     m = k = 1000
-    sizes = generate_sizes("loguniform", 40_000, 1)
+    sizes = generate_sizes("loguniform", 200_000, 1)
     trace, times = _drive_and_decide(partial(RoundRobinScheduler, m, k), sizes, m, k)
     # the columns' bytes as array("i") and array("d"), whatever type holds them
     columns = array("i", trace.machines).tobytes() + array("d", trace.makespans).tobytes()
@@ -287,15 +290,12 @@ def run_stream_clcs() -> dict:
     # floods the min(k, m - 1) classes that land on machine 1
     targets = list(range(1, m * k + 1, m))[: min(k, m - 1)]
     jobs = [(1.0, cls) for cls in range(1, m * k + 1)] + [(size, cls) for cls in targets] * rounds
-    scheduler = GreedyClcsScheduler(m, k)
-    t0 = time.perf_counter()
-    runner = run_classed_stream(scheduler, jobs, m, k)
-    drive_s = time.perf_counter() - t0
-    on_arrival = GreedyClcsScheduler(m, k).on_arrival
-    t0 = time.perf_counter()
-    for job in jobs:
-        on_arrival(*job)
-    decide_s = time.perf_counter() - t0
+    def decide(on_arrival):
+        for job in jobs:
+            on_arrival(*job)
+
+    runner, drive_s = _timed(run_classed_stream, GreedyClcsScheduler(m, k), jobs, m, k)
+    _, decide_s = _timed(decide, GreedyClcsScheduler(m, k).on_arrival)
     trace = runner.trace
     columns = array("i", trace.machines).tobytes() + array("d", trace.makespans).tobytes()
     return {
@@ -341,9 +341,7 @@ def ordinal_map_case() -> dict:
     out, digests = {}, {}
     for m, k in ORDINAL_MAP_SHAPES:
         clear_map()
-        t0 = time.perf_counter()
-        built = ordinal_map(m, k)
-        out[f"map_{m}x{k}_s"] = time.perf_counter() - t0
+        built, out[f"map_{m}x{k}_s"] = _timed(ordinal_map, m, k)
         sigma = getattr(built, "sigma", built)  # the positions, whatever type holds them
         digests[f"sigma_{m}x{k}_sha256"] = hashlib.sha256(array("i", sigma).tobytes()).hexdigest()
         del built, sigma  # the next shape builds with this map freed
@@ -368,8 +366,8 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
             scheduler.on_arrival(s)
 
     out = {
-        "scheduler_s": _median_time(alone, CONSTANT_REPEATS, make),
-        "run_stream_s": _median_time(lambda s: run_stream(s, sizes, m, k), CONSTANT_REPEATS, make),
+        "scheduler_s": _median_time(alone, REPEATS, make),
+        "run_stream_s": _median_time(lambda s: run_stream(s, sizes, m, k), REPEATS, make),
     }
     probe, modes = make(), []
     for size in sizes:
