@@ -88,16 +88,8 @@ def uniform_lb_drive(
     speeds = (1.0,) + (float(s),) * (m - 1)
     drive = run_classed_stream(scheduler, [(1.0, cls) for cls in range(1, m * k + 1)], m, k)
 
-    k_prime = min(k, m - 1)
-    on_machine_1 = sorted(drive.class_sets[0])
-    targets = on_machine_1[:k_prime]
-    note = None
-    if len(targets) < k_prime:
-        # non-conforming scheduler left machine 1 short; pad to keep the drive total
-        spare = [c for c in range(1, m * k + 1) if c not in targets]
-        targets += spare[: k_prime - len(targets)]
-        note = "machine 1 held fewer than min(k, m-1) classes after phase 1"
-
+    # m*k distinct classes, at most k per machine: every machine, machine 1 too, hosts k
+    targets = sorted(drive.class_sets[0])[: min(k, m - 1)]
     rounds = round(M * beta)
     size = 1.0 / beta - eps
     classes = itertools.chain.from_iterable(itertools.repeat(targets, rounds))
@@ -109,4 +101,4 @@ def uniform_lb_drive(
         opt, provenance = constructive, "constructive"
     if alg < opt:
         opt, provenance = alg, "alg-schedule"
-    return drive_report(drive, "clcs-uniform-lb", opt, provenance, note, alg)
+    return drive_report(drive, "clcs-uniform-lb", opt, provenance, alg=alg)

@@ -149,11 +149,11 @@ def check_feasible(schedule: dict[int, int], instance: Instance) -> list[str]:
     counts = [0] * m
     seen = set()
     for jid, machine in schedule.items():
+        seen.add(jid)  # assigned, even to a machine out of range
         if not 1 <= machine <= m:
             violations.append(f"job {jid}: machine {machine} outside [1, {m}]")
             continue
         counts[machine - 1] += 1
-        seen.add(jid)
     for mi, c in enumerate(counts, start=1):
         if c > instance.k:
             violations.append(f"machine {mi}: {c} jobs exceeds cap {instance.k}")

@@ -2,7 +2,8 @@
 
 Each reference keeps the straightforward code that the indexed version must
 match decision for decision and bit for bit: the stream runner that scans
-every machine per arrival, the adversaries' and ClCS's former runners,
+every machine per arrival (`RefStreamRunner`, which with `classed` checks
+ClCS's distinct classes per machine in place of the job count),
 greedy ClCS class pinning by a `.get` and a scan, capped greedy as a
 linear scan, a standalone constant scheduler that chooses every machine and
 row by a scan (slots allocated up front), the robust-ordinal scheduler that
@@ -25,15 +26,17 @@ by enumerating every assignment (n <= 8).  And `check_report`, the internal
 consistency of an adversary report.
 
 The references take a scheduler's decision through `as_pair`: a bare machine
-int is a placement with no moves.  Seven helpers only tests use live here
-too: `check_invariants`, the constant scheduler's structural invariants;
-`rows_of_kind`, a snapshot's live rows of one kind; `round_down_pow2`, the
-checked rounding the reference constant scheduler uses; `certify_load_bound`,
-the constant scheduler's end-of-stream load bound on the rounded sizes;
-`positions`, the list position of each job a robust-ordinal scheduler
-holds; `iota`, the closed form of the jobs an ordinal phase's first
-border machine receives; and `wide_rounds`, the wide rounds of each phase
-read off an ordinal map.
+int is a placement with no moves.  `Replay` is the one scripted scheduler:
+it hands out a fixed list of decisions in arrival order, for the tests whose
+decisions depend on nothing but the arrival index.  Seven helpers only tests
+use live here too: `check_invariants`, the constant scheduler's structural
+invariants; `rows_of_kind`, a snapshot's live rows of one kind;
+`round_down_pow2`, the checked rounding the reference constant scheduler
+uses; `certify_load_bound`, the constant scheduler's end-of-stream load
+bound on the rounded sizes; `positions`, the list position of each job a
+robust-ordinal scheduler holds; `iota`, the closed form of the jobs an
+ordinal phase's first border machine receives; and `wide_rounds`, the wide
+rounds of each phase read off an ordinal map.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,25 +73,35 @@ def as_pair(decision) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
 
 class RefStreamRunner:
-    """Checks every machine's count and copies all loads on every arrival."""
+    """Checks every machine's count, or on a `classed` runner its distinct classes,
+    and copies all loads on every arrival.
 
-    def __init__(self, scheduler: Scheduler, m: int, k: int):
+    A classed runner, for ClCS, takes (size, class) pairs, has no job limit, and
+    after a move rebuilds every machine's classes from the assignment.
+    """
+
+    def __init__(self, scheduler: Scheduler, m: int, k: int, classed: bool = False):
         self.scheduler = scheduler
         self.m = m
         self.k = k
         self.records: list[RefRecord] = []
+        self.assignment: dict[int, int] = {}
+        self.classes: list[int] | None = [] if classed else None
+        self.class_sets: list[set[int]] | None = [set() for _ in range(m)] if classed else None
         self._sizes: dict[int, float] = {}
-        self._assignment: dict[int, int] = {}
         self._loads = [0.0] * m
         self._counts = [0] * m
 
-    def push(self, size: float) -> RefRecord:
-        if len(self._sizes) >= self.m * self.k:
+    def push(self, job) -> RefRecord:
+        classed = self.classes is not None
+        size, cls = job if classed else (job, None)
+        if not classed and len(self._sizes) >= self.m * self.k:
             raise InfeasibleError(f"stream longer than capacity m*k = {self.m * self.k}")
         if size < 0:
             raise ValueError(f"job size must be >= 0, got {size}")
         jid = len(self._sizes) + 1
-        machine, moves = as_pair(self.scheduler.on_arrival(size))
+        on_arrival = self.scheduler.on_arrival
+        machine, moves = as_pair(on_arrival(size, cls) if classed else on_arrival(size))
         if not 1 <= machine <= self.m:
             raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
 
@@ -97,30 +109,41 @@ class RefStreamRunner:
         for job, src, dst in moves:
             if job == jid:
                 raise ContractViolation(jid, "trigger job listed in its own migrations")
-            if self._assignment.get(job) != src:
+            if self.assignment.get(job) != src:
                 raise ContractViolation(
                     jid, f"move of job {job} from machine {src} does not match schedule"
                 )
             if not 1 <= dst <= self.m or dst == src:
                 raise ContractViolation(jid, f"move of job {job} to invalid machine {dst}")
-            self._assignment[job] = dst
+            self.assignment[job] = dst
             self._counts[src - 1] -= 1
             self._counts[dst - 1] += 1
             moved_size += self._sizes[job]
 
         self._sizes[jid] = size
-        self._assignment[jid] = machine
+        self.assignment[jid] = machine
         self._loads[machine - 1] += size
         self._counts[machine - 1] += 1
-        for mi, c in enumerate(self._counts, start=1):
-            if c > self.k:
-                raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
+        if classed:
+            self.classes.append(cls)
+            self.class_sets[machine - 1].add(cls)
+            if moves:  # a move may take a class's last job off a machine
+                self.class_sets = [set() for _ in range(self.m)]
+                for j, mm in self.assignment.items():
+                    self.class_sets[mm - 1].add(self.classes[j - 1])
+            for mi, hosted in enumerate(self.class_sets, start=1):
+                if len(hosted) > self.k:
+                    raise ContractViolation(jid, f"machine {mi} hosts more than {self.k} classes")
+        else:
+            for mi, c in enumerate(self._counts, start=1):
+                if c > self.k:
+                    raise ContractViolation(jid, f"machine {mi} holds {c} jobs, cap is {self.k}")
 
         if moves:
             touched = {src for _, src, _ in moves} | {dst for _, _, dst in moves} | {machine}
             for mi in touched:
                 load = 0.0  # a machine left empty reads 0.0, as if it was never used
-                for j, mm in self._assignment.items():
+                for j, mm in self.assignment.items():
                     if mm == mi:
                         load += self._sizes[j]
                 self._loads[mi - 1] = load
@@ -136,95 +159,17 @@ class RefStreamRunner:
         return record
 
 
-class RefDrive:
-    """The adversaries' former runner: arrays, cap checked on the trigger's
-    machine only, all loads rebuilt in job order after a migration."""
+class Replay:
+    """Replays `decisions` in arrival order, each a machine int or a (machine, moves) pair."""
 
-    def __init__(self, scheduler: Scheduler, m: int, k: int):
-        self.scheduler = scheduler
-        self.m, self.k = m, k
-        self.sizes = array("d")
-        self.chosen = array("q")
-        self.current = array("q")
-        self.loads = [0.0] * m
-        self.counts = [0] * m
+    def __init__(self, decisions):
+        self._decisions = iter(decisions)
 
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def makespan(self) -> float:
-        return max(self.loads)
-
-    def machine_of(self, jid: int) -> int:
-        return self.current[jid - 1]
-
-    def feed(self, size: float) -> int:
-        jid = self.n + 1
-        machine, moves = as_pair(self.scheduler.on_arrival(size))
-        if not 1 <= machine <= self.m:
-            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
-        for job, src, dst in moves:
-            if job == jid or not 1 <= job < jid:
-                raise ContractViolation(jid, f"illegal migrated job id {job}")
-            if self.current[job - 1] != src:
-                raise ContractViolation(jid, f"move of job {job} does not match schedule")
-            if not 1 <= dst <= self.m or dst == src:
-                raise ContractViolation(jid, f"move of job {job} to machine {dst}")
-            self.current[job - 1] = dst
-            self.counts[src - 1] -= 1
-            self.counts[dst - 1] += 1
-        self.sizes.append(size)
-        self.chosen.append(machine)
-        self.current.append(machine)
-        self.counts[machine - 1] += 1
-        if self.counts[machine - 1] > self.k:
-            raise ContractViolation(jid, f"machine {machine} exceeds cap {self.k}")
-        if moves:
-            # rare path: rebuild loads exactly from the assignment
-            self.loads = [0.0] * self.m
-            for s, mm in zip(self.sizes, self.current):
-                self.loads[mm - 1] += s
-        else:
-            self.loads[machine - 1] += size
-        return machine
-
-
-class RefClassedDrive:
-    """ClCS's former runner: at most k distinct classes per machine, no moves."""
-
-    def __init__(self, scheduler, m: int, k: int, speeds=None):
-        self.scheduler = scheduler
-        self.m, self.k = m, k
-        self.speeds = tuple(speeds) if speeds is not None else (1.0,) * m
-        self.sizes = array("d")
-        self.classes = array("q")
-        self.machines = array("q")
-        self.loads = [0.0] * m
-        self.class_sets: list[set[int]] = [set() for _ in range(m)]
-
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def makespan(self) -> float:
-        return max(ld / sp for ld, sp in zip(self.loads, self.speeds))
-
-    def feed(self, size: float, cls: int) -> int:
-        jid = self.n + 1
-        machine = as_pair(self.scheduler.on_arrival(size, cls))[0]
-        if not 1 <= machine <= self.m:
-            raise ContractViolation(jid, f"machine {machine} outside [1, {self.m}]")
-        self.class_sets[machine - 1].add(cls)
-        if len(self.class_sets[machine - 1]) > self.k:
-            raise ContractViolation(jid, f"machine {machine} hosts more than {self.k} classes")
-        self.sizes.append(size)
-        self.classes.append(cls)
-        self.machines.append(machine)
-        self.loads[machine - 1] += size
-        return machine
+    def on_arrival(self, *job):
+        decision = next(self._decisions, None)
+        if decision is None:  # a bare StopIteration could end an enclosing loop quietly
+            raise AssertionError("no decision left")
+        return decision
 
 
 class RefGreedyClcs:

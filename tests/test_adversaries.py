@@ -22,22 +22,7 @@ from cardsched.model import instance_from_sizes
 from cardsched.constant import ConstantCompetitiveScheduler
 from cardsched.oracle import exact_opt, lower_bound
 from cardsched.robust import RobustOrdinalScheduler
-from reference_scans import check_report
-
-
-class _Stacker(Scheduler):
-    """Fills machine 1 to the cap, then machine 2, and so on."""
-
-    def __init__(self, m, k):
-        self.m, self.k = m, k
-        self._counts = [0] * m
-
-    def on_arrival(self, size):
-        for mi in range(self.m):
-            if self._counts[mi] < self.k:
-                self._counts[mi] += 1
-                return mi + 1
-        raise AssertionError("over capacity")
+from reference_scans import Replay, check_report
 
 
 def test_pure_lb_balanced_branch_exact_value():
@@ -51,32 +36,21 @@ def test_pure_lb_balanced_branch_exact_value():
 def test_pure_lb_unbalanced_branch():
     m = k = 3
     N = 1000.0
-    report = pure_lb_drive(_Stacker(m, k), m, k, N)
-    # the stacker leaves spare slots; some machine takes two N-jobs
+    # fill machine 1 to the cap, then machine 2, and so on
+    report = pure_lb_drive(Replay([1, 1, 1, 2, 2, 2, 3, 3, 3]), m, k, N)
+    # stacking leaves spare slots; some machine takes two N-jobs
     assert report.alg_makespan >= 2 * N
     assert report.opt_value == N + k - 1
     assert report.ratio >= 2 * N / (N + k) - 1e-9
     check_report(report)
 
 
-class _MovesOntoFullMachine(Scheduler):
-    """m=3, k=2: jobs 1 and 2 on machine 1, job 3 on machine 2; job 4 goes to
-    machine 3 while moving job 3 onto the full machine 1; later jobs fill up."""
-
-    def __init__(self):
-        self.m, self.k = 3, 2
-        self._i = 0
-
-    def on_arrival(self, size):
-        self._i += 1
-        if self._i == 4:
-            return 3, ((3, 2, 1),)
-        return (1, 1, 2, 3, 2, 3)[self._i - 1]
-
-
 def test_pure_lb_rejects_migration_onto_full_machine():
+    # m=3, k=2: jobs 1 and 2 on machine 1, job 3 on machine 2; job 4 goes to
+    # machine 3 while moving job 3 onto the full machine 1
+    decisions = [1, 1, 2, (3, ((3, 2, 1),))]
     with pytest.raises(ContractViolation, match="arrival 4: machine 1 holds 3 jobs, cap is 2"):
-        pure_lb_drive(_MovesOntoFullMachine(), 3, 2, 10.0)
+        pure_lb_drive(Replay(decisions), 3, 2, 10.0)
 
 
 def test_pure_lb_preconditions():
@@ -93,7 +67,7 @@ def test_pure_lb_analytic_matches_oracle_small():
     inst = instance_from_sizes([s for s in report.sizes], m, k)
     opt = exact_opt(inst).opt_makespan
     assert opt <= report.opt_value <= opt * 1.000001
-    report2 = pure_lb_drive(_Stacker(m, k), m, k, 2)
+    report2 = pure_lb_drive(Replay([1, 1, 2, 2]), m, k, 2)  # machine 1 filled first
     inst2 = instance_from_sizes([s for s in report2.sizes], m, k)
     opt2 = exact_opt(inst2).opt_makespan
     assert opt2 <= report2.opt_value <= opt2 * 1.000001
@@ -153,43 +127,25 @@ def test_balanced_lb_stops_at_size_overflow():
 
 def test_balanced_lb_degenerate_stacker():
     # every job lands on machine 1: k rounds of a single unit job
-    report = balanced_lb_drive(_Stacker(1, 5), 1, 5, 10, 100)
+    report = balanced_lb_drive(Replay([1] * 5), 1, 5, 10, 100)
     assert report.n == 5
     assert all(s == 1.0 for s in report.sizes)
     check_report(report)
 
 
 def test_balanced_lb_round_cap_abort():
-    class NeverMachineOne(Scheduler):
-        def __init__(self):
-            self.m, self.k = 2, 10**6
-
-        def on_arrival(self, size):
-            return 2
-
-    report = balanced_lb_drive(NeverMachineOne(), 2, 10**6, 10, 20)
+    report = balanced_lb_drive(Replay([2] * 20), 2, 10**6, 10, 20)  # never machine 1
     assert report.note == "unbounded-evidence: round exceeded cap of 20 jobs"
     assert report.n == 20
     assert report.alg_makespan == 1.111111111111111e19  # 1 + 10 + ... + 10**19, folded
 
 
-class _MovesOntoMachineOne(Scheduler):
-    """m = k = 2: places every job on machine 2; jobs 2 and 4 move the job
-    before them onto machine 1, so no round ever ends and capacity runs out."""
-
-    def __init__(self):
-        self.m, self.k = 2, 2
-        self._i = 0
-
-    def on_arrival(self, size):
-        self._i += 1
-        moves = ((self._i - 1, 2, 1),) if self._i in (2, 4) else ()
-        return 2, moves
-
-
 def test_balanced_lb_capacity_exhausted_exit():
+    # m = k = 2: every job is placed on machine 2; jobs 2 and 4 move the job
+    # before them onto machine 1, so no round ever ends and capacity runs out
+    decisions = [2, (2, ((1, 2, 1),)), 2, (2, ((3, 2, 1),))]
     # sizes 1, 2, 4, 8: machine 1 ends with jobs 1 and 3 (load 5), machine 2 with 2 and 4
-    report = balanced_lb_drive(_MovesOntoMachineOne(), 2, 2, 2, 10)
+    report = balanced_lb_drive(Replay(decisions), 2, 2, 2, 10)
     assert report.note == "unbounded-evidence: scheduler capacity exhausted before k rounds"
     assert report.n == 4
     assert list(report.sizes) == [1.0, 2.0, 4.0, 8.0]
@@ -199,12 +155,14 @@ def test_balanced_lb_capacity_exhausted_exit():
 
 
 def test_balanced_lb_capacity_note_wins_when_the_powers_run_out_with_it():
-    # round_cap = 4: the fourth job uses the last power and the last slot of m*k = 4
-    report = balanced_lb_drive(_MovesOntoMachineOne(), 2, 2, 2, 4)
+    # the moves of test_balanced_lb_capacity_exhausted_exit; round_cap = 4: the
+    # fourth job uses the last power and the last slot of m*k = 4
+    decisions = [2, (2, ((1, 2, 1),)), 2, (2, ((3, 2, 1),))]
+    report = balanced_lb_drive(Replay(decisions), 2, 2, 2, 4)
     assert report.note == "unbounded-evidence: scheduler capacity exhausted before k rounds"
     assert list(report.sizes) == [1.0, 2.0, 4.0, 8.0]
     # one power fewer ends the round first
-    report = balanced_lb_drive(_MovesOntoMachineOne(), 2, 2, 2, 3)
+    report = balanced_lb_drive(Replay(decisions), 2, 2, 2, 3)
     assert report.note == "unbounded-evidence: round exceeded cap of 3 jobs"
     assert list(report.sizes) == [1.0, 2.0, 4.0]
 
@@ -217,7 +175,7 @@ def test_balanced_lb_preconditions():
 
 
 def test_phi_lb_colocation_branch():
-    report = phi_lb_drive(_Stacker(2, 2), 100.0)
+    report = phi_lb_drive(Replay([1, 1, 2, 2]), 100.0)  # jobs 1 and 2 share machine 1
     assert report.alg_makespan == 2 * 100.0**2
     assert report.opt_value == 100.0 + 100.0**2
     assert report.ratio == pytest.approx(2 * 100**2 / (100 + 100**2), rel=1e-12)
@@ -256,7 +214,7 @@ def test_phi_lb_against_builtin_pure_online():
 
 def test_phi_lb_analytic_optima_match_oracle():
     M = 50.0
-    for factory in (lambda: RoundRobinScheduler(2, 2), lambda: ListSchedulingCapped(2, 2), lambda: _Stacker(2, 2)):
+    for factory in (lambda: RoundRobinScheduler(2, 2), lambda: ListSchedulingCapped(2, 2), lambda: Replay([1, 1, 2, 2])):
         report = phi_lb_drive(factory(), M)
         inst = instance_from_sizes(list(report.sizes), 2, 2)
         opt = exact_opt(inst).opt_makespan

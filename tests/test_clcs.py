@@ -13,7 +13,7 @@ from cardsched.clcs import (
 )
 from cardsched.engine import ContractViolation, StreamRunner
 from cardsched.model import InfeasibleError
-from reference_scans import clcs_exact
+from reference_scans import Replay, clcs_exact
 
 
 def test_greedy_binding_rule():
@@ -57,26 +57,15 @@ def test_greedy_binding_keeps_nothing_per_machine():
     assert peak < 256 * 1024
 
 
-class _Scripted:
-    """Replays fixed decisions; job 2 moves job 1 from machine 1 to machine 2."""
-
-    def __init__(self, machines):
-        self._machines = iter(machines)
-        self._i = 0
-
-    def on_arrival(self, size, cls):
-        self._i += 1
-        moves = ((1, 1, 2),) if self._i == 2 else ()
-        return next(self._machines), moves
-
-
 def test_classed_runner_recounts_classes_after_a_move():
-    # m=2, k=1: moving job 1 (class 1) off machine 1 frees it for class 2
-    runner = run_classed_stream(_Scripted([1, 2, 1]), [(1.0, 1), (1.0, 1), (1.0, 2)], 2, 1)
+    # m=2, k=1: job 2 moves job 1 (class 1) from machine 1 to machine 2, which
+    # frees machine 1 for class 2
+    decisions = [(1, ()), (2, ((1, 1, 2),)), (1, ())]
+    runner = run_classed_stream(Replay(decisions), [(1.0, 1), (1.0, 1), (1.0, 2)], 2, 1)
     assert [runner.class_sets[i] for i in range(2)] == [{2}, {1}]
     assert runner.trace.final_schedule() == {1: 2, 2: 2, 3: 1}
     # a move onto a machine that already hosts k other classes is refused
-    runner = StreamRunner(_Scripted([1, 2]), 2, 1, classed=True)
+    runner = StreamRunner(Replay(decisions), 2, 1, classed=True)
     runner.push((1.0, 1))
     with pytest.raises(ContractViolation, match="arrival 2: machine 2 hosts more than 1 classes"):
         runner.push((1.0, 2))
@@ -158,16 +147,7 @@ def test_identical_lb_ratio_is_exactly_m(m):
 
 
 def test_identical_lb_spreading_scheduler_burns_slots():
-    class Spreader:
-        def __init__(self, m):
-            self.m = m
-            self._i = 0
-
-        def on_arrival(self, size, cls):
-            self._i += 1
-            return (self._i - 1) % self.m + 1
-
-    report = identical_lb_report(Spreader(3), 3, 1)
+    report = identical_lb_report(Replay([1, 2, 3]), 3, 1)  # one job per machine
     assert report.ratio <= 3.0
     assert len(set(report.machines)) == 3
 
@@ -203,6 +183,21 @@ def test_uniform_lb_speeds_divide_loads():
         loads[machine - 1] += size
     speeds = (1.0, 4.0, 4.0)
     assert report.alg_makespan == max(ld / sp for ld, sp in zip(loads, speeds))
+
+
+def test_uniform_lb_floods_min_k_m_minus_1_classes_of_machine_1():
+    # phase 1's m*k distinct classes leave every machine with exactly k, so the
+    # flood never runs short of classes on machine 1, whatever the scheduler does
+    for seed in range(100):
+        rng = random.Random(seed)
+        m, k = rng.randint(2, 6), rng.randint(1, 5)
+        phase_1 = [mi for mi in range(1, m + 1) for _ in range(k)]
+        rng.shuffle(phase_1)  # a seeded random capped schedule of the unit classes
+        flood = [1] * (3 * min(k, m - 1))  # 3 rounds over classes that sit on machine 1
+        report = uniform_lb_drive(Replay(phase_1 + flood), m, k, 2.0, 1.0, 0.01, 3)
+        assert report.note is None
+        on_machine_1 = sorted(c for c, mi in zip(report.classes, phase_1) if mi == 1)
+        assert report.classes[m * k :] == on_machine_1[: min(k, m - 1)] * 3
 
 
 @pytest.mark.parametrize(

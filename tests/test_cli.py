@@ -253,6 +253,21 @@ def test_pure_lb_nan_n_param_exits_2(capsys, algo):
         assert err == "error: N must be finite and > 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        ("adversary --family pure-lb --algo greedy-capped --m 101 --k 101", 10_101),
+        ("clcs adversary --family uniform-lb --m 5 --k 3 --big-m 10000", 30_015),
+    ],
+)
+def test_adversary_report_past_the_transcript_limit_omits_it(capsys, argv, n):
+    code, out, _ = _run_cli(capsys, argv.split())
+    report = json.loads(out)
+    assert code == 0 and report["n"] == n > cli.TRANSCRIPT_LIMIT
+    assert report["transcript_omitted"] is True
+    assert "transcript" not in report and "classes" not in report
+
+
 def test_balanced_lb_vs_robust_ordinal_report_is_pinned(capsys):
     argv = ["adversary", "--family", "balanced-lb", "--algo", "robust-ordinal"]
     code, out, _ = _run_cli(capsys, argv + ["--m", "3", "--k", "8", "--epsilon", "0.5"])
@@ -543,9 +558,20 @@ def test_epsilon_too_small_to_change_one_exits_2_with_one_line(capsys, command):
         assert "1 + eps" in err
 
 
-@pytest.mark.parametrize(
-    "argv", [["run", "--algo", "round-robin", "--m", "2", "--k", "2"], ["oracle", "--m", "2", "--k", "2"]]
-)
+_RUN_AND_ORACLE = [
+    ["run", "--algo", "round-robin", "--m", "2", "--k", "2"],
+    ["oracle", "--m", "2", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _RUN_AND_ORACLE)
+def test_neither_input_nor_gen_exits_2_with_one_line(capsys, argv):
+    code, out, err = _run_cli(capsys, argv)
+    _assert_one_line_exit_2(code, out, err)
+    assert err == "error: either --input or --gen is required\n"
+
+
+@pytest.mark.parametrize("argv", _RUN_AND_ORACLE)
 def test_input_and_gen_together_exit_2_with_one_line(tmp_path, capsys, argv):
     # a report would name a generator and a seed that produced none of its sizes
     path = _write_jsonl(tmp_path / "two.jsonl", [{"size": 1.0}, {"size": 2.0}])
@@ -555,9 +581,7 @@ def test_input_and_gen_together_exit_2_with_one_line(tmp_path, capsys, argv):
     assert "--input and --gen" in err
 
 
-@pytest.mark.parametrize(
-    "argv", [["run", "--algo", "round-robin", "--m", "2", "--k", "2"], ["oracle", "--m", "2", "--k", "2"]]
-)
+@pytest.mark.parametrize("argv", _RUN_AND_ORACLE)
 @pytest.mark.parametrize(
     "length, message", [(["--n", "-5"], "--n must be >= 0, got -5"), ([], "--gen needs --n")]
 )

@@ -10,7 +10,7 @@ from cardsched.constant import ConstantCompetitiveScheduler, _small_order
 from cardsched.engine import StreamRunner, run_stream
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes
 
-from reference_scans import certify_load_bound, check_invariants, round_down_pow2, rows_of_kind
+from reference_scans import Replay, certify_load_bound, check_invariants, round_down_pow2, rows_of_kind
 
 
 def _violations(trace):
@@ -181,18 +181,10 @@ def test_certify_load_bound_fallback_form():
     assert certify_load_bound(trace) == []
 
 
-class _Stacker:
-    def __init__(self, m, k):
-        self.m, self.k = m, k
-
-    def on_arrival(self, size):
-        return 1
-
-
 def test_certify_load_bound_flags_violations():
     # stacking 100 unit jobs on one of 8 machines breaks the k>=50 bound:
     # 100 > (2/8)*100 + (50 - 1/99)*1
-    trace = run_stream(_Stacker(8, 100), [1.0] * 100, 8, 100)
+    trace = run_stream(Replay([1] * 100), [1.0] * 100, 8, 100)
     violations = certify_load_bound(trace)
     assert violations and "machine 1" in violations[0]
 

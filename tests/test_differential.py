@@ -1,16 +1,18 @@
 """Differential tests: the indexed runner and schedulers against the plain scans.
 
 Every stream is replayed through the reference in tests/reference_scans.py
-and through the library; machines, moves, moved sizes, per-arrival makespans
-and final loads must agree bit for bit, and contract violations must name the
-same arrival and machine.  The adversaries' and ClCS's former runners are
-references too: the one StreamRunner must reproduce their machines, loads
-and makespans.  The exact oracle must return the former branch-and-bound's
-optimum and schedule, explore no more nodes, and explore the same nodes
-whenever its early exit at the lower bound cannot fire; with the reference
-stopping at the lower bound too, the two searches must agree node for node.
-The value-only oracle that metering calls, which exits on the integer grid,
-must return exact_opt's optimum bit for bit.
+and through the library; machines, moves, moved sizes, per-arrival makespans,
+the final schedule and final loads must agree bit for bit, and contract
+violations must name the same arrival and machine.  The baselines, the
+constant scheduler, robust-ordinal and (through the classed reference)
+greedy ClCS also replay with the same scheduler on both sides, so the
+runner's sums and checks are compared on the library's own decisions.  The
+exact oracle must return the former branch-and-bound's optimum and schedule,
+explore no more nodes, and explore the same nodes whenever its early exit at
+the lower bound cannot fire; with the reference stopping at the lower bound
+too, the two searches must agree node for node.  The value-only oracle that
+metering calls, which exits on the integer grid, must return exact_opt's
+optimum bit for bit.
 """
 
 import math
@@ -19,7 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardsched.clcs import GreedyClcsScheduler, clcs_makespan, run_classed_stream
+from cardsched.clcs import GreedyClcsScheduler, clcs_makespan
 from cardsched.cli import generate_sizes
 from cardsched.constant import ConstantCompetitiveScheduler, _floor_2log2
 from cardsched.engine import (
@@ -40,13 +42,12 @@ from cardsched.model import (
 from cardsched.oracle import branch_and_bound, exact_opt, exit_target, lower_bound, opt_makespan
 from cardsched.robust import RobustOrdinalScheduler
 from reference_scans import (
-    RefClassedDrive,
     RefConstantScheduler,
-    RefDrive,
     RefGreedyClcs,
     RefListSchedulingCapped,
     RefRobustOrdinal,
     RefStreamRunner,
+    Replay,
     check_invariants,
     positions,
     ref_exact_opt,
@@ -54,12 +55,13 @@ from reference_scans import (
 )
 
 
-def _replay(scheduler, ref_scheduler, sizes, m, k):
-    """Push sizes through both runners; returns (new runner, ref runner, error pair)."""
-    runner = StreamRunner(scheduler, m, k)
-    ref = RefStreamRunner(ref_scheduler, m, k)
+def _replay(scheduler, ref_scheduler, jobs, m, k, classed=False):
+    """Push jobs (sizes, or (size, class) pairs if `classed`) through both runners;
+    returns (new runner, ref runner, error pair)."""
+    runner = StreamRunner(scheduler, m, k, classed)
+    ref = RefStreamRunner(ref_scheduler, m, k, classed)
     errors = [None, None]
-    for s in sizes:
+    for s in jobs:
         for idx, r in enumerate((runner, ref)):
             try:
                 r.push(s)
@@ -79,10 +81,11 @@ def _assert_same(runner, ref):
         assert got.migration.moves == want.moves
         assert repr(got.migration.moved_size) == repr(want.moved_size)
         assert repr(got.makespan) == repr(want.makespan)
+    assert runner.trace.final_schedule() == ref.assignment
     if ref.records:
         assert [repr(x) for x in runner.trace.loads] == [repr(x) for x in ref.records[-1].loads]
         trace = runner.trace
-        instance = instance_from_sizes(trace.sizes, trace.m, trace.k)
+        instance = instance_from_sizes(trace.sizes, trace.m, trace.n)  # a classed run may pass m*k
         assert trace.loads == loads(trace.final_schedule(), instance)
 
 
@@ -119,13 +122,13 @@ def test_greedy_capped_exhausted_raises_like_scan():
         assert str(err.value) == "greedy-capped: all machines hold k jobs"
 
 
-@given(sizes_st, st.integers(1, 6), st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_round_robin_runner_matches_scan(sizes, m, k):
+@given(sizes_st, st.integers(1, 6), st.integers(1, 6), st.sampled_from(["rr", "greedy"]))
+@settings(max_examples=160, deadline=None)
+def test_round_robin_runner_matches_scan(sizes, m, k, key):
+    # both baselines, each the same scheduler on both sides
+    cls = RoundRobinScheduler if key == "rr" else ListSchedulingCapped
     sizes = _stream(sizes, m, k)
-    runner, ref, errors = _replay(
-        RoundRobinScheduler(m, k), RoundRobinScheduler(m, k), sizes, m, k
-    )
+    runner, ref, errors = _replay(cls(m, k), cls(m, k), sizes, m, k)
     assert errors == [None, None]
     _assert_same(runner, ref)
 
@@ -297,92 +300,52 @@ def test_migrating_runner_matches_scan_on_long_machines(sizes, m, k, seed):
     _assert_job_lists_ascending(runner)
 
 
-class _ScriptedMoves(Scheduler):
-    """m = 3, k = 4: fixed machines, and the moves of arrival i from `moves[i]`."""
-
-    m, k = 3, 4
-    machines = (1, 2, 3, 1, 2, 3, 1, 2)
-    moves = {
-        # job 1 moves twice, ending on the arriving job's machine; job 4 moves there too
-        6: ((1, 1, 2), (1, 2, 3), (4, 1, 3)),
-        # job 1 goes back below job 7, job 6 off the machine it arrived on
-        8: ((1, 3, 1), (6, 3, 2), (2, 2, 3)),
-    }
-
-    def __init__(self):
-        self._i = 0
-
-    def on_arrival(self, size):
-        self._i += 1
-        return self.machines[self._i - 1], self.moves.get(self._i, ())
-
-
 def test_scripted_moves_match_scan():
+    # m = 3, k = 4: arrival 6 moves job 1 twice, ending on the arriving job's
+    # machine, and job 4 there too; arrival 8 moves job 1 back below job 7, and
+    # job 6 off the machine it arrived on
+    decisions = [1, 2, 3, 1, 2, (3, ((1, 1, 2), (1, 2, 3), (4, 1, 3)))]
+    decisions += [1, (2, ((1, 3, 1), (6, 3, 2), (2, 2, 3)))]
     sizes = [0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 0.6, 0.9]
-    runner, ref, errors = _replay(_ScriptedMoves(), _ScriptedMoves(), sizes, 3, 4)
+    runner, ref, errors = _replay(Replay(decisions), Replay(decisions), sizes, 3, 4)
     assert errors == [None, None]
     _assert_same(runner, ref)
     _assert_job_lists_ascending(runner)
     assert runner._jobs == {1: [1, 7], 2: [5, 6, 8], 3: [2, 3, 4]}
 
 
-class _MaxMachineLosesJob(_ScriptedMoves):
-    """Arrival 5 moves job 4 off machine 1, which held the makespan, so the makespan
-    falls to untouched machine 3's load; arrival 8 moves jobs off no makespan machine."""
-
-    machines = (1, 2, 3, 1, 2, 1, 1, 2)
-    moves = {5: ((4, 1, 2),), 7: ((1, 1, 3),), 8: ((2, 2, 1),)}
-
-
-class _MaxMachineLosesJobToATie(_ScriptedMoves):
-    """Machines 1 and 2 both hold the makespan 5; arrival 4 moves job 3 off machine 1,
-    and only untouched machine 2 still holds 5."""
-
-    machines = (1, 2, 1, 3)
-    moves = {4: ((3, 1, 3),)}
-
-
-class _MoveLiftsPastMakespan(_ScriptedMoves):
-    """Arrival 4 moves job 1 off makespan machine 1 onto machine 2, which rises past it."""
-
-    machines = (1, 2, 1, 3)
-    moves = {4: ((1, 1, 2),)}
-
-
 def test_makespan_falls_when_its_machine_loses_a_job():
+    # m = 3, k = 4
     cases = [
+        # arrival 5 moves job 4 off machine 1, which held the makespan, so the makespan
+        # falls to untouched machine 3's load; arrival 8 moves jobs off no makespan machine
         (
-            _MaxMachineLosesJob,
+            [1, 2, 3, 1, (2, ((4, 1, 2),)), 1, (1, ((1, 1, 3),)), (2, ((2, 2, 1),))],
             [5.0, 3.0, 8.0, 4.0, 0.5, 1.0, 0.25, 0.1],
             [5.0, 5.0, 8.0, 9.0, 8.0, 8.0, 13.0, 13.0],
         ),
-        # every touched load falls below the makespan, which an untouched machine ties
-        (_MaxMachineLosesJobToATie, [3.0, 5.0, 2.0, 0.5], [3.0, 5.0, 5.0, 5.0]),
-        # a touched load rises past the old makespan, off the machine that held it
-        (_MoveLiftsPastMakespan, [5.0, 4.0, 1.0, 0.5], [5.0, 5.0, 6.0, 9.0]),
+        # machines 1 and 2 both hold the makespan 5; arrival 4 moves job 3 off machine 1:
+        # every touched load falls below the makespan, which untouched machine 2 ties
+        ([1, 2, 1, (3, ((3, 1, 3),))], [3.0, 5.0, 2.0, 0.5], [3.0, 5.0, 5.0, 5.0]),
+        # arrival 4 moves job 1 off makespan machine 1 onto machine 2, whose load rises
+        # past the old makespan
+        ([1, 2, 1, (3, ((1, 1, 2),))], [5.0, 4.0, 1.0, 0.5], [5.0, 5.0, 6.0, 9.0]),
     ]
-    for scheduler, sizes, makespans in cases:
-        runner, ref, errors = _replay(scheduler(), scheduler(), sizes, 3, 4)
+    for decisions, sizes, makespans in cases:
+        runner, ref, errors = _replay(Replay(decisions), Replay(decisions), sizes, 3, 4)
         assert errors == [None, None]
         _assert_same(runner, ref)
         assert list(runner.trace.makespans) == makespans
-        whole = StreamRunner(scheduler(), 3, 4)
+        whole = StreamRunner(Replay(decisions), 3, 4)
         whole.feed(sizes)  # one feed call: the running makespan never leaves its local
         assert whole.trace.makespans == runner.trace.makespans
 
 
 def test_cap_violation_names_lowest_touched_machine():
-    class TwoOver(Scheduler):
-        m, k = 4, 1
-
-        def on_arrival(self, size):
-            # job 4 lands on machine 2 while job 1 moves onto machine 3: both over the cap
-            if size == 4.0:
-                return 2, ((1, 1, 3),)
-            return int(size)
-
+    # job 4 lands on machine 2 while job 1 moves onto machine 3: both over the cap
+    decisions = [1, 2, 3, (2, ((1, 1, 3),))]
     for runner_cls in (StreamRunner, RefStreamRunner):
-        runner = runner_cls(TwoOver(), 4, 1)
+        runner = runner_cls(Replay(decisions), 4, 1)
         for s in (1.0, 2.0, 3.0):
             runner.push(s)
         with pytest.raises(ContractViolation, match="arrival 4: machine 2 holds 2 jobs"):
@@ -524,30 +487,14 @@ def test_constant_differential_reaches_every_repair_and_terminal_mode():
     assert hits == {"case1", "case2", "case3", "terminal"}
 
 
-def _replay_drive(make, sizes, m, k):
-    """Feed sizes to StreamRunner and to the adversaries' former runner."""
-    runner, ref = StreamRunner(make(), m, k), RefDrive(make(), m, k)
-    for s in sizes:
-        assert runner.push(s) == ref.feed(s)
-    assert list(runner.trace.machines) == list(ref.chosen)
-    assert list(runner.trace.final_schedule().values()) == list(ref.current)
-    assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
-    assert repr(runner.trace.final_makespan()) == repr(ref.makespan)
-    return runner
-
-
-@given(sizes_st, st.integers(1, 6), st.integers(1, 6), st.sampled_from(["rr", "greedy"]))
-@settings(max_examples=100, deadline=None)
-def test_baselines_match_former_drive(sizes, m, k, key):
-    cls = RoundRobinScheduler if key == "rr" else ListSchedulingCapped
-    _replay_drive(lambda: cls(m, k), _stream(sizes, m, k), m, k)
-
-
 @given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0))
 @settings(max_examples=20, deadline=None)
 def test_constant_matches_former_drive(m, k, seed, fill):
     sizes = _constant_sizes(random.Random(seed), max(1, int(fill * m * k)))
-    _replay_drive(lambda: ConstantCompetitiveScheduler(m, k), sizes, m, k)
+    same = ConstantCompetitiveScheduler(m, k), ConstantCompetitiveScheduler(m, k)
+    runner, ref, errors = _replay(*same, sizes, m, k)
+    assert errors == [None, None]
+    _assert_same(runner, ref)
 
 
 @given(
@@ -558,11 +505,17 @@ def test_constant_matches_former_drive(m, k, seed, fill):
 )
 @settings(max_examples=100, deadline=None)
 def test_robust_ordinal_matches_former_drive(sizes, m, k, eps):
-    _replay_drive(lambda: RobustOrdinalScheduler(m, k, eps), _stream(sizes, m, k), m, k)
+    same = RobustOrdinalScheduler(m, k, eps), RobustOrdinalScheduler(m, k, eps)
+    runner, ref, errors = _replay(*same, _stream(sizes, m, k), m, k)
+    assert errors == [None, None]
+    _assert_same(runner, ref)
 
 
 def test_robust_ordinal_drive_replay_takes_the_migration_path():
-    runner = _replay_drive(lambda: RobustOrdinalScheduler(3, 4, 1.0), [1.0, 2.0, 4.0, 8.0] * 3, 3, 4)
+    same = RobustOrdinalScheduler(3, 4, 1.0), RobustOrdinalScheduler(3, 4, 1.0)
+    runner, ref, errors = _replay(*same, [1.0, 2.0, 4.0, 8.0] * 3, 3, 4)
+    assert errors == [None, None]
+    _assert_same(runner, ref)
     assert runner.trace.migrations
 
 
@@ -580,15 +533,14 @@ def test_robust_ordinal_drive_replay_takes_the_migration_path():
 def test_greedy_clcs_matches_former_classed_drive(jobs, m, k, speeds):
     jobs = [(size, (cls - 1) % (m * k) + 1) for size, cls in jobs]  # never more than m*k classes
     speeds = speeds[:m]
-    runner = run_classed_stream(GreedyClcsScheduler(m, k), jobs, m, k)
-    ref = RefClassedDrive(GreedyClcsScheduler(m, k), m, k, speeds)
-    for size, cls in jobs:
-        ref.feed(size, cls)
-    assert list(runner.trace.machines) == list(ref.machines)
-    assert list(runner.classes) == list(ref.classes)
+    same = GreedyClcsScheduler(m, k), GreedyClcsScheduler(m, k)
+    runner, ref, errors = _replay(*same, jobs, m, k, classed=True)
+    assert errors == [None, None]
+    _assert_same(runner, ref)  # machines, and loads by repr
+    assert runner.classes == ref.classes
     assert [runner.class_sets[i] for i in range(m)] == ref.class_sets
-    assert [repr(x) for x in runner.loads] == [repr(x) for x in ref.loads]
-    assert repr(clcs_makespan(runner.loads, speeds)) == repr(ref.makespan)
+    speed_makespan = max(ld / sp for ld, sp in zip(ref.records[-1].loads, speeds))
+    assert repr(clcs_makespan(runner.loads, speeds)) == repr(speed_makespan)
 
 
 @st.composite

@@ -15,7 +15,6 @@ from cardsched.engine import (
     ListSchedulingCapped,
     PhiScheduler,
     RoundRobinScheduler,
-    Scheduler,
     StreamRunner,
     competitive_metrics,
     migration_stats,
@@ -23,6 +22,7 @@ from cardsched.engine import (
 )
 from cardsched.model import InfeasibleError, check_feasible, instance_from_sizes
 from cardsched.oracle import exact_opt, lower_bound, opt_makespan
+from reference_scans import Replay
 
 
 def test_run_stream_round_robin():
@@ -183,47 +183,27 @@ def test_round_robin_hands_out_the_same_ints_after_its_first_lap():
     assert laps[0] == laps[1] == laps[2] == [*range(1, 301)] * 2
 
 
-class _CheatingScheduler(Scheduler):
-    """Stacks everything on machine 1 regardless of the cap."""
-
-    def __init__(self, m, k):
-        self.m, self.k = m, k
-
-    def on_arrival(self, size):
-        return 1
-
-
 def test_run_stream_detects_cap_violation():
-    with pytest.raises(ContractViolation) as err:
-        run_stream(_CheatingScheduler(2, 1), [1, 1], 2, 1)
+    with pytest.raises(ContractViolation) as err:  # both jobs on machine 1, past the cap
+        run_stream(Replay([1, 1]), [1, 1], 2, 1)
     assert err.value.arrival == 2
 
 
-class _Scripted(Scheduler):
-    """Job 1 goes to machine 1, as a pair with no moves (a plain placement);
-    job 2 goes to machine 2 with the given moves."""
-
-    def __init__(self, moves):
-        self.m = self.k = 2
-        self._moves = moves
-        self._i = 0
-
-    def on_arrival(self, size):
-        self._i += 1
-        return (1, ()) if self._i == 1 else (2, self._moves)
+# in the scripts below, job 1 goes to machine 1 as a pair with no moves (a
+# plain placement), and job 2 goes to machine 2 with the moves each test gives
 
 
 def test_a_pair_with_no_moves_is_a_plain_placement():
-    trace = run_stream(_Scripted(()), [1.0, 2.0], 2, 2)
+    trace = run_stream(Replay([(1, ()), (2, ())]), [1.0, 2.0], 2, 2)
     assert list(trace.machines) == [1, 2] and trace.migrations == {}
     assert list(trace.makespans) == [1.0, 2.0]
 
 
 def test_run_stream_rejects_inconsistent_moves():
     with pytest.raises(ContractViolation, match="arrival 2: move of job 1 from machine 2 does"):
-        run_stream(_Scripted(((1, 2, 1),)), [1.0, 1.0], 2, 2)
+        run_stream(Replay([(1, ()), (2, ((1, 2, 1),))]), [1.0, 1.0], 2, 2)
     # a source outside [1, m] holds no job either, and refusing it adds no job list
-    runner = StreamRunner(_Scripted(((1, 3, 1),)), 2, 2)
+    runner = StreamRunner(Replay([(1, ()), (2, ((1, 3, 1),))]), 2, 2)
     runner.push(1.0)
     with pytest.raises(ContractViolation, match="arrival 2: move of job 1 from machine 3 does"):
         runner.push(1.0)
@@ -232,25 +212,14 @@ def test_run_stream_rejects_inconsistent_moves():
 
 def test_runner_refuses_trigger_in_its_own_moves():
     with pytest.raises(ContractViolation, match="arrival 2: trigger job listed in its own migr"):
-        run_stream(_Scripted(((2, 2, 1),)), [1.0, 1.0], 2, 2)
+        run_stream(Replay([(1, ()), (2, ((2, 2, 1),))]), [1.0, 1.0], 2, 2)
 
 
 @pytest.mark.parametrize("dst", [1, 3])  # its own source, and outside [1, m]
 def test_runner_refuses_move_to_invalid_machine(dst):
     message = f"arrival 2: move of job 1 to invalid machine {dst}"
     with pytest.raises(ContractViolation, match=message):
-        run_stream(_Scripted(((1, 1, dst),)), [1.0, 1.0], 2, 2)
-
-
-class _Replay(Scheduler):
-    """Replays the given decisions in order."""
-
-    def __init__(self, m, k, decisions):
-        self.m, self.k = m, k
-        self._decisions = iter(decisions)
-
-    def on_arrival(self, size):
-        return next(self._decisions)
+        run_stream(Replay([(1, ()), (2, ((1, 1, dst),))]), [1.0, 1.0], 2, 2)
 
 
 def test_migration_cap_is_checked_after_all_moves_on_the_lowest_machine():
@@ -258,11 +227,11 @@ def test_migration_cap_is_checked_after_all_moves_on_the_lowest_machine():
     # machine 1, so machines 1 and 3 both end over k and the lower is named
     decisions = [1, 2, 3, (3, ((2, 2, 1),))]
     with pytest.raises(ContractViolation, match="^arrival 4: machine 1 holds 2 jobs, cap is 1$"):
-        run_stream(_Replay(4, 1, decisions), [1.0] * 4, 4, 1)
+        run_stream(Replay(decisions), [1.0] * 4, 4, 1)
     # a count that passes k and falls back within one arrival breaks nothing:
     # job 3 moves job 1 onto machine 2, then job 2 off it, onto machine 1
     decisions = [1, 2, (3, ((1, 1, 2), (2, 2, 1)))]
-    trace = run_stream(_Replay(3, 1, decisions), [1.0, 2.0, 4.0], 3, 1)
+    trace = run_stream(Replay(decisions), [1.0, 2.0, 4.0], 3, 1)
     assert trace.final_schedule() == {1: 2, 2: 1, 3: 3}
     assert list(trace.makespans) == [1.0, 2.0, 4.0] and trace.loads == [2.0, 1.0, 4.0]
 
@@ -270,7 +239,7 @@ def test_migration_cap_is_checked_after_all_moves_on_the_lowest_machine():
 def test_first_migration_allocates_per_job_not_per_machine():
     # job 2 moves job 1 to machine 3: the job lists the runner then builds
     # cover the machines that hold jobs, not all 10**6
-    runner = StreamRunner(_Scripted(((1, 1, 3),)), 10**6, 1)  # loads and counts: O(m)
+    runner = StreamRunner(Replay([(1, ()), (2, ((1, 1, 3),))]), 10**6, 1)  # loads and counts: O(m)
     tracemalloc.start()
     try:
         runner.feed([1.0, 2.0])
@@ -426,16 +395,8 @@ def test_migration_stats_pure_online_trace():
 
 
 def test_migration_stats_quotient():
-    class MoveOnSecond(Scheduler):
-        m = k = 2
-
-        def on_arrival(self, size):
-            # job 2 (size 2) lands on machine 2 and moves job 1 (size 3) there too
-            if size == 2.0:
-                return 2, ((1, 1, 2),)
-            return 1
-
-    trace = run_stream(MoveOnSecond(), [3.0, 2.0], 2, 2)
+    # job 2 (size 2) lands on machine 2 and moves job 1 (size 3) there too
+    trace = run_stream(Replay([1, (2, ((1, 1, 2),))]), [3.0, 2.0], 2, 2)
     assert trace.migration(2).moved_size == 3.0
     stats = migration_stats(trace)
     assert stats.max_factor == 1.5

@@ -82,6 +82,17 @@ def test_check_feasible_unassigned():
     assert violations == ["job 2: unassigned"]
 
 
+def test_a_job_on_a_machine_out_of_range_is_named_once():
+    # both jobs are assigned, if out of range, so neither also reads as unassigned
+    inst = instance_from_sizes([1.0, 2.0], 2, 2)
+    assert check_feasible({1: 0, 2: 3}, inst) == [
+        "job 1: machine 0 outside [1, 2]",
+        "job 2: machine 3 outside [1, 2]",
+    ]
+    with pytest.raises(ValueError, match=r"^job 1 assigned to machine 3 outside \[1, 2\]$"):
+        loads({1: 3}, inst)
+
+
 def test_job_rejects_negative_size():
     with pytest.raises(ValueError, match="job 1: size must be finite and >= 0, got -0.5"):
         Instance((-0.5,), 1, 1)

@@ -32,10 +32,8 @@ cases:
   its stderr.
 - `startup`: a five-job `run --gen uniform --n 5 --mode lower-bound` per
   `--algo` key but phi, at m = 10**6 and k = 1 (constant at k = 60), through
-  in-process `cli.main` calls; on a tree whose ordinal map has a cache, it
-  is cleared before each, as in a fresh process (`ops_s`, and `<key>_s` per
-  key); outputs: the exit codes and `reports_sha256`, over each report's
-  perfbench digest.
+  in-process `cli.main` calls (`ops_s`, and `<key>_s` per key); outputs:
+  the exit codes and `reports_sha256`, over each report's perfbench digest.
 - `exact-metering`: `competitive_metrics(trace, "exact")` on greedy-capped
   traces of oracle-exact's two exact-mode streams, what `run --mode exact`
   meters; outputs: the denominators and a digest of the prefix-max ratios.
@@ -55,9 +53,8 @@ cases:
   migrating arrivals and digests of the makespans, the migration records
   and the final loads.
 - `ordinal-map`: `ordinal_map` at (m, k) = (10**6, 3), (1000, 1000) and
-  (2, 10**6), its cache, on a tree that has one, cleared before each as in
-  a fresh process (`ops_s`, and `map_<m>x<k>_s` per shape); outputs: each
-  map's sha256.
+  (2, 10**6) (`ops_s`, and `map_<m>x<k>_s` per shape); outputs: each map's
+  sha256.
 - `constant-{terminal,fallback,interleaved-groups}`: the constant scheduler
   in each of its modes, alone and under `run_stream` (medians of REPEATS
   passes), with its mode and row counters, read from attributes every tree has, and
@@ -197,15 +194,12 @@ STARTUP_ALGOS = ("round-robin", "greedy-capped", "constant", "robust-ordinal", "
 def startup() -> dict:
     """Five-job runs at m = 10**6, one per --algo key but phi: what a run pays before its jobs."""
     from cardsched import cli
-    from cardsched.ordinal import ordinal_map
 
-    clear_map = getattr(ordinal_map, "cache_clear", lambda: None)  # a no-op on an uncached map
     out, codes, digests = {}, [], []
     with _in_tempdir():
         for algo in STARTUP_ALGOS:
             k = 60 if algo == "constant" else 1
             argv = f"run --algo {algo} --m {10**6} --k {k} --gen uniform --n 5 --mode lower-bound"
-            clear_map()  # each key builds its own map, as in a fresh process
             code, out[f"{algo}_s"] = _timed(cli.main, [*argv.split(), "--out", "report.json"])
             codes.append(code)
             digests.append(digest(Path("report.json").read_bytes()))
@@ -334,17 +328,14 @@ ORDINAL_MAP_SHAPES = ((10**6, 3), (1000, 1000), (2, 10**6))
 
 
 def ordinal_map_case() -> dict:
-    """`ordinal_map` at each of ORDINAL_MAP_SHAPES, any cache cleared first as in a fresh process."""
+    """`ordinal_map` at each of ORDINAL_MAP_SHAPES."""
     from cardsched.ordinal import ordinal_map
 
-    clear_map = getattr(ordinal_map, "cache_clear", lambda: None)  # a no-op on an uncached map
     out, digests = {}, {}
     for m, k in ORDINAL_MAP_SHAPES:
-        clear_map()
-        built, out[f"map_{m}x{k}_s"] = _timed(ordinal_map, m, k)
-        sigma = getattr(built, "sigma", built)  # the positions, whatever type holds them
+        sigma, out[f"map_{m}x{k}_s"] = _timed(ordinal_map, m, k)
         digests[f"sigma_{m}x{k}_sha256"] = hashlib.sha256(array("i", sigma).tobytes()).hexdigest()
-        del built, sigma  # the next shape builds with this map freed
+        del sigma  # the next shape builds with this map freed
     return {"ops_s": sum(out.values()), **out, **digests}
 
 
