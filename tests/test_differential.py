@@ -122,13 +122,13 @@ def test_greedy_capped_exhausted_raises_like_scan():
         assert str(err.value) == "greedy-capped: all machines hold k jobs"
 
 
-@given(sizes_st, st.integers(1, 6), st.integers(1, 6), st.sampled_from(["rr", "greedy"]))
-@settings(max_examples=160, deadline=None)
-def test_round_robin_runner_matches_scan(sizes, m, k, key):
-    # both baselines, each the same scheduler on both sides
-    cls = RoundRobinScheduler if key == "rr" else ListSchedulingCapped
+@given(sizes_st, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_round_robin_runner_matches_scan(sizes, m, k):
     sizes = _stream(sizes, m, k)
-    runner, ref, errors = _replay(cls(m, k), cls(m, k), sizes, m, k)
+    runner, ref, errors = _replay(
+        RoundRobinScheduler(m, k), RoundRobinScheduler(m, k), sizes, m, k
+    )
     assert errors == [None, None]
     _assert_same(runner, ref)
 
@@ -485,6 +485,15 @@ def test_constant_differential_reaches_every_repair_and_terminal_mode():
             hits.add("terminal")
         _replay_constant(m, k, sizes)
     assert hits == {"case1", "case2", "case3", "terminal"}
+
+
+@given(sizes_st, st.integers(1, 6), st.integers(1, 6), st.sampled_from(["rr", "greedy"]))
+@settings(max_examples=100, deadline=None)
+def test_baselines_match_former_drive(sizes, m, k, key):
+    cls = RoundRobinScheduler if key == "rr" else ListSchedulingCapped
+    runner, ref, errors = _replay(cls(m, k), cls(m, k), _stream(sizes, m, k), m, k)
+    assert errors == [None, None]
+    _assert_same(runner, ref)
 
 
 @given(st.integers(1, 4), st.integers(50, 90), st.integers(0, 2**32), st.floats(0.1, 1.0))
