@@ -72,20 +72,29 @@ def generate_sizes(name: str, n: int, seed: int) -> list[float]:
 
 # the C encoder: json.dumps uses it only without indent, below Python 3.13
 _c_encode = json.JSONEncoder(allow_nan=False).encode
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
 _encode_key = json.encoder.encode_basestring_ascii  # a TypeError for keys that are not str
 _SCALAR_TYPES = {int, float, type(None)}
 _LIST_TYPES = {list, tuple}
+
+
+@functools.cache
+def _c_encoder(inner: str):
+    """The C encoder that writes a flat container's items on lines starting with `inner`."""
+    return json.JSONEncoder(allow_nan=False, sort_keys=True, separators=("," + inner, ": ")).encode
 
 
 def _encode(value, indent: str = "\n") -> str:
     """What json.dumps(value, indent=2, sort_keys=True, allow_nan=False) returns.
 
     `indent` is a newline plus the indentation of the line `value` starts
-    on.  A non-empty list of plain ints, floats and Nones is one C encoder
-    call, split on its ", " separators, and so are a list of such lists (a
-    transcript's rows) and the sorted values of a dict of them (an
-    assignment); other dicts and lists recurse, and scalars go through the
-    same C encoder.  A value json.dumps refuses raises here too,
+    on.  A non-empty list of plain ints, floats and Nones, and a dict of such
+    values under str keys (an assignment), is one call of a C encoder whose
+    item separator carries the newline and indentation, inside this
+    container's brackets; a list of non-empty such rows (a transcript) is one
+    C encoder call whose "], [" and ", " separators are replaced, which
+    number text never contains.  Other dicts and lists recurse, and scalars
+    go through the C encoder.  A value json.dumps refuses raises here too,
     but not always with its message (a non-finite float's lacks the `: inf`
     suffix, a key that is not a str gives a TypeError), so callers fall back
     to json.dumps.
@@ -94,13 +103,9 @@ def _encode(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        keys = sorted(value)
-        values = [value[key] for key in keys]
-        if set(map(type, values)) <= _SCALAR_TYPES:
-            texts = _c_encode(values)[1:-1].split(", ")
-        else:
-            texts = (_encode(v, inner) for v in values)
-        items = (_encode_key(key) + ": " + text for key, text in zip(keys, texts))
+        if set(map(type, value)) == {str} and set(map(type, value.values())) <= _SCALAR_TYPES:
+            return "{" + inner + _c_encoder(inner)(value)[1:-1] + indent + "}"
+        items = (_encode_key(key) + ": " + _encode(value[key], inner) for key in sorted(value))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -108,26 +113,31 @@ def _encode(value, indent: str = "\n") -> str:
         inner = indent + "  "
         kinds = set(map(type, value))
         if kinds <= _SCALAR_TYPES:
-            items = _c_encode(value)[1:-1].split(", ")
-        elif (
+            return "[" + inner + _c_encoder(inner)(value)[1:-1] + indent + "]"
+        if (
             kinds <= _LIST_TYPES
             and all(value)
             and set(map(type, chain.from_iterable(value))) <= _SCALAR_TYPES
         ):
-            row = ("," + inner + "  ").join
-            rows = _c_encode(value)[2:-2].split("], [")
-            items = ("[" + inner + "  " + row(text.split(", ")) + inner + "]" for text in rows)
-        else:
-            items = (_encode(item, inner) for item in value)
+            row = inner + "  "
+            text = _c_encode(value)[2:-2].replace("], [", inner + "]," + inner + "[" + row)
+            text = text.replace(", ", "," + row)
+            return "[" + inner + "[" + row + text + inner + "]" + indent + "]"
+        items = (_encode(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     return _c_encode(value)
 
 
 def _emit(report: dict, out: str | None) -> None:
-    try:
-        text = _encode(report)
-    except (ValueError, TypeError):  # json.dumps words the refusal, or writes a non-str key
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    """Write json.dumps(report, indent=2, sort_keys=True, allow_nan=False): with the
+    interpreter's own C encoder where it takes an indent (Python 3.13 on), else _encode."""
+    if sys.version_info >= (3, 13):
+        text = _dumps(report)
+    else:
+        try:
+            text = _encode(report)
+        except (ValueError, TypeError):  # json.dumps words the refusal, or writes a non-str key
+            text = _dumps(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -150,7 +160,8 @@ def _load_sizes(args, refuse) -> list[float]:
     if not args.input:
         raise ValueError("either --input or --gen is required")
     sizes = [size for size, _ in load_jobs(args.input)]
-    if not math.isfinite(sum(sizes)):
+    # at m = 1 the bound is the total, the left fold metering forms too (sum() compensates on 3.12+)
+    if not math.isfinite(lower_bound(sizes, 1)):
         raise ValueError("the job sizes sum past the largest float")
     refuse(len(sizes))
     return sizes

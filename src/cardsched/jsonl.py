@@ -10,9 +10,10 @@ import json
 import math
 from typing import Optional
 
-# the decoder json.loads uses, minus its per-call wrapper: a stripped line that
-# it decodes to the end is exactly what json.loads accepts (a BOM never decodes)
-_decode = json.JSONDecoder().raw_decode
+# the C scanner json.loads runs, without raw_decode's Python frame around it: a
+# stripped line that it scans to the end is exactly what json.loads accepts (a BOM
+# never scans), and it makes only plain dicts
+_scan = json.JSONDecoder().scan_once
 
 
 def _loads(path: str, lineno: int, line: str):
@@ -44,19 +45,19 @@ def load_jobs(path: str, classed: bool = False) -> list[tuple[float, Optional[in
 
 def _load_jobs(path: str, classed: bool) -> list[tuple[float, Optional[int]]]:
     entries: list[tuple[float, Optional[int]]] = []
-    append, decode, inf = entries.append, _decode, math.inf
+    append, scan, inf = entries.append, _scan, math.inf
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj, end = decode(line)
-            except (ValueError, RecursionError):
+                obj, end = scan(line, 0)
+            except (ValueError, RecursionError, StopIteration):  # StopIteration: no value at 0
                 end = -1
             if end != len(line):  # json.loads gives the failure its message, or the object
                 obj = _loads(path, lineno, line)
-            if not isinstance(obj, dict) or "size" not in obj:
+            if obj.__class__ is not dict or "size" not in obj:
                 raise ValueError(f"{path}: line {lineno}: expected an object with a 'size' field")
             size = obj["size"]
             if type(size) is not float:
@@ -69,12 +70,13 @@ def _load_jobs(path: str, classed: bool) -> list[tuple[float, Optional[int]]]:
             if not 0.0 <= size < inf:  # also rejects NaN; -0.0 passes
                 raise ValueError(f"{path}: line {lineno}: size must be finite and >= 0, got {size}")
             cls = obj.get("class")
-            if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
-                raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
-            if classed and cls is None:
-                raise ValueError(f"{path}: line {lineno}: 'class' field required for clcs")
-            if classed and not 1 <= cls <= 2**63 - 1:
-                why = f"job class must be in [1, 2**63 - 1], got {cls}"
-                raise ValueError(f"{path}: line {lineno}: {why}")
+            if cls is not None or classed:
+                if cls is not None and (isinstance(cls, bool) or not isinstance(cls, int)):
+                    raise ValueError(f"{path}: line {lineno}: 'class' must be an integer")
+                if classed and cls is None:
+                    raise ValueError(f"{path}: line {lineno}: 'class' field required for clcs")
+                if classed and not 1 <= cls <= 2**63 - 1:
+                    why = f"job class must be in [1, 2**63 - 1], got {cls}"
+                    raise ValueError(f"{path}: line {lineno}: {why}")
             append((size, cls))
     return entries

@@ -47,3 +47,10 @@ def test_every_perfbench_workload_has_a_case(monkeypatch):
 def test_cli_reports_case_runs_every_argv():
     row = _one_pair("cli-reports")
     assert row["after"]["exit_codes"] == [0] * 15 + [2] * 4
+
+
+def test_io_layers_case_times_load_and_emit_apart():
+    row = _one_pair("io-layers")
+    timed = {"load_s", "emit_rr_s", "emit_ordinal_s", "emit_structure_s"}
+    assert {f"median_{key}" for key in timed} <= set(row["after"])
+    assert {"jobs_sha256", "rr_sha256", "ordinal_sha256", "structure_sha256"} <= set(row["after"])

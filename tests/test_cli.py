@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -433,6 +434,21 @@ def test_lower_bound_denominator_is_a_left_fold(tmp_path, capsys):
     assert code == 0
     assert '"denominator": 1e+16,' in out
     assert json.loads(out)["final_ratio"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [["run", "--algo", "round-robin"], ["oracle"]])
+def test_size_total_is_checked_as_a_left_fold(tmp_path, capsys, argv):
+    # each 2**969 is under half an ulp of the largest float, so the left fold from 0.0
+    # stays finite; a compensated sum (Python 3.12's sum()) overflows
+    rows = [{"size": sys.float_info.max}] + [{"size": 2.0**969}] * 4
+    path = _write_jsonl(tmp_path / "edge.jsonl", rows)
+    code, out, err = _run_cli(capsys, argv + ["--m", "5", "--k", "1", "--input", path])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    if argv == ["oracle"]:
+        assert report["opt"] == report["lower_bound"] == sys.float_info.max
+    else:
+        assert report["denominator"] == sys.float_info.max and report["final_ratio"] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,14 @@ def _outcome(loader, path, classed):
 
 
 @given(st.lists(_line, min_size=1, max_size=6), st.sampled_from(["\n", "\r\n"]), st.booleans())
+# lines the C scanner finds no value at (it raises StopIteration), a bad escape and an
+# unterminated string: json.loads words each refusal
+@example(lines=["]"], newline="\n", classed=False)
+@example(lines=['{"size": 1}', ","], newline="\n", classed=False)
+@example(lines=["}"], newline="\r\n", classed=True)
+@example(lines=[":"], newline="\n", classed=False)
+@example(lines=['{"size": 1, "x": "\\q"}'], newline="\n", classed=False)
+@example(lines=['{"size": 1, "x": "ab'], newline="\n", classed=False)
 @settings(max_examples=400, deadline=None)
 def test_load_jobs_matches_json_loads_per_line(tmp_path_factory, lines, newline, classed):
     path = tmp_path_factory.mktemp("load") / "jobs.jsonl"
@@ -228,29 +236,66 @@ _number = st.one_of(
     st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0)
 )
 _scalar = st.one_of(st.none(), st.booleans(), _number, st.text(_chars, max_size=6))
+_row_item = st.one_of(_number, st.none(), st.just(2**70))  # _number holds -0.0
+# keys holding the separators the encoder writes or replaces, quotes, escapes and non-ASCII
+_key = st.one_of(
+    st.text(_chars, max_size=5),
+    st.lists(st.sampled_from([", ", "], [", ": ", '"', "\\", "\n", "\xe9", "\u2028", "a"]), max_size=4)
+    .map("".join),
+)
+_non_str_key = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.none(), st.booleans()
+)
 _values = st.recursive(
     _scalar,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(st.text(_chars, max_size=5), inner, max_size=5),
+        st.dictionaries(_key, inner, max_size=5),
         st.lists(_number, min_size=1, max_size=5),  # the C encoder's number lists
         st.lists(st.lists(_number, max_size=3), min_size=1, max_size=4),  # rows, some empty
+        st.lists(st.lists(_row_item, min_size=1, max_size=3), min_size=1, max_size=4),
         st.lists(st.tuples(_number, _number), min_size=1, max_size=4),
-        st.dictionaries(st.text(_chars, max_size=5), _number, min_size=1, max_size=5),
+        # number lists three deep and more: one encoder per indent
+        st.lists(
+            st.lists(st.lists(_row_item, min_size=1, max_size=3), min_size=1, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        st.dictionaries(_key, _row_item, min_size=1, max_size=5),
         # a bool is not a number to the C encoder's dict path
-        st.dictionaries(
-            st.text(_chars, max_size=5), st.one_of(_number, st.booleans()), min_size=2, max_size=5
+        st.dictionaries(_key, st.one_of(_number, st.booleans()), min_size=2, max_size=5),
+        # a number dict with one key that is not a str takes the recursive path
+        st.tuples(st.dictionaries(_key, _number, max_size=3), _non_str_key, _number).map(
+            lambda t: {**t[0], t[1]: t[2]}
         ),
     ),
     max_leaves=30,
 )
 
 
+def _has_non_str_key(value) -> bool:
+    if isinstance(value, dict):
+        return any(type(key) is not str or _has_non_str_key(v) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_non_str_key, value))
+    return False
+
+
 @given(_values)
+@example({"], [": 1, ", ": -0.0, '": "': None, '\\\n"\xe9': 2**70, "\u65e5": 0.1})
+@example([[[1, 2.5], [None, -0.0]], [[2**70]]])
+@example({"a": [[[0.5]], [[1], [2, 3]]], "b": {"c": [1.0, None]}})
+@example({3: 1.0})
+@example({"a": 1, 2.5: 2.0})
 @settings(max_examples=500, deadline=None)
 def test_encode_matches_json_dumps(value):
-    assert cli._encode(value) == ref_report_text(value)
+    try:
+        text = cli._encode(value)
+    except TypeError:  # a key that is not a str, for which _emit calls json.dumps
+        assert _has_non_str_key(value)
+    else:
+        assert text == ref_report_text(value)
 
 
 def _emit_outcome(emit, report, tmp_path):

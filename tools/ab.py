@@ -16,7 +16,7 @@ one per tree, their order alternating from pair to pair so that both trees
 see the same stretch of a noisy host.  One JSON object per case: each
 side's median and all values of every `_s` key and its outputs, the
 after/before ratio of each median, and whether the outputs are identical.
-A side whose outputs differ between its own runs fails the case.  The 15
+A side whose outputs differ between its own runs fails the case.  The 16
 cases:
 
 - `workload-<w>`, one per perfbench workload (online-wide, ordinal-robust,
@@ -60,6 +60,11 @@ cases:
   passes), with its mode and row counters, read from attributes every tree has, and
   `snapshot_sha256`, the digest of the `run --dump-structure` report that
   `cli.main` writes for the same sizes, fed as a JSONL file.
+- `io-layers`: `load_jobs` on online-wide's seed-1 stream (`load_s`), and
+  apart from it `_emit` of the round-robin run report, the ordinal report
+  and the `--dump-structure` report on that stream (`emit_<name>_s`),
+  medians of REPEATS passes; outputs: the sha256 of the loaded
+  `(repr(size), class)` pairs and of each written report.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ from workloads import (  # noqa: E402
 )
 
 FULL = SIZES["full"]
-REPEATS = 5  # passes of each timed span in the run-stream-{rr,robust} and constant cases
+REPEATS = 5  # passes of each timed span in the run-stream-{rr,robust}, constant and io cases
 
 
 def _timed(fn, *args):
@@ -381,6 +386,36 @@ def constant_case(m: int, k: int, n: int, gen: str, seed: int) -> dict:
     return out
 
 
+IO_REPORTS = {  # report name -> `run` arguments on the online-wide stream
+    "rr": "--algo round-robin --m 1000 --k 1000",
+    "ordinal": "--algo ordinal --m 100 --k 100",
+    "structure": "--algo constant --m 1000 --k 1000 --dump-structure",
+}
+
+
+def io_layers() -> dict:
+    """The input and emit layers apart: load_jobs on online-wide's seed-1 stream, and _emit
+    of the IO_REPORTS built from it (median of REPEATS passes each)."""
+    from cardsched import cli
+    from cardsched.jsonl import load_jobs
+
+    out = {}
+    with _in_tempdir():
+        work = plan("online-wide", 1, "full", Path("perfbench", "_work", "online-wide-full-1"))
+        write_inputs(work)
+        (stream,) = (str(path) for path in work.files)
+        out["load_s"] = _median_time(load_jobs, REPEATS, lambda: stream)
+        jobs = repr([(repr(size), cls) for size, cls in load_jobs(stream)]).encode()
+        out["jobs_sha256"] = hashlib.sha256(jobs).hexdigest()
+        for name, argv in IO_REPORTS.items():
+            args = cli.make_parser().parse_args(["run", *argv.split(), "--input", stream])
+            report = args.handler(args)  # less main's wall_time_s: the same bytes each run
+            emit = partial(cli._emit, out="report.json")
+            out[f"emit_{name}_s"] = _median_time(emit, REPEATS, lambda: report)
+            out[f"{name}_sha256"] = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
+    return out
+
+
 CASES = {
     **{f"workload-{name}": partial(workload_case, name) for name in WORKLOADS},
     "cli-reports": cli_reports,
@@ -394,6 +429,7 @@ CASES = {
     "constant-terminal": partial(constant_case, 1000, 60, 60_000, "loguniform", 1),
     "constant-fallback": partial(constant_case, 1000, 40, 40_000, "loguniform", 1),
     "constant-interleaved-groups": partial(constant_case, 1000, 1000, 100_000, "groups", 0),
+    "io-layers": io_layers,
 }
 
 
